@@ -1,0 +1,135 @@
+"""Integer number theory: primality, factoring, divisors, roots.
+
+Primality is Miller-Rabin to the first thirteen prime bases below 3.3e24,
+where it is deterministic (Sorenson-Webster 2015), and Baillie-PSW above,
+which has no known counterexample.
+"""
+
+from math import gcd, isqrt
+
+_SMALL = [p for p in range(2, 1000) if all(p % q for q in range(2, isqrt(p) + 1))]
+
+
+def _strong_prp(n: int, a: int) -> bool:
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(a, (n - 1) >> s, n)
+    return x == 1 or any(pow(x, 1 << r, n) == n - 1 for r in range(s))
+
+
+def _jacobi(a: int, n: int) -> int:
+    a, t = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a, t = a // 2, -t if n % 8 in (3, 5) else t
+        a, n, t = n % a, a, -t if a % 4 == n % 4 == 3 else t
+    return t if n == 1 else 0
+
+
+def _strong_lucas_prp(n: int) -> bool:
+    """Strong Lucas probable-prime test of an odd non-square n.
+
+    Selfridge's parameters P = 1, Q = (1 - D)/4; with n + 1 = d 2^s, n
+    passes when U_d = 0 or V_(d 2^r) = 0 mod n for some r < s.
+    """
+    D = 5
+    while (j := _jacobi(D, n)) == 1:
+        D = -D - 2 if D > 0 else 2 - D
+    Q, s = (1 - D) // 4, ((n + 1) & -(n + 1)).bit_length() - 1
+    U, V, Qk = 1, 1, Q % n  # U_k, V_k, Q^k at k = 1, then up the bits of d
+    for bit in bin((n + 1) >> s)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":  # U_(k+1) = (U + V)/2, V_(k+1) = (D U + V)/2 mod n
+            U, V = [(x + n * (x & 1)) // 2 % n for x in (U + V, D * U + V)]
+            Qk = Qk * Q % n
+    hits = [U, V]
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        hits.append(V)
+    return j == -1 and 0 in hits
+
+
+def is_prime(n: int) -> bool:
+    if n < _SMALL[-1] ** 2:
+        return n > 1 and all(n % p for p in _SMALL if p * p <= n)
+    if n < 3317044064679887385961981:
+        return all(_strong_prp(n, a) for a in _SMALL[:13])
+    return _strong_prp(n, 2) and isqrt(n) ** 2 != n and _strong_lucas_prp(n)
+
+
+def _rho(n: int) -> int:
+    """A proper factor of a composite non-power n: Pollard rho, Brent's cycles.
+
+    gcds are taken of products of 128 differences; a batch that overshoots
+    to n is replayed one step at a time.
+    """
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for k in range(0, r, 128):
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                if (g := gcd(q, n)) != 1:
+                    break
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+    raise ArithmeticError(f"rho found no factor of {n}")  # pragma: no cover
+
+
+def factorint(n: int) -> dict:
+    """{p: e} with n = prod p^e, primes ascending, each one passing is_prime."""
+    if n < 1:
+        raise ValueError(f"factorint needs a positive integer, got {n}")
+    out = {}
+    for p in _SMALL:
+        if p * p > n:
+            break
+        while n % p == 0:
+            out[p], n = out.get(p, 0) + 1, n // p
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        # no prime below 1000 divides m, so m = r^k forces 1000^k <= m
+        roots = (r for k in range(2, m.bit_length() // 9 + 1)
+                 for r, exact in [integer_nthroot(m, k)] if exact)
+        f = next(roots, None) or _rho(m)
+        stack += [f, m // f]
+    return dict(sorted(out.items()))
+
+
+def divisors(n: int) -> list:
+    """All positive divisors of n, ascending."""
+    divs = [1]
+    for p, e in factorint(n).items():
+        divs = [d * p ** i for d in divs for i in range(e + 1)]
+    return sorted(divs)
+
+
+def mobius(n: int) -> int:
+    f = factorint(n)
+    return 0 if any(e > 1 for e in f.values()) else (-1) ** len(f)
+
+
+def integer_nthroot(n: int, k: int) -> tuple:
+    """(floor(n^(1/k)), exact), by integer Newton iteration from above."""
+    if n < 0 or k < 1:
+        raise ValueError("integer_nthroot needs n >= 0 and k >= 1")
+    if n < 2:
+        return n, True
+    x = 1 << -(-n.bit_length() // k)
+    while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
+        x = y
+    return x, x ** k == n

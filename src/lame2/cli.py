@@ -43,6 +43,7 @@ from .moduli12 import (
 )
 from .hyper import (
     HyperellipticCurve,
+    _power_sum,
     class_of_point_pair,
     divisor_class_order,
     is_supersingular,
@@ -270,14 +271,15 @@ def cmd_hyper(args) -> tuple:
     cert = is_supersingular(L)
     sample = next(pt for pt in C.points() if pt is not INFINITY)
     order = divisor_class_order(C, class_of_point_pair(C, sample))
+    count, N, L1 = C.count_points(), C.jacobian_order(), sum(L)
     report = {
         "schema": SCHEMA,
         "command": "hyper",
         "genus": g,
         "field_degree": d,
         "lpoly": L,
-        "point_count": C.count_points(),
-        "jacobian_order": C.jacobian_order(),
+        "point_count": count,
+        "jacobian_order": N,
         "supersingular": cert["supersingular"],
         "certificate": {
             "valuations": cert["valuations"],
@@ -286,7 +288,10 @@ def cmd_hyper(args) -> tuple:
         },
         "sample_point": [sample[0].to_json(), sample[1].to_json()],
         "sample_class_order": order,
-        "passed": True,
+        # the count matches L, J(F_2) (of order L(1)) is a subgroup of
+        # J(F_(2^d)), and the sample class order divides the group order
+        "passed": count == (1 << d) + 1 - _power_sum(L, d)
+        and (N == L1 if d == 1 else N % L1 == 0) and N % order == 0,
     }
     if args.format == "csv":
         rows = [(g, d, ".".join(str(c) for c in L),
@@ -295,7 +300,7 @@ def cmd_hyper(args) -> tuple:
                            "class_order"])
     else:
         text = _emit_json(report)
-    return text, 0
+    return text, 0 if report["passed"] else 1
 
 
 def cmd_jcheck(args) -> tuple:

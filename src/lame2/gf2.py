@@ -20,6 +20,7 @@ Values are immutable; contexts cache their derived tables (trace mask,
 Artin-Schreier solver, embedding generators) and are safe to share.
 """
 
+from .arith import divisors, factorint
 from .common import VerificationError
 
 __all__ = [
@@ -38,10 +39,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # raw bit-polynomial helpers (coefficients in GF(2), packed into ints)
-
-def _pdeg(a):
-    return a.bit_length() - 1
-
 
 def _pmul(a, b):
     r = 0
@@ -106,32 +103,6 @@ def _psq(a):
     return r
 
 
-def _divisors(n):
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]
-
-
-def _prime_factors(n):
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _is_irreducible(m, d):
     """Rabin test: x^(2^d) = x mod m and gcd(x^(2^(d/p)) - x, m) = 1."""
     if m.bit_length() - 1 != d:
@@ -144,7 +115,7 @@ def _is_irreducible(m, d):
         powers[k] = r
     if powers[d] != x:
         return False
-    for p in _prime_factors(d):
+    for p in factorint(d):
         if _pgcd(powers[d // p] ^ x, m) != 1:
             return False
     return True
@@ -461,7 +432,7 @@ def solve_artin_schreier(c):
 
 def element_degree(a):
     """Least e with a^(2^e) = a, i.e. the degree of the subfield GF(2)(a)."""
-    for e in _divisors(a.ctx.degree):
+    for e in divisors(a.ctx.degree):
         if a.frobenius(e) == a:
             return e
     raise VerificationError("Frobenius orbit did not close")  # pragma: no cover
@@ -496,7 +467,7 @@ def _ensure_embeddings(d):
     if d in _EMBED_BUILT:
         return
     target = GF(d)
-    for e in _divisors(d):
+    for e in divisors(d):
         if e == d:
             _EMBED_GEN[(d, d)] = _pmod(2, target.modulus)
             continue
@@ -508,7 +479,7 @@ def _ensure_embeddings(d):
         for rbits in roots:
             g = FieldElement(target, rbits)
             ok = True
-            for sub in _divisors(e):
+            for sub in divisors(e):
                 if sub == e:
                     continue
                 img_in_e = _EMBED_GEN[(sub, e)]

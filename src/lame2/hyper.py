@@ -21,8 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from sympy import eye, factorint, zeros
-
+from .arith import factorint
 from .common import INFINITY, VerificationError
 from .gf2 import GF, FieldContext, Poly, solve_artin_schreier
 
@@ -237,17 +236,8 @@ def zeta_lpoly(genus: int, counts) -> list:
     counts = list(counts)
     if len(counts) < genus:
         raise ValueError(f"need point counts over F_2 .. F_{2 ** genus}")
-    s = [0] + [(1 << d) + 1 - counts[d - 1] for d in range(1, len(counts) + 1)]
-    e = [1] + [0] * genus
-    for k in range(1, genus + 1):
-        acc = 0
-        for i in range(1, k + 1):
-            acc += (-1) ** (i - 1) * e[k - i] * s[i]
-        q, r = divmod(acc, k)
-        if r:
-            raise VerificationError(
-                f"counts are inconsistent: Newton identity fails at {k}")
-        e[k] = q
+    s = [0] + [(1 << d) + 1 - counts[d - 1] for d in range(1, genus + 1)]
+    e = _elementary(s)
     c = [0] * (2 * genus + 1)
     for i in range(genus + 1):
         c[i] = (-1) ** i * e[i]
@@ -260,6 +250,23 @@ def zeta_lpoly(genus: int, counts) -> list:
                 f"count over F_{2 ** d} contradicts the functional equation: "
                 f"expected {predicted}, got {counts[d - 1]}")
     return c
+
+
+def _elementary(s: list) -> list:
+    """[e_0, ..., e_n] from power sums [_, s_1, ..., s_n] by Newton's identities.
+
+    Every division must be exact; when one is not, no integer polynomial
+    has these power sums and the inputs are inconsistent.
+    """
+    e = [1]
+    for k in range(1, len(s)):
+        q, r = divmod(sum((-1) ** (i - 1) * e[k - i] * s[i]
+                          for i in range(1, k + 1)), k)
+        if r:
+            raise VerificationError(
+                f"power sums are inconsistent: Newton identity fails at {k}")
+        e.append(q)
+    return e
 
 
 def _power_sum(c: list, d: int) -> int:
@@ -285,24 +292,18 @@ def _family_lpoly(genus: int) -> list:
 
 
 def jacobian_order(L: list, d: int = 1) -> int:
-    """#J(F_(2^d)) = det(I - M^d) for M the companion matrix of Frobenius.
+    """#J(F_(2^d)) = prod_i (1 - alpha_i^d) over the inverse roots of L.
 
-    The characteristic polynomial of Frobenius is T^(2g) L(1/T); integer
-    matrix powers keep everything exact for any extension degree.
+    The power sums s_d, s_2d, ..., s_(2g)d of the alpha_i are the power sums
+    of the alpha_i^d; Newton's identities turn them into the elementary
+    symmetric functions e_k of the alpha_i^d, and the product is
+    sum_k (-1)^k e_k.  Integer arithmetic throughout, exact for any d.
     """
     deg = len(L) - 1
-    if deg == 0:
-        raise ValueError("constant L-polynomial")
-    if d == 1:
-        return sum(L)
-    # chi(T) = sum_i c_i T^(2g - i), monic since c_0 = 1
-    M = zeros(deg, deg)
-    for i in range(1, deg):
-        M[i, i - 1] = 1
-    for i in range(deg):
-        M[i, deg - 1] = -L[deg - i]
-    Md = M ** d
-    return int((eye(deg) - Md).det())
+    if deg == 0 or d < 1:
+        raise ValueError("need a nonconstant L-polynomial and d >= 1")
+    e = _elementary([0] + [_power_sum(L, k * d) for k in range(1, deg + 1)])
+    return sum((-1) ** k * ek for k, ek in enumerate(e))
 
 
 def _lower_hull(points: list) -> list:

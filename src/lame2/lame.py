@@ -26,8 +26,7 @@ import random
 from functools import lru_cache
 from math import gcd, lcm
 
-from sympy import divisors, factorint, mobius
-
+from .arith import divisors, factorint, mobius
 from .common import FiberEscapeError, INFINITY, VerificationError
 from .gf2 import GF, FieldContext, FieldElement, element_degree, embed, poly_roots
 from .gf2 import Poly
@@ -206,7 +205,6 @@ def _even_context_point(P: CurvePoint) -> CurvePoint:
     if P.curve.ctx.degree % 2 == 0:
         return P
     big = GF(2 * P.curve.ctx.degree)
-    curve = P.curve.base_change(big)
     return P.curve.lift_point(P, big)
 
 
@@ -328,7 +326,7 @@ def degree_count_true(d: int) -> int:
     """#{c in F_{2^d} : the subfield generated by c has degree exactly d}."""
     if d < 1:
         raise ValueError("d must be positive")
-    return sum(int(mobius(d // e)) * (1 << e) for e in divisors(d))
+    return sum(mobius(d // e) * (1 << e) for e in divisors(d))
 
 
 def lame_count_dividing(n: int) -> int:

@@ -22,8 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from sympy import factorint, integer_nthroot
-
+from .arith import factorint, integer_nthroot
 from .common import INFINITY, VerificationError
 from .gf2 import FieldElement
 from .weierstrass import CurvePoint, WeierstrassCurve

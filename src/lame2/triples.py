@@ -19,8 +19,7 @@ import io
 from fractions import Fraction
 from math import comb, gcd
 
-from sympy import divisors
-
+from .arith import divisors
 from .lame import classify_torsion, lame_count_dividing, psi
 
 

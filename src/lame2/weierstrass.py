@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 
+from .arith import factorint
 from .common import INFINITY, Infinity, TorsionSearchExhausted, VerificationError
 from .gf2 import GF, FieldContext, FieldElement, embed, solve_artin_schreier, trace
 
@@ -410,8 +411,6 @@ def point_order(curve: WeierstrassCurve, point: "CurvePoint",
             N = curve.count_points()
     if not (N * point).is_infinity():
         raise VerificationError("stated group order does not annihilate the point")
-    from sympy import factorint
-
     n = N
     for p in factorint(N):
         while n % p == 0 and ((n // p) * point).is_infinity():
@@ -419,37 +418,16 @@ def point_order(curve: WeierstrassCurve, point: "CurvePoint",
     return n
 
 
-def _prime_powers(n: int) -> dict:
-    """n = prod p^e as {p: e}; trial division, fine for the sizes used here."""
-    out = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def _p_power_part(N: int, p: int) -> int:
-    v = 0
-    while N % p == 0:
-        N //= p
-        v += 1
-    return v
-
-
 def point_of_exact_order(curve: WeierstrassCurve, group_order: int, n: int,
                          rng: random.Random, trials: int = 256) -> CurvePoint:
     """A point of exact order n, via the cofactor method prime by prime."""
     parts = []
-    for p, e in _prime_powers(n).items():
-        v = _p_power_part(group_order, p)
-        if v < e:
+    for p, e in factorint(n).items():
+        cofactor = group_order
+        while cofactor % p == 0:
+            cofactor //= p
+        if (group_order // cofactor) % p ** e:
             raise ValueError(f"group order lacks {p}^{e}")
-        cofactor = group_order // p ** v
         for attempt in range(trials):
             S = cofactor * curve.random_point(rng)
             # S has order p^j; walk down to exact order p^e
@@ -461,13 +439,15 @@ def point_of_exact_order(curve: WeierstrassCurve, group_order: int, n: int,
                 parts.append(chain[j - e])
                 break
         else:
-            raise TorsionSearchExhausted(p ** e, trials)
+            raise TorsionSearchExhausted(
+                f"no point of order {p ** e} found in {trials} trials",
+                trials=trials)
     acc = curve.infinity()
     for pt in parts:
         acc = acc + pt
     if not (n * acc).is_infinity():
         raise VerificationError("cofactor search returned a bad point")
-    for p in _prime_powers(n):
+    for p in factorint(n):
         if ((n // p) * acc).is_infinity():
             raise VerificationError("cofactor search returned a bad point")
     return acc
@@ -499,7 +479,9 @@ def torsion_basis(n: int, seed: int = 0):
                 seen.add(row[a] + shift)
         if len(seen) == n * n:
             return curve, P, Q
-    raise TorsionSearchExhausted(n, 64)
+    raise TorsionSearchExhausted(
+        f"no basis of the {n}-torsion found in 64 trials", seed=seed,
+        trials=64)
 
 
 def torsion_points(curve: WeierstrassCurve, P: CurvePoint, Q: CurvePoint,
@@ -514,7 +496,7 @@ def torsion_points(curve: WeierstrassCurve, P: CurvePoint, Q: CurvePoint,
                 continue
             if (n * T).is_infinity() and not T.is_infinity():
                 good = all(not ((n // p) * T).is_infinity()
-                           for p in _prime_powers(n))
+                           for p in factorint(n))
                 if good:
                     pts.append(T)
     return pts
@@ -538,4 +520,6 @@ def ordinary_with_torsion(n: int, seed: int = 0, max_degree: int = 16):
                 continue
             P = point_of_exact_order(curve, N, n, rng)
             return curve, P
-    raise TorsionSearchExhausted(n, max_degree)
+    raise TorsionSearchExhausted(
+        f"no ordinary curve with {n} | #E over GF(2^d), d <= {max_degree}",
+        seed=seed, trials=max_degree)

@@ -1,10 +1,17 @@
 """Exit-code contract, determinism, and frozen report fragments."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import lame2
+from lame2 import HyperellipticCurve
 from lame2.cli import main, run
+from lame2.gf2 import GF
 
 
 def invoke(*argv):
@@ -104,6 +111,37 @@ def test_byte_identical_reruns(argv):
     assert invoke(*argv) == invoke(*argv)
 
 
+# SHA-256 of the canonical JSON, pinned across library versions
+GOLDEN = {
+    "classify --order 3":
+        "2fd5c8d3ae0f142891c56cb59061d058e5268e686ed896f25e113e0ac2a2ec33",
+    "counts --max-n 13":
+        "3c8c2fa8c8760d26afafef67ecf40504d8a7fb158336788e29f06f7f20a8fa9c",
+    "hyper --genus 3 --field 12":
+        "b4584914c87015dac162a6b3da2938248618b4705ec7bd32ac2a416640f19ad4",
+    "triples --degree 101":
+        "b6495cf42d0fda3769666b01a97b204c994a0dab1da3067e72350636d9eb1d3d",
+    "moduli --d 2":
+        "d898edfd02b601b67ed9562f9eeca9f6f9ffd5d125f18eac69d5a0be7cc3629a",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN))
+def test_golden_digests(argv):
+    code, text = invoke(*argv.split())
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[argv]
+
+
+def test_import_pulls_in_no_sympy():
+    src = os.path.dirname(os.path.dirname(lame2.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import lame2, lame2.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_json_has_sorted_keys_and_schema():
     code, text = invoke("moduli", "--d", "1")
     assert code == 0
@@ -193,6 +231,16 @@ def test_ramify_supersingular_seven():
     assert total == 14
 
 
+def test_torsion_search_failure_is_readable():
+    # 9 divides #E over the chosen extension, but E has no point of order 9
+    code, text = invoke("ramify", "--order", "9", "--ordinary", "2",
+                        "--field", "3")
+    assert code == 1
+    doc = json.loads(text)
+    assert doc["passed"] is False
+    assert doc["error"] == "no point of order 9 found in 256 trials"
+
+
 def test_ramify_ordinary_wild():
     doc = payload("ramify", "--order", "5", "--ordinary", "1", "--field", "4")
     assert doc["model"] == "ordinary"
@@ -208,6 +256,16 @@ def test_hyper_genus_two_report():
     assert doc["jacobian_order"] == 5
     assert doc["sample_class_order"] == 5
     assert doc["certificate"]["slopes"] == ["1/2"]
+
+
+def test_hyper_passed_is_a_real_check(monkeypatch):
+    HyperellipticCurve(GF(1), 2).lpoly()  # L comes from the true counts
+    true_count = HyperellipticCurve.count_points
+    monkeypatch.setattr(HyperellipticCurve, "count_points",
+                        lambda self: true_count(self) + 2)
+    code, text = invoke("hyper", "--genus", "2", "--field", "3")
+    assert code == 1
+    assert json.loads(text)["passed"] is False
 
 
 def test_hyper_genus_three_not_supersingular():

@@ -12,7 +12,7 @@ import pytest
 
 from lame2 import (GF, FieldContext, Poly, embed, element_degree,
                    lexmin_irreducible, poly_roots, solve_artin_schreier, trace)
-from lame2.gf2 import _divisors
+from lame2.arith import divisors
 
 
 # ---------------------------------------------------------------------------
@@ -372,5 +372,5 @@ def test_json_wrong_degree_rejected():
 
 
 def test_divisors_helper():
-    assert _divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert _divisors(1) == [1]
+    assert divisors(12) == [1, 2, 3, 4, 6, 12]
+    assert divisors(1) == [1]
