@@ -10,7 +10,8 @@ Jacobians for the generalized covers.
 from .gf2 import GF, FieldContext, FieldElement, Poly, embed, element_degree, \
     lexmin_irreducible, poly_roots, solve_artin_schreier, trace
 from .common import INFINITY, VerificationError, PrecisionError, \
-    FiberEscapeError, ProfileFalsified, TorsionSearchExhausted
+    FiberEscapeError, FieldInputError, ProfileFalsified, \
+    TorsionSearchExhausted
 from .weierstrass import WeierstrassCurve, CurvePoint, curve_invariants, \
     extension_order, ordinary_with_torsion, point_of_exact_order, \
     point_order, supersingular_order, supersingular_trace, torsion_basis, \

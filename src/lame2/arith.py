@@ -7,6 +7,8 @@ which has no known counterexample.
 
 from math import gcd, isqrt
 
+from .common import VerificationError
+
 _SMALL = [p for p in range(2, 1000) if all(p % q for q in range(2, isqrt(p) + 1))]
 
 
@@ -116,6 +118,21 @@ def divisors(n: int) -> list:
     for p, e in factorint(n).items():
         divs = [d * p ** i for d in divs for i in range(e + 1)]
     return sorted(divs)
+
+
+def order_from_multiple(N: int, kills) -> int:
+    """Order of a group element from a multiple N of it.
+
+    kills(k) says whether k times the element is the identity; primes are
+    stripped from N while the element stays killed.
+    """
+    if not kills(N):
+        raise VerificationError(f"{N} does not annihilate the element")
+    n = N
+    for p in factorint(N):
+        while n % p == 0 and kills(n // p):
+            n //= p
+    return n
 
 
 def mobius(n: int) -> int:

@@ -137,10 +137,10 @@ def cmd_ramify(args) -> tuple:
             raise UsageError("--ordinary needs --field")
         ctx = GF(args.field)
         try:
-            t = ctx(int(args.ordinary, 16))
+            t = ctx.from_hex(args.ordinary)
         except ValueError:
-            raise UsageError(
-                "--ordinary expects a hex string, got %r" % args.ordinary)
+            raise UsageError("--ordinary expects a hex string of at most "
+                             f"{args.field} bits, got {args.ordinary!r}")
         if not t:
             raise UsageError("ordinary coefficient t must be nonzero")
         curve, P, _ = ordinary_torsion_point(t, n, seed)
@@ -269,7 +269,9 @@ def cmd_hyper(args) -> tuple:
     C = HyperellipticCurve(GF(d), g)
     L = C.lpoly()
     cert = is_supersingular(L)
-    sample = next(pt for pt in C.points() if pt is not INFINITY)
+    # the first affine point of C.points(), without listing them all
+    sample = next((x, ys[0]) for x in C.ctx.elements()
+                  if (ys := C.fiber_y(x)))
     order = divisor_class_order(C, class_of_point_pair(C, sample))
     count, N, L1 = C.count_points(), C.jacobian_order(), sum(L)
     report = {
@@ -309,6 +311,7 @@ def cmd_jcheck(args) -> tuple:
         raise UsageError("--samples must be positive")
     rng = random.Random(args.seed)
     matches = 0
+    ratios = set()  # weighted discriminant over the formulary one
     while matches < k:
         a = Fraction(rng.randint(-99, 99), rng.randint(1, 20))
         b = Fraction(rng.randint(-99, 99), rng.randint(1, 20))
@@ -317,43 +320,52 @@ def cmd_jcheck(args) -> tuple:
             continue
         p = WeightedPoint(a, b, c)
         inv = curve_invariants(a, b, c, Fraction(0), Fraction(0))
-        if discriminant_formula(p) != inv["disc"]:
+        disc = discriminant_formula(p)
+        if disc != inv["disc"]:
             report = {"schema": SCHEMA, "command": "jcheck",
                       "failed_at": [str(a), str(b), str(c)], "passed": False}
             return _emit_json(report), 1
-        want = INFINITY if not inv["disc"] else inv["c4"] ** 3 / inv["disc"]
+        if disc:
+            ratios.add(disc / inv["disc"])
+        want = INFINITY if not disc else inv["c4"] ** 3 / disc
         got = j_formula(p)
         if got is not want and got != want:
             report = {"schema": SCHEMA, "command": "jcheck",
                       "failed_at": [str(a), str(b), str(c)], "passed": False}
             return _emit_json(report), 1
         matches += 1
-    reps = 0
+    rep_j = []
     for n in (3, 5, 7, 9, 11, 13):
         for cls in classify_torsion(n):
             wp = tate_normal_form(cls.representative.curve,
                                   cls.representative)
-            if j_formula(wp) != 0:
+            j = j_formula(wp)
+            if j != 0:
                 report = {"schema": SCHEMA, "command": "jcheck",
                           "rep_order": n, "passed": False}
                 return _emit_json(report), 1
-            reps += 1
+            rep_j.append(j)
+    reps = len(rep_j)
+    j_zero = all(j == 0 for j in rep_j)
+    # None when no sample had a nonzero discriminant
+    ratio = ratios.pop() if len(ratios) == 1 else None
+    passed = ratio == 1 and j_zero
     report = {
         "schema": SCHEMA,
         "command": "jcheck",
         "samples": matches,
         "seed": args.seed,
-        "discriminant_constant": "1/1",
+        "discriminant_constant": ratio,
         "lame_representatives": reps,
-        "all_representative_j_zero": True,
-        "passed": True,
+        "all_representative_j_zero": j_zero,
+        "passed": passed,
     }
     if args.format == "csv":
-        text = _csv([(matches, reps, 1)],
+        text = _csv([(matches, reps, int(passed))],
                     ["samples", "lame_representatives", "passed"])
     else:
         text = _emit_json(report)
-    return text, 0
+    return text, 0 if passed else 1
 
 
 # -- driver ----------------------------------------------------------------------

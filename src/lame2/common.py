@@ -25,6 +25,10 @@ class Infinity:
 INFINITY = Infinity()
 
 
+class FieldInputError(ValueError):
+    """An int or hex string that names no element of the requested field."""
+
+
 class VerificationError(Exception):
     """A claimed identity failed an exact check."""
 

@@ -16,12 +16,14 @@ Places are curve points; the three local-uniformizer regimes are
 * t = Y - y0 at the two-torsion x-coordinates (h(x0) = 0), and
 * t = X/Y at the origin of the group law,
 
-each expanded by a Hensel iteration whose derivative is a local unit.  On top
-of the expansions sit the ramification index e_Q = v_Q(f - f(Q)), the
-different exponent d_Q = v_t(d(f - f(Q))/dt) (poles use 1/f), and a fiber
-certifier that accounts for every preimage of a claimed branch value and
-balances the global different against 2 deg f, the Riemann-Hurwitz total for
-a genus-one cover of the line.
+each expanded one coefficient at a time: in characteristic 2 the curve
+equation is linear in the newest coefficient, with a local unit as its
+multiplier, and every expansion is certified against the curve equation
+before it is returned.  On top of the expansions sit the ramification index
+e_Q = v_Q(f - f(Q)), the different exponent d_Q = v_t(d(f - f(Q))/dt) (poles
+use 1/f), and a fiber certifier that accounts for every preimage of a
+claimed branch value and balances the global different against 2 deg f, the
+Riemann-Hurwitz total for a genus-one cover of the line.
 """
 
 from __future__ import annotations
@@ -150,6 +152,11 @@ class Series:
         val = self.val + other.val
         length = out_prec - val
         out = [self.ctx.zero] * length
+        if other is self:
+            # a square: in characteristic 2 the cross terms cancel in pairs
+            for i, a in enumerate(self.coeffs[:(length + 1) // 2]):
+                out[2 * i] = a.square()
+            return Series(self.ctx, val, out)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
@@ -220,68 +227,84 @@ class Series:
 # local expansions of the coordinate functions
 
 
-def _hensel_steps(prec):
-    steps = 1
-    while (1 << steps) < prec + 1:
-        steps += 1
-    return steps + 1
-
-
 def xy_expansion(curve: WeierstrassCurve, place, prec: int):
     """(X, Y) as Laurent series in the local uniformizer at `place`.
 
     The uniformizer is X - x0 generically, Y - y0 where h vanishes, and X/Y
     at the origin of the group law (pass the infinite point or INFINITY).
+    In characteristic 2 the t^k coefficient of the curve equation is linear
+    in the k-th unknown coefficient, with a unit multiplier, so each
+    coefficient is solved exactly from the ones before it.  The result is
+    certified by substituting it back into the curve equation.
     """
     ctx = curve.ctx
+    zero = ctx.zero
+    a1, a2, a3, a4, a6 = curve.coefficients()
     t = Series.uniformizer(ctx, prec + 1)
     infinite = place is INFINITY or (
         isinstance(place, CurvePoint) and place.is_infinity())
     if infinite:
-        # w = 1/Y solves w + a1 z w + a2 z^2 w + a3 w^2 + a4 z w^2 + a6 w^3
-        #   + z^3 = 0 with z the uniformizer; the derivative at w = 0 is 1
-        z = t
-        a1, a2, a3, a4, a6 = curve.coefficients()
-        w = Series(ctx, 3, [ctx.one] + [ctx.zero] * (prec - 2))
-        z2 = z * z
-        z3 = z2 * z
-        for _ in range(_hensel_steps(prec + 3)):
-            g = w + a1 * (z * w) + a2 * (z2 * w) + a3 * (w * w) \
-                + a4 * (z * (w * w)) + a6 * (w * w * w) + z3
-            if g.is_zero_to_prec():
-                break
-            gp = a1 * z + a2 * z2 + a6 * (w * w) + 1
-            w = w + g / gp
-        X = z / w
-        Y = 1 / w
-        return X, Y
-    if place.curve != curve:
-        raise ValueError("place lies on a different curve")
-    x0, y0 = place.x, place.y
-    if curve.hpoly(x0) != ctx.zero:
-        # t = X - x0; solve Y^2 + h(X) Y + f(X) = 0 by y <- y + F(y)/h
-        X = t + x0
-        hX = curve.a1 * X + curve.a3
-        fX = ((X + curve.a2) * X + curve.a4) * X + curve.a6
-        Y = Series.constant(y0, prec + 1)
-        for _ in range(_hensel_steps(prec + 1)):
-            g = Y * Y + hX * Y + fX
-            if g.is_zero_to_prec():
-                break
-            Y = Y + g / hX
-        return X, Y
-    # t = Y - y0; solve the curve for X, derivative a1 Y + X^2 + a4 is a
-    # unit precisely because the point is smooth
-    Y = t + y0
-    X = Series.constant(x0, prec + 1)
-    for _ in range(_hensel_steps(prec + 1)):
-        g = Y * Y + (curve.a1 * X + curve.a3) * Y \
-            + ((X + curve.a2) * X + curve.a4) * X + curve.a6
-        if g.is_zero_to_prec():
-            break
-        gp = curve.a1 * Y + X * X + curve.a4
-        X = X + g / gp
+        # w = 1/Y solves w = a1 z w + a2 z^2 w + a3 w^2 + a4 z w^2 + a6 w^3
+        # + z^3 with z = t; S = w^2 has S_2i = w_i^2, and the t^k terms on
+        # the right involve only w_j for j < k
+        n = max(prec + 2, 4)  # w is solved through t^(n-1), at least t^3
+        w, S = [zero] * n, [zero] * n
+        for k in range(3, n):
+            Sw = sum((S[i] * w[k - i] for i in range(6, k - 2, 2)), zero)
+            wk = a1 * w[k - 1] + a2 * w[k - 2] + a3 * S[k] + a4 * S[k - 1] \
+                + a6 * Sw
+            w[k] = wk + 1 if k == 3 else wk
+            if 2 * k < n:
+                S[2 * k] = w[k].square()
+        Y = Series(ctx, 0, w).inverse()
+        X = t * Y
+    else:
+        if place.curve != curve:
+            raise ValueError("place lies on a different curve")
+        x0, y0 = place.x, place.y
+        h0 = curve.hpoly(x0)
+        if h0:
+            # t = X - x0: y_k = (f_k + [k even] y_(k/2)^2 + a1 y_(k-1)) / h0
+            # with f_k the t^k coefficient of f(x0 + t)
+            X = t + x0
+            f = [zero, x0.square() + a4, x0 + a2, ctx.one]
+            inv = 1 / h0
+            y = [y0]
+            for k in range(1, prec + 1):
+                yk = a1 * y[k - 1] + (f[k] if k <= 3 else zero)
+                if k % 2 == 0:
+                    yk = yk + y[k // 2].square()
+                y.append(yk * inv)
+            Y = Series(ctx, 0, y)
+        else:
+            # t = Y - y0: x_k = (a1 x_(k-1) + sum_(2i+j=k, i>0) x_i^2 x_j
+            # + [k=1] a3 + [k even] a2 x_(k/2)^2 + [k=2]) / u, where
+            # u = x0^2 + a1 y0 + a4 = dF/dX is a unit at a smooth point
+            Y = t + y0
+            inv = 1 / (x0.square() + a1 * y0 + a4)
+            x, xsq = [x0], [x0.square()]
+            for k in range(1, prec + 1):
+                xk = a1 * x[k - 1] + sum(
+                    (xsq[i] * x[k - 2 * i] for i in range(1, k // 2 + 1)),
+                    zero)
+                if k == 1:
+                    xk = xk + a3
+                elif k % 2 == 0:
+                    xk = xk + a2 * xsq[k // 2] + (1 if k == 2 else 0)
+                x.append(xk * inv)
+                xsq.append(x[k].square())
+            X = Series(ctx, 0, x)
+    _check_on_curve(curve, X, Y)
     return X, Y
+
+
+def _check_on_curve(curve: WeierstrassCurve, X: Series, Y: Series):
+    """Raise unless Y^2 + h(X) Y + f(X) vanishes through its window."""
+    a1, a2, a3, a4, a6 = curve.coefficients()
+    residual = Y * Y + (a1 * X + a3) * Y + X * X * (X + a2) + a4 * X + a6
+    if not residual.is_zero_to_prec():
+        raise VerificationError(
+            "local expansion does not satisfy the curve equation")
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ Artin-Schreier solver, embedding generators) and are safe to share.
 """
 
 from .arith import divisors, factorint
-from .common import VerificationError
+from .common import FieldInputError, VerificationError
 
 __all__ = [
     "GF",
@@ -48,6 +48,12 @@ def _pmul(a, b):
         a <<= 1
         b >>= 1
     return r
+
+
+def _nonnegative(v):
+    if v < 0:
+        raise FieldInputError(f"negative int {v} is not a field element")
+    return v
 
 
 def _pmod(a, m):
@@ -178,13 +184,18 @@ class FieldContext:
                 return v
             raise ValueError("element belongs to a different context")
         if isinstance(v, int):
-            if v >> self.degree:
-                v = _pmod(v, self.modulus)
+            if v >> self.degree:  # every negative int lands here too
+                v = _pmod(_nonnegative(v), self.modulus)
             return FieldElement(self, v)
         raise TypeError(f"cannot coerce {type(v).__name__} into GF(2^{self.degree})")
 
     def from_hex(self, s):
-        return self(int(s, 16))
+        """The element with this bit pattern; no reduction mod the modulus."""
+        v = int(s, 16)
+        if v.bit_length() > self.degree:
+            raise FieldInputError(
+                f"hex {s!r} does not fit in GF(2^{self.degree})")
+        return self(v)
 
     def from_json(self, rec):
         if rec.get("d") != self.degree:
@@ -473,8 +484,8 @@ def _ensure_embeddings(d):
             continue
         _ensure_embeddings(e)
         mod_e = lexmin_irreducible(e)
-        f = Poly(target, [(mod_e >> i) & 1 for i in range(e + 1)])
-        roots = sorted(r.bits for r, _ in poly_roots(f))
+        roots = _conjugate_roots(
+            Poly(target, [(mod_e >> i) & 1 for i in range(e + 1)]))
         chosen = None
         for rbits in roots:
             g = FieldElement(target, rbits)
@@ -515,10 +526,7 @@ def embed(a, target):
         gbits = target._adhoc_embed.get(key)
         if gbits is None:
             f = Poly(target, [(src.modulus >> i) & 1 for i in range(src.degree + 1)])
-            rr = poly_roots(f)
-            if not rr:
-                raise VerificationError("source modulus has no root in target")
-            gbits = min(r.bits for r, _ in rr)
+            gbits = _conjugate_roots(f)[0]
             target._adhoc_embed[key] = gbits
         g = FieldElement(target, gbits)
     acc = target.zero
@@ -546,8 +554,10 @@ class Poly:
                 if c.ctx != ctx:
                     raise ValueError("coefficient from a different context")
                 cs.append(c.bits)
+            elif c >> ctx.degree:
+                cs.append(_pmod(_nonnegative(c), ctx.modulus))
             else:
-                cs.append(_pmod(c, ctx.modulus) if c >> ctx.degree else c)
+                cs.append(c)
         while cs and cs[-1] == 0:
             cs.pop()
         self.ctx = ctx
@@ -752,27 +762,46 @@ def _trace_map_mod(u, g):
     return acc
 
 
-def _split_linear(g):
-    """Recursively split a product of distinct linear factors into roots.
+def _split_once(g):
+    """A proper factorization (h, g/h) of a product of distinct linear factors.
 
     Sweeps u over the power basis 1, x, ..., x^(d-1): for any two distinct
     roots r, r' the trace form is nondegenerate, so some basis element u has
     Tr(u*(r+r')) = 1 and gcd(g, Tr(u*x)) is a proper factor.  Deterministic
-    and never needs more than d attempts per level.
+    and never needs more than d attempts.
     """
-    if g.degree <= 0:
-        return []
-    if g.degree == 1:
-        c0 = g.coeff(0)
-        lead = g.leading()
-        return [c0 / lead]
     ctx = g.ctx
     for i in range(ctx.degree):
         t = _trace_map_mod(FieldElement(ctx, 1 << i), g)
         h = g.gcd(t)
         if 0 < h.degree < g.degree:
-            return _split_linear(h) + _split_linear(g // h)
+            return h, g // h
     raise VerificationError("splitting failed: input is not separable split")
+
+
+def _split_linear(g):
+    """All roots of a product of distinct linear factors."""
+    if g.degree == 1:
+        return [g.coeff(0) / g.leading()]
+    return [r for h in _split_once(g) for r in _split_linear(h)]
+
+
+def _conjugate_roots(f):
+    """Sorted root bits of f, a GF(2) irreducible of degree e | d, over GF(2^d).
+
+    The roots are the e Frobenius conjugates r, r^2, ..., r^(2^(e-1)) of any
+    one root r (Lidl-Niederreiter, Thm 2.14), and r is found by following the
+    smaller factor of each split down to a linear one.
+    """
+    g = f
+    while g.degree > 1:
+        g = min(_split_once(g), key=lambda p: p.degree)
+    roots = [g.coeff(0) / g.leading()]
+    for _ in range(f.degree - 1):
+        roots.append(roots[-1].square())
+    if len({r.bits for r in roots}) != f.degree or any(f(r) for r in roots):
+        raise VerificationError("Frobenius orbit is not the root set")
+    return sorted(r.bits for r in roots)
 
 
 def poly_roots(f):

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import factorint
+from .arith import order_from_multiple
 from .common import INFINITY, VerificationError
 from .gf2 import GF, FieldContext, Poly, solve_artin_schreier
 
@@ -210,14 +210,8 @@ def class_of_point_pair(curve: HyperellipticCurve, pt) -> MumfordDivisor:
 def divisor_class_order(curve: HyperellipticCurve,
                         D: MumfordDivisor) -> int:
     """Exact order: strip primes from the Jacobian order."""
-    N = curve.jacobian_order()
-    if not cantor_mul(curve, D, N).is_identity:
-        raise VerificationError("divisor does not lie in the counted group")
-    order = N
-    for p in factorint(N):
-        while order % p == 0 and cantor_mul(curve, D, order // p).is_identity:
-            order //= p
-    return order
+    return order_from_multiple(curve.jacobian_order(),
+                               lambda k: cantor_mul(curve, D, k).is_identity)
 
 
 # -- L-polynomials from exact counts ---------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 
-from .arith import factorint
+from .arith import factorint, order_from_multiple
 from .common import INFINITY, Infinity, TorsionSearchExhausted, VerificationError
 from .gf2 import GF, FieldContext, FieldElement, embed, solve_artin_schreier, trace
 
@@ -409,13 +409,7 @@ def point_order(curve: WeierstrassCurve, point: "CurvePoint",
             N = curve.count_points("supersingular_formula")
         except ValueError:
             N = curve.count_points()
-    if not (N * point).is_infinity():
-        raise VerificationError("stated group order does not annihilate the point")
-    n = N
-    for p in factorint(N):
-        while n % p == 0 and ((n // p) * point).is_infinity():
-            n //= p
-    return n
+    return order_from_multiple(N, lambda k: (k * point).is_infinity())
 
 
 def point_of_exact_order(curve: WeierstrassCurve, group_order: int, n: int,

@@ -1,12 +1,14 @@
 """lame2.arith against independent oracles: brute force, known tables, matrices."""
 
 import random
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
 from lame2.arith import (_strong_lucas_prp, _strong_prp, divisors, factorint,
-                         integer_nthroot, is_prime, mobius)
+                         integer_nthroot, is_prime, mobius,
+                         order_from_multiple)
+from lame2.common import VerificationError
 from lame2.gf2 import GF
 from lame2.hyper import HyperellipticCurve, jacobian_order
 
@@ -227,3 +229,13 @@ def test_jacobian_order_rejects_bad_input():
         jacobian_order([1], 2)
     with pytest.raises(ValueError):
         jacobian_order([1, 0, 2], 0)
+
+
+def test_order_from_multiple_in_cyclic_groups():
+    # in Z/M, k kills a exactly when M | k a, so the order is M / gcd(a, M)
+    M = 2 ** 4 * 3 ** 2 * 7
+    for a in range(M):
+        assert order_from_multiple(M, lambda k: k * a % M == 0) == \
+            M // gcd(a, M)
+    with pytest.raises(VerificationError):
+        order_from_multiple(5, lambda k: k % 7 == 0)

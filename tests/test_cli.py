@@ -65,6 +65,15 @@ def test_malformed_ordinary_hex_is_usage_error():
     assert "hex" in text
 
 
+@pytest.mark.parametrize("t", ["20", "-1"])
+def test_ordinary_hex_outside_the_field_is_usage_error(t):
+    # GF(2^4) has 4-bit elements: neither is reduced or wrapped silently
+    code, text = invoke("ramify", "--order", "5", "--ordinary", t,
+                        "--field", "4")
+    assert code == 2
+    assert "at most 4 bits" in text
+
+
 def test_bad_counts_bound():
     assert invoke("counts", "--max-n", "1")[0] == 2
 

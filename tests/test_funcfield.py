@@ -11,8 +11,10 @@ import random
 import pytest
 
 from lame2 import GF, INFINITY, Poly
-from lame2.common import FiberEscapeError, PrecisionError, ProfileFalsified
+from lame2.common import (FiberEscapeError, PrecisionError, ProfileFalsified,
+                          VerificationError)
 from lame2.funcfield import (
+    _check_on_curve,
     LocalExpansion,
     local_expand,
     CurveFunction,
@@ -24,6 +26,7 @@ from lame2.funcfield import (
     miller_function,
     ramification_index,
     ramification_profile,
+    uniformizer_tag,
     xy_expansion,
 )
 from lame2.weierstrass import WeierstrassCurve, torsion_basis
@@ -77,6 +80,17 @@ def test_series_zero_to_precision():
         z.valuation()
     with pytest.raises(PrecisionError):
         z.inverse()
+
+
+def test_series_square_matches_product():
+    ctx = GF(8)
+    rng = random.Random(12)
+    for val in (-3, 0, 2):
+        s = Series(ctx, val, [ctx.random(rng) for _ in range(15)])
+        copy = Series(ctx, s.val, s.coeffs)
+        sq, prod = s * s, s * copy
+        assert (sq.val, sq.prec, sq.coeffs) == \
+            (prod.val, prod.prec, prod.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +147,104 @@ def test_expansion_accepts_infinite_point():
     X1, Y1 = xy_expansion(E, E.infinity(), 12)
     X2, Y2 = xy_expansion(E, INFINITY, 12)
     assert X1 == X2 and Y1 == Y2
+
+
+def _newton_reference(curve, place, prec):
+    """(X, Y) at place by Newton's iteration u <- u + F(u)/F'(u).
+
+    F is the curve equation in the unknown series (Y, X, or w = 1/Y at the
+    origin); F' is a local unit, so each step doubles the known precision.
+    """
+    ctx = curve.ctx
+    a1, a2, a3, a4, a6 = curve.coefficients()
+    t = Series.uniformizer(ctx, prec + 1)
+    if place is INFINITY:
+        z = t
+        w = Series(ctx, 3, [ctx.one] + [ctx.zero] * (prec - 2))
+        for _ in range(8):
+            g = w + a1 * (z * w) + a2 * (z * z * w) + a3 * (w * w) \
+                + a4 * (z * (w * w)) + a6 * (w * w * w) + z * z * z
+            if g.is_zero_to_prec():
+                return z / w, 1 / w
+            w = w + g / (a1 * z + a2 * (z * z) + a6 * (w * w) + 1)
+    elif curve.hpoly(place.x):
+        X = t + place.x
+        Y = Series.constant(place.y, prec + 1)
+        for _ in range(8):
+            g = _residual(curve, X, Y)
+            if g.is_zero_to_prec():
+                return X, Y
+            Y = Y + g / (a1 * X + a3)
+    else:
+        Y = t + place.y
+        X = Series.constant(place.x, prec + 1)
+        for _ in range(8):
+            g = _residual(curve, X, Y)
+            if g.is_zero_to_prec():
+                return X, Y
+            X = X + g / (a1 * Y + X * X + a4)
+    raise AssertionError("Newton reference did not converge")
+
+
+def _oracle_places(E, rng):
+    """The origin, a point with h(x0) != 0 and, when a1 != 0, the point
+    with h(x0) = 0, whose uniformizer is Y - y0."""
+    places = [INFINITY]
+    while True:
+        P = E.random_point(rng)
+        if not P.is_infinity() and E.hpoly(P.x):
+            places.append(P)
+            break
+    if E.a1:
+        x0 = E.a3 / E.a1
+        places.append(E.point(x0, E.fiber_y(x0)[0]))
+    return places
+
+
+@pytest.mark.parametrize("d", [3, 8, 24])
+def test_expansion_matches_newton_reference(d):
+    ctx = GF(d)
+    rng = random.Random(90 + d)
+    nonzero = [ctx(1 + rng.randrange((1 << d) - 1)) for _ in range(7)]
+    curves = [WeierstrassCurve.supersingular(ctx),
+              WeierstrassCurve.ordinary(ctx, nonzero[0]),
+              WeierstrassCurve(ctx, *nonzero[1:6]),
+              WeierstrassCurve(ctx, 0, nonzero[5], 1, 0, nonzero[6])]
+    tags = set()
+    for E in curves:
+        for place in _oracle_places(E, rng):
+            tags.add(uniformizer_tag(E, place))
+            for prec in (1, 3, 12, 40):
+                got = xy_expansion(E, place, prec)
+                want = _newton_reference(E, place, prec)
+                for g, w in zip(got, want):
+                    assert (g.val, g.prec, g.coeffs) == \
+                        (w.val, w.prec, w.coeffs), (E, place, prec)
+    assert tags == {"x_minus_x0", "y_based", "x_over_y_at_infinity"}
+
+
+def test_expansion_certificate_rejects_a_corrupted_coefficient(monkeypatch):
+    E = WeierstrassCurve.ordinary(GF(5), 3)
+    P = next(E.point(x, y) for x in E.ctx.elements() if E.hpoly(x)
+             for y in E.fiber_y(x))
+    for place in (P, INFINITY):
+        X, Y = xy_expansion(E, place, 12)
+        _check_on_curve(E, X, Y)
+        bad = list(Y.coeffs)
+        bad[2] = bad[2] + 1
+        with pytest.raises(VerificationError):
+            _check_on_curve(E, X, Series(E.ctx, Y.val, bad))
+    # at the origin Y = 1/w; a wrong inverse must not pass unnoticed
+
+    def corrupted_inverse(self):
+        s = original(self)
+        return Series(s.ctx, s.val, [s.coeffs[0]] + [s.coeffs[1] + 1]
+                      + list(s.coeffs[2:]))
+
+    original = Series.inverse
+    monkeypatch.setattr(Series, "inverse", corrupted_inverse)
+    with pytest.raises(VerificationError):
+        xy_expansion(E, INFINITY, 12)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,11 @@ import random
 
 import pytest
 
-from lame2 import (GF, FieldContext, Poly, embed, element_degree,
-                   lexmin_irreducible, poly_roots, solve_artin_schreier, trace)
+from lame2 import (GF, FieldContext, FieldInputError, Poly, embed,
+                   element_degree, lexmin_irreducible, poly_roots,
+                   solve_artin_schreier, trace)
 from lame2.arith import divisors
+from lame2.gf2 import _conjugate_roots
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +280,24 @@ def test_poly_roots_none_in_small_field():
     assert poly_roots(f) == []
 
 
+def test_conjugate_roots_match_poly_roots():
+    # the roots of the degree-e canonical modulus in GF(2^d), e | d, are one
+    # Frobenius orbit; poly_roots splits the polynomial completely instead
+    for d in range(1, 25):
+        ctx = GF(d)
+        for e in divisors(d):
+            m = lexmin_irreducible(e)
+            f = Poly(ctx, [(m >> i) & 1 for i in range(e + 1)])
+            if e == d and d > 16:
+                # too slow for poly_roots here; GF(2^d) is GF(2)[x]/(f), so
+                # the roots are the conjugates of x itself
+                x = ctx(2)
+                want = sorted(x.frobenius(i).bits for i in range(d))
+            else:
+                want = [r.bits for r, mult in poly_roots(f)]
+            assert _conjugate_roots(f) == want, (d, e)
+
+
 # ---------------------------------------------------------------------------
 # embeddings and element degree
 
@@ -369,6 +389,31 @@ def test_json_wrong_degree_rejected():
     rec = GF(3).one.to_json()
     with pytest.raises(ValueError):
         GF(4).from_json(rec)
+
+
+def test_negative_int_rejected():
+    with pytest.raises(FieldInputError, match="negative"):
+        GF(8)(-1)
+    assert GF(8)(0x1ff) == GF(8)(0x1ff ^ lexmin_irreducible(8))
+
+
+def test_negative_poly_coefficient_rejected():
+    with pytest.raises(FieldInputError, match="negative"):
+        Poly(GF(8), [1, -3])
+
+
+def test_oversized_hex_rejected():
+    ctx = GF(8)
+    assert ctx.from_hex("ff").bits == 0xff
+    with pytest.raises(FieldInputError, match="does not fit"):
+        ctx.from_hex("100")
+    with pytest.raises(FieldInputError, match="negative"):
+        ctx.from_hex("-1")
+
+
+def test_oversized_json_rejected():
+    with pytest.raises(FieldInputError, match="does not fit"):
+        GF(4).from_json({"d": 4, "hex": "1f"})
 
 
 def test_divisors_helper():
