@@ -218,8 +218,8 @@ class FieldContext:
 
     # -- identity ----------------------------------------------------------
     def __eq__(self, other):
-        return (isinstance(other, FieldContext)
-                and other.degree == self.degree and other.modulus == self.modulus)
+        return other is self or isinstance(other, FieldContext) and (
+            other.degree == self.degree and other.modulus == self.modulus)
 
     def __hash__(self):
         return hash((self.degree, self.modulus))
@@ -529,14 +529,7 @@ def embed(a, target):
             gbits = _conjugate_roots(f)[0]
             target._adhoc_embed[key] = gbits
         g = FieldElement(target, gbits)
-    acc = target.zero
-    i = src.degree - 1
-    while i >= 0:
-        acc = acc * g
-        if (a.bits >> i) & 1:
-            acc = acc + target.one
-        i -= 1
-    return acc
+    return _eval_bits(a.bits, g)
 
 
 # ---------------------------------------------------------------------------
@@ -744,46 +737,51 @@ class Poly:
                 "coeffs": [format(c, "x") for c in self.coeffs]}
 
 
-def _xq_mod(f):
-    """x^(2^d) mod f over GF(2^d)."""
-    r = Poly.x(f.ctx) % f
+def _frobenius_rows(f):
+    """[x^(2^j) mod f for j = 0..d] over GF(2^d), from d squarings mod f."""
+    rows = [Poly.x(f.ctx) % f]
     for _ in range(f.ctx.degree):
-        r = r.square() % f
-    return r
+        rows.append(rows[-1].square() % f)
+    return rows
 
 
-def _trace_map_mod(u, g):
-    """sum_(i<d) (u*x)^(2^i) mod g, the GF(2)-trace of u*x."""
-    s = (Poly.x(g.ctx) * u) % g
-    acc = s
-    for _ in range(g.ctx.degree - 1):
-        s = s.square() % g
-        acc = acc + s
-    return acc
+def _trace_mod(u, rows):
+    """Tr(u*x) mod g = sum_(j<d) u^(2^j) * rows[j], given rows[j] = x^(2^j) mod g."""
+    m = u.ctx.modulus
+    c = u.bits
+    out = [0] * max(len(row.coeffs) for row in rows)
+    for row in rows:
+        for k, a in enumerate(row.coeffs):
+            if a:
+                out[k] ^= _pmod(_pmul(c, a), m)
+        c = _pmod(_psq(c), m)
+    return Poly(u.ctx, out)
 
 
-def _split_once(g):
+def _split_once(g, rows):
     """A proper factorization (h, g/h) of a product of distinct linear factors.
 
-    Sweeps u over the power basis 1, x, ..., x^(d-1): for any two distinct
-    roots r, r' the trace form is nondegenerate, so some basis element u has
+    rows[j] = x^(2^j) mod g for j < d (Berlekamp's trace algorithm).  Sweeps
+    u over the power basis 1, x, ..., x^(d-1): for any two distinct roots
+    r, r' the trace form is nondegenerate, so some basis element u has
     Tr(u*(r+r')) = 1 and gcd(g, Tr(u*x)) is a proper factor.  Deterministic
     and never needs more than d attempts.
     """
     ctx = g.ctx
     for i in range(ctx.degree):
-        t = _trace_map_mod(FieldElement(ctx, 1 << i), g)
-        h = g.gcd(t)
+        h = g.gcd(_trace_mod(FieldElement(ctx, 1 << i), rows))
         if 0 < h.degree < g.degree:
             return h, g // h
     raise VerificationError("splitting failed: input is not separable split")
 
 
-def _split_linear(g):
-    """All roots of a product of distinct linear factors."""
+def _split_linear(g, rows):
+    """All roots of g, a product of distinct linear factors, given
+    rows[j] = x^(2^j) mod some multiple of g for j < d."""
     if g.degree == 1:
         return [g.coeff(0) / g.leading()]
-    return [r for h in _split_once(g) for r in _split_linear(h)]
+    rows = [row % g for row in rows]
+    return [r for h in _split_once(g, rows) for r in _split_linear(h, rows)]
 
 
 def _conjugate_roots(f):
@@ -794,8 +792,10 @@ def _conjugate_roots(f):
     smaller factor of each split down to a linear one.
     """
     g = f
+    rows = _frobenius_rows(f)[:-1]
     while g.degree > 1:
-        g = min(_split_once(g), key=lambda p: p.degree)
+        rows = [row % g for row in rows]
+        g = min(_split_once(g, rows), key=lambda p: p.degree)
     roots = [g.coeff(0) / g.leading()]
     for _ in range(f.degree - 1):
         roots.append(roots[-1].square())
@@ -815,10 +815,11 @@ def poly_roots(f):
         raise ValueError("the zero polynomial has every root")
     if f.degree == 0:
         return []
-    g = f.gcd(_xq_mod(f) + Poly.x(f.ctx))
+    rows = _frobenius_rows(f)
+    g = f.gcd(rows.pop() + Poly.x(f.ctx))
     if g.degree <= 0:
         return []
-    roots = _split_linear(g)
+    roots = _split_linear(g, rows)
     out = []
     for r in sorted(roots, key=lambda e: e.bits):
         lin = Poly(f.ctx, [r.bits, 1])

@@ -132,6 +132,8 @@ GOLDEN = {
         "b6495cf42d0fda3769666b01a97b204c994a0dab1da3067e72350636d9eb1d3d",
     "moduli --d 2":
         "d898edfd02b601b67ed9562f9eeca9f6f9ffd5d125f18eac69d5a0be7cc3629a",
+    "ramify --order 5 --ordinary 1 --field 3":
+        "07448304da89978ab4cda3d0aaf86d2c4e9b1f8635f5c60c28cbf4bb7bfbba4b",
 }
 
 

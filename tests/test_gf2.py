@@ -10,11 +10,11 @@ import random
 
 import pytest
 
-from lame2 import (GF, FieldContext, FieldInputError, Poly, embed,
-                   element_degree, lexmin_irreducible, poly_roots,
+from lame2 import (GF, FieldContext, FieldInputError, Poly, VerificationError,
+                   embed, element_degree, lexmin_irreducible, poly_roots,
                    solve_artin_schreier, trace)
 from lame2.arith import divisors
-from lame2.gf2 import _conjugate_roots
+from lame2.gf2 import _conjugate_roots, _frobenius_rows, _split_once, _trace_mod
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +296,62 @@ def test_conjugate_roots_match_poly_roots():
             else:
                 want = [r.bits for r, mult in poly_roots(f)]
             assert _conjugate_roots(f) == want, (d, e)
+
+
+def reference_trace_map_mod(u, g):
+    # sum_(i<d) (u*x)^(2^i) mod g by d polynomial squarings mod g
+    s = (Poly.x(g.ctx) * u) % g
+    acc = s
+    for _ in range(g.ctx.degree - 1):
+        s = s.square() % g
+        acc = acc + s
+    return acc
+
+
+@pytest.mark.parametrize("d", [3, 8, 24])
+def test_table_trace_matches_squaring_loop(d):
+    ctx = GF(d)
+    rng = random.Random(50 + d)
+    for n in (2, 5, 7):
+        g = Poly.from_roots(ctx, rng.sample(range(1 << d), n))
+        rows = _frobenius_rows(g)[:-1]
+        assert len(rows) == d
+        for i in range(d):
+            u = ctx(1 << i)
+            assert _trace_mod(u, rows) == reference_trace_map_mod(u, g), (n, i)
+
+
+@pytest.mark.parametrize("d", [8, 10])
+def test_poly_roots_fiber_shaped_exhaustive(d):
+    # up to 12 distinct linear factors times a random cofactor; the cofactor
+    # repeats up to two of the roots, so multiplicities above 1 occur
+    ctx = GF(d)
+    rng = random.Random(70 + d)
+    for n in (1, 6, 12):
+        roots = rng.sample(range(1 << d), n)
+        cofactor = Poly.from_roots(ctx, roots[:2]) * Poly(
+            ctx, [rng.getrandbits(d) for _ in range(rng.randrange(1, 5))]
+            + [rng.randrange(1, 1 << d)])
+        f = Poly.from_roots(ctx, roots) * cofactor
+        expected = []
+        for a in ctx.elements():
+            if f(a):
+                continue
+            lin, rem, mult = Poly(ctx, [a.bits, 1]), f, 0
+            while (rem % lin).is_zero():
+                rem, mult = rem // lin, mult + 1
+            expected.append((a.bits, mult))
+        assert [(r.bits, m) for r, m in poly_roots(f)] == expected, n
+
+
+@pytest.mark.parametrize("d", [1, 3, 8])
+def test_split_once_rejects_unsplit_input(d):
+    # x^2 + x + c with Tr(c) = 1 is separable and irreducible over GF(2^d)
+    ctx = GF(d)
+    c = next(a for a in ctx.elements() if trace(a))
+    g = Poly(ctx, [c.bits, 1, 1])
+    with pytest.raises(VerificationError):
+        _split_once(g, _frobenius_rows(g)[:-1])
 
 
 # ---------------------------------------------------------------------------
