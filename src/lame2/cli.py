@@ -145,6 +145,8 @@ def cmd_ramify(args) -> tuple:
             raise UsageError("ordinary coefficient t must be nonzero")
         curve, P, _ = ordinary_torsion_point(t, n, seed)
         want_index, want_tame = 2, False
+    elif args.field is not None:
+        raise UsageError("--field needs --ordinary")
     else:
         curve, P, _ = torsion_basis(n, seed)
         want_index, want_tame = 3, True
@@ -455,3 +457,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

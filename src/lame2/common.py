@@ -34,7 +34,7 @@ class VerificationError(Exception):
 
 
 class PrecisionError(VerificationError):
-    """A series valuation could not be determined within the precision cap."""
+    """A series window is shorter than the proven bound it must reach."""
 
 
 class FiberEscapeError(VerificationError):

@@ -91,10 +91,8 @@ class Series:
         return self.coeffs[k - self.val]
 
     def value_at_origin(self):
-        """The value at t = 0; requires nonnegative valuation."""
-        if not self.coeffs:
-            return self.ctx.zero
-        if self.val < 0:
+        """The value at t = 0; needs no pole and a window past t^0."""
+        if self.coeffs and self.val < 0:
             raise ValueError("pole at the expansion point")
         return self.coeff(0)
 
@@ -227,6 +225,12 @@ class Series:
 # local expansions of the coordinate functions
 
 
+def _at_origin(place) -> bool:
+    """Whether the place is the origin of the group law (or INFINITY)."""
+    return place is INFINITY or (
+        isinstance(place, CurvePoint) and place.is_infinity())
+
+
 def xy_expansion(curve: WeierstrassCurve, place, prec: int):
     """(X, Y) as Laurent series in the local uniformizer at `place`.
 
@@ -241,9 +245,7 @@ def xy_expansion(curve: WeierstrassCurve, place, prec: int):
     zero = ctx.zero
     a1, a2, a3, a4, a6 = curve.coefficients()
     t = Series.uniformizer(ctx, prec + 1)
-    infinite = place is INFINITY or (
-        isinstance(place, CurvePoint) and place.is_infinity())
-    if infinite:
+    if _at_origin(place):
         # w = 1/Y solves w = a1 z w + a2 z^2 w + a3 w^2 + a4 z w^2 + a6 w^3
         # + z^3 with z = t; S = w^2 has S_2i = w_i^2, and the t^k terms on
         # the right involve only w_j for j < k
@@ -309,6 +311,16 @@ def _check_on_curve(curve: WeierstrassCurve, X: Series, Y: Series):
 
 # ---------------------------------------------------------------------------
 # rational functions
+
+
+def _root_multiplicity(p: Poly, x0) -> int:
+    """Multiplicity of x0 as a root of the nonzero polynomial p."""
+    lin = Poly(p.ctx, [x0.bits, 1])
+    m = 0
+    while not p(x0):
+        p = p // lin
+        m += 1
+    return m
 
 
 def _as_poly(curve, v):
@@ -493,39 +505,66 @@ class CurveFunction:
         content = n0.gcd(n1).gcd(n2)
         return max(n0.degree, n1.degree, n2.degree) - content.degree
 
-    def evaluate(self, place, prec: int = 32):
+    def evaluate(self, place):
         """Value at a point; INFINITY for poles."""
-        infinite = place is INFINITY or (
-            isinstance(place, CurvePoint) and place.is_infinity())
-        if not infinite:
+        if not _at_origin(place):
             dx = self.D(place.x)
-            if dx != self.curve.ctx.zero:
+            if dx:
                 return (self.A(place.x) + self.B(place.x) * place.y) / dx
-        s = self.expand(place, prec)
-        if s.is_zero_to_prec():
-            return self.curve.ctx.zero
-        if s.valuation() < 0:
+        s = self.expand(place, 1)
+        if s.coeffs and s.val < 0:
             return INFINITY
         return s.value_at_origin()
 
-    def expand(self, place, prec: int = 32) -> Series:
-        """Laurent expansion in the local uniformizer at `place`."""
-        X, Y = xy_expansion(self.curve, place, prec + 8)
-        ctx = self.curve.ctx
+    def expand(self, place, prec: int) -> Series:
+        """Laurent expansion at `place`, known at least through t^(prec-1).
 
-        def ev(poly):
-            v = poly(X)
-            if isinstance(v, FieldElement):
-                return Series.constant(v, X.prec)
-            return v
+        The window asked of xy_expansion is proved sufficient here, and the
+        result is checked against it: a shorter one raises PrecisionError.
+        Constant polynomials evaluate to exact field elements and B = 0 is
+        left out, so no truncated constant shortens a window below.
 
-        num = ev(self.A) + ev(self.B) * Y
-        den = ev(self.D)
-        if den.is_zero_to_prec():
-            raise PrecisionError("denominator vanishes to working precision")
-        if num.is_zero_to_prec():
-            return Series(ctx, num.val - den.valuation(), [])
-        return num / den
+        Affine place: X and Y are regular and known through t^N, where N is
+        the window asked for, so the numerator A(X) + B(X) Y is regular and
+        known through t^N too.  D(X) = t^v u has the exact valuation
+        v = m v_Q(X - x0), m the multiplicity of x0 as a root of D, and
+        v_Q(X - x0) = 1, or 2 at the two-torsion points where t = Y - y0.
+        The unit u is known through t^(N-v), so 1/D(X) = t^(-v) / u is known
+        through t^(N-2v), and so is its product with the regular numerator.
+        N = prec - 1 + 2v leaves the quotient known through t^(prec-1).
+
+        Origin: X and Y have the exact valuations -2 and -3 and, for N >= 2,
+        N - 1 known terms each.  Sums of series with distinct valuations,
+        products and inverses keep that count of known terms past the
+        leading one, and A(X), B(X) Y and D(X) have the exact valuations
+        -2 deg A, -2 deg B - 3 and -2 deg D (the first two differ in parity
+        and cannot cancel).  So the quotient has the valuation
+        v = 2 deg D - max(2 deg A, 2 deg B + 3) and N - 1 known terms, and is
+        known through t^(v+N-2); N = max(2, prec + 1 - v) suffices.
+        """
+        if prec < 1:
+            raise ValueError("precision must be positive")
+        if self.is_constant():
+            return Series.constant(self.constant_value(), prec)
+        if _at_origin(place):
+            pole = 2 * self.A.degree  # -2 when A = 0; then B != 0
+            if not self.B.is_zero():
+                pole = max(pole, 2 * self.B.degree + 3)
+            window = max(2, prec + 1 + pole - 2 * self.D.degree)
+        else:
+            v = _root_multiplicity(self.D, place.x)
+            if not self.curve.hpoly(place.x):
+                v *= 2
+            window = prec - 1 + 2 * v
+        X, Y = xy_expansion(self.curve, place, window)
+        num = self.A(X)
+        if not self.B.is_zero():
+            num = num + self.B(X) * Y
+        s = num / self.D(X)
+        if s.prec < prec:
+            raise PrecisionError(
+                f"expansion known through t^{s.prec - 1}, not t^{prec - 1}")
+        return s
 
     def to_json(self):
         return {"A": [format(c, "x") for c in self.A.coeffs],
@@ -604,24 +643,13 @@ def _expand_shifted(func: CurveFunction, value, place, prec: int) -> Series:
     return (func + value).expand(place, prec)
 
 
-def _with_precision(compute, start: int = 32, cap: int = 512):
-    prec = start
-    while True:
-        try:
-            return compute(prec)
-        except PrecisionError:
-            if prec >= cap:
-                raise
-            prec *= 2
-
-
 def uniformizer_tag(curve: WeierstrassCurve, place) -> str:
     """Which uniformizer rule applies at the place.
 
     X - x0 wherever the curve equation solves for Y (h(x0) != 0), Y - y0 at
     the exceptional affine points, X/Y at the point at infinity.
     """
-    if place is INFINITY or place.is_infinity():
+    if _at_origin(place):
         return "x_over_y_at_infinity"
     if curve.hpoly(place.x) != curve.ctx.zero:
         return "x_minus_x0"
@@ -672,51 +700,41 @@ def local_expand(func: CurveFunction, place, m: int) -> LocalExpansion:
         raise ValueError("precision must be between 1 and 64")
     if func.is_zero():
         raise ValueError("the zero function has no valuation")
-
-    def compute(prec):
-        s = func.expand(place, prec)
-        if s.valuation() < 0:
-            s = func.inverse().expand(place, prec)
-            inverted = True
-        else:
-            inverted = False
-        if s.prec < m:
-            raise PrecisionError("series window shorter than requested")
-        return s, inverted
-
-    series, inverted = _with_precision(compute, start=max(32, 2 * m))
+    series = func.expand(place, m)
+    inverted = bool(series.coeffs) and series.val < 0
+    if inverted:
+        series = func.inverse().expand(place, m)
     tag = uniformizer_tag(func.curve, place)
     coeffs = [series.coeff(k) for k in range(m)]
     return LocalExpansion(place, tag, coeffs, m, inverted)
 
 
-def ramification_index(func: CurveFunction, place, prec: int = 32) -> int:
-    """e = v_Q(func - func(Q)), the local degree of the cover at Q."""
-    value = func.evaluate(place, prec)
+def ramification_index(func: CurveFunction, place, *, degree=None) -> int:
+    """e = v_Q(func - func(Q)), the local degree of the cover at Q.
 
-    def compute(p):
-        return _expand_shifted(func, value, place, p).valuation()
+    e <= n = deg(func), so the expansion is needed through t^n only; pass
+    `degree` when it is already known.
+    """
+    n = func.degree() if degree is None else degree
+    return _expand_shifted(func, func.evaluate(place), place,
+                           n + 1).valuation()
 
-    return _with_precision(compute, prec)
 
-
-def different_exponent(func: CurveFunction, place, prec: int = 32) -> int:
+def different_exponent(func: CurveFunction, place, *, degree=None) -> int:
     """d = v_t(ds/dt) for s the pullback of a uniformizer below.
 
     s is func - func(Q) at finite values and 1/func at poles.  Odd
     (tame) ramification gives d = e - 1; even indices are wild and carry
-    the extra conductor the series computes.
+    the extra conductor the series computes.  The differents of a degree-n
+    cover of the line by a genus-one curve sum to 2n (Riemann-Hurwitz), so
+    d <= 2n and s is needed through t^(2n+1).
     """
-    value = func.evaluate(place, prec)
-
-    def compute(p):
-        s = _expand_shifted(func, value, place, p)
-        return s.deriv().valuation()
-
-    return _with_precision(compute, prec)
+    n = func.degree() if degree is None else degree
+    s = _expand_shifted(func, func.evaluate(place), place, 2 * n + 2)
+    return s.deriv().valuation()
 
 
-def fiber(func: CurveFunction, value, prec: int = 32):
+def fiber(func: CurveFunction, value, *, degree=None):
     """All rational points with func = value, as [(point, e)] sorted.
 
     Raises FiberEscapeError when the multiplicities do not add up to the
@@ -724,7 +742,7 @@ def fiber(func: CurveFunction, value, prec: int = 32):
     """
     E = func.curve
     ctx = E.ctx
-    n = func.degree()
+    n = func.degree() if degree is None else degree
     if n == 0:
         raise ValueError("constant functions have no finite fibers")
     h, _ = func._hf()
@@ -743,26 +761,15 @@ def fiber(func: CurveFunction, value, prec: int = 32):
             candidates_x.add(r.bits)
         for r, _m in poly_roots(func.D):
             candidates_x.add(r.bits)
+    points = [E.point(ctx(xb), y0) for xb in sorted(candidates_x)
+              for y0 in E.fiber_y(ctx(xb))]
     hits = []
-    total = 0
-    for xb in sorted(candidates_x):
-        x0 = ctx(xb)
-        for y0 in E.fiber_y(x0):
-            Q = E.point(x0, y0)
-            if func.evaluate(Q, prec) != value:
-                continue
-            def compute(p, Q=Q):
-                return _expand_shifted(func, value, Q, p).valuation()
-            e = _with_precision(compute, prec)
+    for Q in points + [E.infinity()]:
+        if func.evaluate(Q) == value:
+            # e <= n: the expansion through t^n finds it
+            e = _expand_shifted(func, value, Q, n + 1).valuation()
             hits.append((Q, e))
-            total += e
-    O = E.infinity()
-    if func.evaluate(O, prec) == value:
-        def compute(p):
-            return _expand_shifted(func, value, O, p).valuation()
-        e = _with_precision(compute, prec)
-        hits.append((O, e))
-        total += e
+    total = sum(e for _Q, e in hits)
     if total != n:
         raise FiberEscapeError(
             f"fiber over {value!r} accounts for {total} of {n} sheets",
@@ -770,7 +777,7 @@ def fiber(func: CurveFunction, value, prec: int = 32):
     return hits
 
 
-def ramification_profile(func: CurveFunction, branch_values, prec: int = 32):
+def ramification_profile(func: CurveFunction, branch_values):
     """Certified ramification data over the claimed branch values.
 
     Returns {value: [(point, e, d), ...]} where e is the ramification index
@@ -788,8 +795,8 @@ def ramification_profile(func: CurveFunction, branch_values, prec: int = 32):
     for value in branch_values:
         key = value if value is INFINITY else E.ctx(value)
         entries = []
-        for Q, e in fiber(func, key, prec):
-            d = different_exponent(func, Q, prec) if e > 1 else 0
+        for Q, e in fiber(func, key, degree=n):
+            d = different_exponent(func, Q, degree=n) if e > 1 else 0
             if e % 2 == 1 and e > 1 and d != e - 1:
                 raise VerificationError(
                     f"tame point reports d={d}, expected {e - 1}")
@@ -802,14 +809,14 @@ def ramification_profile(func: CurveFunction, branch_values, prec: int = 32):
     if total_d < 2 * n:
         # hunt for ramification the claim missed: critical points of the
         # X-derivative, two-torsion fibers, and the origin
-        suspects = _ramification_suspects(func, prec)
+        suspects = _ramification_suspects(func)
         extra = []
         for Q in suspects:
             if Q in seen_points:
                 continue
-            e = ramification_index(func, Q, prec)
+            e = ramification_index(func, Q, degree=n)
             if e > 1:
-                v = func.evaluate(Q, prec)
+                v = func.evaluate(Q)
                 extra.append((Q, v, e))
         report = {
             "degree": n,
@@ -837,7 +844,7 @@ def differentiate(func: CurveFunction) -> CurveFunction:
     return CurveFunction(E, new_A, new_B, h * D * D)
 
 
-def _ramification_suspects(func: CurveFunction, prec: int):
+def _ramification_suspects(func: CurveFunction):
     """Rational points that could carry ramification of func."""
     E = func.curve
     ctx = E.ctx

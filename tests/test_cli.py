@@ -52,6 +52,12 @@ def test_ordinary_without_field_is_usage_error():
     assert "--field" in text
 
 
+def test_field_without_ordinary_is_usage_error():
+    code, text = invoke("ramify", "--order", "3", "--field", "3")
+    assert code == 2
+    assert "--ordinary" in text
+
+
 def test_zero_ordinary_coefficient_rejected():
     code, _ = invoke("ramify", "--order", "5", "--ordinary", "0",
                      "--field", "4")
@@ -134,6 +140,10 @@ GOLDEN = {
         "d898edfd02b601b67ed9562f9eeca9f6f9ffd5d125f18eac69d5a0be7cc3629a",
     "ramify --order 5 --ordinary 1 --field 3":
         "07448304da89978ab4cda3d0aaf86d2c4e9b1f8635f5c60c28cbf4bb7bfbba4b",
+    "ramify --order 13 --seed 1":
+        "d1b877a12d537ff6372f260ceff3674b06fef77950ce2957ad333a94453d6853",
+    "ramify --order 3 --ordinary 10 --field 5":
+        "948f4a151b5f36732c5cc622e7e97ce12a6695c57923776ef698e6961316f609",
 }
 
 
@@ -142,6 +152,26 @@ def test_golden_digests(argv):
     code, text = invoke(*argv.split())
     assert code == 0
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[argv]
+
+
+@pytest.mark.parametrize("module", ["lame2", "lame2.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    src = os.path.dirname(os.path.dirname(lame2.__file__))
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")]
+                                    if p])
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def call(*argv):
+        return subprocess.run([sys.executable, "-m", module, *argv],
+                              capture_output=True, text=True, env=env)
+
+    ok = call("classify", "--order", "3")
+    assert ok.returncode == 0
+    assert hashlib.sha256(ok.stdout.encode()).hexdigest() == \
+        GOLDEN["classify --order 3"]
+    bad = call("classify", "--order", "4")
+    assert bad.returncode == 2
+    assert bad.stdout == "" and "odd" in bad.stderr
 
 
 def test_import_pulls_in_no_sympy():

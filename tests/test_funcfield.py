@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from lame2 import GF, INFINITY, Poly
+from lame2 import GF, INFINITY, Poly, cover_profile, ordinary_torsion_point
 from lame2.common import (FiberEscapeError, PrecisionError, ProfileFalsified,
                           VerificationError)
 from lame2.funcfield import (
@@ -450,6 +450,81 @@ def test_ramification_of_two_torsion_x_map():
     assert ramification_index(X, O) == 2
     d_O = different_exponent(X, O)
     assert d_R + d_O == 4  # Riemann-Hurwitz for the degree-2 x-map
+
+
+# ---------------------------------------------------------------------------
+# expansion windows
+
+
+def _power(f, k):
+    out = CurveFunction.constant(f.curve, 1)
+    for _ in range(k):
+        out = out * f
+    return out
+
+
+def test_high_order_denominator_is_not_read_as_zero():
+    # D = X^42 vanishes to order 42 at (0, 0); the quotient is
+    # (Y / X^3)^14 = (1 + t^3 + ...)^14 = 1 + t^6 + ..., so f(Q) = 1, e = 6
+    E = WeierstrassCurve.supersingular(GF(2))
+    X = CurveFunction.coordinate_x(E)
+    Y = CurveFunction.coordinate_y(E)
+    f = _power(Y, 14) / _power(X, 42)
+    Q = E.point(0, 0)
+    assert f.evaluate(Q) == E.ctx.one
+    assert ramification_index(f, Q) == 6
+
+
+def test_value_at_origin_needs_a_window_through_t0():
+    ctx = GF(3)
+    assert Series(ctx, 1, []).value_at_origin() == ctx.zero
+    with pytest.raises(PrecisionError):
+        Series(ctx, 0, []).value_at_origin()
+
+
+def test_expand_delivers_the_window_it_is_asked_for():
+    # affine, two-torsion (t = Y - y0) and origin places, with D vanishing
+    # there to several orders; every window agrees with a wider one
+    rng = random.Random(17)
+    for E in (WeierstrassCurve.supersingular(3),
+              WeierstrassCurve.ordinary(GF(3), 3)):
+        X = CurveFunction.coordinate_x(E)
+        places = [E.infinity(), E.point(0, E.fiber_y(E.ctx.zero)[0]),
+                  E.random_point(rng)]
+        for Q in places:
+            funcs = [X, CurveFunction.coordinate_y(E)]
+            if not Q.is_infinity():
+                line = X + Q.x
+                funcs += [_random_function(E, rng, deg=2) / _power(line, k)
+                          for k in (1, 3)]
+            funcs.append(_random_function(E, rng, deg=3) / _power(X + 1, 2))
+            for f in funcs:
+                for prec in (1, 2, 5, 9):
+                    s = f.expand(Q, prec)
+                    assert s.prec >= prec
+                    assert s == f.expand(Q, prec + 12)
+
+
+def test_short_window_at_a_wild_point_raises():
+    # the wild third point of `ramify --order 5 --ordinary 1 --field 3`
+    _curve, P, _k = ordinary_torsion_point(GF(3).from_hex("1"), 5, 0)
+    rep = cover_profile(P, 5)
+    shifted = rep["function"] + rep["third_value"]
+    Q, e, d = rep["third_point"], rep["index"], rep["different_exponent"]
+    assert (e, d) == (2, 2)
+    for w in range(1, 2 * 5 + 3):
+        s = shifted.expand(Q, w)
+        assert s.prec == w  # the cover has no affine pole: no slack
+        if w <= e:
+            with pytest.raises(PrecisionError):
+                s.valuation()
+        else:
+            assert s.valuation() == e
+        if w <= d + 1:
+            with pytest.raises(PrecisionError):
+                s.deriv().valuation()
+        else:
+            assert s.deriv().valuation() == d
 
 
 def test_differentiate_product_rule():
