@@ -720,17 +720,24 @@ def ramification_index(func: CurveFunction, place, *, degree=None) -> int:
                            n + 1).valuation()
 
 
-def different_exponent(func: CurveFunction, place, *, degree=None) -> int:
+def different_exponent(func: CurveFunction, place, *, degree=None,
+                       value=None) -> int:
     """d = v_t(ds/dt) for s the pullback of a uniformizer below.
 
     s is func - func(Q) at finite values and 1/func at poles.  Odd
     (tame) ramification gives d = e - 1; even indices are wild and carry
     the extra conductor the series computes.  The differents of a degree-n
     cover of the line by a genus-one curve sum to 2n (Riemann-Hurwitz), so
-    d <= 2n and s is needed through t^(2n+1).
+    d <= 2n and s is needed through t^(2n+1).  Pass `degree` and
+    `value` = func(Q) (INFINITY at a pole) when they are already known;
+    s must vanish at Q, so a wrong value raises VerificationError.
     """
     n = func.degree() if degree is None else degree
-    s = _expand_shifted(func, func.evaluate(place), place, 2 * n + 2)
+    if value is None:
+        value = func.evaluate(place)
+    s = _expand_shifted(func, value, place, 2 * n + 2)
+    if s.valuation() < 1:
+        raise VerificationError(f"function does not take {value!r} at {place!r}")
     return s.deriv().valuation()
 
 
@@ -796,7 +803,8 @@ def ramification_profile(func: CurveFunction, branch_values):
         key = value if value is INFINITY else E.ctx(value)
         entries = []
         for Q, e in fiber(func, key, degree=n):
-            d = different_exponent(func, Q, degree=n) if e > 1 else 0
+            d = (different_exponent(func, Q, degree=n, value=key)
+                 if e > 1 else 0)
             if e % 2 == 1 and e > 1 and d != e - 1:
                 raise VerificationError(
                     f"tame point reports d={d}, expected {e - 1}")

@@ -7,6 +7,10 @@ modulus of degree d is the numerically smallest integer with bit d set whose
 bit-polynomial is irreducible over GF(2), so every degree has one reproducible
 field and nothing needs to be serialized beyond d.
 
+Each context builds one raw-int kernel, ``ctx.mul``, ``ctx.sqr`` and
+``ctx.inv`` (see ``_field_kernel``), and all element, polynomial and
+root-finding arithmetic runs on it.
+
 Cross-field structure:
 
 - ``embed`` maps F_(2^e) into F_(2^d) for e | d.  The image of the source
@@ -40,16 +44,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # raw bit-polynomial helpers (coefficients in GF(2), packed into ints)
 
-def _pmul(a, b):
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        b >>= 1
-    return r
-
-
 def _nonnegative(v):
     if v < 0:
         raise FieldInputError(f"negative int {v} is not a field element")
@@ -65,59 +59,104 @@ def _pmod(a, m):
     return a
 
 
-def _pdivmod(a, m):
-    dm = m.bit_length() - 1
-    q = 0
-    da = a.bit_length() - 1
-    while da >= dm:
-        q ^= 1 << (da - dm)
-        a ^= m << (da - dm)
-        da = a.bit_length() - 1
-    return q, a
-
-
 def _pgcd(a, b):
     while b:
         a, b = b, _pmod(a, b)
     return a
 
 
-def _pinvmod(a, m):
-    """Inverse of a modulo m; raises ZeroDivisionError when gcd(a, m) != 1."""
-    if _pmod(a, m) == 0:
-        raise ZeroDivisionError("inversion of zero in GF(2^d)")
-    r0, r1 = m, _pmod(a, m)
-    s0, s1 = 0, 1
-    while r1:
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 ^ _pmul(q, s1)
-    if r0 != 1:
-        raise ZeroDivisionError("element not invertible")
-    return _pmod(s0, m)
+# the square of each byte over GF(2): its binary digits read in base 4
+_SPREAD = [int(format(b, "b"), 4) for b in range(256)]
 
 
-def _psq(a):
-    # (sum c_i x^i)^2 = sum c_i x^(2i) over GF(2)
-    r = 0
-    i = 0
-    while a:
-        if a & 1:
-            r |= 1 << (2 * i)
-        a >>= 1
-        i += 1
-    return r
+def _field_kernel(d, m):
+    """(mul, sqr, inv) on ints below 2^d, modulo m of degree d.
+
+    mul runs over the set bits of an operand below 2^16, else a 4-bit comb
+    (the products a*k for k < 16, then b a nibble at a time); sqr spreads
+    bits a byte at a time.  Products, of degree <= 2d - 2, are reduced by
+    x^d = m + x^d.  When that low part of m has degree t <= d/2 (so for the
+    lexmin moduli, at least up to d = 64 and at 96 and 200), two
+    shift-and-xor folds over its taps suffice: the first leaves degree
+    <= d - 2 + t, the second folds degree <= t - 2 into <= 2t - 2 < d.  A
+    denser modulus keeps the generic loop.  inv is the shift-and-add
+    extended Euclid (Hankerson-Menezes-Vanstone, Guide to ECC, Alg. 2.48):
+    a*g1 = u and a*g2 = v mod m, and every pass lowers deg u + deg v, so
+    it stops at u = 1, or at u = 0 when a = 0.
+    """
+    low = m ^ (1 << d)
+    if low.bit_length() - 1 <= d // 2:
+        mask = (1 << d) - 1
+        taps = [i for i in range(low.bit_length()) if low >> i & 1]
+
+        def red(a):
+            for _ in (0, 1):
+                h = a >> d
+                if not h:
+                    break
+                a &= mask
+                for t in taps:
+                    a ^= h << t
+            return a
+    else:
+        def red(a):
+            return _pmod(a, m)
+
+    nibbles = range((d - 1) & ~3, -1, -4)
+
+    def mul(a, b):
+        if a >> 16 and b >> 16:
+            a2, a4, a8 = a << 1, a << 2, a << 3
+            a3, a5, a6 = a2 ^ a, a4 ^ a, a4 ^ a2
+            a7 = a4 ^ a3
+            comb = (0, a, a2, a3, a4, a5, a6, a7,
+                    a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a8 ^ a4, a8 ^ a5, a8 ^ a6, a8 ^ a7)
+            r = 0
+            for s in nibbles:
+                r = (r << 4) ^ comb[(b >> s) & 15]
+            return red(r)
+        if a >> 16:
+            a, b = b, a
+        r = 0
+        while a:  # a < 2^16: add b * (lowest set bit of a)
+            bit = a & -a
+            r ^= b * bit
+            a ^= bit
+        return red(r)
+
+    def sqr(a):
+        r = s = 0
+        while a:
+            r |= _SPREAD[a & 255] << s
+            a >>= 8
+            s += 16
+        return red(r)
+
+    def inv(a):
+        u, v, g1, g2 = a, m, 1, 0
+        while u > 1:
+            j = u.bit_length() - v.bit_length()
+            if j < 0:
+                u, v, g1, g2, j = v, u, g2, g1, -j
+            u ^= v << j
+            g1 ^= g2 << j
+        if not u:  # a = 0, or a shares a factor with m
+            raise ZeroDivisionError(f"{a:#x} is not invertible mod {m:#x}")
+        return g1
+
+    return mul, sqr, inv
 
 
 def _is_irreducible(m, d):
     """Rabin test: x^(2^d) = x mod m and gcd(x^(2^(d/p)) - x, m) = 1."""
     if m.bit_length() - 1 != d:
         return False
+    sqr = _field_kernel(d, m)[1]
     x = _pmod(2, m)
     r = x
     powers = {}
     for k in range(1, d + 1):
-        r = _pmod(_psq(r), m)
+        r = sqr(r)
         powers[k] = r
     if powers[d] != x:
         return False
@@ -161,8 +200,8 @@ def GF(d):
 class FieldContext:
     """Degree and modulus of one binary field, plus cached solver tables."""
 
-    __slots__ = ("degree", "modulus", "zero", "one", "_trace_mask",
-                 "_as_rows", "_adhoc_embed")
+    __slots__ = ("degree", "modulus", "zero", "one", "mul", "sqr", "inv",
+                 "_trace_mask", "_as_rows", "_adhoc_embed")
 
     def __init__(self, degree, modulus=None):
         if modulus is None:
@@ -171,6 +210,7 @@ class FieldContext:
             raise ValueError("modulus is not irreducible of the stated degree")
         self.degree = degree
         self.modulus = modulus
+        self.mul, self.sqr, self.inv = _field_kernel(degree, modulus)
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1 if degree > 0 else 0)
         self._trace_mask = None
@@ -224,6 +264,10 @@ class FieldContext:
     def __hash__(self):
         return hash((self.degree, self.modulus))
 
+    def __reduce__(self):
+        # the kernel closures do not pickle; a new context rebuilds them
+        return FieldContext, (self.degree, self.modulus)
+
     def __repr__(self):
         return f"GF(2^{self.degree})"
 
@@ -233,12 +277,11 @@ class FieldContext:
         if self._trace_mask is None:
             mask = 0
             for i in range(self.degree):
-                b = _pmod(1 << i, self.modulus)
                 t = 0
-                a = b
+                a = 1 << i
                 for _ in range(self.degree):
                     t ^= a
-                    a = _pmod(_psq(a), self.modulus)
+                    a = self.sqr(a)
                 if t:  # trace lands in GF(2)
                     if t != 1:
                         raise VerificationError("trace left the prime field")
@@ -258,8 +301,8 @@ class FieldContext:
             d = self.degree
             cols = []
             for j in range(d):
-                b = _pmod(1 << j, self.modulus)
-                cols.append(_pmod(_psq(b), self.modulus) ^ b)
+                b = 1 << j
+                cols.append(self.sqr(b) ^ b)
             rows = []
             for i in range(d):
                 r = 0
@@ -326,7 +369,7 @@ class FieldElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FieldElement(self.ctx, _pmod(_pmul(self.bits, other.bits), self.ctx.modulus))
+        return FieldElement(self.ctx, self.ctx.mul(self.bits, other.bits))
 
     __rmul__ = __mul__
 
@@ -334,43 +377,41 @@ class FieldElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        inv = _pinvmod(other.bits, self.ctx.modulus)
-        return FieldElement(self.ctx, _pmod(_pmul(self.bits, inv), self.ctx.modulus))
+        ctx = self.ctx
+        return FieldElement(ctx, ctx.mul(self.bits, ctx.inv(other.bits)))
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
 
     def inverse(self):
-        return FieldElement(self.ctx, _pinvmod(self.bits, self.ctx.modulus))
+        return FieldElement(self.ctx, self.ctx.inv(self.bits))
 
     def __pow__(self, e):
         if e < 0:
             return self.inverse() ** (-e)
-        m = self.ctx.modulus
+        mul, sqr = self.ctx.mul, self.ctx.sqr
         r, b = 1, self.bits
         while e:
             if e & 1:
-                r = _pmod(_pmul(r, b), m)
-            b = _pmod(_psq(b), m)
+                r = mul(r, b)
+            b = sqr(b)
             e >>= 1
         return FieldElement(self.ctx, r)
 
     def square(self):
-        return FieldElement(self.ctx, _pmod(_psq(self.bits), self.ctx.modulus))
+        return FieldElement(self.ctx, self.ctx.sqr(self.bits))
 
     def sqrt(self):
         """The unique square root (squaring is bijective in characteristic 2)."""
-        r = self
-        for _ in range(self.ctx.degree - 1):
-            r = r.square()
-        return r
+        return self.frobenius(self.ctx.degree - 1)
 
     def frobenius(self, k=1):
         """Apply x -> x^(2^k)."""
-        r = self
+        sqr = self.ctx.sqr
+        r = self.bits
         for _ in range(k % self.ctx.degree if self.ctx.degree else 0):
-            r = r.square()
-        return r
+            r = sqr(r)
+        return FieldElement(self.ctx, r)
 
     # -- predicates and identity -------------------------------------------
     def __bool__(self):
@@ -456,16 +497,9 @@ _EMBED_GEN = {}
 _EMBED_BUILT = set()
 
 
-def _eval_bits(bits, g):
-    """Evaluate a GF(2)-coefficient bit-polynomial at the field element g."""
-    acc = g.ctx.zero
-    i = bits.bit_length() - 1
-    while i >= 0:
-        acc = acc * g
-        if (bits >> i) & 1:
-            acc = acc + g.ctx.one
-        i -= 1
-    return acc
+def _bit_poly(ctx, bits):
+    """The bit-polynomial `bits`, coefficients in GF(2), as a Poly over ctx."""
+    return Poly(ctx, [(bits >> i) & 1 for i in range(bits.bit_length())])
 
 
 def _ensure_embeddings(d):
@@ -483,9 +517,7 @@ def _ensure_embeddings(d):
             _EMBED_GEN[(d, d)] = _pmod(2, target.modulus)
             continue
         _ensure_embeddings(e)
-        mod_e = lexmin_irreducible(e)
-        roots = _conjugate_roots(
-            Poly(target, [(mod_e >> i) & 1 for i in range(e + 1)]))
+        roots = _conjugate_roots(_bit_poly(target, lexmin_irreducible(e)))
         chosen = None
         for rbits in roots:
             g = FieldElement(target, rbits)
@@ -494,7 +526,7 @@ def _ensure_embeddings(d):
                 if sub == e:
                     continue
                 img_in_e = _EMBED_GEN[(sub, e)]
-                if _eval_bits(img_in_e, g).bits != _EMBED_GEN[(sub, d)]:
+                if _bit_poly(target, img_in_e)(g).bits != _EMBED_GEN[(sub, d)]:
                     ok = False
                     break
             if ok:
@@ -525,11 +557,10 @@ def embed(a, target):
         key = (src.degree, src.modulus)
         gbits = target._adhoc_embed.get(key)
         if gbits is None:
-            f = Poly(target, [(src.modulus >> i) & 1 for i in range(src.degree + 1)])
-            gbits = _conjugate_roots(f)[0]
+            gbits = _conjugate_roots(_bit_poly(target, src.modulus))[0]
             target._adhoc_embed[key] = gbits
         g = FieldElement(target, gbits)
-    return _eval_bits(a.bits, g)
+    return _bit_poly(target, a.bits)(g)
 
 
 # ---------------------------------------------------------------------------
@@ -632,55 +663,65 @@ class Poly:
             raise ValueError("polynomials over different contexts")
         if self.is_zero() or other.is_zero():
             return Poly.zero(self.ctx)
-        m = self.ctx.modulus
+        mul = self.ctx.mul
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
-            for j, b in enumerate(other.coeffs):
+            for j, b in enumerate(other.coeffs, i):
                 if b:
-                    out[i + j] ^= _pmod(_pmul(a, b), m)
+                    out[j] ^= mul(a, b)
         return Poly(self.ctx, out)
 
     def square(self):
-        m = self.ctx.modulus
+        sqr = self.ctx.sqr
         out = [0] * (2 * len(self.coeffs) - 1) if self.coeffs else []
         for i, a in enumerate(self.coeffs):
             if a:
-                out[2 * i] = _pmod(_psq(a), m)
+                out[2 * i] = sqr(a)
         return Poly(self.ctx, out)
 
-    def __divmod__(self, other):
+    def _rem(self, other, quotient=None):
+        """self mod other, appending the quotient's coefficients, high to low,
+        to `quotient` when one is given.  A monic divisor needs no inversion."""
         if self.ctx != other.ctx:
             raise ValueError("polynomials over different contexts")
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        m = self.ctx.modulus
-        inv_lead = _pinvmod(other.coeffs[-1], m)
+        mul = self.ctx.mul
         db = other.degree
+        low = other.coeffs[:-1]
+        inv_lead = other.coeffs[-1]
+        if inv_lead != 1:
+            inv_lead = self.ctx.inv(inv_lead)
         rem = list(self.coeffs)
-        q = [0] * max(len(rem) - db, 0)
         for i in range(len(rem) - 1, db - 1, -1):
             c = rem[i]
-            if not c:
-                continue
-            f = _pmod(_pmul(c, inv_lead), m)
-            q[i - db] = f
-            for j, b in enumerate(other.coeffs):
-                rem[i - db + j] ^= _pmod(_pmul(f, b), m)
-        return Poly(self.ctx, q), Poly(self.ctx, rem)
+            if c and inv_lead != 1:
+                c = mul(c, inv_lead)
+            if quotient is not None:
+                quotient.append(c)
+            if c:
+                for j, b in enumerate(low, i - db):
+                    if b:
+                        rem[j] ^= mul(c, b)
+        return Poly(self.ctx, rem[:db])
+
+    def __divmod__(self, other):
+        q = []
+        r = self._rem(other, q)
+        return Poly(self.ctx, q[::-1]), r
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
 
     def __mod__(self, other):
-        return divmod(self, other)[1]
+        return self._rem(other)
 
     def monic(self):
         if self.is_zero() or self.coeffs[-1] == 1:
             return self
-        inv = FieldElement(self.ctx, _pinvmod(self.coeffs[-1], self.ctx.modulus))
-        return self * inv
+        return self * FieldElement(self.ctx, self.ctx.inv(self.coeffs[-1]))
 
     def gcd(self, other):
         a, b = self, other
@@ -713,10 +754,10 @@ class Poly:
         if isinstance(x, FieldElement):
             if x.ctx != self.ctx:
                 raise ValueError("evaluation point in a different context")
-            m = self.ctx.modulus
+            mul = self.ctx.mul
             acc = 0
             for c in reversed(self.coeffs):
-                acc = _pmod(_pmul(acc, x.bits), m) ^ c
+                acc = mul(acc, x.bits) ^ c
             return FieldElement(self.ctx, acc)
         # generic Horner, used for series arguments
         acc = None
@@ -747,14 +788,14 @@ def _frobenius_rows(f):
 
 def _trace_mod(u, rows):
     """Tr(u*x) mod g = sum_(j<d) u^(2^j) * rows[j], given rows[j] = x^(2^j) mod g."""
-    m = u.ctx.modulus
+    mul, sqr = u.ctx.mul, u.ctx.sqr
     c = u.bits
     out = [0] * max(len(row.coeffs) for row in rows)
     for row in rows:
         for k, a in enumerate(row.coeffs):
             if a:
-                out[k] ^= _pmod(_pmul(c, a), m)
-        c = _pmod(_psq(c), m)
+                out[k] ^= mul(c, a)
+        c = sqr(c)
     return Poly(u.ctx, out)
 
 

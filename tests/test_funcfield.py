@@ -452,6 +452,34 @@ def test_ramification_of_two_torsion_x_map():
     assert d_R + d_O == 4  # Riemann-Hurwitz for the degree-2 x-map
 
 
+def test_different_exponent_takes_the_known_value():
+    # value= replaces the evaluation at Q; the right value gives the same d,
+    # and a wrong one must raise, because s then does not vanish at Q
+    E = WeierstrassCurve.ordinary(GF(4), 9)
+    X = CurveFunction.coordinate_x(E)
+    R, O = E.point(0, 0), E.infinity()
+    assert different_exponent(X, R, value=E.ctx.zero) == different_exponent(X, R)
+    assert different_exponent(X, O, value=INFINITY) == different_exponent(X, O)
+    for Q, wrong in ((R, E.ctx.one), (R, INFINITY), (O, E.ctx.zero)):
+        with pytest.raises(VerificationError):
+            different_exponent(X, Q, value=wrong)
+
+
+def test_profile_passes_the_fiber_value(monkeypatch):
+    import lame2.funcfield as ff
+    seen = []
+    real = ff.different_exponent
+
+    def spy(func, place, **kw):
+        seen.append(kw.get("value"))
+        return real(func, place, **kw)
+
+    monkeypatch.setattr(ff, "different_exponent", spy)
+    E = WeierstrassCurve.supersingular(2)
+    ramification_profile(CurveFunction.coordinate_y(E), [0, 1, INFINITY])
+    assert seen == [E.ctx.zero, E.ctx.one, INFINITY]
+
+
 # ---------------------------------------------------------------------------
 # expansion windows
 

@@ -14,7 +14,8 @@ from lame2 import (GF, FieldContext, FieldInputError, Poly, VerificationError,
                    embed, element_degree, lexmin_irreducible, poly_roots,
                    solve_artin_schreier, trace)
 from lame2.arith import divisors
-from lame2.gf2 import _conjugate_roots, _frobenius_rows, _split_once, _trace_mod
+from lame2.gf2 import (_conjugate_roots, _frobenius_rows, _is_irreducible,
+                       _split_once, _trace_mod)
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +133,103 @@ def test_field_axioms(d):
         assert a.sqrt().square() == a
 
 
+# ---------------------------------------------------------------------------
+# the context's raw-int kernel against the bit-at-a-time loops it replaced
+
+def reference_pmul(a, b):
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        a <<= 1
+        b >>= 1
+    return r
+
+
+def reference_pmod(a, m):
+    dm = m.bit_length() - 1
+    da = a.bit_length() - 1
+    while da >= dm:
+        a ^= m << (da - dm)
+        da = a.bit_length() - 1
+    return a
+
+
+def reference_psq(a):
+    r = 0
+    i = 0
+    while a:
+        if a & 1:
+            r |= 1 << (2 * i)
+        a >>= 1
+        i += 1
+    return r
+
+
+def reference_pinvmod(a, m):
+    # extended Euclid by long division
+    r0, r1 = m, reference_pmod(a, m)
+    if r1 == 0:
+        raise ZeroDivisionError("inversion of zero")
+    s0, s1 = 0, 1
+    while r1:
+        q, r = 0, r0
+        while r.bit_length() >= r1.bit_length():
+            shift = r.bit_length() - r1.bit_length()
+            q ^= 1 << shift
+            r ^= r1 << shift
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 ^ reference_pmul(q, s1)
+    assert r0 == 1
+    return reference_pmod(s0, m)
+
+
+def check_kernel(ctx, rng, naive_pairs):
+    d, m = ctx.degree, ctx.modulus
+    edges = [0, 1, 1 << (d - 1), (1 << d) - 1]
+    if d <= 6:
+        ops = list(range(1 << d))
+        pairs = [(a, b) for a in ops for b in ops]
+    else:
+        # random widths reach both the set-bit loop and the comb
+        ops = edges + [rng.getrandbits(rng.randint(1, d)) for _ in range(40)]
+        pairs = ([(a, b) for a in edges for b in ops]
+                 + [(b, a) for a in edges for b in ops]
+                 + [(rng.getrandbits(d), rng.getrandbits(d)) for _ in range(100)])
+    for i, (a, b) in enumerate(pairs):
+        want = reference_pmod(reference_pmul(a, b), m)
+        assert ctx.mul(a, b) == want, (d, a, b)
+        if i < naive_pairs:
+            assert want == naive_field_mul(a, b, m)
+    for a in ops:
+        assert ctx.sqr(a) == reference_pmod(reference_psq(a), m), (d, a)
+        if a:
+            inv = ctx.inv(a)
+            assert inv == reference_pinvmod(a, m), (d, a)
+            assert ctx.mul(a, inv) == 1
+    with pytest.raises(ZeroDivisionError):
+        ctx.inv(0)
+
+
+@pytest.mark.parametrize("d", list(range(1, 13)) + [24, 40, 48, 96, 200])
+def test_kernel_matches_bit_loops(d):
+    # exhaustive for d <= 6; the lexmin moduli have their taps at or below
+    # d/2, so these contexts reduce by the two-pass fold
+    ctx = GF(d)
+    assert (ctx.modulus ^ (1 << d)).bit_length() - 1 <= d // 2
+    check_kernel(ctx, random.Random(d), 1 << 12 if d <= 12 else 20)
+
+
+@pytest.mark.parametrize("d", [5, 8, 24, 48])
+def test_kernel_on_a_dense_modulus(d):
+    # a modulus with a tap above d/2 takes the generic reduction loop
+    m = (1 << d) | (1 << (d - 1)) | 1
+    while not _is_irreducible(m, d):
+        m += 2
+    assert (m ^ (1 << d)).bit_length() - 1 > d // 2
+    check_kernel(FieldContext(d, m), random.Random(d), 20)
+
+
 def test_division_by_zero():
     ctx = GF(4)
     with pytest.raises(ZeroDivisionError):
@@ -214,6 +312,28 @@ def test_poly_divmod_roundtrip():
         q, r = divmod(a, b)
         assert q * b + r == a
         assert r.is_zero() or r.degree < b.degree
+
+
+def test_mod_matches_divmod():
+    # % reduces by a monic divisor without inverting its leading coefficient
+    # and never builds the quotient
+    ctx = GF(5)
+    rng = random.Random(11)
+    for _ in range(300):
+        p = Poly(ctx, [rng.getrandbits(5) for _ in range(rng.randrange(0, 9))])
+        g = Poly(ctx, [rng.getrandbits(5) for _ in range(rng.randrange(0, 5))]
+                 + [rng.choice([1, rng.randrange(1, 32)])])
+        q, r = divmod(p, g)
+        assert p % g == r
+        assert q * g + r == p
+        assert r.is_zero() or r.degree < g.degree
+    g = Poly(ctx, [3, 0, 1])
+    p = Poly(ctx, [7, 9])
+    assert p % g == p and p % (g * ctx(6)) == p  # deg p < deg g
+    assert (Poly.zero(ctx) % g).is_zero()
+    assert (p % Poly(ctx, [1])).is_zero() and (p % Poly(ctx, [6])).is_zero()
+    with pytest.raises(ZeroDivisionError):
+        p % Poly.zero(ctx)
 
 
 def test_poly_gcd_properties():
@@ -439,6 +559,16 @@ def test_element_json_roundtrip():
         rec = a.to_json()
         assert set(rec) == {"d", "hex"}
         assert ctx.from_json(rec) == a
+
+
+def test_pickle_roundtrip():
+    import pickle
+    ctx = FieldContext(8, 0b110001101)  # a non-canonical modulus
+    for a in (GF(24)(0xabcdef), ctx(0x5a)):
+        b = pickle.loads(pickle.dumps(a))
+        assert b == a and b * b == a * a and b.inverse() == a.inverse()
+    f = Poly(GF(5), [3, 0, 1])
+    assert pickle.loads(pickle.dumps(f)) == f
 
 
 def test_json_wrong_degree_rejected():
