@@ -25,7 +25,7 @@ import random
 
 from .arith import factorint, order_from_multiple
 from .common import INFINITY, Infinity, TorsionSearchExhausted, VerificationError
-from .gf2 import GF, FieldContext, FieldElement, embed, solve_artin_schreier, trace
+from .gf2 import GF, FieldContext, FieldElement, embed, solve_artin_schreier
 
 
 def curve_invariants(a1, a2, a3, a4, a6):
@@ -169,14 +169,19 @@ class WeierstrassCurve:
             raise ValueError("unknown counting method %r" % (method,))
         if self.ctx.degree > 20:
             raise ValueError("field too large to enumerate; use a formula")
+        # on ints: one y where h = 0, else two or none as Tr(f / h^2) is 0 or 1
+        ctx = self.ctx
+        mul, sqr, inv, mask = ctx.mul, ctx.sqr, ctx.inv, ctx.trace_mask()
+        a1, a2, a3, a4, a6 = (a.bits for a in self.coefficients())
         total = 1
-        zero = self.ctx.zero
-        for x in self.ctx.elements():
-            h = self.hpoly(x)
-            if h == zero:
+        for x in range(1 << ctx.degree):
+            h = mul(a1, x) ^ a3
+            if not h:
                 total += 1
-            elif trace(self.rhs(x) / (h * h)) == 0:
-                total += 2
+            else:
+                f = mul(mul(x ^ a2, x) ^ a4, x) ^ a6
+                if not (mul(f, inv(sqr(h))) & mask).bit_count() & 1:
+                    total += 2
         return total
 
     def random_point(self, rng: random.Random) -> "CurvePoint":

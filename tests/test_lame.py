@@ -1,7 +1,10 @@
 """Automorphism quotient, torsion classification, counts, census, covers."""
 
+import random
+
 import pytest
 
+from lame2 import lame
 from lame2.common import VerificationError
 from lame2.gf2 import GF, embed
 from lame2.weierstrass import WeierstrassCurve, supersingular_order, torsion_basis
@@ -75,6 +78,208 @@ def test_aut_group_rejects_ordinary_model():
     P = curve.point(0, curve.fiber_y(curve.ctx.zero)[0])
     with pytest.raises(ValueError):
         rho(P)
+    with pytest.raises(ValueError, match="even degree"):
+        aut_group(GF(3))
+    g = aut_group(curve.ctx)[5]
+    with pytest.raises(ValueError, match="Y\\^2\\+Y=X\\^3"):
+        g(P)
+
+
+# -- the verifier against a FieldElement oracle ------------------------------
+
+
+def _fe_act(alpha, P):
+    """alpha(P) in FieldElement arithmetic; curve.point validates the image."""
+    if P.is_infinity():
+        return P
+    u2 = alpha.u * alpha.u
+    return P.curve.point(u2 * P.x + alpha.a,
+                         P.y + u2 * alpha.a * alpha.a * P.x + alpha.c)
+
+
+def _fe_compose(alpha, beta):
+    u1sq = alpha.u * alpha.u
+    return AutomorphismElement(alpha.u * beta.u, u1sq * beta.a + alpha.a,
+                               alpha.c + beta.c + u1sq * alpha.a * alpha.a * beta.a)
+
+
+def reference_verify_aut_group(ctx, elements, act=_fe_act, compose=_fe_compose):
+    """The per-pair FieldElement loop the int verifier replaced."""
+    if len(elements) != 24:
+        raise VerificationError("expected 24 automorphisms, found %d"
+                                % len(elements))
+    table = {alpha.key() for alpha in elements}
+    if len(table) != 24:
+        raise VerificationError("automorphism list has duplicates")
+    if (1, 0, 0) not in table:
+        raise VerificationError("identity element missing")
+
+    curve = WeierstrassCurve.supersingular(ctx)
+    rng = random.Random(0xA07)
+    points = [curve.random_point(rng) for _ in range(4)]
+
+    neg = AutomorphismElement(ctx.one, ctx.zero, ctx.one)
+    if neg.key() not in table:
+        raise VerificationError("negation element missing")
+    for P in points:
+        if act(neg, P) != -P:
+            raise VerificationError("(1,0,1) does not act as negation")
+
+    for alpha in elements:
+        for P in points:
+            act(alpha, P)
+        if not act(alpha, curve.infinity()).is_infinity():
+            raise VerificationError("automorphism moves the origin")
+        if act(alpha, points[0] + points[1]) != \
+                act(alpha, points[0]) + act(alpha, points[1]):
+            raise VerificationError("automorphism is not additive")
+
+    noncommuting = False
+    for alpha in elements:
+        for beta in elements:
+            gamma = compose(alpha, beta)
+            if gamma.key() not in table:
+                raise VerificationError("composition left the set")
+            if act(gamma, points[0]) != act(alpha, act(beta, points[0])):
+                raise VerificationError("composition law disagrees with action")
+            if not noncommuting and gamma.key() != compose(beta, alpha).key():
+                noncommuting = True
+    if not noncommuting:
+        raise VerificationError("group verified abelian; expected non-abelian")
+
+
+def _both_raise(ctx, elements, exc, match, act=_fe_act, compose=_fe_compose):
+    with pytest.raises(exc, match=match):
+        lame._verify_aut_group(ctx, elements)
+    with pytest.raises(exc, match=match):
+        reference_verify_aut_group(ctx, elements, act, compose)
+
+
+@pytest.mark.parametrize("d", [2, 4, 6, 8, 10, 12, 24])
+def test_verifier_and_oracle_accept_the_group(d):
+    G = aut_group(GF(d))
+    lame._verify_aut_group(GF(d), G)
+    reference_verify_aut_group(GF(d), G)
+    keys = [g.key() for g in G]
+    assert keys == sorted(keys)
+    if d == 2:
+        assert keys == [(u, a, c) for u in (1, 2, 3) for a in range(4)
+                        for c in ((0, 1) if a == 0 else (2, 3))]
+
+
+def _replaced(G, j, element):
+    out = list(G)
+    out[j] = element
+    return out
+
+
+def test_verifier_and_oracle_refuse_corrupted_lists():
+    ctx = GF(6)
+    G = aut_group(ctx)
+    keys = [g.key() for g in G]
+    omega = ctx(keys[-1][0])  # a cube root of unity other than 1
+    assert omega * omega + omega == ctx.one
+    plain = keys.index((omega.bits, 0, 0))
+    g = G[plain]
+    outsider = AutomorphismElement(ctx.zero, g.a, g.c)  # u = 0: no member
+    _both_raise(ctx, G[:23], VerificationError, "expected 24 automorphisms")
+    _both_raise(ctx, _replaced(G, 3, G[4]), VerificationError, "duplicates")
+    _both_raise(ctx, _replaced(G, keys.index((1, 0, 0)), outsider),
+                VerificationError, "identity element missing")
+    _both_raise(ctx, _replaced(G, keys.index((1, 0, 1)), outsider),
+                VerificationError, "negation element missing")
+    # c + omega solves c^2 + c = a^3 + 1, so every image leaves the curve
+    flipped = AutomorphismElement(g.u, g.a, g.c + omega)
+    _both_raise(ctx, _replaced(G, plain, flipped), ValueError,
+                "point is not on the curve")
+    # every triple that keeps points on the curve is a member, so a
+    # swapped-in outsider is refused by the membership certificate
+    _both_raise(ctx, _replaced(G, plain, outsider), ValueError,
+                "point is not on the curve")
+
+
+def _element_law(law):
+    """A law on keys (ctx, k1, k2) -> key, as the oracle's compose."""
+    def compose(alpha, beta):
+        ctx = alpha.u.ctx
+        return AutomorphismElement(*(ctx(v) for v in law(ctx, alpha.key(), beta.key())))
+    return compose
+
+
+def _element_action(action):
+    """An action on keys (ctx, key, x, y) -> (x, y), as the oracle's act."""
+    def act(alpha, P):
+        if P.is_infinity():
+            return P
+        x, y = action(P.curve.ctx, alpha.key(), P.x.bits, P.y.bits)
+        return P.curve.point(x, y)
+    return act
+
+
+def _both_refuse_law(monkeypatch, match, law=lame._compose, action=lame._act):
+    ctx = GF(6)
+    G = aut_group(ctx)
+    monkeypatch.setattr(lame, "_compose", law)
+    monkeypatch.setattr(lame, "_act", action)
+    _both_raise(ctx, G, VerificationError, match,
+                _element_action(action), _element_law(law))
+
+
+def test_verifiers_refuse_a_law_that_leaves_the_set(monkeypatch):
+    real = lame._compose
+
+    def law(ctx, k1, k2):
+        return (0, 0, 0) if k1 == k2 == (1, 0, 1) else real(ctx, k1, k2)
+    _both_refuse_law(monkeypatch, "composition left the set", law)
+
+
+def test_verifiers_refuse_a_law_that_disagrees_with_the_action(monkeypatch):
+    real = lame._compose
+    _both_refuse_law(monkeypatch, "disagrees with action",
+                     lambda ctx, k1, k2: real(ctx, k2, k1))
+
+
+def test_verifiers_refuse_an_abelian_group(monkeypatch):
+    # Z/2 x Z/12 on the 24 keys, acting through its Z/2 factor by negation;
+    # every other certificate holds, so only the non-abelian check refuses
+    ctx = GF(6)
+    keys = [g.key() for g in aut_group(ctx)]
+    rest = [k for k in keys if k not in ((1, 0, 0), (1, 0, 1))]
+    coords = [(0, 0), (1, 0)] + [(e, m) for m in range(1, 12) for e in (0, 1)]
+    label = dict(zip([(1, 0, 0), (1, 0, 1)] + rest, coords))
+    key_of = {v: k for k, v in label.items()}
+    real = lame._act
+
+    def law(ctx, k1, k2):
+        (e1, m1), (e2, m2) = label[k1], label[k2]
+        return key_of[(e1 ^ e2, (m1 + m2) % 12)]
+
+    def action(ctx, key, x, y):
+        return real(ctx, (1, 0, label[key][0]), x, y)
+    _both_refuse_law(monkeypatch, "abelian", law, action)
+
+
+def test_verifiers_refuse_a_negation_that_fixes_points(monkeypatch):
+    real = lame._act
+
+    def action(ctx, key, x, y):
+        return (x, y) if key == (1, 0, 1) else real(ctx, key, x, y)
+    _both_refuse_law(monkeypatch, "does not act as negation", action=action)
+
+
+def test_verifiers_refuse_a_non_additive_action(monkeypatch):
+    ctx = GF(6)
+    curve = WeierstrassCurve.supersingular(ctx)
+    T = curve.random_point(random.Random(5))
+    moved = aut_group(ctx)[5].key()
+    real = lame._act
+
+    def action(ctx, key, x, y):
+        if key != moved:
+            return real(ctx, key, x, y)
+        Q = curve.point(ctx(x), ctx(y)) + T  # a translation keeps the curve
+        return Q.x.bits, Q.y.bits
+    _both_refuse_law(monkeypatch, "not additive", action=action)
 
 
 # -- the invariant map and its orbits ---------------------------------------

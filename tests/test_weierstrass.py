@@ -173,6 +173,60 @@ def test_fiber_counting_matches_rational_points():
     assert total == E.count_points()
 
 
+def reference_count_points(E):
+    """The FieldElement fiber loop the int count replaced."""
+    total = 1
+    for x in E.ctx.elements():
+        h = E.hpoly(x)
+        if h == E.ctx.zero:
+            total += 1
+        elif trace(E.rhs(x) / (h * h)) == 0:
+            total += 2
+    return total
+
+
+def _assert_count_matches_oracle(E):
+    N = E.count_points()
+    assert N == reference_count_points(E)
+    q = E.ctx.order
+    assert (q + 1 - N) ** 2 <= 4 * q  # Hasse
+
+
+def test_count_points_matches_fieldelement_oracle():
+    rng = random.Random(88)
+    for d in list(range(1, 11)) + [12]:
+        ctx = GF(d)
+        _assert_count_matches_oracle(WeierstrassCurve.supersingular(ctx))
+        for t in (1, 1 + rng.randrange(ctx.order - 1)):
+            _assert_count_matches_oracle(WeierstrassCurve.ordinary(ctx, t))
+
+
+def test_count_points_oracle_on_general_curves():
+    rng = random.Random(89)
+    for d in (3, 4, 6, 7, 9):
+        ctx = GF(d)
+        done = 0
+        while done < 3:
+            a1, a3 = rng.choice([(0, 1 + rng.randrange(ctx.order - 1)),
+                                 (1 + rng.randrange(ctx.order - 1), 0)])
+            a2, a4, a6 = (1 + rng.randrange(ctx.order - 1) for _ in range(3))
+            try:
+                E = WeierstrassCurve(ctx, a1, a2, a3, a4, a6)
+            except ValueError:  # singular
+                continue
+            _assert_count_matches_oracle(E)
+            done += 1
+
+
+def test_count_points_oracle_where_h_vanishes():
+    # a1, a3 != 0: h(x) = a1 x + a3 vanishes at exactly one x, a one-point fiber
+    for d in (3, 4, 5, 8):
+        ctx = GF(d)
+        E = WeierstrassCurve(ctx, 3, 5, 6, 1, 7)
+        assert sum(E.hpoly(x) == ctx.zero for x in ctx.elements()) == 1
+        _assert_count_matches_oracle(E)
+
+
 # ---------------------------------------------------------------------------
 # torsion
 
