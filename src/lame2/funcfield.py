@@ -137,7 +137,8 @@ class Series:
         c = self._scalar(other)
         if c is not None:
             if not c:
-                return Series(self.ctx, self.prec, [])
+                # the product is exactly zero, not zero through a window
+                return c
             return Series(self.ctx, self.val, [a * c for a in self.coeffs])
         if not isinstance(other, Series):
             return NotImplemented

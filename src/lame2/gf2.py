@@ -14,14 +14,15 @@ root-finding arithmetic runs on it.
 Cross-field structure:
 
 - ``embed`` maps F_(2^e) into F_(2^d) for e | d.  The image of the source
-  generator is chosen once per (e, d) pair as the least root of the source
-  modulus that is compatible with every previously fixed embedding between
+  generator is built on demand, once per (e, d) pair, as the least root of
+  the source modulus that agrees with the embeddings of the source's own
   subfields, so composites of embeddings agree with direct embeddings.
 - ``element_degree`` returns the degree of the subfield generated by an
   element (the length of its Frobenius orbit).
 
 Values are immutable; contexts cache their derived tables (trace mask,
-Artin-Schreier solver, embedding generators) and are safe to share.
+Artin-Schreier solver) and are safe to share; embedding generators are
+cached per context pair.
 """
 
 from .arith import divisors, factorint
@@ -201,7 +202,7 @@ class FieldContext:
     """Degree and modulus of one binary field, plus cached solver tables."""
 
     __slots__ = ("degree", "modulus", "zero", "one", "mul", "sqr", "inv",
-                 "_trace_mask", "_as_rows", "_adhoc_embed")
+                 "_trace_mask", "_as_rows")
 
     def __init__(self, degree, modulus=None):
         if modulus is None:
@@ -215,7 +216,6 @@ class FieldContext:
         self.one = FieldElement(self, 1 if degree > 0 else 0)
         self._trace_mask = None
         self._as_rows = None
-        self._adhoc_embed = {}
 
     # -- construction -----------------------------------------------------
     def __call__(self, v):
@@ -491,10 +491,9 @@ def element_degree(a):
 
 
 # ---------------------------------------------------------------------------
-# compatible embeddings between canonical contexts
+# compatible embeddings between subfields
 
 _EMBED_GEN = {}
-_EMBED_BUILT = set()
 
 
 def _bit_poly(ctx, bits):
@@ -502,64 +501,46 @@ def _bit_poly(ctx, bits):
     return Poly(ctx, [(bits >> i) & 1 for i in range(bits.bit_length())])
 
 
-def _ensure_embeddings(d):
-    """Fix generator images for every subfield of GF(d), coherently.
+def _embed_gen(src, target):
+    """The image of src's generator in target, as bits.
 
-    Divisors are processed in increasing order; for each source degree e the
-    candidate roots of its modulus are filtered against all embeddings already
-    fixed for smaller subfields, which forces composition-consistency.
+    The image is the least root of src's modulus in target that agrees with
+    every proper subfield GF(2^s) of src: embedding GF(2^s) into src and then
+    into target must give its direct embedding into target.  The recursion
+    only asks for subfields of src, so each pair's image is fixed by its
+    subfields alone, whatever order the pairs are asked in, and composites of
+    embeddings agree with direct ones.  Unless both contexts are canonical
+    there is no subfield system to agree with, and the least root is taken.
     """
-    if d in _EMBED_BUILT:
-        return
-    target = GF(d)
-    for e in divisors(d):
-        if e == d:
-            _EMBED_GEN[(d, d)] = _pmod(2, target.modulus)
-            continue
-        _ensure_embeddings(e)
-        roots = _conjugate_roots(_bit_poly(target, lexmin_irreducible(e)))
-        chosen = None
-        for rbits in roots:
-            g = FieldElement(target, rbits)
-            ok = True
-            for sub in divisors(e):
-                if sub == e:
-                    continue
-                img_in_e = _EMBED_GEN[(sub, e)]
-                if _bit_poly(target, img_in_e)(g).bits != _EMBED_GEN[(sub, d)]:
-                    ok = False
-                    break
-            if ok:
-                chosen = rbits
+    key = (src, target)
+    gbits = _EMBED_GEN.get(key)
+    if gbits is None:
+        subs = []
+        if src.is_canonical() and target.is_canonical():
+            subs = [GF(s) for s in divisors(src.degree)[:-1]]
+        for gbits in _conjugate_roots(_bit_poly(target, src.modulus)):
+            g = FieldElement(target, gbits)
+            if all(_bit_poly(target, _embed_gen(sub, src))(g).bits
+                   == _embed_gen(sub, target) for sub in subs):
                 break
-        if chosen is None:
+        else:
             raise VerificationError("no composition-consistent embedding root")
-        _EMBED_GEN[(e, d)] = chosen
-    _EMBED_BUILT.add(d)
+        _EMBED_GEN[key] = gbits
+    return gbits
 
 
 def embed(a, target):
     """Embed a into the target context; the source degree must divide it.
 
-    Canonical-to-canonical embeddings come from the shared compatible system
-    (composites agree with direct embeddings); other context pairs fall back
-    to the least root of the source modulus, cached per pair.
+    The source generator goes to ``_embed_gen(a.ctx, target)``: between
+    canonical contexts, composites of embeddings agree with direct ones.
     """
     src = a.ctx
     if src == target:
         return a
     if target.degree % src.degree != 0:
         raise ValueError("source degree does not divide target degree")
-    if src.is_canonical() and target.is_canonical():
-        _ensure_embeddings(target.degree)
-        g = FieldElement(target, _EMBED_GEN[(src.degree, target.degree)])
-    else:
-        key = (src.degree, src.modulus)
-        gbits = target._adhoc_embed.get(key)
-        if gbits is None:
-            gbits = _conjugate_roots(_bit_poly(target, src.modulus))[0]
-            target._adhoc_embed[key] = gbits
-        g = FieldElement(target, gbits)
+    g = FieldElement(target, _embed_gen(src, target))
     return _bit_poly(target, a.bits)(g)
 
 

@@ -42,6 +42,11 @@ from .weierstrass import (
 )
 from .funcfield import miller_function, ramification_profile
 
+# desk-scale caps: the largest torsion order classified point by point, and
+# the largest degree d of the field-of-moduli census over F_(2^d)
+_MAX_ORDER = 13
+_MAX_CENSUS_DEGREE = 8
+
 
 # ---------------------------------------------------------------------------
 # the automorphism group of (E, 0) for E: Y^2 + Y = X^3
@@ -284,8 +289,9 @@ def classify_torsion(n: int) -> list:
 def _classify_torsion(n: int) -> tuple:
     if n < 3 or n % 2 == 0:
         raise ValueError("order must be odd and at least 3")
-    if n > 13:
-        raise ValueError("desk-scale classification stops at order 13")
+    if n > _MAX_ORDER:
+        raise ValueError(
+            f"desk-scale classification stops at order {_MAX_ORDER}")
     curve, P1, P2 = torsion_basis(n)
     row = [curve.infinity()]
     for _ in range(n - 1):
@@ -358,7 +364,7 @@ def lame_count_dividing(n: int) -> int:
     """Number of cover classes of order dividing n (n odd, n > 1).
 
     Closed form (n^2-1)/24 away from multiples of 3, (3m^2+5)/8 at n = 3m;
-    cross-checked against the brute classification for n <= 13.
+    cross-checked against the brute classification for n <= _MAX_ORDER.
     """
     if n <= 1 or n % 2 == 0:
         raise ValueError("n must be odd and at least 3")
@@ -367,7 +373,7 @@ def lame_count_dividing(n: int) -> int:
     else:
         m = n // 3
         expected = (3 * m * m + 5) // 8
-    if n <= 13:
+    if n <= _MAX_ORDER:
         brute = sum(len(classify_torsion(m)) for m in divisors(n) if m > 1)
         if brute != expected:
             raise VerificationError(
@@ -416,8 +422,9 @@ def moduli_census(d: int) -> dict:
     (x^4+x)^3 = c lifted to the curve), its exact order recorded, and the
     classes partitioned by the degree of the subfield their value generates.
     """
-    if not 1 <= d <= 8:
-        raise ValueError("census is desk-scale: 1 <= d <= 8")
+    if not 1 <= d <= _MAX_CENSUS_DEGREE:
+        raise ValueError(
+            f"census is desk-scale: 1 <= d <= {_MAX_CENSUS_DEGREE}")
     ctx = GF(d)
     classes = []
     by_degree = {}

@@ -126,25 +126,12 @@ def test_byte_identical_reruns(argv):
     assert invoke(*argv) == invoke(*argv)
 
 
-# SHA-256 of the canonical JSON, pinned across library versions
-GOLDEN = {
-    "classify --order 3":
-        "2fd5c8d3ae0f142891c56cb59061d058e5268e686ed896f25e113e0ac2a2ec33",
-    "counts --max-n 13":
-        "3c8c2fa8c8760d26afafef67ecf40504d8a7fb158336788e29f06f7f20a8fa9c",
-    "hyper --genus 3 --field 12":
-        "b4584914c87015dac162a6b3da2938248618b4705ec7bd32ac2a416640f19ad4",
-    "triples --degree 101":
-        "b6495cf42d0fda3769666b01a97b204c994a0dab1da3067e72350636d9eb1d3d",
-    "moduli --d 2":
-        "d898edfd02b601b67ed9562f9eeca9f6f9ffd5d125f18eac69d5a0be7cc3629a",
-    "ramify --order 5 --ordinary 1 --field 3":
-        "07448304da89978ab4cda3d0aaf86d2c4e9b1f8635f5c60c28cbf4bb7bfbba4b",
-    "ramify --order 13 --seed 1":
-        "d1b877a12d537ff6372f260ceff3674b06fef77950ce2957ad333a94453d6853",
-    "ramify --order 3 --ordinary 10 --field 5":
-        "948f4a151b5f36732c5cc622e7e97ce12a6695c57923776ef698e6961316f609",
-}
+# SHA-256 of the canonical JSON of every benchmark argv, pinned across
+# library versions; perfbench/golden.py writes the file
+GOLDEN_FILE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                           "golden.json")
+with open(GOLDEN_FILE) as fh:
+    GOLDEN = json.load(fh)
 
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN))

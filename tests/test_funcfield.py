@@ -93,6 +93,17 @@ def test_series_square_matches_product():
             (prod.val, prod.prec, prod.coeffs)
 
 
+def test_exact_zero_product_keeps_the_other_window():
+    # a series times the exact scalar 0 is exactly 0, so a sum with it keeps
+    # the other summand's window instead of taking the zero factor's
+    E = WeierstrassCurve.supersingular(4)
+    X, Y = xy_expansion(E, E.infinity(), 10)
+    assert (X.prec, Y.prec) == (7, 6)
+    for zero in (0, E.ctx.zero):
+        assert (X + Y * zero).prec == (X + zero * Y).prec == X.prec
+        assert X + Y * zero == X
+
+
 # ---------------------------------------------------------------------------
 # local expansions: the curve equation is the oracle
 

@@ -6,16 +6,23 @@ exhaustive enumeration for trace kernels and root sets, and trial division
 for irreducibility of the canonical moduli.
 """
 
+import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import lame2
 from lame2 import (GF, FieldContext, FieldInputError, Poly, VerificationError,
                    embed, element_degree, lexmin_irreducible, poly_roots,
                    solve_artin_schreier, trace)
 from lame2.arith import divisors
-from lame2.gf2 import (_conjugate_roots, _frobenius_rows, _is_irreducible,
-                       _split_once, _trace_mod)
+from lame2.gf2 import (_bit_poly, _conjugate_roots, _embed_gen,
+                       _frobenius_rows, _is_irreducible, _pmod, _split_once,
+                       _trace_mod)
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +513,102 @@ def test_embed_composition_consistent():
         for _ in range(25):
             a = src.random(rng)
             assert embed(embed(a, m), t) == embed(a, t)
+
+
+# the degrees whose subfield pairs the oracle table covers: the wild cover
+# fields GF(2^24), GF(2^40), GF(2^48) and their neighbours
+EMBED_DEGREES = (12, 18, 20, 24, 30, 36, 40, 48, 60)
+
+
+def reference_ensure_embeddings(d, table):
+    """The eager sweep: fix generator images for every subfield of GF(2^d).
+
+    Divisors go in increasing order, and each source degree e takes the least
+    root of its modulus that agrees with every pair fixed before it for the
+    subfields of e.  The identity pair (d, d) is stored last, so it marks a
+    finished sweep.
+    """
+    if (d, d) in table:
+        return
+    target = GF(d)
+    for e in divisors(d):
+        if e == d:
+            table[(d, d)] = _pmod(2, target.modulus)
+            continue
+        reference_ensure_embeddings(e, table)
+        roots = _conjugate_roots(_bit_poly(target, lexmin_irreducible(e)))
+        for rbits in roots:
+            g = target(rbits)
+            if all(_bit_poly(target, table[(s, e)])(g).bits == table[(s, d)]
+                   for s in divisors(e)[:-1]):
+                table[(e, d)] = rbits
+                break
+        else:
+            raise VerificationError("no composition-consistent embedding root")
+
+
+@pytest.fixture(scope="module")
+def reference_embeddings():
+    table = {}
+    for d in EMBED_DEGREES:
+        reference_ensure_embeddings(d, table)
+    return table
+
+
+def test_embed_gen_matches_the_eager_sweep(reference_embeddings):
+    table = reference_embeddings
+    digest = hashlib.sha256(repr(sorted(table.items())).encode()).hexdigest()
+    assert digest == \
+        "257f17efe43710c3ba074ba4f42a85a4023dcd3164281457ff6c9b89028c4d7f"
+    proper = {k: v for k, v in table.items() if k[0] < k[1]}
+    assert len(table) == 107 and len(proper) == 87
+    for (e, d), gbits in proper.items():
+        assert _embed_gen(GF(e), GF(d)) == gbits, (e, d)
+
+
+def test_embed_gen_builds_only_what_is_asked(reference_embeddings):
+    # a fresh process: the first embedding into GF(2^48) fixes only the pairs
+    # of GF(2^4)'s subfields, and asking every pair in descending order of
+    # source degree afterwards reproduces the eager table
+    pairs = sorted((k for k in reference_embeddings if k[0] < k[1]),
+                   reverse=True)
+    code = (
+        "import json, sys\n"
+        "from lame2.gf2 import GF, _EMBED_GEN, _embed_gen, embed\n"
+        "first = embed(GF(4)(0b10), GF(48)).bits\n"
+        "built = sorted((s.degree, t.degree) for s, t in _EMBED_GEN)\n"
+        "pairs = json.loads(sys.argv[1])\n"
+        "gens = [_embed_gen(GF(e), GF(d)) for e, d in pairs]\n"
+        "print(json.dumps({'first': first, 'built': built, 'gens': gens}))\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(lame2.__file__)))
+    out = json.loads(subprocess.run(
+        [sys.executable, "-c", code, json.dumps(pairs)], env=env,
+        capture_output=True, text=True, check=True).stdout)
+    assert out["first"] == reference_embeddings[(4, 48)]
+    built = {tuple(p) for p in out["built"]}
+    assert (4, 48) in built and (24, 48) not in built
+    assert all(4 % e == 0 for e, _ in built), built
+    assert out["gens"] == [reference_embeddings[p] for p in pairs]
+
+
+def test_embed_between_non_canonical_contexts():
+    # without a canonical pair there is no subfield system to agree with, so
+    # the generator goes to the least root of the source modulus
+    odd8 = FieldContext(8, 0b110001101)
+    odd16 = FieldContext(16, 0b10000000000101101)
+    assert not odd8.is_canonical() and not odd16.is_canonical()
+    rng = random.Random(53)
+    for src, tgt in [(odd8, odd16), (odd8, GF(24)), (GF(4), odd16)]:
+        least = min(_conjugate_roots(Poly(
+            tgt, [(src.modulus >> i) & 1 for i in range(src.degree + 1)])))
+        assert embed(src(0b10), tgt).bits == least
+        for _ in range(40):
+            a, b = src.random(rng), src.random(rng)
+            fa, fb = embed(a, tgt), embed(b, tgt)
+            assert embed(a + b, tgt) == fa + fb
+            assert embed(a * b, tgt) == fa * fb
+        assert embed(src.one, tgt) == tgt.one
 
 
 def test_embed_rejects_non_divisor():

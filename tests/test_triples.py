@@ -1,7 +1,11 @@
 """Cyclic triple census and the counting side of the lifting bijection."""
 
+import json
+
 import pytest
 
+import lame2.triples
+from lame2.cli import run
 from lame2.triples import (
     Triple,
     burnside_check,
@@ -12,7 +16,7 @@ from lame2.triples import (
     signature_one_composition_count,
     triples_csv,
 )
-from lame2.lame import psi
+from lame2.lame import classify_torsion, lame_count_dividing, psi
 
 
 def test_canonicalization_picks_least_rotation():
@@ -111,6 +115,30 @@ def test_lifting_count_check_small_orders():
     assert nine["per_order"][3]["signature_one_triples"] == 1
     assert nine["per_order"][9]["signature_one_triples"] == 3
     assert nine["cumulative"] == 4 == nine["order_dividing_classes"]
+
+
+def test_burnside_check_reports_a_mismatch(monkeypatch):
+    assert burnside_check(20)["passed"] is True
+    monkeypatch.setattr(lame2.triples, "cyclic_class_count",
+                        lambda n: cyclic_class_count(n) + (n == 11))
+    report = burnside_check(20)
+    assert report["passed"] is False and report["degrees_checked"] == 18
+
+
+@pytest.mark.parametrize("name, wrong", [
+    ("expected_class_count", lambda n: expected_class_count(n) + 1),
+    ("classify_torsion", lambda n: classify_torsion(n) + [None]),
+    ("lame_count_dividing", lambda n: lame_count_dividing(n) + 1),
+], ids=["expected", "classified", "dividing"])
+def test_lifting_count_check_reports_a_mismatch(monkeypatch, name, wrong):
+    # each comparison the check makes sets "passed"; none raises
+    assert lifting_count_check(9)["passed"] is True
+    monkeypatch.setattr(lame2.triples, name, wrong)
+    assert lifting_count_check(9)["passed"] is False
+    code, text = run(["triples", "--degree", "9"])
+    doc = json.loads(text)
+    assert code == 1 and doc["passed"] is False
+    assert doc["lifting"]["passed"] is False
 
 
 def test_lifting_count_check_formula_only():
