@@ -84,6 +84,13 @@ def _csv(rows, header) -> str:
     return buf.getvalue()
 
 
+def _output(args, report: dict, header, rows) -> tuple:
+    """(text, exit code): the report as JSON, or `rows` (consumed only
+    then) under `header` as CSV; exit 0 only if the report passed."""
+    text = _csv(rows, header) if args.format == "csv" else _emit_json(report)
+    return text, 0 if report["passed"] else 1
+
+
 class UsageError(Exception):
     pass
 
@@ -110,13 +117,10 @@ def cmd_classify(args) -> tuple:
         "classes": [c.to_json() for c in classes],
         "passed": len(classes) == expected,
     }
-    if args.format == "csv":
-        rows = [(n, c.rho_value.ctx.degree, format(c.rho_value.bits, "x"),
-                 c.moduli_degree) for c in classes]
-        text = _csv(rows, ["n", "field_degree", "rho_hex", "moduli_degree"])
-    else:
-        text = _emit_json(report)
-    return text, 0 if report["passed"] else 1
+    return _output(args, report,
+                   ["n", "field_degree", "rho_hex", "moduli_degree"],
+                   ((n, c.rho_value.ctx.degree, format(c.rho_value.bits, "x"),
+                     c.moduli_degree) for c in classes))
 
 
 def _profile_json(profile) -> list:
@@ -174,17 +178,10 @@ def cmd_ramify(args) -> tuple:
         and sum(d for fib in rep["profile"].values()
                 for _p, _e, d in fib) == 2 * n,
     }
-    if args.format == "csv":
-        rows = []
-        for entry in report["profile"]:
-            v = entry["value"]
-            label = v if isinstance(v, str) else v["hex"]
-            for p in entry["points"]:
-                rows.append((n, label, p["e"], p["d"]))
-        text = _csv(rows, ["n", "value", "e", "d"])
-    else:
-        text = _emit_json(report)
-    return text, 0 if report["passed"] else 1
+    return _output(args, report, ["n", "value", "e", "d"],
+                   ((n, "infinity" if v is INFINITY else format(v.bits, "x"),
+                     e, d) for v, fib in rep["profile"].items()
+                    for _p, e, d in fib))
 
 
 def cmd_counts(args) -> tuple:
@@ -206,13 +203,9 @@ def cmd_counts(args) -> tuple:
         table.append(row)
     report = {"schema": SCHEMA, "command": "counts", "max_n": top,
               "table": table, "passed": passed}
-    if args.format == "csv":
-        rows = [(r["n"], r["classes_dividing"], r["classes_exact"],
-                 r.get("classified", "")) for r in table]
-        text = _csv(rows, ["n", "dividing", "exact", "classified"])
-    else:
-        text = _emit_json(report)
-    return text, 0 if passed else 1
+    return _output(args, report, ["n", "dividing", "exact", "classified"],
+                   ((r["n"], r["classes_dividing"], r["classes_exact"],
+                     r.get("classified", "")) for r in table))
 
 
 def cmd_triples(args) -> tuple:
@@ -255,13 +248,9 @@ def cmd_moduli(args) -> tuple:
         "classes": [c.to_json() for c in census["classes"]],
         "passed": census["count"] == (1 << d),
     }
-    if args.format == "csv":
-        rows = [(d, format(c.rho_value.bits, "x"), c.order, c.moduli_degree)
-                for c in census["classes"]]
-        text = _csv(rows, ["d", "rho_hex", "order", "moduli_degree"])
-    else:
-        text = _emit_json(report)
-    return text, 0 if report["passed"] else 1
+    return _output(args, report, ["d", "rho_hex", "order", "moduli_degree"],
+                   ((d, format(c.rho_value.bits, "x"), c.order,
+                     c.moduli_degree) for c in census["classes"]))
 
 
 def cmd_hyper(args) -> tuple:
@@ -299,14 +288,10 @@ def cmd_hyper(args) -> tuple:
         "passed": count == (1 << d) + 1 - _power_sum(L, d)
         and (N == L1 if d == 1 else N % L1 == 0) and N % order == 0,
     }
-    if args.format == "csv":
-        rows = [(g, d, ".".join(str(c) for c in L),
-                 int(cert["supersingular"]), order)]
-        text = _csv(rows, ["genus", "field", "lpoly", "supersingular",
-                           "class_order"])
-    else:
-        text = _emit_json(report)
-    return text, 0 if report["passed"] else 1
+    return _output(args, report,
+                   ["genus", "field", "lpoly", "supersingular", "class_order"],
+                   [(g, d, ".".join(str(c) for c in L),
+                     int(cert["supersingular"]), order)])
 
 
 def cmd_jcheck(args) -> tuple:
@@ -325,18 +310,13 @@ def cmd_jcheck(args) -> tuple:
         p = WeightedPoint(a, b, c)
         inv = curve_invariants(a, b, c, Fraction(0), Fraction(0))
         disc = discriminant_formula(p)
-        if disc != inv["disc"]:
+        want = INFINITY if not disc else inv["c4"] ** 3 / disc
+        if disc != inv["disc"] or j_formula(p) != want:
             report = {"schema": SCHEMA, "command": "jcheck",
                       "failed_at": [str(a), str(b), str(c)], "passed": False}
             return _emit_json(report), 1
         if disc:
             ratios.add(disc / inv["disc"])
-        want = INFINITY if not disc else inv["c4"] ** 3 / disc
-        got = j_formula(p)
-        if got is not want and got != want:
-            report = {"schema": SCHEMA, "command": "jcheck",
-                      "failed_at": [str(a), str(b), str(c)], "passed": False}
-            return _emit_json(report), 1
         matches += 1
     rep_j = []
     for n in range(3, _MAX_ORDER + 1, 2):
@@ -364,12 +344,9 @@ def cmd_jcheck(args) -> tuple:
         "all_representative_j_zero": j_zero,
         "passed": passed,
     }
-    if args.format == "csv":
-        text = _csv([(matches, reps, int(passed))],
-                    ["samples", "lame_representatives", "passed"])
-    else:
-        text = _emit_json(report)
-    return text, 0 if passed else 1
+    return _output(args, report,
+                   ["samples", "lame_representatives", "passed"],
+                   [(matches, reps, int(passed))])
 
 
 # -- driver ----------------------------------------------------------------------

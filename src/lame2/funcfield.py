@@ -19,11 +19,15 @@ Places are curve points; the three local-uniformizer regimes are
 each expanded one coefficient at a time: in characteristic 2 the curve
 equation is linear in the newest coefficient, with a local unit as its
 multiplier, and every expansion is certified against the curve equation
-before it is returned.  On top of the expansions sit the ramification index
-e_Q = v_Q(f - f(Q)), the different exponent d_Q = v_t(d(f - f(Q))/dt) (poles
-use 1/f), and a fiber certifier that accounts for every preimage of a
-claimed branch value and balances the global different against 2 deg f, the
-Riemann-Hurwitz total for a genus-one cover of the line.
+before it is returned.  Series coefficients are raw ints, as in Poly, and
+the recurrences run on the context's int kernel; FieldElements appear only
+at the edges (coeff, value_at_origin and scalar operands).
+
+On top of the expansions sit the ramification index e_Q = v_Q(f - f(Q)),
+the different exponent d_Q = v_t(d(f - f(Q))/dt) (poles use 1/f), and a
+fiber certifier that accounts for every preimage of a claimed branch value
+and balances the global different against 2 deg f, the Riemann-Hurwitz
+total for a genus-one cover of the line.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ from .common import (
     ProfileFalsified,
     VerificationError,
 )
-from .gf2 import FieldElement, Poly, poly_roots
+from .gf2 import (FieldElement, Poly, _coeff_bits, _root_multiplicity,
+                  poly_roots)
 from .weierstrass import CurvePoint, WeierstrassCurve
 
 
@@ -46,29 +51,30 @@ from .weierstrass import CurvePoint, WeierstrassCurve
 class Series:
     """Laurent series sum c_k t^k known for val <= k < prec.
 
-    coeffs[i] is the coefficient of t^(val + i); the leading coefficient is
-    nonzero after normalization.  An empty coefficient list means the series
-    vanishes to order prec, in which case its true valuation is unknown.
+    coeffs[i] is the bits of the coefficient of t^(val + i), a raw int as in
+    Poly, and the leading coefficient is nonzero after normalization.  An
+    empty coefficient tuple means the series vanishes to order prec, in
+    which case its true valuation is unknown.  Coefficients are read as
+    FieldElements through coeff() and value_at_origin(); scalar operands
+    are FieldElements of the same context, or ints standing for GF(2).
     """
 
     __slots__ = ("ctx", "val", "coeffs")
 
     def __init__(self, ctx, val, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and not coeffs[0]:
-            coeffs.pop(0)
-            val += 1
+        cs = _coeff_bits(ctx, coeffs)
+        lead = next((i for i, c in enumerate(cs) if c), len(cs))
         self.ctx = ctx
-        self.val = val
-        self.coeffs = tuple(coeffs)
+        self.val = val + lead
+        self.coeffs = tuple(cs[lead:])
 
     @classmethod
     def uniformizer(cls, ctx, prec):
-        return cls(ctx, 1, [ctx.one] + [ctx.zero] * (prec - 2))
+        return cls(ctx, 1, [1] + [0] * (prec - 2))
 
     @classmethod
     def constant(cls, c, prec):
-        return cls(c.ctx, 0, [c] + [c.ctx.zero] * (prec - 1))
+        return cls(c.ctx, 0, [c] + [0] * (prec - 1))
 
     @property
     def prec(self):
@@ -83,12 +89,15 @@ class Series:
                 f"series vanishes to O(t^{self.val}); valuation undetermined")
         return self.val
 
+    def _at(self, k):
+        """The bits of the coefficient of t^k, 0 outside val <= k < prec."""
+        i = k - self.val
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
+
     def coeff(self, k):
         if k >= self.prec:
             raise PrecisionError(f"coefficient of t^{k} beyond precision")
-        if k < self.val:
-            return self.ctx.zero
-        return self.coeffs[k - self.val]
+        return FieldElement(self.ctx, self._at(k))
 
     def value_at_origin(self):
         """The value at t = 0; needs no pole and a window past t^0."""
@@ -96,11 +105,17 @@ class Series:
             raise ValueError("pole at the expansion point")
         return self.coeff(0)
 
+    def _same_context(self, other):
+        if other.ctx != self.ctx:
+            raise ValueError("operands live in different field contexts")
+
     def _scalar(self, other):
+        """The bits of a scalar operand, or None when other is no scalar."""
         if isinstance(other, FieldElement):
-            return other
+            self._same_context(other)
+            return other.bits
         if isinstance(other, int):
-            return self.ctx(other & 1)
+            return other & 1
         return None
 
     def __add__(self, other):
@@ -110,21 +125,16 @@ class Series:
             if self.prec <= 0:
                 return self
             lo = min(self.val, 0)
-            out = [self.coeff(k) for k in range(lo, self.prec)]
-            out[-lo] = out[-lo] + c
+            out = [self._at(k) for k in range(lo, self.prec)]
+            out[-lo] ^= c
             return Series(self.ctx, lo, out)
         if not isinstance(other, Series):
             return NotImplemented
+        self._same_context(other)
         lo = min(self.val, other.val)
         hi = min(self.prec, other.prec)
-        out = []
-        for k in range(lo, hi):
-            a = self.coeffs[k - self.val] if self.val <= k < self.prec \
-                else self.ctx.zero
-            b = other.coeffs[k - other.val] if other.val <= k < other.prec \
-                else self.ctx.zero
-            out.append(a + b)
-        return Series(self.ctx, lo, out)
+        return Series(self.ctx, lo,
+                      [self._at(k) ^ other._at(k) for k in range(lo, hi)])
 
     __radd__ = __add__
     __sub__ = __add__
@@ -134,14 +144,16 @@ class Series:
         return self
 
     def __mul__(self, other):
+        mul = self.ctx.mul
         c = self._scalar(other)
         if c is not None:
             if not c:
                 # the product is exactly zero, not zero through a window
-                return c
-            return Series(self.ctx, self.val, [a * c for a in self.coeffs])
+                return self.ctx.zero
+            return Series(self.ctx, self.val, [mul(a, c) for a in self.coeffs])
         if not isinstance(other, Series):
             return NotImplemented
+        self._same_context(other)
         # val is a lower bound on the true valuation of each factor (it
         # equals prec when no coefficient is known), so the product is known
         # through min(p1 + v2, p2 + v1)
@@ -150,20 +162,19 @@ class Series:
             return Series(self.ctx, out_prec, [])
         val = self.val + other.val
         length = out_prec - val
-        out = [self.ctx.zero] * length
+        out = [0] * length
         if other is self:
             # a square: in characteristic 2 the cross terms cancel in pairs
+            sqr = self.ctx.sqr
             for i, a in enumerate(self.coeffs[:(length + 1) // 2]):
-                out[2 * i] = a.square()
+                out[2 * i] = sqr(a)
             return Series(self.ctx, val, out)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            jmax = min(len(other.coeffs), length - i)
-            for j in range(jmax):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
+        b = other.coeffs
+        for i, a in enumerate(self.coeffs[:length]):
+            if a:
+                for j in range(min(len(b), length - i)):
+                    if b[j]:
+                        out[i + j] ^= mul(a, b[j])
         return Series(self.ctx, val, out)
 
     __rmul__ = __mul__
@@ -171,52 +182,44 @@ class Series:
     def inverse(self):
         if not self.coeffs:
             raise PrecisionError("cannot invert a series with no known term")
-        c0 = self.coeffs[0]
-        inv0 = 1 / c0
-        n = len(self.coeffs)
-        out = [inv0] + [self.ctx.zero] * (n - 1)
-        for k in range(1, n):
-            acc = self.ctx.zero
+        mul, c = self.ctx.mul, self.coeffs
+        inv0 = self.ctx.inv(c[0])
+        out = [inv0]
+        for k in range(1, len(c)):
+            acc = 0
             for i in range(1, k + 1):
-                acc = acc + self.coeffs[i] * out[k - i]
-            out[k] = acc * inv0
+                acc ^= mul(c[i], out[k - i])
+            out.append(mul(acc, inv0))
         return Series(self.ctx, -self.val, out)
 
     def __truediv__(self, other):
         c = self._scalar(other)
         if c is not None:
-            return self * (1 / c)
+            return self * FieldElement(self.ctx, self.ctx.inv(c))
         if not isinstance(other, Series):
             return NotImplemented
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        c = self._scalar(other)
-        if c is None:
+        if self._scalar(other) is None:
             return NotImplemented
-        return self.inverse() * c
+        return self.inverse() * other
 
     def deriv(self):
-        out = []
-        for i, a in enumerate(self.coeffs):
-            k = self.val + i
-            out.append(a if k & 1 else self.ctx.zero)
-        return Series(self.ctx, self.val - 1, out)
+        return Series(self.ctx, self.val - 1,
+                      [a if (self.val + i) & 1 else 0
+                       for i, a in enumerate(self.coeffs)])
 
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        hi = min(self.prec, other.prec)
         lo = min(self.val, other.val)
-        for k in range(lo, hi):
-            a = self.coeffs[k - self.val] if self.val <= k else self.ctx.zero
-            b = other.coeffs[k - other.val] if other.val <= k else self.ctx.zero
-            if a != b:
-                return False
-        return True
+        hi = min(self.prec, other.prec)
+        return other.ctx == self.ctx and all(
+            self._at(k) == other._at(k) for k in range(lo, hi))
 
     def __repr__(self):
-        terms = [f"{a!r}*t^{self.val + i}"
+        terms = [f"{FieldElement(self.ctx, a)!r}*t^{self.val + i}"
                  for i, a in enumerate(self.coeffs) if a]
         body = " + ".join(terms) if terms else "0"
         return f"Series({body} + O(t^{self.prec}))"
@@ -243,59 +246,60 @@ def xy_expansion(curve: WeierstrassCurve, place, prec: int):
     certified by substituting it back into the curve equation.
     """
     ctx = curve.ctx
-    zero = ctx.zero
-    a1, a2, a3, a4, a6 = curve.coefficients()
+    mul, sqr = ctx.mul, ctx.sqr
+    a1, a2, a3, a4, a6 = (a.bits for a in curve.coefficients())
     t = Series.uniformizer(ctx, prec + 1)
     if _at_origin(place):
         # w = 1/Y solves w = a1 z w + a2 z^2 w + a3 w^2 + a4 z w^2 + a6 w^3
         # + z^3 with z = t; S = w^2 has S_2i = w_i^2, and the t^k terms on
         # the right involve only w_j for j < k
         n = max(prec + 2, 4)  # w is solved through t^(n-1), at least t^3
-        w, S = [zero] * n, [zero] * n
+        w, S = [0] * n, [0] * n
         for k in range(3, n):
-            Sw = sum((S[i] * w[k - i] for i in range(6, k - 2, 2)), zero)
-            wk = a1 * w[k - 1] + a2 * w[k - 2] + a3 * S[k] + a4 * S[k - 1] \
-                + a6 * Sw
-            w[k] = wk + 1 if k == 3 else wk
+            Sw = 0
+            for i in range(6, k - 2, 2):
+                Sw ^= mul(S[i], w[k - i])
+            w[k] = mul(a1, w[k - 1]) ^ mul(a2, w[k - 2]) ^ mul(a3, S[k]) \
+                ^ mul(a4, S[k - 1]) ^ mul(a6, Sw) ^ (k == 3)
             if 2 * k < n:
-                S[2 * k] = w[k].square()
+                S[2 * k] = sqr(w[k])
         Y = Series(ctx, 0, w).inverse()
         X = t * Y
     else:
         if place.curve != curve:
             raise ValueError("place lies on a different curve")
-        x0, y0 = place.x, place.y
-        h0 = curve.hpoly(x0)
+        x0, y0 = place.x.bits, place.y.bits
+        h0 = mul(a1, x0) ^ a3
         if h0:
             # t = X - x0: y_k = (f_k + [k even] y_(k/2)^2 + a1 y_(k-1)) / h0
             # with f_k the t^k coefficient of f(x0 + t)
-            X = t + x0
-            f = [zero, x0.square() + a4, x0 + a2, ctx.one]
-            inv = 1 / h0
+            X = t + place.x
+            f = [0, sqr(x0) ^ a4, x0 ^ a2, 1]
+            inv = ctx.inv(h0)
             y = [y0]
             for k in range(1, prec + 1):
-                yk = a1 * y[k - 1] + (f[k] if k <= 3 else zero)
+                yk = mul(a1, y[k - 1]) ^ (f[k] if k <= 3 else 0)
                 if k % 2 == 0:
-                    yk = yk + y[k // 2].square()
-                y.append(yk * inv)
+                    yk ^= sqr(y[k // 2])
+                y.append(mul(yk, inv))
             Y = Series(ctx, 0, y)
         else:
             # t = Y - y0: x_k = (a1 x_(k-1) + sum_(2i+j=k, i>0) x_i^2 x_j
             # + [k=1] a3 + [k even] a2 x_(k/2)^2 + [k=2]) / u, where
             # u = x0^2 + a1 y0 + a4 = dF/dX is a unit at a smooth point
-            Y = t + y0
-            inv = 1 / (x0.square() + a1 * y0 + a4)
-            x, xsq = [x0], [x0.square()]
+            Y = t + place.y
+            inv = ctx.inv(sqr(x0) ^ mul(a1, y0) ^ a4)
+            x, xsq = [x0], [sqr(x0)]
             for k in range(1, prec + 1):
-                xk = a1 * x[k - 1] + sum(
-                    (xsq[i] * x[k - 2 * i] for i in range(1, k // 2 + 1)),
-                    zero)
+                xk = mul(a1, x[k - 1])
+                for i in range(1, k // 2 + 1):
+                    xk ^= mul(xsq[i], x[k - 2 * i])
                 if k == 1:
-                    xk = xk + a3
+                    xk ^= a3
                 elif k % 2 == 0:
-                    xk = xk + a2 * xsq[k // 2] + (1 if k == 2 else 0)
-                x.append(xk * inv)
-                xsq.append(x[k].square())
+                    xk ^= mul(a2, xsq[k // 2]) ^ (k == 2)
+                x.append(mul(xk, inv))
+                xsq.append(sqr(x[k]))
             X = Series(ctx, 0, x)
     _check_on_curve(curve, X, Y)
     return X, Y
@@ -312,16 +316,6 @@ def _check_on_curve(curve: WeierstrassCurve, X: Series, Y: Series):
 
 # ---------------------------------------------------------------------------
 # rational functions
-
-
-def _root_multiplicity(p: Poly, x0) -> int:
-    """Multiplicity of x0 as a root of the nonzero polynomial p."""
-    lin = Poly(p.ctx, [x0.bits, 1])
-    m = 0
-    while not p(x0):
-        p = p // lin
-        m += 1
-    return m
 
 
 def _as_poly(curve, v):

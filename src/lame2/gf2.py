@@ -444,6 +444,25 @@ class FieldElement:
         return {"d": self.ctx.degree, "hex": format(self.bits, "x")}
 
 
+def _coeff_bits(ctx, coeffs):
+    """The bits of Poly or Series coefficients over ctx, as a list.
+
+    An element of ctx gives its bits; an int is read as a bit-polynomial and
+    reduced mod the modulus.  An element of another context raises
+    ValueError, a negative int FieldInputError.
+    """
+    out = []
+    for c in coeffs:
+        if isinstance(c, FieldElement):
+            if c.ctx != ctx:
+                raise ValueError("coefficient from a different context")
+            c = c.bits
+        elif c >> ctx.degree:  # every negative int lands here too
+            c = _pmod(_nonnegative(c), ctx.modulus)
+        out.append(c)
+    return out
+
+
 def trace(a):
     """Absolute trace F_(2^d) -> GF(2), as an int in {0, 1}."""
     return a.trace()
@@ -452,31 +471,24 @@ def trace(a):
 def solve_artin_schreier(c):
     """All y in the context of c with y^2 + y = c.
 
-    Returns a tuple, empty when Tr(c) = 1 and (y, y + 1) otherwise.  Odd
-    degrees use the half-trace; even degrees solve the cached GF(2)-linear
-    system, and the two routes are interchangeable where both apply.
+    Returns a tuple, empty when Tr(c) = 1 and (y, y + 1) otherwise.  Every
+    degree solves the cached GF(2)-linear system of y -> y^2 + y, whose
+    kernel is {0, 1}: its one zero row is the trace condition, and the
+    pivots give the solution with the free coordinate set to 0.
     """
     ctx = c.ctx
     if c.trace():
         return ()
-    d = ctx.degree
-    if d % 2 == 1:
-        y = c
-        acc = c
-        for _ in range((d - 1) // 2):
-            acc = acc.square().square()
-            y = y + acc  # half-trace: sum of c^(4^i) for 2i < d
-    else:
-        pivots, nullrows = ctx._artin_schreier_rows()
-        cb = c.bits
-        for mask in nullrows:
-            if (cb & mask).bit_count() & 1:
-                raise VerificationError("trace said solvable but system is inconsistent")
-        yb = 0
-        for col, mask in pivots:
-            if (cb & mask).bit_count() & 1:
-                yb |= 1 << col
-        y = FieldElement(ctx, yb)
+    pivots, nullrows = ctx._artin_schreier_rows()
+    cb = c.bits
+    for mask in nullrows:
+        if (cb & mask).bit_count() & 1:
+            raise VerificationError("trace said solvable but system is inconsistent")
+    yb = 0
+    for col, mask in pivots:
+        if (cb & mask).bit_count() & 1:
+            yb |= 1 << col
+    y = FieldElement(ctx, yb)
     if y.square() + y != c:
         raise VerificationError("Artin-Schreier solver produced a non-solution")
     return (y, y + ctx.one)
@@ -553,16 +565,7 @@ class Poly:
     __slots__ = ("ctx", "coeffs")
 
     def __init__(self, ctx, coeffs):
-        cs = []
-        for c in coeffs:
-            if isinstance(c, FieldElement):
-                if c.ctx != ctx:
-                    raise ValueError("coefficient from a different context")
-                cs.append(c.bits)
-            elif c >> ctx.degree:
-                cs.append(_pmod(_nonnegative(c), ctx.modulus))
-            else:
-                cs.append(c)
+        cs = _coeff_bits(ctx, coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
         self.ctx = ctx
@@ -844,16 +847,24 @@ def poly_roots(f):
     roots = _split_linear(g, rows)
     out = []
     for r in sorted(roots, key=lambda e: e.bits):
-        lin = Poly(f.ctx, [r.bits, 1])
-        mult = 0
-        rem = f
-        while True:
-            q, rr = divmod(rem, lin)
-            if not rr.is_zero():
-                break
-            mult += 1
-            rem = q
+        mult = _root_multiplicity(f, r)
         if mult == 0:
             raise VerificationError("splitting produced a non-root")
         out.append((r, mult))
     return out
+
+
+def _root_multiplicity(p, r):
+    """Multiplicity of r as a root of the nonzero polynomial p.
+
+    Each pass divides by x - r with Horner's rule, whose running values are
+    the quotient's coefficients, high to low, and then the remainder p(r).
+    """
+    mul, cs, m = p.ctx.mul, p.coeffs, 0
+    while True:
+        q = [cs[-1]]
+        for c in cs[-2::-1]:
+            q.append(mul(q[-1], r.bits) ^ c)
+        if q[-1]:
+            return m
+        cs, m = q[-2::-1], m + 1

@@ -141,6 +141,35 @@ def test_golden_digests(argv):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[argv]
 
 
+# SHA-256 of the --csv output of each subcommand, taken before the CSV and
+# JSON output of the subcommands moved into one helper
+CSV_DIGESTS = {
+    "classify --order 5":
+        "8902430ac748190e923c4b838b67f4205a738345748058537672905eeb90d881",
+    "ramify --order 5":
+        "6701dc8185aa483ec2518ccb2b4a555f5dcd18fe2723013a18293c29fd23d01a",
+    "ramify --order 5 --ordinary 1 --field 3":
+        "30a35d5cec4ac716d8160a540d1471cf3bdce9826fcc979d5662e80ac549aa92",
+    "counts --max-n 21":
+        "a608674ae8de967ae62a0cade3453e144fd07b134e5b4ea3dd7eaa3b68e38d52",
+    "triples --degree 9":
+        "d230c397f8d864206af924a9cc4075ad2de9d4093859d74dbe0f6f50c287d4d0",
+    "moduli --d 3":
+        "7236da34f23cd953234f69a0bf98b0e15d1e8048d7e24120a3670c3a7c2b92a0",
+    "hyper --genus 2 --field 5":
+        "3ff949dc60819ab3c7285e1cd32aa992568e529a712833cf19db4ddb46ce5bf8",
+    "jcheck --samples 20":
+        "044b411de3c0413c8b908724e0a1e00db14d59b4767496732452e0ac2623543d",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CSV_DIGESTS))
+def test_csv_digests(argv):
+    code, text = invoke(*argv.split(), "--csv")
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == CSV_DIGESTS[argv]
+
+
 @pytest.mark.parametrize("module", ["lame2", "lame2.cli"])
 def test_python_dash_m_runs_the_cli(module):
     src = os.path.dirname(os.path.dirname(lame2.__file__))
@@ -308,6 +337,18 @@ def test_jcheck_report():
     assert doc["discriminant_constant"] == "1/1"
     assert doc["all_representative_j_zero"] is True
     assert doc["lame_representatives"] == 19
+
+
+@pytest.mark.parametrize("wrong", ["discriminant_formula", "j_formula"])
+def test_jcheck_reports_the_failing_sample(monkeypatch, wrong):
+    import lame2.cli as cli
+    real = getattr(cli, wrong)
+    monkeypatch.setattr(cli, wrong, lambda p: real(p) + 1)
+    code, text = invoke("jcheck", "--samples", "5", "--csv")
+    assert code == 1
+    assert json.loads(text) == {"schema": 1, "command": "jcheck",
+                                "failed_at": ["-1/14", "-89/9", "31/16"],
+                                "passed": False}
 
 
 def test_jcheck_seed_changes_nothing_substantive():

@@ -10,9 +10,11 @@ import random
 
 import pytest
 
-from lame2 import GF, INFINITY, Poly, cover_profile, ordinary_torsion_point
+from lame2 import (GF, INFINITY, FieldContext, FieldElement, FieldInputError,
+                   Poly, cover_profile, ordinary_torsion_point)
 from lame2.common import (FiberEscapeError, PrecisionError, ProfileFalsified,
                           VerificationError)
+from lame2.gf2 import _pmod
 from lame2.funcfield import (
     _check_on_curve,
     LocalExpansion,
@@ -104,6 +106,226 @@ def test_exact_zero_product_keeps_the_other_window():
         assert X + Y * zero == X
 
 
+class ReferenceSeries:
+    """Series with FieldElement coefficients, the representation Series had
+    before it stored raw ints; the oracle for the int arithmetic."""
+
+    __slots__ = ("ctx", "val", "coeffs")
+
+    def __init__(self, ctx, val, coeffs):
+        coeffs = list(coeffs)
+        while coeffs and not coeffs[0]:
+            coeffs.pop(0)
+            val += 1
+        self.ctx = ctx
+        self.val = val
+        self.coeffs = tuple(coeffs)
+
+    @classmethod
+    def uniformizer(cls, ctx, prec):
+        return cls(ctx, 1, [ctx.one] + [ctx.zero] * (prec - 2))
+
+    @property
+    def prec(self):
+        return self.val + len(self.coeffs)
+
+    def is_zero_to_prec(self):
+        return not self.coeffs
+
+    def coeff(self, k):
+        if k >= self.prec:
+            raise PrecisionError(f"coefficient of t^{k} beyond precision")
+        if k < self.val:
+            return self.ctx.zero
+        return self.coeffs[k - self.val]
+
+    def _scalar(self, other):
+        if isinstance(other, FieldElement):
+            return other
+        if isinstance(other, int):
+            return self.ctx(other & 1)
+        return None
+
+    def __add__(self, other):
+        c = self._scalar(other)
+        if c is not None:
+            if self.prec <= 0:
+                return self
+            lo = min(self.val, 0)
+            out = [self.coeff(k) for k in range(lo, self.prec)]
+            out[-lo] = out[-lo] + c
+            return ReferenceSeries(self.ctx, lo, out)
+        lo = min(self.val, other.val)
+        hi = min(self.prec, other.prec)
+        out = []
+        for k in range(lo, hi):
+            a = self.coeffs[k - self.val] if self.val <= k < self.prec \
+                else self.ctx.zero
+            b = other.coeffs[k - other.val] if other.val <= k < other.prec \
+                else self.ctx.zero
+            out.append(a + b)
+        return ReferenceSeries(self.ctx, lo, out)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        c = self._scalar(other)
+        if c is not None:
+            if not c:
+                return c
+            return ReferenceSeries(self.ctx, self.val,
+                                   [a * c for a in self.coeffs])
+        out_prec = min(self.prec + other.val, other.prec + self.val)
+        if not self.coeffs or not other.coeffs:
+            return ReferenceSeries(self.ctx, out_prec, [])
+        val = self.val + other.val
+        length = out_prec - val
+        out = [self.ctx.zero] * length
+        for i, a in enumerate(self.coeffs):
+            for j in range(min(len(other.coeffs), length - i)):
+                out[i + j] = out[i + j] + a * other.coeffs[j]
+        return ReferenceSeries(self.ctx, val, out)
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        if not self.coeffs:
+            raise PrecisionError("cannot invert a series with no known term")
+        inv0 = 1 / self.coeffs[0]
+        n = len(self.coeffs)
+        out = [inv0] + [self.ctx.zero] * (n - 1)
+        for k in range(1, n):
+            acc = self.ctx.zero
+            for i in range(1, k + 1):
+                acc = acc + self.coeffs[i] * out[k - i]
+            out[k] = acc * inv0
+        return ReferenceSeries(self.ctx, -self.val, out)
+
+    def __truediv__(self, other):
+        c = self._scalar(other)
+        if c is not None:
+            return self * (1 / c)
+        return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * self._scalar(other)
+
+    def deriv(self):
+        return ReferenceSeries(self.ctx, self.val - 1, [
+            a if (self.val + i) & 1 else self.ctx.zero
+            for i, a in enumerate(self.coeffs)])
+
+    def __eq__(self, other):
+        hi = min(self.prec, other.prec)
+        lo = min(self.val, other.val)
+        for k in range(lo, hi):
+            a = self.coeffs[k - self.val] if self.val <= k else self.ctx.zero
+            b = other.coeffs[k - other.val] if other.val <= k else self.ctx.zero
+            if a != b:
+                return False
+        return True
+
+
+def _as_bits(s):
+    """(val, prec, coefficient bits) of a Series or a ReferenceSeries, or
+    the bits of the exact scalar zero a product by 0 returns."""
+    if isinstance(s, FieldElement):
+        return s.bits
+    return (s.val, s.prec,
+            tuple(c.bits if isinstance(c, FieldElement) else c
+                  for c in s.coeffs))
+
+
+def _context_id(ctx):
+    return f"d{ctx.degree}-m{ctx.modulus:x}"
+
+
+# the canonical GF(2^1), GF(2^4), GF(2^8), GF(2^24) and one non-canonical
+# degree-8 context
+ORACLE_CONTEXTS = [GF(1), GF(4), GF(8), GF(24), FieldContext(8, 0b110001101)]
+
+
+def _random_pair(ctx, rng):
+    """The same random series as a Series and a ReferenceSeries; leading
+    zeros, sparse terms and empty windows all occur."""
+    val = rng.randrange(-4, 4)
+    bits = [rng.getrandbits(ctx.degree) if rng.random() < 0.7 else 0
+            for _ in range(rng.randrange(0, 12))]
+    return (Series(ctx, val, bits),
+            ReferenceSeries(ctx, val, [ctx(b) for b in bits]))
+
+
+@pytest.mark.parametrize("ctx", ORACLE_CONTEXTS, ids=_context_id)
+def test_series_arithmetic_matches_the_field_element_reference(ctx):
+    rng = random.Random(100 + ctx.degree + ctx.modulus % 7)
+    for _ in range(60):
+        (s, rs), (u, ru) = _random_pair(ctx, rng), _random_pair(ctx, rng)
+        assert _as_bits(s) == _as_bits(rs)
+        assert _as_bits(s + u) == _as_bits(rs + ru)
+        assert _as_bits(s * u) == _as_bits(rs * ru)
+        assert _as_bits(s * s) == _as_bits(rs * rs)
+        assert _as_bits(s.deriv()) == _as_bits(rs.deriv())
+        assert (s == u) == (rs == ru)
+        assert s == Series(ctx, s.val, s.coeffs)
+        if u.coeffs:
+            assert _as_bits(u.inverse()) == _as_bits(ru.inverse())
+            assert _as_bits(s / u) == _as_bits(rs / ru)
+        else:
+            with pytest.raises(PrecisionError):
+                u.inverse()
+        for c in (0, 1, 2, 3, ctx.zero, ctx.one, ctx.random(rng)):
+            assert _as_bits(s + c) == _as_bits(rs + c)
+            assert _as_bits(c + s) == _as_bits(c + rs)
+            assert _as_bits(s * c) == _as_bits(rs * c)
+            assert _as_bits(c * s) == _as_bits(c * rs)
+            if (c & 1 if isinstance(c, int) else c):  # ints stand for GF(2)
+                assert _as_bits(s / c) == _as_bits(rs / c)
+            if s.coeffs:
+                assert _as_bits(c / s) == _as_bits(c / rs)
+
+
+@pytest.mark.parametrize("make", [
+    lambda ctx, cs: Poly(ctx, cs),
+    lambda ctx, cs: Series(ctx, 0, cs),
+], ids=["Poly", "Series"])
+def test_poly_and_series_share_one_coefficient_rule(make):
+    ctx = GF(4)
+    big = 0b1100101  # degree 6, reduced mod x^4 + x + 1
+    assert make(ctx, [1, big]).coeffs == (1, _pmod(big, ctx.modulus))
+    assert make(ctx, [1, ctx(0b1010), 0b1010]).coeffs == (1, 0b1010, 0b1010)
+    with pytest.raises(FieldInputError, match="negative"):
+        make(ctx, [1, -1])
+    with pytest.raises(ValueError, match="different context"):
+        make(ctx, [1, GF(8).one])
+    with pytest.raises(ValueError, match="different context"):
+        make(ctx, [1, FieldContext(4, 0b11001).one])
+
+
+def test_series_coefficients_are_raw_ints():
+    E = WeierstrassCurve.ordinary(GF(8), 0x35)
+    for place in (INFINITY, E.point(0, E.fiber_y(E.ctx(0))[0])):
+        for s in xy_expansion(E, place, 10):
+            assert all(type(c) is int for c in s.coeffs)
+            assert isinstance(s.coeff(s.val), FieldElement)
+
+
+@pytest.mark.parametrize("other", [GF(4), FieldContext(8, 0b110001101)],
+                         ids=_context_id)
+def test_series_context_mismatch_raises(other):
+    # raw ints carry no context, so a mix must be caught before arithmetic;
+    # every case here also raised when coefficients were FieldElements
+    ctx = GF(8)
+    s = Series(ctx, 0, [ctx(0b1011), ctx(0b110), ctx(1)])
+    u = Series(other, -1, [other(0b11), other(0b101), other(1), other(1)])
+    c = other(0b110)
+    for op in (lambda: s + u, lambda: u + s, lambda: s * u, lambda: u * s,
+               lambda: s / u, lambda: s + c, lambda: c + s, lambda: s * c,
+               lambda: c * s, lambda: s / c):
+        with pytest.raises(ValueError, match="different field contexts"):
+            op()
+    # the same bits over another context are another series
+    twin = Series(other, 0, [other(0b1011), other(0b110), other(1)])
+    assert s != twin and twin != s
 # ---------------------------------------------------------------------------
 # local expansions: the curve equation is the oracle
 
@@ -212,6 +434,80 @@ def _oracle_places(E, rng):
     return places
 
 
+def reference_xy_expansion(curve, place, prec):
+    """xy_expansion as it was on FieldElement coefficients, over
+    ReferenceSeries, certified by the same residual."""
+    ctx = curve.ctx
+    zero = ctx.zero
+    a1, a2, a3, a4, a6 = curve.coefficients()
+    t = ReferenceSeries.uniformizer(ctx, prec + 1)
+    if place is INFINITY:
+        n = max(prec + 2, 4)
+        w, S = [zero] * n, [zero] * n
+        for k in range(3, n):
+            Sw = sum((S[i] * w[k - i] for i in range(6, k - 2, 2)), zero)
+            wk = a1 * w[k - 1] + a2 * w[k - 2] + a3 * S[k] + a4 * S[k - 1] \
+                + a6 * Sw
+            w[k] = wk + 1 if k == 3 else wk
+            if 2 * k < n:
+                S[2 * k] = w[k].square()
+        Y = ReferenceSeries(ctx, 0, w).inverse()
+        X = t * Y
+    elif curve.hpoly(place.x):
+        x0, y0 = place.x, place.y
+        X = t + x0
+        f = [zero, x0.square() + a4, x0 + a2, ctx.one]
+        inv = 1 / curve.hpoly(x0)
+        y = [y0]
+        for k in range(1, prec + 1):
+            yk = a1 * y[k - 1] + (f[k] if k <= 3 else zero)
+            if k % 2 == 0:
+                yk = yk + y[k // 2].square()
+            y.append(yk * inv)
+        Y = ReferenceSeries(ctx, 0, y)
+    else:
+        x0, y0 = place.x, place.y
+        Y = t + y0
+        inv = 1 / (x0.square() + a1 * y0 + a4)
+        x, xsq = [x0], [x0.square()]
+        for k in range(1, prec + 1):
+            xk = a1 * x[k - 1] + sum(
+                (xsq[i] * x[k - 2 * i] for i in range(1, k // 2 + 1)), zero)
+            if k == 1:
+                xk = xk + a3
+            elif k % 2 == 0:
+                xk = xk + a2 * xsq[k // 2] + (1 if k == 2 else 0)
+            x.append(xk * inv)
+            xsq.append(x[k].square())
+        X = ReferenceSeries(ctx, 0, x)
+    assert _residual(curve, X, Y).is_zero_to_prec()
+    return X, Y
+
+
+@pytest.mark.parametrize("ctx", [GF(3), GF(8), GF(24),
+                                 FieldContext(8, 0b110001101)],
+                         ids=_context_id)
+def test_expansion_matches_the_field_element_reference(ctx):
+    # Y^2 + Y = X^3, an ordinary curve, and one with a1, a3 != 0, in all
+    # three uniformizer regimes
+    rng = random.Random(30 + ctx.degree + ctx.modulus % 7)
+    nonzero = [ctx(1 + rng.randrange((1 << ctx.degree) - 1))
+               for _ in range(6)]
+    curves = [WeierstrassCurve.supersingular(ctx),
+              WeierstrassCurve.ordinary(ctx, nonzero[0]),
+              WeierstrassCurve(ctx, *nonzero[1:6])]
+    tags = set()
+    for E in curves:
+        for place in _oracle_places(E, rng):
+            tags.add(uniformizer_tag(E, place))
+            for prec in (1, 2, 5, 17, 40):
+                got = xy_expansion(E, place, prec)
+                want = reference_xy_expansion(E, place, prec)
+                for g, w in zip(got, want):
+                    assert _as_bits(g) == _as_bits(w), (E, place, prec)
+    assert tags == {"x_minus_x0", "y_based", "x_over_y_at_infinity"}
+
+
 @pytest.mark.parametrize("d", [3, 8, 24])
 def test_expansion_matches_newton_reference(d):
     ctx = GF(d)
@@ -242,14 +538,14 @@ def test_expansion_certificate_rejects_a_corrupted_coefficient(monkeypatch):
         X, Y = xy_expansion(E, place, 12)
         _check_on_curve(E, X, Y)
         bad = list(Y.coeffs)
-        bad[2] = bad[2] + 1
+        bad[2] = bad[2] ^ 1
         with pytest.raises(VerificationError):
             _check_on_curve(E, X, Series(E.ctx, Y.val, bad))
     # at the origin Y = 1/w; a wrong inverse must not pass unnoticed
 
     def corrupted_inverse(self):
         s = original(self)
-        return Series(s.ctx, s.val, [s.coeffs[0]] + [s.coeffs[1] + 1]
+        return Series(s.ctx, s.val, [s.coeffs[0]] + [s.coeffs[1] ^ 1]
                       + list(s.coeffs[2:]))
 
     original = Series.inverse

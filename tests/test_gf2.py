@@ -21,8 +21,8 @@ from lame2 import (GF, FieldContext, FieldInputError, Poly, VerificationError,
                    solve_artin_schreier, trace)
 from lame2.arith import divisors
 from lame2.gf2 import (_bit_poly, _conjugate_roots, _embed_gen,
-                       _frobenius_rows, _is_irreducible, _pmod, _split_once,
-                       _trace_mod)
+                       _frobenius_rows, _is_irreducible, _pmod,
+                       _root_multiplicity, _split_once, _trace_mod)
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +305,25 @@ def test_artin_schreier_large_degrees():
         assert solved > 50
 
 
+@pytest.mark.parametrize("d", [5, 11, 25, 47])
+def test_artin_schreier_odd_degrees_match_the_half_trace(d):
+    # at odd d the half-trace sum_(2i<d) c^(4^i) solves y^2 + y = c whenever
+    # Tr(c) = 0; the linear system must give the same pair
+    ctx = GF(d)
+    rng = random.Random(200 + d)
+    for _ in range(30):
+        c = ctx.random(rng)
+        sols = solve_artin_schreier(c)
+        if trace(c):
+            assert sols == ()
+            continue
+        h = acc = c
+        for _ in range((d - 1) // 2):
+            acc = acc.square().square()
+            h = h + acc
+        assert set(sols) == {h, h + ctx.one}
+
+
 # ---------------------------------------------------------------------------
 # polynomial arithmetic and roots
 
@@ -389,6 +408,21 @@ def test_poly_roots_with_known_multiplicities():
     got = poly_roots(f)
     assert [(r.bits, m) for r, m in got] == sorted(
         [(r2.bits, 2), (r1.bits, 3), (r3.bits, 1)])
+
+
+def test_root_multiplicity_matches_repeated_division():
+    rng = random.Random(41)
+    for d in (1, 4, 8, 24):
+        ctx = GF(d)
+        for _ in range(20):
+            pool = [ctx.random(rng) for _ in range(3)]
+            f = Poly.from_roots(ctx, [rng.choice(pool) for _ in range(7)]) \
+                * Poly(ctx, [rng.randrange(1, 1 << d), rng.getrandbits(d)])
+            for r in pool + [ctx.random(rng)]:
+                lin, rem, want = Poly(ctx, [r.bits, 1]), f, 0
+                while (rem % lin).is_zero():
+                    rem, want = rem // lin, want + 1
+                assert _root_multiplicity(f, r) == want
 
 
 def test_poly_roots_sorted_and_deterministic():
