@@ -34,10 +34,10 @@ from .gf2 import Poly
 from .weierstrass import (
     CurvePoint,
     WeierstrassCurve,
+    _is_supersingular_model,
     extension_order,
     point_of_exact_order,
     point_order,
-    supersingular_order,
     torsion_basis,
 )
 from .funcfield import miller_function, ramification_profile
@@ -50,10 +50,6 @@ _MAX_CENSUS_DEGREE = 8
 
 # ---------------------------------------------------------------------------
 # the automorphism group of (E, 0) for E: Y^2 + Y = X^3
-
-
-def _is_supersingular_model(curve: WeierstrassCurve) -> bool:
-    return tuple(a.bits for a in curve.coefficients()) == (0, 0, 1, 0, 0)
 
 
 def _require_supersingular_model(curve: WeierstrassCurve):
@@ -131,12 +127,10 @@ class AutomorphismElement:
 
 
 def _fourth_roots(ctx: FieldContext):
-    """Solutions of a^4 = a, i.e. the copy of F_4 inside the context."""
-    x = Poly.x(ctx)
-    roots = [r for r, _mult in poly_roots(x * x * x * x + x)]
-    if len(roots) != 4:
-        raise VerificationError("context does not contain F_4")
-    return roots
+    """The copy {0, 1, w, w + 1} of F_4 in the context, sorted by bits,
+    with w the embedded generator of GF(4)."""
+    w = embed(GF(2)(2), ctx)
+    return sorted((ctx.zero, ctx.one, w, w + ctx.one), key=lambda e: e.bits)
 
 
 _AUT_CACHE = {}
@@ -197,8 +191,10 @@ def _verify_aut_group(ctx: FieldContext, elements):
     S = points[0] + points[1]
     for alpha in elements:
         ims = [alpha(P) for P in points]  # the action validates membership
+        # the (u, a, c) formula fixes the origin, as in projective form a
+        # and c multiply Z, which is 0 there; this checks the call's shortcut
         if not alpha(curve.infinity()).is_infinity():
-            raise VerificationError("automorphism moves the origin")
+            raise VerificationError("automorphism call moves the origin")
         if alpha(S) != ims[0] + ims[1]:
             raise VerificationError("automorphism is not additive")
         img.append((ims[0].x.bits, ims[0].y.bits))
@@ -435,8 +431,7 @@ def moduli_census(d: int) -> dict:
         if value != embed(c, P.curve.ctx):
             raise VerificationError("constructed point has the wrong quotient"
                                     " value")
-        order = point_order(P.curve, P,
-                            supersingular_order(P.curve.ctx.degree))
+        order = point_order(P.curve, P)
         degree = element_degree(c)
         classes.append(LameClass(order, c, degree, P))
         by_degree[degree] = by_degree.get(degree, 0) + 1

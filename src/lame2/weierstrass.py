@@ -10,13 +10,15 @@ coefficients.
 Two families recur throughout the package:
 
 * the supersingular curve ``Y^2 + Y = X^3`` (j = 0, Frobenius trace 0 over
-  F_2, full n-torsion rational over a predictable extension), and
+  F_2), and
 * the ordinary curves ``Y^2 + X*Y = X^3 + t*X`` with t != 0 (j = 1/t^2,
   unique two-torsion point (0, 0)).
 
-Scalar multiplication, point counting, torsion-basis search with an explicit
-distinctness certificate, and the (u, r, s, t) change of variables all live
-here.
+The group of ``Y^2 + Y = X^3`` over every F_(2^d) is read from pi^2 = -2 for
+its F_2-Frobenius pi: the exponent, the n-torsion field, point orders.
+Scalar multiplication, point counting, a torsion-basis search with a
+per-prime independence certificate, and the (u, r, s, t) change of
+variables also live here.
 """
 
 from __future__ import annotations
@@ -153,20 +155,8 @@ class WeierstrassCurve:
         ys = tuple(h * z for z in solve_artin_schreier(f / (h * h)))
         return tuple(sorted(ys, key=lambda e: e.bits))
 
-    def count_points(self, method: str = "enumerate") -> int:
-        """|E(F_q)|, by fiber enumeration or by the supersingular recurrence.
-
-        "enumerate" refuses fields past 2^20; "supersingular_formula" requires
-        the Y^2+Y=X^3 model and works at any degree.
-        """
-        if method == "supersingular_formula":
-            ok = (self.a1.bits, self.a2.bits, self.a3.bits,
-                  self.a4.bits, self.a6.bits) == (0, 0, 1, 0, 0)
-            if not ok:
-                raise ValueError("formula applies to the Y^2+Y=X^3 model only")
-            return supersingular_order(self.ctx.degree)
-        if method != "enumerate":
-            raise ValueError("unknown counting method %r" % (method,))
+    def count_points(self) -> int:
+        """|E(F_q)| by fiber enumeration; refuses fields past 2^20."""
         if self.ctx.degree > 20:
             raise ValueError("field too large to enumerate; use a formula")
         # on ints: one y where h = 0, else two or none as Tr(f / h^2) is 0 or 1
@@ -302,17 +292,6 @@ class CurvePoint:
 
     __rmul__ = __mul__
 
-    def order(self, bound: int = 10000) -> int:
-        """Exact order by repeated addition; raises past `bound`."""
-        acc = self
-        n = 1
-        while not acc.is_infinity():
-            acc = acc + self
-            n += 1
-            if n > bound:
-                raise VerificationError("order exceeds bound")
-        return n
-
     def to_json(self):
         if self.is_infinity():
             return INFINITY.to_json()
@@ -358,30 +337,39 @@ def supersingular_order(d: int) -> int:
     return (1 << d) + 1 - supersingular_trace(d)
 
 
+def _is_supersingular_model(curve: WeierstrassCurve) -> bool:
+    """Is the curve exactly Y^2 + Y = X^3, not merely isomorphic to it?"""
+    return tuple(a.bits for a in curve.coefficients()) == (0, 0, 1, 0, 0)
+
+
+def _supersingular_exponent(d: int) -> int:
+    """Exponent of E(F_(2^d)) for E: Y^2 + Y = X^3.
+
+    2^m - (-1)^m at d = 2m: Frobenius satisfies pi^2 = -2, so E(F_q) =
+    ker(pi^d - 1) = E[(-2)^m - 1], which is (Z/M)^2 with M = |(-2)^m - 1|.
+    2^d + 1 at odd d, the whole order, as the group is cyclic: a full E[p]
+    in E(F_q) would put the p-th roots of unity in F_q (Weil pairing), so p
+    would divide gcd(2^d + 1, 2^d - 1) = 1.
+    """
+    if d < 1:
+        raise ValueError("d must be positive")
+    if d % 2:
+        return (1 << d) + 1
+    m = d // 2
+    return (1 << m) - (-1) ** m
+
+
 def torsion_field_degree(n: int) -> int:
     """Least d with the full n-torsion of Y^2 + Y = X^3 rational over GF(2^d).
 
-    Frobenius satisfies phi^2 + 2 = 0, so d is the order of the companion
-    matrix of x^2 + 2 in GL_2(Z/n).
+    That is the least even d whose exponent n divides, 2 * ord_n(-2): at
+    odd d the group is cyclic and holds no (Z/n)^2.
     """
-    if n < 2 or n % 2 == 0:
+    if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and at least 3")
-
-    def matmul(A, B):
-        return ((A[0] * B[0] + A[1] * B[2]) % n,
-                (A[0] * B[1] + A[1] * B[3]) % n,
-                (A[2] * B[0] + A[3] * B[2]) % n,
-                (A[2] * B[1] + A[3] * B[3]) % n)
-
-    M = (0, (-2) % n, 1, 0)
-    ident = (1, 0, 0, 1)
-    acc = M
-    d = 1
-    while acc != ident:
-        acc = matmul(acc, M)
-        d += 1
-        if d > 4 * n * n:
-            raise VerificationError("companion matrix order out of range")
+    d = 2
+    while _supersingular_exponent(d) % n:
+        d += 2
     return d
 
 
@@ -400,20 +388,19 @@ def extension_order(base_order: int, q: int, k: int) -> int:
 
 def point_order(curve: WeierstrassCurve, point: "CurvePoint",
                 group_order: int | None = None) -> int:
-    """Exact order of a point: factor the group order and strip primes.
+    """Exact order of a point: strip primes from a multiple that kills it.
 
-    The group order is the supersingular closed form when the model allows,
-    direct enumeration otherwise; callers on large ordinary fields must pass
-    it in (e.g. from extension_order).
+    The multiple is `group_order` when given, the exponent of the group on
+    the Y^2 + Y = X^3 model, and the enumerated count otherwise; callers on
+    large ordinary fields must pass it in (e.g. from extension_order).
+    order_from_multiple certifies that the multiple kills the point.
     """
     if point.is_infinity():
         return 1
     N = group_order
     if N is None:
-        try:
-            N = curve.count_points("supersingular_formula")
-        except ValueError:
-            N = curve.count_points()
+        N = (_supersingular_exponent(curve.ctx.degree)
+             if _is_supersingular_model(curve) else curve.count_points())
     return order_from_multiple(N, lambda k: (k * point).is_infinity())
 
 
@@ -452,12 +439,31 @@ def point_of_exact_order(curve: WeierstrassCurve, group_order: int, n: int,
     return acc
 
 
+def _spans_torsion(P: CurvePoint, Q: CurvePoint, n: int) -> bool:
+    """Do P and Q of exact order n generate E[n] = (Z/n)^2?
+
+    They do exactly when, for each prime p | n, (n/p)Q is not among the p
+    multiples of (n/p)P: a nonzero relation aP + bQ = 0 has a multiple of
+    prime order p, which is a dependence between (n/p)P and (n/p)Q, and
+    (n/p)P has order p.  This costs O(sum of p) additions, not n^2.
+    """
+    for p in factorint(n):
+        Pp, Qp = (n // p) * P, (n // p) * Q
+        acc = P.curve.infinity()
+        for _ in range(p):
+            if acc == Qp:
+                return False
+            acc = acc + Pp
+    return True
+
+
 def torsion_basis(n: int, seed: int = 0):
     """(curve, P, Q): a certified basis of the n-torsion of Y^2 + Y = X^3.
 
-    The curve lives over GF(2^d) with d = torsion_field_degree(n).  The
-    certificate enumerates all n^2 combinations a*P + b*Q and checks they
-    are pairwise distinct, so (P, Q) really generates (Z/n)^2.
+    The curve lives over GF(2^d) with d = torsion_field_degree(n).  P and Q
+    come certified of exact order n from the cofactor search, and the pair
+    is kept only when ``_spans_torsion`` proves it independent at every
+    prime p | n, so (P, Q) really generates (Z/n)^2.
     """
     d = torsion_field_degree(n)
     curve = WeierstrassCurve.supersingular(d)
@@ -466,17 +472,9 @@ def torsion_basis(n: int, seed: int = 0):
         raise VerificationError("order formula disagrees with enumeration")
     rng = random.Random(seed)
     P = point_of_exact_order(curve, N, n, rng)
-    row = [curve.infinity()]
-    for _ in range(n - 1):
-        row.append(row[-1] + P)
     for attempt in range(64):
         Q = point_of_exact_order(curve, N, n, rng)
-        seen = set()
-        for b in range(n):
-            shift = b * Q
-            for a in range(n):
-                seen.add(row[a] + shift)
-        if len(seen) == n * n:
+        if _spans_torsion(P, Q, n):
             return curve, P, Q
     raise TorsionSearchExhausted(
         f"no basis of the {n}-torsion found in 64 trials", seed=seed,

@@ -1,10 +1,12 @@
 """Automorphism quotient, torsion classification, counts, census, covers."""
 
+import hashlib
 import random
 
 import pytest
 
 from lame2 import lame
+from lame2.cli import run
 from lame2.common import VerificationError
 from lame2.gf2 import GF, embed
 from lame2.weierstrass import WeierstrassCurve, supersingular_order, torsion_basis
@@ -129,7 +131,7 @@ def reference_verify_aut_group(ctx, elements, act=_fe_act, compose=_fe_compose):
         for P in points:
             act(alpha, P)
         if not act(alpha, curve.infinity()).is_infinity():
-            raise VerificationError("automorphism moves the origin")
+            raise VerificationError("automorphism call moves the origin")
         if act(alpha, points[0] + points[1]) != \
                 act(alpha, points[0]) + act(alpha, points[1]):
             raise VerificationError("automorphism is not additive")
@@ -280,6 +282,20 @@ def test_verifiers_refuse_a_non_additive_action(monkeypatch):
         Q = curve.point(ctx(x), ctx(y)) + T  # a translation keeps the curve
         return Q.x.bits, Q.y.bits
     _both_refuse_law(monkeypatch, "not additive", action=action)
+
+
+def test_verifiers_refuse_a_call_that_moves_the_origin(monkeypatch):
+    # the (u, a, c) formula fixes the origin, so only a substituted call
+    # reaches the check that the call's shortcut keeps it fixed
+    ctx = GF(6)
+    G = aut_group(ctx)
+    T = WeierstrassCurve.supersingular(ctx).random_point(random.Random(5))
+    real = AutomorphismElement.__call__
+
+    def call(alpha, P):
+        return T if P.is_infinity() else real(alpha, P)
+    monkeypatch.setattr(AutomorphismElement, "__call__", call)
+    _both_raise(ctx, G, VerificationError, "call moves the origin", act=call)
 
 
 # -- the invariant map and its orbits ---------------------------------------
@@ -452,6 +468,23 @@ def test_census_degree_three():
     assert rep["by_degree"] == {1: 2, 3: 6}
     new_orders = sorted(c.order for c in rep["classes"] if c.moduli_degree == 3)
     assert new_orders == [9, 9, 9, 13, 13, 13]
+
+
+# SHA-256 of the canonical JSON of `moduli --d <d>`, taken before the census
+# orders came from the group exponent M rather than the group order M^2
+MODULI_DIGESTS = {
+    1: "4b8163382d57bc6cb7806d08aed8d7c2e76348dbd204f7e1a8f4d439bfdb0646",
+    3: "3e0a598f755893d9b9e9647913e18c4cc9b334ef2f459ca92a7d7f2adcd690ad",
+    5: "3228756e0afb3848ebd4dd71d395d449f1354b5254c1f661768ddd3974661c08",
+    6: "10c1fed28b3c082c4160c123a03c924b8fd4fb5c7c908addd3d207b82ba7f49c",
+}
+
+
+@pytest.mark.parametrize("d", sorted(MODULI_DIGESTS))
+def test_census_output_pinned(d):
+    code, text = run(["moduli", "--d", str(d)])
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == MODULI_DIGESTS[d]
 
 
 def test_census_matches_classification_degrees():

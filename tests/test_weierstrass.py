@@ -11,10 +11,13 @@ from fractions import Fraction
 import pytest
 
 from lame2 import GF, trace
+from lame2.arith import factorint
 from lame2.common import VerificationError
 from lame2.weierstrass import (
     CurvePoint,
     WeierstrassCurve,
+    _spans_torsion,
+    _supersingular_exponent,
     curve_invariants,
     extension_order,
     ordinary_with_torsion,
@@ -218,6 +221,20 @@ def test_count_points_oracle_on_general_curves():
             done += 1
 
 
+def test_supersingular_exponent_is_the_largest_order():
+    # by enumeration: |E| is M^2 at even d and the cyclic M at odd d, and M
+    # kills every point while no M/p does, so M is the largest point order
+    for d in range(1, 13):
+        E = WeierstrassCurve.supersingular(d)
+        fibers = [(x, E.fiber_y(x)) for x in E.ctx.elements()]
+        M = _supersingular_exponent(d)
+        assert 1 + sum(len(ys) for _x, ys in fibers) == (M if d % 2 else M * M)
+        pts = [E.point(x, ys[0]) for x, ys in fibers if ys]  # -P: same order
+        assert all((M * P).is_infinity() for P in pts)
+        for p in factorint(M):
+            assert any(not ((M // p) * P).is_infinity() for P in pts)
+
+
 def test_count_points_oracle_where_h_vanishes():
     # a1, a3 != 0: h(x) = a1 x + a3 vanishes at exactly one x, a one-point fiber
     for d in (3, 4, 5, 8):
@@ -229,6 +246,32 @@ def test_count_points_oracle_where_h_vanishes():
 
 # ---------------------------------------------------------------------------
 # torsion
+
+
+def reference_torsion_field_degree(n):
+    """The order of the companion matrix of x^2 + 2 in GL_2(Z/n): the
+    matrix search the closed form replaced."""
+    def matmul(A, B):
+        return ((A[0] * B[0] + A[1] * B[2]) % n,
+                (A[0] * B[1] + A[1] * B[3]) % n,
+                (A[2] * B[0] + A[3] * B[2]) % n,
+                (A[2] * B[1] + A[3] * B[3]) % n)
+
+    M = (0, (-2) % n, 1, 0)
+    acc, d = M, 1
+    while acc != (1, 0, 0, 1):
+        acc = matmul(acc, M)
+        d += 1
+        assert d <= 4 * n * n
+    return d
+
+
+def test_torsion_field_degree_matches_matrix_order():
+    for n in range(3, 302, 2):
+        assert torsion_field_degree(n) == reference_torsion_field_degree(n), n
+    for n in (-3, 1, 2, 4):
+        with pytest.raises(ValueError):
+            torsion_field_degree(n)
 
 
 def test_torsion_field_degrees_frozen():
@@ -258,6 +301,39 @@ def test_torsion_basis_certified():
         assert len(exact) == want
 
 
+def reference_spans_torsion(P, Q, n):
+    """The n^2 certificate the per-prime check replaced: all a*P + b*Q
+    are pairwise distinct."""
+    row = [P.curve.infinity()]
+    for _ in range(n - 1):
+        row.append(row[-1] + P)
+    seen = set()
+    for b in range(n):
+        shift = b * Q
+        for a in range(n):
+            T = row[a] + shift
+            if T in seen:
+                return False
+            seen.add(T)
+    return True
+
+
+def test_spans_torsion_agrees_with_the_n2_certificate():
+    for n in (3, 5, 7, 9, 11, 13, 15, 21, 45):
+        curve, P, Q = torsion_basis(n)
+        pairs = [(P, Q, True), (P, 2 * P, False)]
+        if n < 45:
+            pairs += [(Q, P, True), (P, P + Q, True), (Q, 2 * Q, False)]
+        # mixed: independent at every prime of n but one
+        for a, b in {15: [(1, 3), (1, 5)], 21: [(1, 3), (1, 7)],
+                     45: [(1, 3), (1, 5), (1, 9)]}.get(n, []):
+            pairs.append((P, a * P + b * Q, False))
+        for R, S, spans in pairs:
+            assert point_order(curve, S) == n
+            assert _spans_torsion(R, S, n) is spans, (n, spans)
+            assert reference_spans_torsion(R, S, n) is spans, (n, spans)
+
+
 def _exact_order_pair(a, b, n):
     # order of (a, b) in (Z/n)^2 is n / gcd(a, b, n)
     from math import gcd
@@ -283,7 +359,7 @@ def test_ordinary_with_torsion():
     for n in (3, 5, 7, 9):
         curve, P = ordinary_with_torsion(n)
         assert not curve.is_supersingular()
-        assert P.order() == n
+        assert point_order(curve, P) == n
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +405,7 @@ def test_base_change_preserves_structure():
     P = E.point(0, 1)
     P4 = E.lift_point(P, GF(4))
     assert P4.curve == E4
-    assert P4.order() == P.order()
+    assert point_order(E4, P4) == point_order(E, P) == 3
 
 
 def test_point_json_roundtrip():
@@ -341,16 +417,6 @@ def test_point_json_roundtrip():
     assert rec["curve"] == [{"d": 4, "hex": h} for h in "00100"]
     assert E.infinity().to_json() == {"infinity": True}
     assert E.to_json() == {"d": 4, "a": ["0", "0", "1", "0", "0"]}
-
-
-def test_count_points_formula_method():
-    for d in range(1, 9):
-        E = WeierstrassCurve.supersingular(d)
-        assert E.count_points("supersingular_formula") == E.count_points()
-    with pytest.raises(ValueError):
-        WeierstrassCurve.ordinary(2, 1).count_points("supersingular_formula")
-    with pytest.raises(ValueError):
-        WeierstrassCurve.supersingular(2).count_points("schoof")
 
 
 def test_point_order_function():
