@@ -8,8 +8,8 @@ bit-polynomial is irreducible over GF(2), so every degree has one reproducible
 field and nothing needs to be serialized beyond d.
 
 Each context builds one raw-int kernel, ``ctx.mul``, ``ctx.sqr`` and
-``ctx.inv`` (see ``_field_kernel``), and all element, polynomial and
-root-finding arithmetic runs on it.
+``ctx.inv`` (``_table_kernel`` for 2 <= d <= 12, else ``_field_kernel``),
+and all element, polynomial and root-finding arithmetic runs on it.
 
 Cross-field structure:
 
@@ -24,6 +24,8 @@ Values are immutable; contexts cache their derived tables (trace mask,
 Artin-Schreier solver) and are safe to share; embedding generators are
 cached per context pair.
 """
+
+from array import array
 
 from .arith import divisors, factorint
 from .common import FieldInputError, VerificationError
@@ -69,10 +71,13 @@ def _pgcd(a, b):
 # the square of each byte over GF(2): its binary digits read in base 4
 _SPREAD = [int(format(b, "b"), 4) for b in range(256)]
 
+_TABLE_MAX_DEGREE = 12  # contexts of degree 2 to this use exp/log tables
+
 
 def _field_kernel(d, m):
     """(mul, sqr, inv) on ints below 2^d, modulo m of degree d.
 
+    Contexts use it for d = 1 and d > 12, ``_is_irreducible`` at every d.
     mul runs over the set bits of an operand below 2^16, else a 4-bit comb
     (the products a*k for k < 16, then b a nibble at a time); sqr spreads
     bits a byte at a time.  Products, of degree <= 2d - 2, are reduced by
@@ -148,6 +153,39 @@ def _field_kernel(d, m):
     return mul, sqr, inv
 
 
+def _table_kernel(ctx):
+    """(mul, sqr, inv) by exp/log tables of g, the least primitive element.
+
+    Certified: the walk x -> x*g (shifts, then x^d and up folded) meets every
+    nonzero element and is back at 1 after n = 2^d - 1 steps.
+    """
+    d, m, n = ctx.degree, ctx.modulus, ctx.order - 1
+    g = next(c for c in range(2, n + 1) if all(
+        FieldElement(ctx, c) ** (n // p) != 1 for p in factorint(n)))
+    shifts = [i for i in range(g.bit_length()) if g >> i & 1]
+    fold = [_pmod(h << d, m) for h in range(1 << g.bit_length())]
+    exp, log = array("H", [0]) * (2 * n - 1), array("H", [0]) * (n + 1)
+    seen, x = bytearray(n + 1), 1
+    for k in range(n):
+        seen[x] = 1
+        exp[k], log[x] = x, k
+        y = 0
+        for i in shifts:
+            y ^= x << i
+        x = (y & n) ^ fold[y >> d]
+    if x != 1 or 0 in seen[1:]:  # n steps miss an element only by a repeat
+        raise VerificationError(f"{g:#x} is not primitive mod {m:#x}")
+    exp[n:] = exp[:n - 1]
+
+    def inv(a):
+        if not a:
+            raise ZeroDivisionError(f"0 is not invertible mod {m:#x}")
+        return exp[n - log[a]]
+
+    return (lambda a, b: exp[log[a] + log[b]] if a and b else 0,
+            lambda a: exp[2 * log[a]] if a else 0, inv)
+
+
 def _is_irreducible(m, d):
     """Rabin test: x^(2^d) = x mod m and gcd(x^(2^(d/p)) - x, m) = 1."""
     if m.bit_length() - 1 != d:
@@ -212,6 +250,8 @@ class FieldContext:
         self.degree = degree
         self.modulus = modulus
         self.mul, self.sqr, self.inv = _field_kernel(degree, modulus)
+        if 2 <= degree <= _TABLE_MAX_DEGREE:
+            self.mul, self.sqr, self.inv = _table_kernel(self)
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1 if degree > 0 else 0)
         self._trace_mask = None

@@ -259,19 +259,20 @@ class CurvePoint:
         if other.is_infinity():
             return self
         E = self.curve
-        x1, y1 = self.x, self.y
-        x2, y2 = other.x, other.y
+        mul, sqr, inv = E.ctx.mul, E.ctx.sqr, E.ctx.inv
+        a1, a2, a3, a4 = E.a1.bits, E.a2.bits, E.a3.bits, E.a4.bits
+        x1, y1, x2, y2 = self.x.bits, self.y.bits, other.x.bits, other.y.bits
         if x1 == x2:
-            if y2 == y1 + E.hpoly(x1):
+            h = mul(a1, x1) ^ a3
+            if y2 == y1 ^ h:
                 return E.infinity()
             # tangent; h(x1) != 0 here since h = 0 forces y2 = y1 + h = y1
-            lam = (x1 * x1 + E.a4 + E.a1 * y1) / E.hpoly(x1)
+            lam = mul(sqr(x1) ^ a4 ^ mul(a1, y1), inv(h))
         else:
-            lam = (y1 + y2) / (x1 + x2)
-        nu = y1 + lam * x1
-        x3 = lam * lam + E.a1 * lam + E.a2 + x1 + x2
-        y3 = (lam + E.a1) * x3 + nu + E.a3
-        return CurvePoint(E, x3, y3)
+            lam = mul(y1 ^ y2, inv(x1 ^ x2))
+        x3 = sqr(lam) ^ mul(a1, lam) ^ a2 ^ x1 ^ x2
+        y3 = mul(lam ^ a1, x3) ^ mul(lam, x1) ^ y1 ^ a3
+        return CurvePoint(E, FieldElement(E.ctx, x3), FieldElement(E.ctx, y3))
 
     def __sub__(self, other: "CurvePoint") -> "CurvePoint":
         return self + (-other)
@@ -282,12 +283,10 @@ class CurvePoint:
         if k < 0:
             return (-self) * (-k)
         acc = self.curve.infinity()
-        add = self
-        while k:
-            if k & 1:
-                acc = acc + add
-            add = add + add
-            k >>= 1
+        for bit in format(k, "b"):  # from the top: no doubling left unread
+            acc = acc + acc
+            if bit == "1":
+                acc = acc + self
         return acc
 
     __rmul__ = __mul__

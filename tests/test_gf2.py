@@ -17,12 +17,13 @@ import pytest
 
 import lame2
 from lame2 import (GF, FieldContext, FieldInputError, Poly, VerificationError,
-                   embed, element_degree, lexmin_irreducible, poly_roots,
+                   embed, element_degree, gf2, lexmin_irreducible, poly_roots,
                    solve_artin_schreier, trace)
 from lame2.arith import divisors
-from lame2.gf2 import (_bit_poly, _conjugate_roots, _embed_gen,
-                       _frobenius_rows, _is_irreducible, _pmod,
-                       _root_multiplicity, _split_once, _trace_mod)
+from lame2.gf2 import (_TABLE_MAX_DEGREE, _bit_poly, _conjugate_roots,
+                       _embed_gen, _field_kernel, _frobenius_rows,
+                       _is_irreducible, _pmod, _root_multiplicity,
+                       _split_once, _table_kernel, _trace_mod)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +199,8 @@ def check_kernel(ctx, rng, naive_pairs):
         ops = list(range(1 << d))
         pairs = [(a, b) for a in ops for b in ops]
     else:
-        # random widths reach both the set-bit loop and the comb
+        # random widths reach the tables for d <= 12, and above that both
+        # the set-bit loop and the comb
         ops = edges + [rng.getrandbits(rng.randint(1, d)) for _ in range(40)]
         pairs = ([(a, b) for a in edges for b in ops]
                  + [(b, a) for a in edges for b in ops]
@@ -221,7 +223,7 @@ def check_kernel(ctx, rng, naive_pairs):
 @pytest.mark.parametrize("d", list(range(1, 13)) + [24, 40, 48, 96, 200])
 def test_kernel_matches_bit_loops(d):
     # exhaustive for d <= 6; the lexmin moduli have their taps at or below
-    # d/2, so these contexts reduce by the two-pass fold
+    # d/2, so contexts without tables reduce by the two-pass fold
     ctx = GF(d)
     assert (ctx.modulus ^ (1 << d)).bit_length() - 1 <= d // 2
     check_kernel(ctx, random.Random(d), 1 << 12 if d <= 12 else 20)
@@ -234,7 +236,75 @@ def test_kernel_on_a_dense_modulus(d):
     while not _is_irreducible(m, d):
         m += 2
     assert (m ^ (1 << d)).bit_length() - 1 > d // 2
-    check_kernel(FieldContext(d, m), random.Random(d), 20)
+    ctx = FieldContext(d, m)
+    assert uses_tables(ctx) == (d <= _TABLE_MAX_DEGREE)
+    check_kernel(ctx, random.Random(d), 20)
+
+
+def uses_tables(ctx):
+    return ctx.inv.__qualname__.startswith("_table_kernel.")
+
+
+def test_tables_exactly_from_degree_2_to_12():
+    assert _TABLE_MAX_DEGREE == 12
+    assert [d for d in range(1, 25) if uses_tables(GF(d))] == list(range(2, 13))
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_table_kernel_matches_the_bit_loops(d):
+    # every pair up to d = 8, then 2,000 random pairs; the oracle is the
+    # kernel that d = 1 and d > 12 use, on the same modulus
+    ctx = GF(d)
+    mul, sqr, inv = _field_kernel(d, ctx.modulus)
+    if d <= 8:
+        pairs = [(a, b) for a in range(1 << d) for b in range(1 << d)]
+        ops = range(1 << d)
+    else:
+        rng = random.Random(1000 + d)
+        pairs = [(rng.getrandbits(d), rng.getrandbits(d)) for _ in range(2000)]
+        ops = [a for a, _ in pairs] + [0, 1, (1 << d) - 1]
+    for a, b in pairs:
+        assert ctx.mul(a, b) == mul(a, b), (d, a, b)
+    for a in ops:
+        assert ctx.sqr(a) == sqr(a), (d, a)
+        if a:
+            assert ctx.inv(a) == inv(a), (d, a)
+    with pytest.raises(ZeroDivisionError):
+        ctx.inv(0)
+
+
+def test_table_certificate_refuses_a_non_primitive_element(monkeypatch):
+    # with the order test emptied every candidate passes it, so the builder
+    # is handed g = x, of order 51 (not 255) mod x^8 + x^4 + x^3 + x + 1; the
+    # walk returns to 1 early and the certificate must refuse it
+    ctx = GF(8)
+    assert ctx.modulus == 0x11b
+    monkeypatch.setattr(gf2, "factorint", lambda n: {})
+    with pytest.raises(VerificationError):
+        _table_kernel(ctx)
+
+
+def test_irreducibility_test_builds_no_tables(monkeypatch):
+    def refuse(ctx):
+        raise AssertionError("tables built for a candidate modulus")
+    monkeypatch.setattr(gf2, "_table_kernel", refuse)
+    for d in range(2, 13):
+        found = [m for m in range(1 << d, (1 << d) + 64)
+                 if _is_irreducible(m, d)]
+        assert found[0] == lexmin_irreducible(d)
+
+
+def test_import_builds_no_field_context():
+    # importing the package and its CLI must build no context, so that no
+    # table build is paid at import time
+    code = ("import lame2, lame2.cli\n"
+            "from lame2 import gf2\n"
+            "print(len(gf2._CANONICAL))\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(lame2.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "0"
 
 
 def test_division_by_zero():

@@ -116,6 +116,68 @@ def test_scalar_multiplication_consistent():
     assert (7 * (11 * P)) == 77 * P
 
 
+def reference_add(P, Q):
+    # the chord-and-tangent formulas on FieldElements, as the sum was once
+    # computed
+    E = P.curve
+    if P.is_infinity() or Q.is_infinity():
+        return Q if P.is_infinity() else P
+    x1, y1, x2, y2 = P.x, P.y, Q.x, Q.y
+    if x1 == x2:
+        if y2 == y1 + E.hpoly(x1):
+            return E.infinity()
+        lam = (x1 * x1 + E.a4 + E.a1 * y1) / E.hpoly(x1)
+    else:
+        lam = (y1 + y2) / (x1 + x2)
+    x3 = lam * lam + E.a1 * lam + E.a2 + x1 + x2
+    y3 = (lam + E.a1) * x3 + y1 + lam * x1 + E.a3
+    return CurvePoint(E, x3, y3)
+
+
+@pytest.mark.parametrize("d", [3, 8, 13])
+def test_addition_on_ints_matches_the_fieldelement_formulas(d):
+    # general curves (every a_i random) reach the chord, the tangent, and
+    # P + (-P); the sum must also lie on the curve
+    ctx = GF(d)
+    rng = random.Random(40 + d)
+    tried = 0
+    while tried < 4:
+        try:
+            E = WeierstrassCurve(ctx, *(ctx.random(rng) for _ in range(5)))
+        except ValueError:
+            continue
+        tried += 1
+        pts = _sample_points(E, rng, 8)
+        for P in pts:
+            for Q in pts + [P, -P, E.infinity()]:
+                R = P + Q
+                assert R == reference_add(P, Q), (E, P, Q)
+                assert R.is_infinity() or E.contains(R.x, R.y)
+
+
+def test_scalar_multiple_takes_no_unread_doubling(monkeypatch):
+    # k * P costs (bits of k - 1) doublings and (set bits of k - 1) sums
+    E = WeierstrassCurve.ordinary(GF(8), 5)
+    P = next(P for P in _sample_points(E, random.Random(2), 20)
+             if point_order(E, P) > 15)
+    sums = [E.infinity()]
+    for _ in range(15):
+        sums.append(sums[-1] + P)
+    add = CurvePoint.__add__
+    calls = []
+
+    def counted(A, B):
+        if not (A.is_infinity() or B.is_infinity()):
+            calls.append((A, B))
+        return add(A, B)
+
+    monkeypatch.setattr(CurvePoint, "__add__", counted)
+    for k, want in ((3, 2), (15, 6)):
+        calls.clear()
+        assert k * P == sums[k]
+        assert len(calls) == want, k
+
+
 def test_two_torsion_of_ordinary():
     E = WeierstrassCurve.ordinary(GF(4), 9)
     R = E.point(0, 0)
