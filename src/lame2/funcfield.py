@@ -62,11 +62,15 @@ class Series:
     __slots__ = ("ctx", "val", "coeffs")
 
     def __init__(self, ctx, val, coeffs):
-        cs = _coeff_bits(ctx, coeffs)
+        self._set(ctx, val, _coeff_bits(ctx, coeffs))
+
+    def _set(self, ctx, val, cs):
         lead = next((i for i, c in enumerate(cs) if c), len(cs))
-        self.ctx = ctx
-        self.val = val + lead
-        self.coeffs = tuple(cs[lead:])
+        self.ctx, self.val, self.coeffs = ctx, val + lead, tuple(cs[lead:])
+        return self
+
+    # the private constructor, for lists of reduced ints from arithmetic
+    _of = classmethod(lambda cls, *args: cls.__new__(cls)._set(*args))
 
     @classmethod
     def uniformizer(cls, ctx, prec):
@@ -127,14 +131,14 @@ class Series:
             lo = min(self.val, 0)
             out = [self._at(k) for k in range(lo, self.prec)]
             out[-lo] ^= c
-            return Series(self.ctx, lo, out)
+            return Series._of(self.ctx, lo, out)
         if not isinstance(other, Series):
             return NotImplemented
         self._same_context(other)
         lo = min(self.val, other.val)
         hi = min(self.prec, other.prec)
-        return Series(self.ctx, lo,
-                      [self._at(k) ^ other._at(k) for k in range(lo, hi)])
+        return Series._of(self.ctx, lo,
+                          [self._at(k) ^ other._at(k) for k in range(lo, hi)])
 
     __radd__ = __add__
     __sub__ = __add__
@@ -150,7 +154,7 @@ class Series:
             if not c:
                 # the product is exactly zero, not zero through a window
                 return self.ctx.zero
-            return Series(self.ctx, self.val, [mul(a, c) for a in self.coeffs])
+            return Series._of(self.ctx, self.val, [mul(a, c) for a in self.coeffs])
         if not isinstance(other, Series):
             return NotImplemented
         self._same_context(other)
@@ -159,7 +163,7 @@ class Series:
         # through min(p1 + v2, p2 + v1)
         out_prec = min(self.prec + other.val, other.prec + self.val)
         if not self.coeffs or not other.coeffs:
-            return Series(self.ctx, out_prec, [])
+            return Series._of(self.ctx, out_prec, [])
         val = self.val + other.val
         length = out_prec - val
         out = [0] * length
@@ -168,14 +172,14 @@ class Series:
             sqr = self.ctx.sqr
             for i, a in enumerate(self.coeffs[:(length + 1) // 2]):
                 out[2 * i] = sqr(a)
-            return Series(self.ctx, val, out)
+            return Series._of(self.ctx, val, out)
         b = other.coeffs
         for i, a in enumerate(self.coeffs[:length]):
             if a:
                 for j in range(min(len(b), length - i)):
                     if b[j]:
                         out[i + j] ^= mul(a, b[j])
-        return Series(self.ctx, val, out)
+        return Series._of(self.ctx, val, out)
 
     __rmul__ = __mul__
 
@@ -190,7 +194,7 @@ class Series:
             for i in range(1, k + 1):
                 acc ^= mul(c[i], out[k - i])
             out.append(mul(acc, inv0))
-        return Series(self.ctx, -self.val, out)
+        return Series._of(self.ctx, -self.val, out)
 
     def __truediv__(self, other):
         c = self._scalar(other)
@@ -206,9 +210,9 @@ class Series:
         return self.inverse() * other
 
     def deriv(self):
-        return Series(self.ctx, self.val - 1,
-                      [a if (self.val + i) & 1 else 0
-                       for i, a in enumerate(self.coeffs)])
+        return Series._of(self.ctx, self.val - 1,
+                          [a if (self.val + i) & 1 else 0
+                           for i, a in enumerate(self.coeffs)])
 
     def __eq__(self, other):
         if not isinstance(other, Series):
@@ -263,7 +267,7 @@ def xy_expansion(curve: WeierstrassCurve, place, prec: int):
                 ^ mul(a4, S[k - 1]) ^ mul(a6, Sw) ^ (k == 3)
             if 2 * k < n:
                 S[2 * k] = sqr(w[k])
-        Y = Series(ctx, 0, w).inverse()
+        Y = Series._of(ctx, 0, w).inverse()
         X = t * Y
     else:
         if place.curve != curve:
@@ -282,7 +286,7 @@ def xy_expansion(curve: WeierstrassCurve, place, prec: int):
                 if k % 2 == 0:
                     yk ^= sqr(y[k // 2])
                 y.append(mul(yk, inv))
-            Y = Series(ctx, 0, y)
+            Y = Series._of(ctx, 0, y)
         else:
             # t = Y - y0: x_k = (a1 x_(k-1) + sum_(2i+j=k, i>0) x_i^2 x_j
             # + [k=1] a3 + [k even] a2 x_(k/2)^2 + [k=2]) / u, where
@@ -300,7 +304,7 @@ def xy_expansion(curve: WeierstrassCurve, place, prec: int):
                     xk ^= mul(a2, xsq[k // 2]) ^ (k == 2)
                 x.append(mul(xk, inv))
                 xsq.append(sqr(x[k]))
-            X = Series(ctx, 0, x)
+            X = Series._of(ctx, 0, x)
     _check_on_curve(curve, X, Y)
     return X, Y
 

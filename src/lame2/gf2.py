@@ -9,7 +9,8 @@ field and nothing needs to be serialized beyond d.
 
 Each context builds one raw-int kernel, ``ctx.mul``, ``ctx.sqr`` and
 ``ctx.inv`` (``_table_kernel`` for 2 <= d <= 12, else ``_field_kernel``),
-and all element, polynomial and root-finding arithmetic runs on it.
+and all element and polynomial arithmetic runs on it.  Root finding packs
+each row mod g into one int, 2d bits a coefficient (``_Modulus``).
 
 Cross-field structure:
 
@@ -68,8 +69,14 @@ def _pgcd(a, b):
     return a
 
 
-# the square of each byte over GF(2): its binary digits read in base 4
-_SPREAD = [int(format(b, "b"), 4) for b in range(256)]
+def _comb(a):
+    """a * k over GF(2) for k < 16, the table of the 4-bit comb multiply."""
+    a2, a4, a8 = a << 1, a << 2, a << 3
+    a3, a5, a6 = a2 ^ a, a4 ^ a, a4 ^ a2
+    a7 = a4 ^ a3
+    return (0, a, a2, a3, a4, a5, a6, a7,
+            a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a8 ^ a4, a8 ^ a5, a8 ^ a6, a8 ^ a7)
+
 
 _TABLE_MAX_DEGREE = 12  # contexts of degree 2 to this use exp/log tables
 
@@ -79,10 +86,10 @@ def _field_kernel(d, m):
 
     Contexts use it for d = 1 and d > 12, ``_is_irreducible`` at every d.
     mul runs over the set bits of an operand below 2^16, else a 4-bit comb
-    (the products a*k for k < 16, then b a nibble at a time); sqr spreads
-    bits a byte at a time.  Products, of degree <= 2d - 2, are reduced by
-    x^d = m + x^d.  When that low part of m has degree t <= d/2 (so for the
-    lexmin moduli, at least up to d = 64 and at 96 and 200), two
+    (the products a*k for k < 16, then b a nibble at a time); sqr reads the
+    binary digits of a in base 4.  Products, of degree <= 2d - 2, are
+    reduced by x^d = m + x^d.  When that low part of m has degree t <= d/2
+    (so for the lexmin moduli, at least up to d = 64 and at 96 and 200), two
     shift-and-xor folds over its taps suffice: the first leaves degree
     <= d - 2 + t, the second folds degree <= t - 2 into <= 2t - 2 < d.  A
     denser modulus keeps the generic loop.  inv is the shift-and-add
@@ -112,11 +119,7 @@ def _field_kernel(d, m):
 
     def mul(a, b):
         if a >> 16 and b >> 16:
-            a2, a4, a8 = a << 1, a << 2, a << 3
-            a3, a5, a6 = a2 ^ a, a4 ^ a, a4 ^ a2
-            a7 = a4 ^ a3
-            comb = (0, a, a2, a3, a4, a5, a6, a7,
-                    a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a8 ^ a4, a8 ^ a5, a8 ^ a6, a8 ^ a7)
+            comb = _comb(a)
             r = 0
             for s in nibbles:
                 r = (r << 4) ^ comb[(b >> s) & 15]
@@ -131,12 +134,7 @@ def _field_kernel(d, m):
         return red(r)
 
     def sqr(a):
-        r = s = 0
-        while a:
-            r |= _SPREAD[a & 255] << s
-            a >>= 8
-            s += 16
-        return red(r)
+        return red(int(format(a, "b"), 4))
 
     def inv(a):
         u, v, g1, g2 = a, m, 1, 0
@@ -550,7 +548,7 @@ _EMBED_GEN = {}
 
 def _bit_poly(ctx, bits):
     """The bit-polynomial `bits`, coefficients in GF(2), as a Poly over ctx."""
-    return Poly(ctx, [(bits >> i) & 1 for i in range(bits.bit_length())])
+    return Poly._of(ctx, [(bits >> i) & 1 for i in range(bits.bit_length())])
 
 
 def _embed_gen(src, target):
@@ -605,11 +603,16 @@ class Poly:
     __slots__ = ("ctx", "coeffs")
 
     def __init__(self, ctx, coeffs):
-        cs = _coeff_bits(ctx, coeffs)
+        self._set(ctx, _coeff_bits(ctx, coeffs))
+
+    def _set(self, ctx, cs):
         while cs and cs[-1] == 0:
             cs.pop()
-        self.ctx = ctx
-        self.coeffs = tuple(cs)
+        self.ctx, self.coeffs = ctx, tuple(cs)
+        return self
+
+    # the private constructor, for lists of reduced ints from arithmetic
+    _of = classmethod(lambda cls, *args: cls.__new__(cls)._set(*args))
 
     @classmethod
     def x(cls, ctx):
@@ -673,7 +676,7 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] ^= c
-        return Poly(self.ctx, out)
+        return Poly._of(self.ctx, out)
 
     __sub__ = __add__
 
@@ -695,7 +698,7 @@ class Poly:
             for j, b in enumerate(other.coeffs, i):
                 if b:
                     out[j] ^= mul(a, b)
-        return Poly(self.ctx, out)
+        return Poly._of(self.ctx, out)
 
     def square(self):
         sqr = self.ctx.sqr
@@ -703,7 +706,7 @@ class Poly:
         for i, a in enumerate(self.coeffs):
             if a:
                 out[2 * i] = sqr(a)
-        return Poly(self.ctx, out)
+        return Poly._of(self.ctx, out)
 
     def _rem(self, other, quotient=None):
         """self mod other, appending the quotient's coefficients, high to low,
@@ -729,12 +732,12 @@ class Poly:
                 for j, b in enumerate(low, i - db):
                     if b:
                         rem[j] ^= mul(c, b)
-        return Poly(self.ctx, rem[:db])
+        return Poly._of(self.ctx, rem[:db])
 
     def __divmod__(self, other):
         q = []
         r = self._rem(other, q)
-        return Poly(self.ctx, q[::-1]), r
+        return Poly._of(self.ctx, q[::-1]), r
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -771,8 +774,8 @@ class Poly:
 
     def deriv(self):
         # formal derivative in characteristic 2: only odd-degree terms survive
-        return Poly(self.ctx, [c if i % 2 == 1 else 0
-                               for i, c in enumerate(self.coeffs[1:], start=1)])
+        return Poly._of(self.ctx, [c if i % 2 == 1 else 0
+                                   for i, c in enumerate(self.coeffs[1:], start=1)])
 
     def __call__(self, x):
         if isinstance(x, FieldElement):
@@ -802,51 +805,111 @@ class Poly:
                 "coeffs": [format(c, "x") for c in self.coeffs]}
 
 
-def _frobenius_rows(f):
-    """[x^(2^j) mod f for j = 0..d] over GF(2^d), from d squarings mod f."""
-    rows = [Poly.x(f.ctx) % f]
-    for _ in range(f.ctx.degree):
-        rows.append(rows[-1].square() % f)
+# ---------------------------------------------------------------------------
+# root finding on packed rows
+
+class _Modulus:
+    """Polynomials mod g over GF(2^d) packed into ints, w = 2d bits a slot.
+
+    Coefficient i sits at bit w*i, so a scalar times a row is one 4-bit comb
+    pass over its int (``dot``).  A slot holds a sum of products of reduced
+    coefficients, of degree <= 2d - 2 < w, so no slot spills into the next.
+    ``fold`` reduces all slots by x^d = m + x^d: L (``ones``) masks the low
+    d bits of the 2n + 1 slots a square needs, h = (a >> d) & L is below 2^d
+    a slot, each tap t of m + x^d is below d, so h << t is below 2^w, and a
+    round lowers each slot of degree >= d, so it ends for any m.  ``reduce``
+    folds slot n + i into the low n by a table of x^(n+i) mod g grown on
+    demand, one comb an entry; ``square`` spreads the bits (slot i to 2i).
+    """
+
+    sweep = {}  # (context, u) -> [u^(2^j) for j < d], made on first use
+
+    def __init__(self, g):
+        g = g.monic()  # so that x^n = g + x^n mod g
+        ctx, n, d, w = g.ctx, g.degree, g.ctx.degree, 2 * g.ctx.degree
+        self.g, self.ctx, self.n, self.d, self.w = g, ctx, n, d, w
+        self.mask, self.low = (1 << d) - 1, (1 << w * n) - 1
+        self.taps = [t for t in range(d) if ctx.modulus >> t & 1]
+        self.ones = int(("0" * d + "1" * d) * (2 * n + 1), 2)
+        self.last = sum(c << w * i for i, c in enumerate(g.coeffs[:-1]))
+        self.combs = [_comb(self.last)]
+
+    def poly(self, a):
+        return Poly._of(self.ctx, [(a >> s) & self.mask
+                                   for s in range(0, a.bit_length(), self.w)])
+
+    def dot(self, scalars, combs):
+        """sum scalars[i] * rows[i], from the rows' combs; slots unfolded."""
+        terms = [(c, comb) for c, comb in zip(scalars, combs) if c]
+        acc = 0
+        for s in range((self.d - 1) & ~3, -1, -4):
+            acc <<= 4
+            for c, comb in terms:
+                acc ^= comb[(c >> s) & 15]
+        return acc
+
+    def fold(self, a):
+        d, L = self.d, self.ones
+        while h := (a >> d) & L:
+            a &= L
+            for t in self.taps:
+                a ^= h << t
+        return a
+
+    def reduce(self, a):
+        """a mod g, for any packed row of reduced slots."""
+        high, combs = self.poly(a >> self.w * self.n).coeffs, self.combs
+        while len(combs) < len(high):  # x^(k+1) = x * x^k mod g
+            self.last = self.reduce(self.last << self.w)
+            combs.append(_comb(self.last))
+        return self.fold((a & self.low) ^ self.dot(high, combs))
+
+    def square(self, a):
+        return self.reduce(self.fold(int(format(a, "b"), 4)))
+
+
+def _frobenius_rows(mod):
+    """[x^(2^j) mod g for j = 0..d], packed, by d squarings mod g."""
+    rows = [mod.reduce(1 << mod.w)]
+    for _ in range(mod.d):
+        rows.append(mod.square(rows[-1]))
     return rows
 
 
-def _trace_mod(u, rows):
-    """Tr(u*x) mod g = sum_(j<d) u^(2^j) * rows[j], given rows[j] = x^(2^j) mod g."""
-    mul, sqr = u.ctx.mul, u.ctx.sqr
-    c = u.bits
-    out = [0] * max(len(row.coeffs) for row in rows)
-    for row in rows:
-        for k, a in enumerate(row.coeffs):
-            if a:
-                out[k] ^= mul(c, a)
-        c = sqr(c)
-    return Poly(u.ctx, out)
+def _trace_mod(mod, u, combs):
+    """Tr(u*x) mod g = sum_(j<d) u^(2^j) * rows[j], packed, from the combs of
+    rows[j] = x^(2^j) mod g: d scalar products and one fold."""
+    conj = mod.sweep.setdefault((mod.ctx, u), [u])  # the same u every sweep
+    while len(conj) < mod.d:
+        conj.append(mod.ctx.sqr(conj[-1]))
+    return mod.fold(mod.dot(conj, combs))
 
 
-def _split_once(g, rows):
-    """A proper factorization (h, g/h) of a product of distinct linear factors.
+def _split_once(mod, rows):
+    """A proper factorization (h, g/h) of a product g of distinct linear
+    factors, given mod = _Modulus(g) and packed rows[j] = x^(2^j) mod g, j < d.
 
-    rows[j] = x^(2^j) mod g for j < d (Berlekamp's trace algorithm).  Sweeps
-    u over the power basis 1, x, ..., x^(d-1): for any two distinct roots
-    r, r' the trace form is nondegenerate, so some basis element u has
-    Tr(u*(r+r')) = 1 and gcd(g, Tr(u*x)) is a proper factor.  Deterministic
-    and never needs more than d attempts.
+    Berlekamp's trace algorithm sweeps u over the power basis 1, ..., x^(d-1):
+    for distinct roots r, r' the trace form is nondegenerate, so some u has
+    Tr(u*(r+r')) = 1 and gcd(g, Tr(u*x)) is a proper factor.  Deterministic,
+    at most d attempts, and the combs of the rows serve them all.
     """
-    ctx = g.ctx
-    for i in range(ctx.degree):
-        h = g.gcd(_trace_mod(FieldElement(ctx, 1 << i), rows))
+    g, combs = mod.g, [_comb(row) for row in rows]
+    for i in range(mod.d):
+        h = g.gcd(mod.poly(_trace_mod(mod, 1 << i, combs)))
         if 0 < h.degree < g.degree:
             return h, g // h
     raise VerificationError("splitting failed: input is not separable split")
 
 
 def _split_linear(g, rows):
-    """All roots of g, a product of distinct linear factors, given
+    """All roots of g, a product of distinct linear factors, given packed
     rows[j] = x^(2^j) mod some multiple of g for j < d."""
     if g.degree == 1:
         return [g.coeff(0) / g.leading()]
-    rows = [row % g for row in rows]
-    return [r for h in _split_once(g, rows) for r in _split_linear(h, rows)]
+    mod = _Modulus(g)
+    rows = [mod.reduce(row) for row in rows]
+    return [r for h in _split_once(mod, rows) for r in _split_linear(h, rows)]
 
 
 def _conjugate_roots(f):
@@ -856,12 +919,12 @@ def _conjugate_roots(f):
     one root r (Lidl-Niederreiter, Thm 2.14), and r is found by following the
     smaller factor of each split down to a linear one.
     """
-    g = f
-    rows = _frobenius_rows(f)[:-1]
-    while g.degree > 1:
-        rows = [row % g for row in rows]
-        g = min(_split_once(g, rows), key=lambda p: p.degree)
-    roots = [g.coeff(0) / g.leading()]
+    mod = _Modulus(f)
+    rows = _frobenius_rows(mod)[:-1]
+    while mod.n > 1:
+        mod = _Modulus(min(_split_once(mod, rows), key=lambda p: p.degree))
+        rows = [mod.reduce(row) for row in rows]
+    roots = [mod.g.coeff(0) / mod.g.leading()]
     for _ in range(f.degree - 1):
         roots.append(roots[-1].square())
     if len({r.bits for r in roots}) != f.degree or any(f(r) for r in roots):
@@ -880,8 +943,9 @@ def poly_roots(f):
         raise ValueError("the zero polynomial has every root")
     if f.degree == 0:
         return []
-    rows = _frobenius_rows(f)
-    g = f.gcd(rows.pop() + Poly.x(f.ctx))
+    mod = _Modulus(f)
+    rows = _frobenius_rows(mod)
+    g = f.gcd(mod.poly(rows.pop()) + Poly.x(f.ctx))
     if g.degree <= 0:
         return []
     roots = _split_linear(g, rows)

@@ -30,7 +30,7 @@ from math import gcd, lcm
 from .arith import divisors, factorint, mobius
 from .common import FiberEscapeError, INFINITY, VerificationError
 from .gf2 import GF, FieldContext, FieldElement, element_degree, embed, poly_roots
-from .gf2 import Poly
+from .gf2 import Poly, _Modulus
 from .weierstrass import (
     CurvePoint,
     WeierstrassCurve,
@@ -507,18 +507,20 @@ def _factor_degrees(p):
     """Degrees of the irreducible factors of a squarefree polynomial."""
     f = p.monic()
     x = Poly.x(p.ctx)
-    r = x % f
+    mod = _Modulus(f)
+    r = mod.reduce(1 << mod.w)  # x, packed as the root finder's rows
     degrees = []
     i = 0
     while f.degree > 2 * i:
         i += 1
         for _ in range(p.ctx.degree):
-            r = r.square() % f
-        g = f.gcd(r + x)
+            r = mod.square(r)
+        g = f.gcd(mod.poly(r) + x)
         if g.degree > 0:
             degrees.extend([i] * (g.degree // i))
             f = f // g
-            r = r % f
+            mod = _Modulus(f)
+            r = mod.reduce(r)
     if f.degree > 0:
         degrees.append(f.degree)
     return degrees

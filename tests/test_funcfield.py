@@ -301,6 +301,52 @@ def test_poly_and_series_share_one_coefficient_rule(make):
         make(ctx, [1, FieldContext(4, 0b11001).one])
 
 
+def _reduced_and_normal(ctx, obj):
+    # what the public constructor would have made of the same coefficients
+    assert all(type(c) is int and 0 <= c < 1 << ctx.degree
+               for c in obj.coeffs), obj
+    if isinstance(obj, Poly):
+        assert obj == Poly(ctx, list(obj.coeffs))
+        assert not obj.coeffs or obj.coeffs[-1]
+    else:
+        again = Series(ctx, obj.val, list(obj.coeffs))
+        assert (again.val, again.coeffs) == (obj.val, obj.coeffs)
+        assert not obj.coeffs or obj.coeffs[0]
+
+
+@pytest.mark.parametrize("d", [5, 13, 48])
+def test_arithmetic_results_skip_the_rule_and_stay_reduced(d):
+    # Poly and Series arithmetic builds its results without the coefficient
+    # rule; they must still be ints below 2^d in normal form, and the rule
+    # must still guard the public constructors
+    ctx = GF(d)
+    rng = random.Random(200 + d)
+
+    def coeffs(n):
+        return [rng.getrandbits(d) if rng.random() < 0.7 else 0
+                for _ in range(n)]
+
+    for _ in range(40):
+        p, q = Poly(ctx, coeffs(rng.randrange(0, 8))), Poly(
+            ctx, coeffs(rng.randrange(0, 6)) + [rng.randrange(1, 1 << d)])
+        quo, rem = divmod(p, q)
+        for r in (p + q, p * q, p.square(), quo, rem, p % q, p.deriv(),
+                  p.gcd(q), p.monic()):
+            _reduced_and_normal(ctx, r)
+        s = Series(ctx, rng.randrange(-3, 3), coeffs(rng.randrange(0, 9)))
+        u = Series(ctx, rng.randrange(-3, 3),
+                   [rng.randrange(1, 1 << d)] + coeffs(rng.randrange(0, 8)))
+        c = ctx(rng.randrange(1, 1 << d))  # s * 0 is the exact zero
+        for r in (s + u, s * u, s * s, s * c, s + c, u.inverse(), s / u,
+                  s.deriv()):
+            _reduced_and_normal(ctx, r)
+    for make in (lambda cs: Poly(ctx, cs), lambda cs: Series(ctx, 0, cs)):
+        with pytest.raises(FieldInputError, match="negative"):
+            make([1, -1])
+        with pytest.raises(ValueError, match="different context"):
+            make([1, GF(d + 1).one])
+
+
 def test_series_coefficients_are_raw_ints():
     E = WeierstrassCurve.ordinary(GF(8), 0x35)
     for place in (INFINITY, E.point(0, E.fiber_y(E.ctx(0))[0])):

@@ -20,10 +20,11 @@ from lame2 import (GF, FieldContext, FieldInputError, Poly, VerificationError,
                    embed, element_degree, gf2, lexmin_irreducible, poly_roots,
                    solve_artin_schreier, trace)
 from lame2.arith import divisors
-from lame2.gf2 import (_TABLE_MAX_DEGREE, _bit_poly, _conjugate_roots,
-                       _embed_gen, _field_kernel, _frobenius_rows,
-                       _is_irreducible, _pmod, _root_multiplicity,
-                       _split_once, _table_kernel, _trace_mod)
+from lame2.gf2 import (_TABLE_MAX_DEGREE, _Modulus, _bit_poly, _comb,
+                       _conjugate_roots, _embed_gen, _field_kernel,
+                       _frobenius_rows, _is_irreducible, _pmod,
+                       _root_multiplicity, _split_once, _table_kernel,
+                       _trace_mod)
 
 
 # ---------------------------------------------------------------------------
@@ -229,14 +230,19 @@ def test_kernel_matches_bit_loops(d):
     check_kernel(ctx, random.Random(d), 1 << 12 if d <= 12 else 20)
 
 
-@pytest.mark.parametrize("d", [5, 8, 24, 48])
-def test_kernel_on_a_dense_modulus(d):
-    # a modulus with a tap above d/2 takes the generic reduction loop
+def dense_context(d):
+    # the least irreducible modulus with a tap at d - 1, above d/2
     m = (1 << d) | (1 << (d - 1)) | 1
     while not _is_irreducible(m, d):
         m += 2
     assert (m ^ (1 << d)).bit_length() - 1 > d // 2
-    ctx = FieldContext(d, m)
+    return FieldContext(d, m)
+
+
+@pytest.mark.parametrize("d", [5, 8, 24, 48])
+def test_kernel_on_a_dense_modulus(d):
+    # a modulus with a tap above d/2 takes the generic reduction loop
+    ctx = dense_context(d)
     assert uses_tables(ctx) == (d <= _TABLE_MAX_DEGREE)
     check_kernel(ctx, random.Random(d), 20)
 
@@ -295,16 +301,16 @@ def test_irreducibility_test_builds_no_tables(monkeypatch):
 
 
 def test_import_builds_no_field_context():
-    # importing the package and its CLI must build no context, so that no
-    # table build is paid at import time
+    # importing the package and its CLI must build no context and no packing
+    # state, so that no table build is paid at import time
     code = ("import lame2, lame2.cli\n"
             "from lame2 import gf2\n"
-            "print(len(gf2._CANONICAL))\n")
+            "print(len(gf2._CANONICAL), len(gf2._Modulus.sweep))\n")
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(lame2.__file__)))
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "0"
+    assert out.split() == ["0", "0"]
 
 
 def test_division_by_zero():
@@ -514,14 +520,14 @@ def test_poly_roots_none_in_small_field():
 def test_conjugate_roots_match_poly_roots():
     # the roots of the degree-e canonical modulus in GF(2^d), e | d, are one
     # Frobenius orbit; poly_roots splits the polynomial completely instead
-    for d in range(1, 25):
+    for d in list(range(1, 25)) + [48]:
         ctx = GF(d)
-        for e in divisors(d):
+        for e in divisors(d) if d <= 24 else [d]:
             m = lexmin_irreducible(e)
             f = Poly(ctx, [(m >> i) & 1 for i in range(e + 1)])
-            if e == d and d > 16:
-                # too slow for poly_roots here; GF(2^d) is GF(2)[x]/(f), so
-                # the roots are the conjugates of x itself
+            if e == d and d > 24:
+                # GF(2^d) is GF(2)[x]/(f), so the roots are the conjugates
+                # of x itself
                 x = ctx(2)
                 want = sorted(x.frobenius(i).bits for i in range(d))
             else:
@@ -539,17 +545,68 @@ def reference_trace_map_mod(u, g):
     return acc
 
 
+def reference_frobenius_rows(f):
+    # x^(2^j) mod f for j = 0..d by d squarings of Polys mod f
+    rows = [Poly.x(f.ctx) % f]
+    for _ in range(f.ctx.degree):
+        rows.append(rows[-1].square() % f)
+    return rows
+
+
+@pytest.mark.parametrize("ctx", [GF(3), GF(8), GF(13), GF(24), GF(48),
+                                 dense_context(5), dense_context(8)],
+                         ids=lambda c: f"{c.degree}-{c.modulus:x}")
+def test_packed_frobenius_rows_match_poly_squaring(ctx):
+    # random moduli of degree 1 to 9, monic or not; the dense moduli fold
+    # the slots in more than two rounds
+    d = ctx.degree
+    rng = random.Random(60 + d)
+    for n in range(1, 10):
+        f = Poly(ctx, [rng.getrandbits(d) for _ in range(n)]
+                 + [rng.randrange(1, 1 << d)])
+        mod = _Modulus(f)
+        rows = _frobenius_rows(mod)
+        assert len(rows) == d + 1
+        assert all(mod.poly(row) == want for row, want
+                   in zip(rows, reference_frobenius_rows(f))), (n, f)
+
+
 @pytest.mark.parametrize("d", [3, 8, 24])
 def test_table_trace_matches_squaring_loop(d):
     ctx = GF(d)
     rng = random.Random(50 + d)
     for n in (2, 5, 7):
         g = Poly.from_roots(ctx, rng.sample(range(1 << d), n))
-        rows = _frobenius_rows(g)[:-1]
+        mod = _Modulus(g)
+        rows = _frobenius_rows(mod)[:-1]
         assert len(rows) == d
+        combs = [_comb(row) for row in rows]
         for i in range(d):
             u = ctx(1 << i)
-            assert _trace_mod(u, rows) == reference_trace_map_mod(u, g), (n, i)
+            assert mod.poly(_trace_mod(mod, u.bits, combs)) \
+                == reference_trace_map_mod(u, g), (n, i)
+
+
+@pytest.mark.parametrize("d", [5, 8])
+def test_poly_roots_exhaustive_on_a_dense_modulus(d):
+    # distinct roots, a repeated one and a random cofactor, against
+    # evaluation at every element and repeated division
+    ctx = dense_context(d)
+    rng = random.Random(80 + d)
+    for n in (1, 3, 6, 9):
+        roots = rng.sample(range(1 << d), n)
+        f = Poly.from_roots(ctx, roots + roots[:1]) * Poly(
+            ctx, [rng.getrandbits(d) for _ in range(rng.randrange(1, 5))]
+            + [rng.randrange(1, 1 << d)])
+        expected = []
+        for a in ctx.elements():
+            if f(a):
+                continue
+            lin, rem, mult = Poly(ctx, [a.bits, 1]), f, 0
+            while (rem % lin).is_zero():
+                rem, mult = rem // lin, mult + 1
+            expected.append((a.bits, mult))
+        assert [(r.bits, m) for r, m in poly_roots(f)] == expected, n
 
 
 @pytest.mark.parametrize("d", [8, 10])
@@ -581,8 +638,10 @@ def test_split_once_rejects_unsplit_input(d):
     ctx = GF(d)
     c = next(a for a in ctx.elements() if trace(a))
     g = Poly(ctx, [c.bits, 1, 1])
+    mod = _Modulus(g)
+    rows = _frobenius_rows(mod)[:-1]
     with pytest.raises(VerificationError):
-        _split_once(g, _frobenius_rows(g)[:-1])
+        _split_once(mod, rows)
 
 
 # ---------------------------------------------------------------------------
