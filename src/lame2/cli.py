@@ -11,6 +11,7 @@ invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import random
@@ -35,7 +36,6 @@ from .triples import (
     enumerate_triples,
     expected_class_count,
     lifting_count_check,
-    triples_csv,
 )
 from .moduli12 import (
     WeightedPoint,
@@ -223,11 +223,10 @@ def cmd_triples(args) -> tuple:
         "lifting": check,
         "passed": bool(check["passed"]),
     }
-    if args.format == "csv":
-        text = triples_csv(n, primitive_only=True)
-    else:
-        text = _emit_json(report)
-    return text, 0 if report["passed"] else 1
+    return _output(args, report,
+                   ["n", "a", "b", "c", "signature", "primitive"],
+                   ((n, t.a, t.b, t.c, t.signature, int(t.primitive))
+                    for t in triples))
 
 
 def cmd_moduli(args) -> tuple:
@@ -352,6 +351,7 @@ def cmd_jcheck(args) -> tuple:
 # -- driver ----------------------------------------------------------------------
 
 
+@functools.cache  # parsing leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="lame2",

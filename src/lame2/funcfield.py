@@ -335,7 +335,7 @@ def _as_poly(curve, v):
 class CurveFunction:
     """A rational function (A + B Y)/D on a fixed Weierstrass curve."""
 
-    __slots__ = ("curve", "A", "B", "D")
+    __slots__ = ("curve", "A", "B", "D", "_degree")
 
     def __init__(self, curve: WeierstrassCurve, A, B=0, D=1):
         A = _as_poly(curve, A)
@@ -360,6 +360,7 @@ class CurveFunction:
         self.A = A
         self.B = B
         self.D = D
+        self._degree = None
 
     # -- constructors --------------------------------------------------------
     @classmethod
@@ -494,15 +495,19 @@ class CurveFunction:
         relation, so the degree is the top coefficient degree minus the
         X-content.  The content is exactly the spurious locus where
         numerator and denominator vanish at the same curve points.
+        Computed once per function.
         """
-        if self.is_zero():
-            return 0
-        h, _ = self._hf()
-        n0 = self.norm_numerator()
-        n1 = self.D * self.B * h
-        n2 = self.D * self.D
-        content = n0.gcd(n1).gcd(n2)
-        return max(n0.degree, n1.degree, n2.degree) - content.degree
+        if self._degree is None:
+            self._degree = 0
+            if not self.is_zero():
+                h, _ = self._hf()
+                n0 = self.norm_numerator()
+                n1 = self.D * self.B * h
+                n2 = self.D * self.D
+                content = n0.gcd(n1).gcd(n2)
+                self._degree = (max(n0.degree, n1.degree, n2.degree)
+                                - content.degree)
+        return self._degree
 
     def evaluate(self, place):
         """Value at a point; INFINITY for poles."""
@@ -708,67 +713,60 @@ def local_expand(func: CurveFunction, place, m: int) -> LocalExpansion:
     return LocalExpansion(place, tag, coeffs, m, inverted)
 
 
-def ramification_index(func: CurveFunction, place, *, degree=None) -> int:
+def ramification_index(func: CurveFunction, place) -> int:
     """e = v_Q(func - func(Q)), the local degree of the cover at Q.
 
-    e <= n = deg(func), so the expansion is needed through t^n only; pass
-    `degree` when it is already known.
+    e <= n = deg(func), so the expansion is needed through t^n only.
     """
-    n = func.degree() if degree is None else degree
     return _expand_shifted(func, func.evaluate(place), place,
-                           n + 1).valuation()
+                           func.degree() + 1).valuation()
 
 
-def different_exponent(func: CurveFunction, place, *, degree=None,
-                       value=None) -> int:
+def different_exponent(func: CurveFunction, place, *, value=None) -> int:
     """d = v_t(ds/dt) for s the pullback of a uniformizer below.
 
     s is func - func(Q) at finite values and 1/func at poles.  Odd
     (tame) ramification gives d = e - 1; even indices are wild and carry
     the extra conductor the series computes.  The differents of a degree-n
     cover of the line by a genus-one curve sum to 2n (Riemann-Hurwitz), so
-    d <= 2n and s is needed through t^(2n+1).  Pass `degree` and
-    `value` = func(Q) (INFINITY at a pole) when they are already known;
-    s must vanish at Q, so a wrong value raises VerificationError.
+    d <= 2n and s is needed through t^(2n+1).  Pass `value` = func(Q)
+    (INFINITY at a pole) when it is already known; s must vanish at Q, so a
+    wrong value raises VerificationError.
     """
-    n = func.degree() if degree is None else degree
     if value is None:
         value = func.evaluate(place)
-    s = _expand_shifted(func, value, place, 2 * n + 2)
+    s = _expand_shifted(func, value, place, 2 * func.degree() + 2)
     if s.valuation() < 1:
         raise VerificationError(f"function does not take {value!r} at {place!r}")
     return s.deriv().valuation()
 
 
-def fiber(func: CurveFunction, value, *, degree=None):
+def _fiber_poly(func: CurveFunction, value) -> Poly:
+    """A polynomial whose roots hold the x-coordinates of the fiber over
+    value: D at INFINITY; over c = value, coerced into the context, the norm
+    (A+cD)^2 + (A+cD)Bh + B^2 f of A + cD + BY times D."""
+    if value is INFINITY:
+        return func.D
+    h, f = func._hf()
+    AcD = func.A + func.D * func.curve.ctx(value)
+    norm = AcD * AcD + AcD * func.B * h + func.B * func.B * f
+    if norm.is_zero():
+        raise ValueError("function is identically the requested value")
+    return norm * func.D
+
+
+def fiber(func: CurveFunction, value):
     """All rational points with func = value, as [(point, e)] sorted.
 
     Raises FiberEscapeError when the multiplicities do not add up to the
     degree of the cover, i.e. part of the fiber lives in an extension field.
     """
     E = func.curve
-    ctx = E.ctx
-    n = func.degree() if degree is None else degree
+    n = func.degree()
     if n == 0:
         raise ValueError("constant functions have no finite fibers")
-    h, _ = func._hf()
-    candidates_x = set()
-    if value is INFINITY:
-        for r, _m in poly_roots(func.D):
-            candidates_x.add(r.bits)
-    else:
-        c = ctx(value)
-        AcD = func.A + func.D * c
-        norm_c = AcD * AcD + AcD * func.B * h + func.B * func.B * \
-            Poly(ctx, [E.a6, E.a4, E.a2, ctx.one])
-        if norm_c.is_zero():
-            raise ValueError("function is identically the requested value")
-        for r, _m in poly_roots(norm_c):
-            candidates_x.add(r.bits)
-        for r, _m in poly_roots(func.D):
-            candidates_x.add(r.bits)
-    points = [E.point(ctx(xb), y0) for xb in sorted(candidates_x)
-              for y0 in E.fiber_y(ctx(xb))]
+    points = [E.point(r, y0) for r, _m in poly_roots(_fiber_poly(func, value))
+              for y0 in E.fiber_y(r)]
     hits = []
     for Q in points + [E.infinity()]:
         if func.evaluate(Q) == value:
@@ -801,8 +799,8 @@ def ramification_profile(func: CurveFunction, branch_values):
     for value in branch_values:
         key = value if value is INFINITY else E.ctx(value)
         entries = []
-        for Q, e in fiber(func, key, degree=n):
-            d = (different_exponent(func, Q, degree=n, value=key)
+        for Q, e in fiber(func, key):
+            d = (different_exponent(func, Q, value=key)
                  if e > 1 else 0)
             if e % 2 == 1 and e > 1 and d != e - 1:
                 raise VerificationError(
@@ -821,7 +819,7 @@ def ramification_profile(func: CurveFunction, branch_values):
         for Q in suspects:
             if Q in seen_points:
                 continue
-            e = ramification_index(func, Q, degree=n)
+            e = ramification_index(func, Q)
             if e > 1:
                 v = func.evaluate(Q)
                 extra.append((Q, v, e))

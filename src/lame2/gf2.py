@@ -9,8 +9,10 @@ field and nothing needs to be serialized beyond d.
 
 Each context builds one raw-int kernel, ``ctx.mul``, ``ctx.sqr`` and
 ``ctx.inv`` (``_table_kernel`` for 2 <= d <= 12, else ``_field_kernel``),
-and all element and polynomial arithmetic runs on it.  Root finding packs
-each row mod g into one int, 2d bits a coefficient (``_Modulus``).
+and all element and polynomial arithmetic runs on it; it reduces by one fold
+loop over the modulus taps, for any modulus.  Root finding and factor
+degrees (``_factor_degrees``) pack each row mod g into one int, 2d bits a
+coefficient (``_Modulus``).
 
 Cross-field structure:
 
@@ -87,33 +89,23 @@ def _field_kernel(d, m):
     Contexts use it for d = 1 and d > 12, ``_is_irreducible`` at every d.
     mul runs over the set bits of an operand below 2^16, else a 4-bit comb
     (the products a*k for k < 16, then b a nibble at a time); sqr reads the
-    binary digits of a in base 4.  Products, of degree <= 2d - 2, are
-    reduced by x^d = m + x^d.  When that low part of m has degree t <= d/2
-    (so for the lexmin moduli, at least up to d = 64 and at 96 and 200), two
-    shift-and-xor folds over its taps suffice: the first leaves degree
-    <= d - 2 + t, the second folds degree <= t - 2 into <= 2t - 2 < d.  A
-    denser modulus keeps the generic loop.  inv is the shift-and-add
-    extended Euclid (Hankerson-Menezes-Vanstone, Guide to ECC, Alg. 2.48):
-    a*g1 = u and a*g2 = v mod m, and every pass lowers deg u + deg v, so
-    it stops at u = 1, or at u = 0 when a = 0.
+    binary digits of a in base 4.  red folds the bits at and above x^d onto
+    the taps of m + x^d, all below d, so each round lowers the degree and
+    the loop ends for any m (two rounds when the taps lie at or below d/2,
+    as for the lexmin moduli).  inv is the shift-and-add extended Euclid
+    (Hankerson-Menezes-Vanstone, Guide to ECC, Alg. 2.48): a*g1 = u and
+    a*g2 = v mod m, and every pass lowers deg u + deg v, so it stops at
+    u = 1, or at u = 0 when a = 0.
     """
-    low = m ^ (1 << d)
-    if low.bit_length() - 1 <= d // 2:
-        mask = (1 << d) - 1
-        taps = [i for i in range(low.bit_length()) if low >> i & 1]
+    mask = (1 << d) - 1
+    taps = [t for t in range(d) if m >> t & 1]
 
-        def red(a):
-            for _ in (0, 1):
-                h = a >> d
-                if not h:
-                    break
-                a &= mask
-                for t in taps:
-                    a ^= h << t
-            return a
-    else:
-        def red(a):
-            return _pmod(a, m)
+    def red(a):
+        while h := a >> d:
+            a &= mask
+            for t in taps:
+                a ^= h << t
+        return a
 
     nibbles = range((d - 1) & ~3, -1, -4)
 
@@ -956,6 +948,35 @@ def poly_roots(f):
             raise VerificationError("splitting produced a non-root")
         out.append((r, mult))
     return out
+
+
+def _factor_degrees(f):
+    """Degrees of the distinct irreducible factors of the nonzero f, ascending.
+
+    Distinct-degree factorisation (von zur Gathen-Gerhard, 14.2): at step i,
+    g = gcd(f, x^(q^i) - x) is the product of the factors of degree i, and
+    dividing f by gcd(f, g) until they are coprime strips repeated factors
+    and squares too.  Once deg f <= 2i, f is irreducible or 1.
+    """
+    if f.is_zero():
+        raise ValueError("the zero polynomial has no factorisation")
+    f, x, degrees, i = f.monic(), Poly.x(f.ctx), [], 0
+    mod = _Modulus(f)
+    r = mod.reduce(1 << mod.w)  # x^(q^i) mod f, packed
+    while f.degree > 2 * i:
+        i += 1
+        for _ in range(f.ctx.degree):
+            r = mod.square(r)
+        g = f.gcd(mod.poly(r) + x)
+        if g.degree > 0:
+            degrees += [i] * (g.degree // i)
+            while (h := f.gcd(g)).degree > 0:
+                f = f // h
+            mod = _Modulus(f)
+            r = mod.reduce(r)
+    if f.degree > 0:
+        degrees.append(f.degree)
+    return degrees
 
 
 def _root_multiplicity(p, r):

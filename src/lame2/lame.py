@@ -30,7 +30,7 @@ from math import gcd, lcm
 from .arith import divisors, factorint, mobius
 from .common import FiberEscapeError, INFINITY, VerificationError
 from .gf2 import GF, FieldContext, FieldElement, element_degree, embed, poly_roots
-from .gf2 import Poly, _Modulus
+from .gf2 import Poly, _factor_degrees
 from .weierstrass import (
     CurvePoint,
     WeierstrassCurve,
@@ -40,7 +40,7 @@ from .weierstrass import (
     point_order,
     torsion_basis,
 )
-from .funcfield import miller_function, ramification_profile
+from .funcfield import _fiber_poly, miller_function, ramification_profile
 
 # desk-scale caps: the largest torsion order classified point by point, and
 # the largest degree d of the field-of-moduli census over F_(2^d)
@@ -382,18 +382,14 @@ def lame_count_dividing(n: int) -> int:
 # field-of-moduli census
 
 
-def _roots_in_some_extension(ctx: FieldContext, c: FieldElement):
-    """Roots of (x^4+x)^3 = c in the least extension tower step that has any."""
-    for e in range(1, 13):
-        big = GF(ctx.degree * e)
-        x = Poly.x(big)
-        t = x * x * x * x + x
-        g = t * t * t + Poly.const(embed(c, big))
-        roots = [r for r, _mult in poly_roots(g)]
-        if roots:
-            return big, roots
-    raise VerificationError("degree-12 polynomial had no root in degree <= 12"
-                            " extensions")  # pragma: no cover
+def _roots_in_some_extension(c: FieldElement):
+    """Roots of (x^4+x)^3 = c in the least extension tower step that has any:
+    GF(2^(de)) has a root exactly when a factor's degree over GF(2^d) divides
+    e, so e is the least factor degree."""
+    cube = [0, 0, 1] * 4  # (x^4 + x)^3 = x^12 + x^9 + x^6 + x^3
+    big = GF(c.ctx.degree * min(_factor_degrees(Poly(c.ctx, [c.bits] + cube))))
+    g = Poly(big, [embed(c, big).bits] + cube)
+    return big, [r for r, _mult in poly_roots(g)]
 
 
 def _lift_to_curve(x0: FieldElement) -> CurvePoint:
@@ -425,7 +421,7 @@ def moduli_census(d: int) -> dict:
     classes = []
     by_degree = {}
     for c in ctx.elements():
-        big, roots = _roots_in_some_extension(ctx, c)
+        big, roots = _roots_in_some_extension(c)
         P = _lift_to_curve(roots[0])
         value = rho(P)
         if value != embed(c, P.curve.ctx):
@@ -484,57 +480,10 @@ def _branch_fiber(profile, value):
     raise VerificationError("missing branch value in profile")
 
 
-def _poly_sqrt(p):
-    if any(p.coeffs[1::2]):
-        raise VerificationError("polynomial is not a perfect square")
-    return Poly(p.ctx, [p.coeff(i).sqrt() for i in range(0, len(p.coeffs), 2)])
-
-
-def _radical(p):
-    """Product of the distinct irreducible factors, each taken once."""
-    if p.degree <= 0:
-        return Poly.one(p.ctx)
-    d = p.deriv()
-    if d.is_zero():
-        return _radical(_poly_sqrt(p))
-    g = p.gcd(d)
-    odd = p // g
-    rest = _radical(g)
-    return odd * (rest // odd.gcd(rest))
-
-
-def _factor_degrees(p):
-    """Degrees of the irreducible factors of a squarefree polynomial."""
-    f = p.monic()
-    x = Poly.x(p.ctx)
-    mod = _Modulus(f)
-    r = mod.reduce(1 << mod.w)  # x, packed as the root finder's rows
-    degrees = []
-    i = 0
-    while f.degree > 2 * i:
-        i += 1
-        for _ in range(p.ctx.degree):
-            r = mod.square(r)
-        g = f.gcd(mod.poly(r) + x)
-        if g.degree > 0:
-            degrees.extend([i] * (g.degree // i))
-            f = f // g
-            mod = _Modulus(f)
-            r = mod.reduce(r)
-    if f.degree > 0:
-        degrees.append(f.degree)
-    return degrees
-
-
 def _fiber_splitting_degree(func, value):
-    """Least extension degree whose x-line splits the fiber over value.
-
-    The x-coordinates of the fiber are the roots of the norm form of
-    func - value (together with the pole locus), so the factor degrees of
-    its radical bound the field where the whole fiber becomes rational.
-    """
-    N = (func + value).norm_numerator() * func.D
-    return lcm(1, *_factor_degrees(_radical(N)))
+    """Least extension degree whose x-line splits the fiber over value: the
+    lcm of the factor degrees of the polynomial of its x-coordinates."""
+    return lcm(1, *_factor_degrees(_fiber_poly(func, value)))
 
 
 def _normalized_cover(P: CurvePoint, n: int):

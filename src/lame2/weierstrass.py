@@ -403,8 +403,12 @@ def point_order(curve: WeierstrassCurve, point: "CurvePoint",
     return order_from_multiple(N, lambda k: (k * point).is_infinity())
 
 
+# random points the cofactor search draws per prime before it gives up
+_EXACT_ORDER_TRIALS = 256
+
+
 def point_of_exact_order(curve: WeierstrassCurve, group_order: int, n: int,
-                         rng: random.Random, trials: int = 256) -> CurvePoint:
+                         rng: random.Random) -> CurvePoint:
     """A point of exact order n, via the cofactor method prime by prime."""
     parts = []
     for p, e in factorint(n).items():
@@ -413,7 +417,7 @@ def point_of_exact_order(curve: WeierstrassCurve, group_order: int, n: int,
             cofactor //= p
         if (group_order // cofactor) % p ** e:
             raise ValueError(f"group order lacks {p}^{e}")
-        for attempt in range(trials):
+        for attempt in range(_EXACT_ORDER_TRIALS):
             S = cofactor * curve.random_point(rng)
             # S has order p^j; walk down to exact order p^e
             chain = [S]
@@ -425,8 +429,8 @@ def point_of_exact_order(curve: WeierstrassCurve, group_order: int, n: int,
                 break
         else:
             raise TorsionSearchExhausted(
-                f"no point of order {p ** e} found in {trials} trials",
-                trials=trials)
+                f"no point of order {p ** e} found in"
+                f" {_EXACT_ORDER_TRIALS} trials", trials=_EXACT_ORDER_TRIALS)
     acc = curve.infinity()
     for pt in parts:
         acc = acc + pt

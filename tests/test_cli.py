@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ import lame2
 from lame2 import HyperellipticCurve
 from lame2.cli import main, run
 from lame2.gf2 import GF
+from lame2.triples import triples_csv
 
 
 def invoke(*argv):
@@ -170,12 +172,17 @@ def test_csv_digests(argv):
     assert hashlib.sha256(text.encode()).hexdigest() == CSV_DIGESTS[argv]
 
 
-@pytest.mark.parametrize("module", ["lame2", "lame2.cli"])
-def test_python_dash_m_runs_the_cli(module):
+def _src_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(lame2.__file__))
     path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")]
                                     if p])
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+@pytest.mark.parametrize("module", ["lame2", "lame2.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    env = _src_env()
 
     def call(*argv):
         return subprocess.run([sys.executable, "-m", module, *argv],
@@ -188,6 +195,21 @@ def test_python_dash_m_runs_the_cli(module):
     bad = call("classify", "--order", "4")
     assert bad.returncode == 2
     assert bad.stdout == "" and "odd" in bad.stderr
+
+
+DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
+
+
+def test_demos_are_found():
+    # an empty glob would leave test_demo_runs with no cases
+    assert DEMOS
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    done = subprocess.run([sys.executable, str(demo)], capture_output=True,
+                          text=True, env=_src_env())
+    assert done.returncode == 0, done.stderr[-2000:]
 
 
 def test_import_pulls_in_no_sympy():
@@ -269,6 +291,10 @@ def test_triples_csv_rows():
     assert code == 0
     assert "5,1,1,3,1,1" in text
     assert "5,1,2,2,0,1" in text
+    for n in (5, 9, 101):
+        code, text = invoke("triples", "--degree", str(n), "--csv")
+        assert code == 0
+        assert text == triples_csv(n, primitive_only=True), n
 
 
 def test_moduli_census_d2():

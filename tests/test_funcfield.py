@@ -17,6 +17,7 @@ from lame2.common import (FiberEscapeError, PrecisionError, ProfileFalsified,
 from lame2.gf2 import _pmod
 from lame2.funcfield import (
     _check_on_curve,
+    _fiber_poly,
     LocalExpansion,
     local_expand,
     CurveFunction,
@@ -790,6 +791,24 @@ def test_fiber_escape():
             continue
         assert sum(e for _p, e in pts) == 2
     assert escaped
+
+
+def test_fiber_poly_holds_the_fiber_x_coordinates():
+    # D at INFINITY; an int value coerces into the context; every affine
+    # point of a fiber is a root; a function that is identically the value
+    # has no fiber polynomial
+    E = WeierstrassCurve.supersingular(4)
+    rng = random.Random(17)
+    f = _random_function(E, rng)
+    assert _fiber_poly(f, INFINITY) == f.D
+    assert _fiber_poly(f, 1) == _fiber_poly(f, E.ctx.one)
+    assert _fiber_poly(f, 0) == f.norm_numerator() * f.D
+    for _ in range(12):
+        P = E.random_point(rng)
+        if not P.is_infinity():
+            assert not _fiber_poly(f, f.evaluate(P))(P.x), P
+    with pytest.raises(ValueError):
+        _fiber_poly(CurveFunction.constant(E, 5), 5)
 
 
 def test_ramification_of_two_torsion_x_map():

@@ -21,8 +21,8 @@ from lame2 import (GF, FieldContext, FieldInputError, Poly, VerificationError,
                    solve_artin_schreier, trace)
 from lame2.arith import divisors
 from lame2.gf2 import (_TABLE_MAX_DEGREE, _Modulus, _bit_poly, _comb,
-                       _conjugate_roots, _embed_gen, _field_kernel,
-                       _frobenius_rows, _is_irreducible, _pmod,
+                       _conjugate_roots, _embed_gen, _factor_degrees,
+                       _field_kernel, _frobenius_rows, _is_irreducible, _pmod,
                        _root_multiplicity, _split_once, _table_kernel,
                        _trace_mod)
 
@@ -224,7 +224,7 @@ def check_kernel(ctx, rng, naive_pairs):
 @pytest.mark.parametrize("d", list(range(1, 13)) + [24, 40, 48, 96, 200])
 def test_kernel_matches_bit_loops(d):
     # exhaustive for d <= 6; the lexmin moduli have their taps at or below
-    # d/2, so contexts without tables reduce by the two-pass fold
+    # d/2, so contexts without tables reduce in at most two fold rounds
     ctx = GF(d)
     assert (ctx.modulus ^ (1 << d)).bit_length() - 1 <= d // 2
     check_kernel(ctx, random.Random(d), 1 << 12 if d <= 12 else 20)
@@ -241,7 +241,7 @@ def dense_context(d):
 
 @pytest.mark.parametrize("d", [5, 8, 24, 48])
 def test_kernel_on_a_dense_modulus(d):
-    # a modulus with a tap above d/2 takes the generic reduction loop
+    # a modulus with a tap above d/2 takes more than two fold rounds
     ctx = dense_context(d)
     assert uses_tables(ctx) == (d <= _TABLE_MAX_DEGREE)
     check_kernel(ctx, random.Random(d), 20)
@@ -630,6 +630,68 @@ def test_poly_roots_fiber_shaped_exhaustive(d):
                 rem, mult = rem // lin, mult + 1
             expected.append((a.bits, mult))
         assert [(r.bits, m) for r, m in poly_roots(f)] == expected, n
+
+
+def reference_radical(p):
+    # the product of the distinct irreducible factors of p, each once: p over
+    # gcd(p, p') keeps the factors of odd multiplicity, the recursion on the
+    # gcd the rest, and a zero derivative makes p a square
+    if p.degree <= 0:
+        return Poly.one(p.ctx)
+    dp = p.deriv()
+    if dp.is_zero():
+        return reference_radical(Poly(p.ctx, [
+            p.coeff(i).sqrt() for i in range(0, len(p.coeffs), 2)]))
+    g = p.gcd(dp)
+    odd = p // g
+    rest = reference_radical(g)
+    return odd * (rest // odd.gcd(rest))
+
+
+def reference_factor_degrees(p):
+    # distinct-degree factorisation of the squarefree radical, with
+    # x^(q^i) mod f by Poly squarings
+    f = reference_radical(p).monic()
+    x = Poly.x(f.ctx)
+    degrees, r, i = [], x, 0
+    while f.degree > 2 * i:
+        i += 1
+        for _ in range(f.ctx.degree):
+            r = r.square() % f
+        g = f.gcd(r + x)
+        if g.degree > 0:
+            degrees += [i] * (g.degree // i)
+            f = f // g
+            r = r % f
+    if f.degree > 0:
+        degrees.append(f.degree)
+    return degrees
+
+
+@pytest.mark.parametrize("ctx", [GF(1), GF(3), GF(8), GF(13), GF(24),
+                                 dense_context(5), dense_context(8)],
+                         ids=lambda c: f"{c.degree}-{c.modulus:x}")
+def test_factor_degrees_match_the_squarefree_reference(ctx):
+    # random products with repeated factors, and their squares, whose
+    # derivative is zero; monic or not
+    d = ctx.degree
+    rng = random.Random(90 + d)
+
+    def random_poly(n):
+        return Poly(ctx, [rng.getrandbits(d) for _ in range(n)]
+                    + [rng.randrange(1, 1 << d)])
+
+    for _ in range(6):
+        f = Poly.one(ctx)
+        for _ in range(rng.randrange(1, 4)):
+            b = random_poly(rng.randrange(2, 6))
+            for _ in range(rng.randrange(1, 4)):
+                f = f * b
+        for g in (f, f.square(), f * random_poly(1).square()):
+            assert _factor_degrees(g) == reference_factor_degrees(g), g
+    assert _factor_degrees(Poly.one(ctx)) == []
+    with pytest.raises(ValueError):
+        _factor_degrees(Poly.zero(ctx))
 
 
 @pytest.mark.parametrize("d", [1, 3, 8])

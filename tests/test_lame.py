@@ -8,7 +8,7 @@ import pytest
 from lame2 import lame
 from lame2.cli import run
 from lame2.common import VerificationError
-from lame2.gf2 import GF, embed
+from lame2.gf2 import GF, Poly, embed, poly_roots
 from lame2.weierstrass import WeierstrassCurve, supersingular_order, torsion_basis
 from lame2.lame import (
     AutomorphismElement,
@@ -485,6 +485,27 @@ def test_census_output_pinned(d):
     code, text = run(["moduli", "--d", str(d)])
     assert code == 0
     assert hashlib.sha256(text.encode()).hexdigest() == MODULI_DIGESTS[d]
+
+
+def reference_roots_in_some_extension(c):
+    # the e-loop: the first GF(2^(de)), e = 1, 2, ..., in which
+    # (x^4+x)^3 = c has a root
+    for e in range(1, 13):
+        big = GF(c.ctx.degree * e)
+        x = Poly.x(big)
+        t = x * x * x * x + x
+        g = t * t * t + Poly.const(embed(c, big))
+        roots = [r for r, _mult in poly_roots(g)]
+        if roots:
+            return big, roots
+    raise AssertionError("no root in an extension of degree <= 12")
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_census_extension_step_matches_the_e_loop(d):
+    for c in GF(d).elements():
+        assert lame._roots_in_some_extension(c) \
+            == reference_roots_in_some_extension(c), c
 
 
 def test_census_matches_classification_degrees():
