@@ -95,9 +95,9 @@ class UsageError(Exception):
     pass
 
 
-def _odd_order(n: int, top: int = _MAX_ORDER) -> int:
-    if n % 2 == 0 or not 3 <= n <= top:
-        raise UsageError(f"order must be odd with 3 <= n <= {top}, got {n}")
+def _odd_order(n: int) -> int:
+    if n % 2 == 0 or not 3 <= n <= _MAX_ORDER:
+        raise UsageError(f"order must be odd with 3 <= n <= {_MAX_ORDER}, got {n}")
     return n
 
 

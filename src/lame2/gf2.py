@@ -1,11 +1,11 @@
 """Exact arithmetic in the binary fields F_(2^d).
 
 Field elements are bit-polynomials packed into Python integers: bit i of the
-integer is the coefficient of x^i.  A field is described by a FieldContext
-holding the extension degree and the irreducible modulus; the canonical
-modulus of degree d is the numerically smallest integer with bit d set whose
-bit-polynomial is irreducible over GF(2), so every degree has one reproducible
-field and nothing needs to be serialized beyond d.
+integer is the coefficient of x^i.  lame2 fixes one model of each field:
+``GF(d)`` (the same class as ``FieldContext``) is F_(2^d) modulo the canonical
+modulus of degree d, the numerically smallest integer with bit d set whose
+bit-polynomial is irreducible over GF(2).  There is one context per degree,
+so contexts compare by identity and nothing needs to be serialized beyond d.
 
 Each context builds one raw-int kernel, ``ctx.mul``, ``ctx.sqr`` and
 ``ctx.inv`` (``_table_kernel`` for 2 <= d <= 12, else ``_field_kernel``),
@@ -23,9 +23,9 @@ Cross-field structure:
 - ``element_degree`` returns the degree of the subfield generated by an
   element (the length of its Frobenius orbit).
 
-Values are immutable; contexts cache their derived tables (trace mask,
-Artin-Schreier solver) and are safe to share; embedding generators are
-cached per context pair.
+Values are immutable; each context caches one GF(2)-linear table, that of
+y -> y^2 + y, which gives both the Artin-Schreier solutions and the trace,
+and is safe to share; embedding generators are cached per context pair.
 """
 
 from array import array
@@ -195,19 +195,13 @@ def _is_irreducible(m, d):
     return True
 
 
-_IRRED_CACHE = {}
-
-
 def lexmin_irreducible(d):
     """Smallest integer with bit d set whose bit-polynomial is irreducible."""
     if d < 1:
         raise ValueError("degree must be positive")
-    m = _IRRED_CACHE.get(d)
-    if m is None:
-        m = 1 << d
-        while not _is_irreducible(m, d):
-            m += 1
-        _IRRED_CACHE[d] = m
+    m = 1 << d
+    while not _is_irreducible(m, d):
+        m += 1
     return m
 
 
@@ -217,40 +211,38 @@ def lexmin_irreducible(d):
 _CANONICAL = {}
 
 
-def GF(d):
-    """The canonical field context of degree d (cached)."""
-    ctx = _CANONICAL.get(d)
-    if ctx is None:
-        ctx = FieldContext(d)
-        _CANONICAL[d] = ctx
-    return ctx
-
-
 class FieldContext:
-    """Degree and modulus of one binary field, plus cached solver tables."""
+    """F_(2^d) modulo ``lexmin_irreducible(d)``, one context per degree.
+
+    ``FieldContext(d)``, ``GF(d)`` and an unpickled context of degree d are
+    one object, built with its kernel on first use; the degree must be an
+    int (not a bool) and at least 1.
+    """
 
     __slots__ = ("degree", "modulus", "zero", "one", "mul", "sqr", "inv",
-                 "_trace_mask", "_as_rows")
+                 "_as_rows")
 
-    def __init__(self, degree, modulus=None):
-        if modulus is None:
-            modulus = lexmin_irreducible(degree)
-        elif not _is_irreducible(modulus, degree):
-            raise ValueError("modulus is not irreducible of the stated degree")
-        self.degree = degree
-        self.modulus = modulus
-        self.mul, self.sqr, self.inv = _field_kernel(degree, modulus)
-        if 2 <= degree <= _TABLE_MAX_DEGREE:
-            self.mul, self.sqr, self.inv = _table_kernel(self)
-        self.zero = FieldElement(self, 0)
-        self.one = FieldElement(self, 1 if degree > 0 else 0)
-        self._trace_mask = None
-        self._as_rows = None
+    def __new__(cls, degree):
+        if type(degree) is not int:  # bool is refused here too
+            raise TypeError(f"field degree must be an int, got {degree!r}")
+        self = _CANONICAL.get(degree)
+        if self is None:
+            if degree < 1:
+                raise ValueError(f"field degree must be >= 1, got {degree}")
+            self = super().__new__(cls)
+            self.degree, self.modulus = degree, lexmin_irreducible(degree)
+            self.mul, self.sqr, self.inv = _field_kernel(degree, self.modulus)
+            if 2 <= degree <= _TABLE_MAX_DEGREE:
+                self.mul, self.sqr, self.inv = _table_kernel(self)
+            self.zero, self.one = FieldElement(self, 0), FieldElement(self, 1)
+            self._as_rows = None
+            _CANONICAL[degree] = self
+        return self
 
     # -- construction -----------------------------------------------------
     def __call__(self, v):
         if isinstance(v, FieldElement):
-            if v.ctx == self:
+            if v.ctx is self:
                 return v
             raise ValueError("element belongs to a different context")
         if isinstance(v, int):
@@ -283,49 +275,28 @@ class FieldContext:
     def order(self):
         return 1 << self.degree
 
-    def is_canonical(self):
-        return self.modulus == lexmin_irreducible(self.degree)
-
     # -- identity ----------------------------------------------------------
-    def __eq__(self, other):
-        return other is self or isinstance(other, FieldContext) and (
-            other.degree == self.degree and other.modulus == self.modulus)
-
-    def __hash__(self):
-        return hash((self.degree, self.modulus))
-
     def __reduce__(self):
-        # the kernel closures do not pickle; a new context rebuilds them
-        return FieldContext, (self.degree, self.modulus)
+        # the kernel closures do not pickle; unpickling looks the context up
+        return GF, (self.degree,)
 
     def __repr__(self):
         return f"GF(2^{self.degree})"
 
-    # -- cached linear tables ----------------------------------------------
+    # -- the cached linear table -------------------------------------------
     def trace_mask(self):
         """Bit i set iff Tr(x^i) = 1; trace is then a masked parity."""
-        if self._trace_mask is None:
-            mask = 0
-            for i in range(self.degree):
-                t = 0
-                a = 1 << i
-                for _ in range(self.degree):
-                    t ^= a
-                    a = self.sqr(a)
-                if t:  # trace lands in GF(2)
-                    if t != 1:
-                        raise VerificationError("trace left the prime field")
-                    mask |= 1 << i
-            self._trace_mask = mask
-        return self._trace_mask
+        return self._artin_schreier_rows()[1]
 
     def _artin_schreier_rows(self):
         """RREF data for the GF(2)-linear map y -> y^2 + y.
 
-        Returns (pivots, nullrows) where pivots is a list of
-        (column, transform-mask) pairs and nullrows the transform masks of the
-        zero rows; transform masks select which coordinates of the right-hand
-        side get xored together.
+        Returns (pivots, nullrow) where pivots is a list of (column,
+        transform-mask) pairs and nullrow the transform mask of the one zero
+        row; a transform mask selects which coordinates of the right-hand side
+        get xored together.  The kernel of the map is {0, 1}, so there is
+        exactly one zero row, and its mask is the trace mask: the image is
+        the kernel of the trace (Lidl-Niederreiter, Finite Fields, 2.3).
         """
         if self._as_rows is None:
             d = self.degree
@@ -359,8 +330,14 @@ class FieldContext:
             # masks are read only after the reduction has settled
             pivots = [(col, rows[i][1]) for col, i in pivot_at]
             nullrows = [rows[i][1] for i in range(d) if rows[i][0] == 0]
-            self._as_rows = (pivots, nullrows)
+            if len(nullrows) != 1:
+                raise VerificationError(
+                    f"y^2 + y has a kernel of rank {len(nullrows)}, not 1")
+            self._as_rows = (pivots, nullrows[0])
         return self._as_rows
+
+
+GF = FieldContext
 
 
 class FieldElement:
@@ -375,7 +352,7 @@ class FieldElement:
     # -- ring structure ----------------------------------------------------
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx:
                 raise ValueError("operands live in different field contexts")
             return other
         if isinstance(other, int):
@@ -439,7 +416,7 @@ class FieldElement:
         """Apply x -> x^(2^k)."""
         sqr = self.ctx.sqr
         r = self.bits
-        for _ in range(k % self.ctx.degree if self.ctx.degree else 0):
+        for _ in range(k % self.ctx.degree):
             r = sqr(r)
         return FieldElement(self.ctx, r)
 
@@ -449,13 +426,13 @@ class FieldElement:
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return self.ctx == other.ctx and self.bits == other.bits
+            return self.ctx is other.ctx and self.bits == other.bits
         if isinstance(other, int):
             return other in (0, 1) and self.bits == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.ctx.degree, self.ctx.modulus, self.bits))
+        return hash((self.ctx.degree, self.bits))
 
     def __repr__(self):
         return f"<0x{self.bits:x} in GF(2^{self.ctx.degree})>"
@@ -484,7 +461,7 @@ def _coeff_bits(ctx, coeffs):
     out = []
     for c in coeffs:
         if isinstance(c, FieldElement):
-            if c.ctx != ctx:
+            if c.ctx is not ctx:
                 raise ValueError("coefficient from a different context")
             c = c.bits
         elif c >> ctx.degree:  # every negative int lands here too
@@ -509,11 +486,7 @@ def solve_artin_schreier(c):
     ctx = c.ctx
     if c.trace():
         return ()
-    pivots, nullrows = ctx._artin_schreier_rows()
-    cb = c.bits
-    for mask in nullrows:
-        if (cb & mask).bit_count() & 1:
-            raise VerificationError("trace said solvable but system is inconsistent")
+    pivots, cb = ctx._artin_schreier_rows()[0], c.bits
     yb = 0
     for col, mask in pivots:
         if (cb & mask).bit_count() & 1:
@@ -551,15 +524,12 @@ def _embed_gen(src, target):
     into target must give its direct embedding into target.  The recursion
     only asks for subfields of src, so each pair's image is fixed by its
     subfields alone, whatever order the pairs are asked in, and composites of
-    embeddings agree with direct ones.  Unless both contexts are canonical
-    there is no subfield system to agree with, and the least root is taken.
+    embeddings agree with direct ones.
     """
     key = (src, target)
     gbits = _EMBED_GEN.get(key)
     if gbits is None:
-        subs = []
-        if src.is_canonical() and target.is_canonical():
-            subs = [GF(s) for s in divisors(src.degree)[:-1]]
+        subs = [GF(s) for s in divisors(src.degree)[:-1]]
         for gbits in _conjugate_roots(_bit_poly(target, src.modulus)):
             g = FieldElement(target, gbits)
             if all(_bit_poly(target, _embed_gen(sub, src))(g).bits
@@ -574,11 +544,11 @@ def _embed_gen(src, target):
 def embed(a, target):
     """Embed a into the target context; the source degree must divide it.
 
-    The source generator goes to ``_embed_gen(a.ctx, target)``: between
-    canonical contexts, composites of embeddings agree with direct ones.
+    The source generator goes to ``_embed_gen(a.ctx, target)``, so composites
+    of embeddings agree with direct ones.
     """
     src = a.ctx
-    if src == target:
+    if src is target:
         return a
     if target.degree % src.degree != 0:
         raise ValueError("source degree does not divide target degree")
@@ -646,11 +616,11 @@ class Poly:
         return self.ctx.zero
 
     def __eq__(self, other):
-        return (isinstance(other, Poly) and other.ctx == self.ctx
+        return (isinstance(other, Poly) and other.ctx is self.ctx
                 and other.coeffs == self.coeffs)
 
     def __hash__(self):
-        return hash((self.ctx.degree, self.ctx.modulus, self.coeffs))
+        return hash((self.ctx.degree, self.coeffs))
 
     def __repr__(self):
         if self.is_zero():
@@ -660,7 +630,7 @@ class Poly:
 
     # -- arithmetic ------------------------------------------------------------
     def __add__(self, other):
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx:
             raise ValueError("polynomials over different contexts")
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -678,7 +648,7 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, FieldElement):
             other = Poly.const(other)
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx:
             raise ValueError("polynomials over different contexts")
         if self.is_zero() or other.is_zero():
             return Poly.zero(self.ctx)
@@ -703,7 +673,7 @@ class Poly:
     def _rem(self, other, quotient=None):
         """self mod other, appending the quotient's coefficients, high to low,
         to `quotient` when one is given.  A monic divisor needs no inversion."""
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx:
             raise ValueError("polynomials over different contexts")
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -771,7 +741,7 @@ class Poly:
 
     def __call__(self, x):
         if isinstance(x, FieldElement):
-            if x.ctx != self.ctx:
+            if x.ctx is not self.ctx:
                 raise ValueError("evaluation point in a different context")
             mul = self.ctx.mul
             acc = 0

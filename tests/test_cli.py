@@ -1,6 +1,7 @@
 """Exit-code contract, determinism, and frozen report fragments."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -210,6 +211,25 @@ def test_demo_runs(demo):
     done = subprocess.run([sys.executable, str(demo)], capture_output=True,
                           text=True, env=_src_env())
     assert done.returncode == 0, done.stderr[-2000:]
+
+
+def test_traced_layers_resolve():
+    # every function the traced benchmark wraps is where perfbench/layers.py
+    # says, so a rename fails here and not in a traced run; Tracer.install
+    # reads a method from its class's own __dict__, so the test does too
+    path = Path(__file__).parent.parent / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    assert layers.TARGETS
+    for name, modname, attr in layers.TARGETS:
+        owner = importlib.import_module(modname)
+        *parents, leaf = attr.split(".")
+        for part in parents:
+            owner = getattr(owner, part)
+        fn = owner.__dict__[leaf] if isinstance(owner, type) \
+            else getattr(owner, leaf)
+        assert callable(fn), name
 
 
 def test_import_pulls_in_no_sympy():

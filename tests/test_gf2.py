@@ -16,9 +16,9 @@ import sys
 import pytest
 
 import lame2
-from lame2 import (GF, FieldContext, FieldInputError, Poly, VerificationError,
-                   embed, element_degree, gf2, lexmin_irreducible, poly_roots,
-                   solve_artin_schreier, trace)
+from lame2 import (GF, FieldContext, FieldElement, FieldInputError, Poly,
+                   VerificationError, embed, element_degree, gf2,
+                   lexmin_irreducible, poly_roots, solve_artin_schreier, trace)
 from lame2.arith import divisors
 from lame2.gf2 import (_TABLE_MAX_DEGREE, _Modulus, _bit_poly, _comb,
                        _conjugate_roots, _embed_gen, _factor_degrees,
@@ -104,9 +104,24 @@ def test_canonical_moduli_minimal(d):
         assert not naive_is_irreducible(smaller, d)
 
 
-def test_bad_modulus_rejected():
-    with pytest.raises(ValueError):
-        FieldContext(4, 0b10101)  # (x^2+x+1)^2
+def test_one_context_per_degree():
+    # FieldContext(d) is GF(d): the kernel and the tables are built once
+    ctx = GF(8)
+    assert FieldContext(8) is ctx and ctx.modulus == lexmin_irreducible(8)
+    assert FieldContext(8).mul is ctx.mul
+    assert GF(24) is not GF(8)
+
+
+@pytest.mark.parametrize("bad, error", [
+    (True, TypeError), (False, TypeError), (2.0, TypeError), ("8", TypeError),
+    (None, TypeError), (0, ValueError), (-1, ValueError)])
+def test_context_degree_is_checked(bad, error):
+    # only an int >= 1 that is not a bool names a field, and nothing else is
+    # cached as one
+    with pytest.raises(error, match="field degree"):
+        GF(bad)
+    assert all(type(ctx.degree) is int and ctx.degree >= 1
+               for ctx in gf2._CANONICAL.values())
 
 
 # ---------------------------------------------------------------------------
@@ -230,21 +245,37 @@ def test_kernel_matches_bit_loops(d):
     check_kernel(ctx, random.Random(d), 1 << 12 if d <= 12 else 20)
 
 
-def dense_context(d):
+class DenseField:
+    """F_(2^d) on a dense modulus m, which no context uses.
+
+    It holds the raw kernel ``_field_kernel(d, m)`` and the attributes that
+    elements, Poly and the packed rows read of a context; the kernel and the
+    rows are written for any modulus, and only a tap above d/2 makes them
+    fold in more than two rounds.
+    """
+
+    def __init__(self, d, m):
+        self.degree, self.modulus = d, m
+        self.mul, self.sqr, self.inv = _field_kernel(d, m)
+        self.zero, self.one = FieldElement(self, 0), FieldElement(self, 1)
+
+    def elements(self):
+        return (FieldElement(self, b) for b in range(1 << self.degree))
+
+
+def dense_field(d):
     # the least irreducible modulus with a tap at d - 1, above d/2
     m = (1 << d) | (1 << (d - 1)) | 1
     while not _is_irreducible(m, d):
         m += 2
     assert (m ^ (1 << d)).bit_length() - 1 > d // 2
-    return FieldContext(d, m)
+    return DenseField(d, m)
 
 
 @pytest.mark.parametrize("d", [5, 8, 24, 48])
 def test_kernel_on_a_dense_modulus(d):
     # a modulus with a tap above d/2 takes more than two fold rounds
-    ctx = dense_context(d)
-    assert uses_tables(ctx) == (d <= _TABLE_MAX_DEGREE)
-    check_kernel(ctx, random.Random(d), 20)
+    check_kernel(dense_field(d), random.Random(d), 20)
 
 
 def uses_tables(ctx):
@@ -348,6 +379,39 @@ def test_trace_exhaustive(d):
         if t == 0:
             kernel += 1
     assert kernel == 1 << (d - 1)
+
+
+def reference_trace_mask(ctx):
+    # bit i is Tr(x^i) = sum_(j<d) x^(i 2^j), by d squarings for each i
+    mask = 0
+    for i in range(ctx.degree):
+        t, a = 0, 1 << i
+        for _ in range(ctx.degree):
+            t ^= a
+            a = ctx.sqr(a)
+        assert t in (0, 1)  # the trace lands in GF(2)
+        mask |= t << i
+    return mask
+
+
+@pytest.mark.parametrize("d", list(range(1, 17)) + [24, 40, 48, 96, 200])
+def test_trace_mask_matches_the_squaring_loop(d):
+    # the Artin-Schreier table's null row against the trace by definition
+    ctx = GF(d)
+    assert ctx.trace_mask() == reference_trace_mask(ctx)
+
+
+@pytest.mark.parametrize("square", [lambda a: a, lambda a: 0],
+                         ids=["kernel-everything", "kernel-zero"])
+def test_artin_schreier_table_refuses_a_wrong_kernel(monkeypatch, square):
+    # with squaring replaced by the identity, y -> y^2 + y is zero and every
+    # row is a null row; replaced by zero, the map is the identity and no row
+    # is; the kernel of the true map is {0, 1}, so the table needs one
+    ctx = GF(8)
+    monkeypatch.setattr(ctx, "sqr", square)
+    monkeypatch.setattr(ctx, "_as_rows", None)
+    with pytest.raises(VerificationError, match="kernel"):
+        ctx._artin_schreier_rows()
 
 
 @pytest.mark.parametrize("d", range(1, 9))
@@ -554,7 +618,7 @@ def reference_frobenius_rows(f):
 
 
 @pytest.mark.parametrize("ctx", [GF(3), GF(8), GF(13), GF(24), GF(48),
-                                 dense_context(5), dense_context(8)],
+                                 dense_field(5), dense_field(8)],
                          ids=lambda c: f"{c.degree}-{c.modulus:x}")
 def test_packed_frobenius_rows_match_poly_squaring(ctx):
     # random moduli of degree 1 to 9, monic or not; the dense moduli fold
@@ -591,7 +655,7 @@ def test_table_trace_matches_squaring_loop(d):
 def test_poly_roots_exhaustive_on_a_dense_modulus(d):
     # distinct roots, a repeated one and a random cofactor, against
     # evaluation at every element and repeated division
-    ctx = dense_context(d)
+    ctx = dense_field(d)
     rng = random.Random(80 + d)
     for n in (1, 3, 6, 9):
         roots = rng.sample(range(1 << d), n)
@@ -669,7 +733,7 @@ def reference_factor_degrees(p):
 
 
 @pytest.mark.parametrize("ctx", [GF(1), GF(3), GF(8), GF(13), GF(24),
-                                 dense_context(5), dense_context(8)],
+                                 dense_field(5), dense_field(8)],
                          ids=lambda c: f"{c.degree}-{c.modulus:x}")
 def test_factor_degrees_match_the_squarefree_reference(ctx):
     # random products with repeated factors, and their squares, whose
@@ -817,25 +881,6 @@ def test_embed_gen_builds_only_what_is_asked(reference_embeddings):
     assert out["gens"] == [reference_embeddings[p] for p in pairs]
 
 
-def test_embed_between_non_canonical_contexts():
-    # without a canonical pair there is no subfield system to agree with, so
-    # the generator goes to the least root of the source modulus
-    odd8 = FieldContext(8, 0b110001101)
-    odd16 = FieldContext(16, 0b10000000000101101)
-    assert not odd8.is_canonical() and not odd16.is_canonical()
-    rng = random.Random(53)
-    for src, tgt in [(odd8, odd16), (odd8, GF(24)), (GF(4), odd16)]:
-        least = min(_conjugate_roots(Poly(
-            tgt, [(src.modulus >> i) & 1 for i in range(src.degree + 1)])))
-        assert embed(src(0b10), tgt).bits == least
-        for _ in range(40):
-            a, b = src.random(rng), src.random(rng)
-            fa, fb = embed(a, tgt), embed(b, tgt)
-            assert embed(a + b, tgt) == fa + fb
-            assert embed(a * b, tgt) == fa * fb
-        assert embed(src.one, tgt) == tgt.one
-
-
 def test_embed_rejects_non_divisor():
     with pytest.raises(ValueError):
         embed(GF(2).one, GF(3))
@@ -891,9 +936,10 @@ def test_element_json_roundtrip():
 
 def test_pickle_roundtrip():
     import pickle
-    ctx = FieldContext(8, 0b110001101)  # a non-canonical modulus
-    for a in (GF(24)(0xabcdef), ctx(0x5a)):
+    assert pickle.loads(pickle.dumps(GF(24))) is GF(24)
+    for a in (GF(24)(0xabcdef), GF(8)(0x5a)):
         b = pickle.loads(pickle.dumps(a))
+        assert b.ctx is a.ctx
         assert b == a and b * b == a * a and b.inverse() == a.inverse()
     f = Poly(GF(5), [3, 0, 1])
     assert pickle.loads(pickle.dumps(f)) == f

@@ -7,7 +7,7 @@ import pytest
 
 from lame2 import lame
 from lame2.cli import run
-from lame2.common import VerificationError
+from lame2.common import FiberEscapeError, VerificationError
 from lame2.gf2 import GF, Poly, embed, poly_roots
 from lame2.weierstrass import WeierstrassCurve, supersingular_order, torsion_basis
 from lame2.lame import (
@@ -559,6 +559,39 @@ def test_ordinary_cover_is_wild():
     assert rep["different_exponent"] == 2
     assert rep["tame"] is False
     assert rep["signature"] == 0
+
+
+def _escape_first(monkeypatch, escapes):
+    # ramification_profile raising FiberEscapeError on its first `escapes`
+    # calls; returns the list of field degrees it was called over
+    real, degrees = lame.ramification_profile, []
+
+    def profile(work, values):
+        degrees.append(work.curve.ctx.degree)
+        if len(degrees) <= escapes:
+            raise FiberEscapeError("a fiber point left the field")
+        return real(work, values)
+
+    monkeypatch.setattr(lame, "ramification_profile", profile)
+    return degrees
+
+
+def test_cover_profile_retries_an_escape_over_the_quadratic_extension(
+        monkeypatch):
+    curve, P, _ = torsion_basis(5, 0)
+    degrees = _escape_first(monkeypatch, 1)
+    rep = cover_profile(P, 5)
+    assert degrees == [8, 16]
+    assert rep["field_degree"] == 16
+    assert rep["tame"] is True and rep["index"] == 3
+
+
+def test_cover_profile_lets_a_second_escape_through(monkeypatch):
+    curve, P, _ = torsion_basis(5, 0)
+    degrees = _escape_first(monkeypatch, 2)
+    with pytest.raises(FiberEscapeError):
+        cover_profile(P, 5)
+    assert degrees == [8, 16]
 
 
 def test_cover_rejects_even_or_tiny_orders():
