@@ -13,9 +13,8 @@ from .common import INFINITY, VerificationError, PrecisionError, \
     FiberEscapeError, FieldInputError, ProfileFalsified, \
     TorsionSearchExhausted
 from .weierstrass import WeierstrassCurve, CurvePoint, curve_invariants, \
-    extension_order, ordinary_with_torsion, point_of_exact_order, \
-    point_order, supersingular_order, supersingular_trace, torsion_basis, \
-    torsion_field_degree, torsion_points
+    extension_order, point_of_exact_order, point_order, supersingular_order, \
+    supersingular_trace, torsion_basis, torsion_field_degree, torsion_points
 from .funcfield import CurveFunction, LocalExpansion, Series, \
     different_exponent, differentiate, fiber, local_expand, miller_function, \
     ramification_index, ramification_profile, uniformizer_tag, xy_expansion

@@ -364,7 +364,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        const="json", default="json")
         p.add_argument("--csv", dest="format", action="store_const",
                        const="csv")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("classify", help="torsion classes of exact order n")
     p.add_argument("--order", type=int, required=True)
@@ -377,6 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="hex coefficient t for the ordinary family")
     p.add_argument("--field", type=int, default=None,
                    help="field degree carrying t")
+    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_ramify)
 
@@ -403,6 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("jcheck", help="coordinate formulas vs the formulary")
     p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_jcheck)
 

@@ -640,11 +640,16 @@ def miller_function(P: CurvePoint, n: int) -> CurveFunction:
 
 
 def _expand_shifted(func: CurveFunction, value, place, prec: int) -> Series:
-    """Series of func - value (or 1/func when value is INFINITY) at place."""
+    """Series of func - value (or 1/func when value is INFINITY) at place.
+
+    A constant shifts the series of func exactly, inside the window that
+    expand has proved.  At a pole 1/func is expanded directly: expand
+    asks xy_expansion for a narrower window for it than for func.
+    """
     if value is INFINITY:
         return func.inverse().expand(place, prec)
     # subtraction is addition here
-    return (func + value).expand(place, prec)
+    return func.expand(place, prec) + func.curve.ctx(value)
 
 
 def uniformizer_tag(curve: WeierstrassCurve, place) -> str:
@@ -707,7 +712,9 @@ def local_expand(func: CurveFunction, place, m: int) -> LocalExpansion:
     series = func.expand(place, m)
     inverted = bool(series.coeffs) and series.val < 0
     if inverted:
-        series = func.inverse().expand(place, m)
+        # known through t^(m-1) with valuation -e, so 1/func is known
+        # through t^(m+2e-1)
+        series = series.inverse()
     tag = uniformizer_tag(func.curve, place)
     coeffs = [series.coeff(k) for k in range(m)]
     return LocalExpansion(place, tag, coeffs, m, inverted)

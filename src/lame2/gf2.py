@@ -260,7 +260,8 @@ class FieldContext:
         return self(v)
 
     def from_json(self, rec):
-        if rec.get("d") != self.degree:
+        d = rec.get("d")
+        if type(d) is not int or d != self.degree:  # True, 4.0, "4" refused
             raise ValueError("field-element record has the wrong degree")
         return self.from_hex(rec["hex"])
 

@@ -473,13 +473,6 @@ def galois_equivariance_check(d: int, samples: int = 1000,
 # the canonical cover of a torsion point, with certified branch data
 
 
-def _branch_fiber(profile, value):
-    for v, fib in profile.items():
-        if v is value or v == value:
-            return fib
-    raise VerificationError("missing branch value in profile")
-
-
 def _fiber_splitting_degree(func, value):
     """Least extension degree whose x-line splits the fiber over value: the
     lcm of the factor degrees of the polynomial of its x-coordinates."""
@@ -568,14 +561,14 @@ def cover_profile(P: CurvePoint, n: int) -> dict:
             retried = True
             k *= 2
 
-    zero_fiber = _branch_fiber(profile, values[0])
-    pole_fiber = _branch_fiber(profile, INFINITY)
+    zero_fiber = profile[values[0]]
+    pole_fiber = profile[INFINITY]
     if zero_fiber != [(P_w, n, n - 1)]:
         raise VerificationError("zero fiber is not n-fold at P")
     if pole_fiber != [(work.curve.infinity(), n, n - 1)]:
         raise VerificationError("pole fiber is not n-fold at the origin")
 
-    third_fiber = _branch_fiber(profile, values[1])
+    third_fiber = profile[values[1]]
     ramified = [(pt, e, dq) for pt, e, dq in third_fiber if e > 1]
     if len(ramified) != 1 or ramified[0][0] != Q_w:
         raise VerificationError("third fiber is not ramified exactly at Q")

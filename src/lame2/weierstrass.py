@@ -500,26 +500,3 @@ def torsion_points(curve: WeierstrassCurve, P: CurvePoint, Q: CurvePoint,
                 if good:
                     pts.append(T)
     return pts
-
-
-def ordinary_with_torsion(n: int, seed: int = 0, max_degree: int = 16):
-    """(curve, P): an ordinary curve Y^2 + XY = X^3 + tX with P of exact order n.
-
-    Scans extension degrees upward, counting each candidate curve, and takes
-    the first (d, t) whose group order is divisible by n.
-    """
-    if n < 3 or n % 2 == 0:
-        raise ValueError("n must be odd and at least 3")
-    rng = random.Random(seed)
-    for d in range(2, max_degree + 1):
-        ctx = GF(d)
-        for tbits in range(1, 1 << d):
-            curve = WeierstrassCurve.ordinary(ctx, ctx(tbits))
-            N = curve.count_points()
-            if N % n:
-                continue
-            P = point_of_exact_order(curve, N, n, rng)
-            return curve, P
-    raise TorsionSearchExhausted(
-        f"no ordinary curve with {n} | #E over GF(2^d), d <= {max_degree}",
-        seed=seed, trials=max_degree)

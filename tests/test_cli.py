@@ -100,6 +100,26 @@ def test_even_triple_degree_rejected():
     assert invoke("triples", "--degree", "6")[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--order", "3"],
+    ["counts", "--max-n", "3"],
+    ["triples", "--degree", "3"],
+    ["moduli", "--d", "2"],
+    ["hyper", "--genus", "1", "--field", "3"],
+], ids=lambda argv: argv[0])
+def test_seed_is_a_usage_error_where_unread(argv):
+    assert invoke(*argv)[0] == 0
+    assert invoke(*argv, "--seed", "1")[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["ramify", "--order", "3"],
+    ["jcheck", "--samples", "3"],
+], ids=lambda argv: argv[0])
+def test_seed_is_accepted_where_read(argv):
+    assert payload(*argv, "--seed", "1")["passed"] is True
+
+
 def test_main_prints_and_returns(capsys):
     assert main(["counts", "--max-n", "3"]) == 0
     out = capsys.readouterr().out

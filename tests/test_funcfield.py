@@ -17,6 +17,7 @@ from lame2.common import (FiberEscapeError, PrecisionError, ProfileFalsified,
 from lame2.gf2 import _pmod
 from lame2.funcfield import (
     _check_on_curve,
+    _expand_shifted,
     _fiber_poly,
     LocalExpansion,
     local_expand,
@@ -845,6 +846,91 @@ def test_profile_passes_the_fiber_value(monkeypatch):
     E = WeierstrassCurve.supersingular(2)
     ramification_profile(CurveFunction.coordinate_y(E), [0, 1, INFINITY])
     assert seen == [E.ctx.zero, E.ctx.one, INFINITY]
+
+
+def reference_expand_shifted(func, value, place, prec):
+    """The series of func - value rebuilt as a function and expanded, or of
+    1/func at a pole: the route _expand_shifted replaced."""
+    if value is INFINITY:
+        return func.inverse().expand(place, prec)
+    return (func + value).expand(place, prec)
+
+
+def _certified_cover(P, n):
+    """(function, profile) as cover_profile(P, n) certified them, over the
+    field the fibers split in."""
+    import lame2.lame as lame
+    seen = []
+    real = lame.ramification_profile
+
+    def spy(func, values):
+        seen.append((func, real(func, values)))
+        return seen[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lame, "ramification_profile", spy)
+        cover_profile(P, n)
+    return seen[-1]
+
+
+def _ramify_covers():
+    """The covers `ramify` certifies for n = 3, 5, 7, 9 (seed 0) and for
+    `ramify --order 5 --ordinary 1 --field 3`."""
+    points = [(torsion_basis(n, 0)[1], n) for n in (3, 5, 7, 9)]
+    points.append((ordinary_torsion_point(GF(3).from_hex("1"), 5, 0)[1], 5))
+    return [(n, *_certified_cover(P, n)) for P, n in points]
+
+
+def test_shifted_series_matches_the_rebuilt_function():
+    # both windows the certificate asks for: e <= n and d <= 2n
+    checked = 0
+    for n, f, profile in _ramify_covers():
+        for value, fib in profile.items():
+            for Q, _e, _d in fib:
+                for prec in (n + 1, 2 * n + 2):
+                    s = _expand_shifted(f, value, Q, prec)
+                    assert s.prec >= prec
+                    assert s == reference_expand_shifted(f, value, Q, prec)
+                    checked += 1
+    assert checked >= 2 * 5 * 3
+    # an int value is field bits, as in func + value, not a GF(2) scalar
+    E = WeierstrassCurve.supersingular(4)
+    X, P = CurveFunction.coordinate_x(E), E.point(0, 0)
+    assert (_expand_shifted(X, 3, P, 4)
+            == reference_expand_shifted(X, 3, P, 4)
+            == X.expand(P, 4) + E.ctx(3))
+
+
+def test_local_expand_at_a_pole_inverts_the_series_it_holds():
+    # f has its n-fold pole at the origin and 1/f at P; Y has a triple pole
+    # at the origin
+    for n, f, profile in _ramify_covers():
+        E = f.curve
+        (P, _e, _d), = profile[E.ctx.zero]
+        cases = [(f, E.infinity()), (f.inverse(), P),
+                 (CurveFunction.coordinate_y(E), E.infinity())]
+        for g, Q in cases:
+            for m in range(1, 13):
+                rec = local_expand(g, Q, m)
+                ref = g.inverse().expand(Q, m)
+                assert rec.inverted
+                assert rec.coefficients == [ref.coeff(k) for k in range(m)]
+
+
+def test_profile_builds_functions_only_for_the_pole_fiber(monkeypatch):
+    # f - c is f's series shifted by c, so the only functions built are the
+    # two 1/f at the origin (the index, then the different)
+    f, profile = _certified_cover(torsion_basis(7, 0)[1], 7)
+    built = []
+    real = CurveFunction.__init__
+
+    def counting(self, *args, **kw):
+        built.append(args)
+        real(self, *args, **kw)
+
+    monkeypatch.setattr(CurveFunction, "__init__", counting)
+    assert ramification_profile(f, list(profile)) == profile
+    assert len(built) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -951,6 +951,18 @@ def test_json_wrong_degree_rejected():
         GF(4).from_json(rec)
 
 
+@pytest.mark.parametrize("field,rec", [
+    (1, {"d": True, "hex": "1"}),
+    (4, {"d": 4.0, "hex": "f"}),
+    (4, {"d": "4", "hex": "f"}),
+])
+def test_json_degree_must_be_an_int(field, rec):
+    # True and 4.0 compare equal to the degree, "4" is a string: no int
+    with pytest.raises(ValueError, match="wrong degree"):
+        GF(field).from_json(rec)
+    assert GF(field).from_json(dict(rec, d=field)).bits == int(rec["hex"], 16)
+
+
 def test_negative_int_rejected():
     with pytest.raises(FieldInputError, match="negative"):
         GF(8)(-1)

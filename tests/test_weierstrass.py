@@ -20,7 +20,6 @@ from lame2.weierstrass import (
     _supersingular_exponent,
     curve_invariants,
     extension_order,
-    ordinary_with_torsion,
     point_of_exact_order,
     point_order,
     supersingular_order,
@@ -415,13 +414,6 @@ def test_point_of_exact_order_prime_power():
     rng = random.Random(7)
     T = point_of_exact_order(curve, N, 9, rng)
     assert (9 * T).is_infinity() and not (3 * T).is_infinity()
-
-
-def test_ordinary_with_torsion():
-    for n in (3, 5, 7, 9):
-        curve, P = ordinary_with_torsion(n)
-        assert not curve.is_supersingular()
-        assert point_order(curve, P) == n
 
 
 # ---------------------------------------------------------------------------
