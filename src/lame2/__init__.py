@@ -18,10 +18,10 @@ from .weierstrass import WeierstrassCurve, CurvePoint, curve_invariants, \
 from .funcfield import CurveFunction, LocalExpansion, Series, \
     different_exponent, differentiate, fiber, local_expand, miller_function, \
     ramification_index, ramification_profile, uniformizer_tag, xy_expansion
-from .lame import AutomorphismElement, LameClass, aut_group, aut_orbit, \
-    classify_torsion, cover_profile, degree_count_true, eta_paper, \
-    galois_equivariance_check, lame_count_dividing, moduli_census, \
-    ordinary_torsion_point, psi, rho, third_point_datum
+from .lame import LameClass, aut_group, aut_orbit, classify_torsion, \
+    cover_profile, degree_count_true, eta_paper, galois_equivariance_check, \
+    lame_count_dividing, moduli_census, ordinary_torsion_point, psi, rho, \
+    third_point_datum
 from .moduli12 import WeightedPoint, discriminant_formula, forgetful, \
     j_formula, negation_pair_report, tate_normal_form, wp_equal
 from .triples import Triple, burnside_check, cyclic_class_count, \

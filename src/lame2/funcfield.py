@@ -419,6 +419,8 @@ class CurveFunction:
             if other.curve != self.curve:
                 raise ValueError("functions on different curves")
             return other
+        if isinstance(other, int):  # a GF(2) scalar, as Series reads it
+            other &= 1
         if isinstance(other, (FieldElement, int)):
             return CurveFunction.constant(self.curve, other)
         return None
@@ -772,6 +774,8 @@ def fiber(func: CurveFunction, value):
     n = func.degree()
     if n == 0:
         raise ValueError("constant functions have no finite fibers")
+    if value is not INFINITY:
+        value = E.ctx(value)
     points = [E.point(r, y0) for r, _m in poly_roots(_fiber_poly(func, value))
               for y0 in E.fiber_y(r)]
     hits = []

@@ -848,31 +848,37 @@ def _trace_mod(mod, u, combs):
     return mod.fold(mod.dot(conj, combs))
 
 
-def _split_once(mod, rows):
-    """A proper factorization (h, g/h) of a product g of distinct linear
-    factors, given mod = _Modulus(g) and packed rows[j] = x^(2^j) mod g, j < d.
+def _split_once(mod, rows, start=0):
+    """(h, g/h, i): a proper factorization of a product g of distinct linear
+    factors, given mod = _Modulus(g) and packed rows[j] = x^(2^j) mod g, j < d,
+    and the index i of the trial that split g.
 
-    Berlekamp's trace algorithm sweeps u over the power basis 1, ..., x^(d-1):
-    for distinct roots r, r' the trace form is nondegenerate, so some u has
-    Tr(u*(r+r')) = 1 and gcd(g, Tr(u*x)) is a proper factor.  Deterministic,
+    Berlekamp's trace algorithm: trial i is u = x^(d-1-i), from the top of
+    the power basis down, as Tr(x^i) vanishes on the sparse moduli until i
+    nears d.  For distinct roots r, r' the trace form is nondegenerate, so
+    some u has Tr(u*(r+r')) = 1 and gcd(g, Tr(u*x)) is a proper factor.
+    A factor's roots agree on every trial up to the one that split it off,
+    so its own sweep may begin after that one, at ``start``.  Deterministic,
     at most d attempts, and the combs of the rows serve them all.
     """
     g, combs = mod.g, [_comb(row) for row in rows]
-    for i in range(mod.d):
-        h = g.gcd(mod.poly(_trace_mod(mod, 1 << i, combs)))
+    for i in range(start, mod.d):
+        h = g.gcd(mod.poly(_trace_mod(mod, 1 << (mod.d - 1 - i), combs)))
         if 0 < h.degree < g.degree:
-            return h, g // h
+            return h, g // h, i
     raise VerificationError("splitting failed: input is not separable split")
 
 
-def _split_linear(g, rows):
+def _split_linear(g, rows, start=0):
     """All roots of g, a product of distinct linear factors, given packed
-    rows[j] = x^(2^j) mod some multiple of g for j < d."""
+    rows[j] = x^(2^j) mod some multiple of g for j < d; the sweep begins at
+    trial ``start`` (see _split_once)."""
     if g.degree == 1:
         return [g.coeff(0) / g.leading()]
     mod = _Modulus(g)
     rows = [mod.reduce(row) for row in rows]
-    return [r for h in _split_once(mod, rows) for r in _split_linear(h, rows)]
+    h, k, i = _split_once(mod, rows, start)
+    return _split_linear(h, rows, i + 1) + _split_linear(k, rows, i + 1)
 
 
 def _conjugate_roots(f):
@@ -884,8 +890,10 @@ def _conjugate_roots(f):
     """
     mod = _Modulus(f)
     rows = _frobenius_rows(mod)[:-1]
+    start = 0
     while mod.n > 1:
-        mod = _Modulus(min(_split_once(mod, rows), key=lambda p: p.degree))
+        h, k, i = _split_once(mod, rows, start)
+        mod, start = _Modulus(min(h, k, key=lambda p: p.degree)), i + 1
         rows = [mod.reduce(row) for row in rows]
     roots = [mod.g.coeff(0) / mod.g.leading()]
     for _ in range(f.degree - 1):

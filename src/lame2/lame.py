@@ -1,8 +1,8 @@
 """Torsion covers of the supersingular curve and their classification.
 
 The supersingular model Y^2 + Y = X^3 has automorphism group of order 24
-(fixing the origin), realized here as triples (u, a, c) with u^3 = 1,
-a in F_4 and c^2 + c = a^3, acting by
+(fixing the origin), realized here as its keys, the triples (u, a, c) of
+bits with u^3 = 1, a in F_4 and c^2 + c = a^3, acting by
 
     (x, y) |-> (u^2 x + a, y + u^2 a^2 x + c).
 
@@ -14,15 +14,15 @@ compatibility with point addition, and the order-24 count.
 The degree-12 map (x, y) |-> (x^4 + x)^3 is invariant under all 24
 automorphisms and identifies the quotient of the affine curve by the group
 with the affine line.  Odd-torsion points are classified by their image
-under this map; the classification, the counting formulas, the field-of-
-moduli census, and the Galois equivariance of the quotient all live here,
-together with the canonical branch-certified cover attached to a torsion
-point on either curve family.
+under this map, on (x, y) pairs of bits, with a point built only for each
+class representative; the classification, the counting formulas, the
+field-of-moduli census, and the Galois equivariance of the quotient all
+live here, together with the canonical branch-certified cover attached to
+a torsion point on either curve family.
 """
 
 from __future__ import annotations
 
-import json
 import random
 from functools import lru_cache
 from math import gcd, lcm
@@ -35,6 +35,9 @@ from .weierstrass import (
     CurvePoint,
     WeierstrassCurve,
     _is_supersingular_model,
+    _add_pairs,
+    _pair,
+    _point,
     extension_order,
     point_of_exact_order,
     point_order,
@@ -80,64 +83,19 @@ def _compose(ctx: FieldContext, k1, k2):
             c1 ^ c2 ^ mul(mul(u1sq, sqr(a1)), a2))
 
 
-class AutomorphismElement:
-    """One automorphism (u, a, c) of the pointed curve (Y^2+Y=X^3, 0)."""
-
-    __slots__ = ("u", "a", "c")
-
-    def __init__(self, u: FieldElement, a: FieldElement, c: FieldElement):
-        self.u = u
-        self.a = a
-        self.c = c
-
-    def __call__(self, P: CurvePoint) -> CurvePoint:
-        _require_supersingular_model(P.curve)
-        if P.is_infinity():
-            return P
-        ctx = P.curve.ctx
-        if self.u.ctx != ctx:
-            raise ValueError("operands live in different field contexts")
-        x, y = _act(ctx, self.key(), P.x.bits, P.y.bits)
-        return CurvePoint(P.curve, FieldElement(ctx, x), FieldElement(ctx, y))
-
-    def compose(self, other: "AutomorphismElement") -> "AutomorphismElement":
-        """self after other, as one element of the group."""
-        ctx = self.u.ctx
-        if other.u.ctx != ctx:
-            raise ValueError("operands live in different field contexts")
-        return AutomorphismElement(
-            *(FieldElement(ctx, v) for v in _compose(ctx, self.key(), other.key())))
-
-    def key(self):
-        return (self.u.bits, self.a.bits, self.c.bits)
-
-    def is_identity(self) -> bool:
-        return self.key() == (1, 0, 0)
-
-    def __eq__(self, other):
-        if not isinstance(other, AutomorphismElement):
-            return NotImplemented
-        return self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __repr__(self):
-        return "AutomorphismElement(u=%r, a=%r, c=%r)" % (self.u, self.a, self.c)
-
-
 def _fourth_roots(ctx: FieldContext):
-    """The copy {0, 1, w, w + 1} of F_4 in the context, sorted by bits,
+    """The bits of the copy {0, 1, w, w + 1} of F_4 in the context, sorted,
     with w the embedded generator of GF(4)."""
-    w = embed(GF(2)(2), ctx)
-    return sorted((ctx.zero, ctx.one, w, w + ctx.one), key=lambda e: e.bits)
+    w = embed(GF(2)(2), ctx).bits
+    return sorted((0, 1, w, w ^ 1))
 
 
 _AUT_CACHE = {}
 
 
 def aut_group(field) -> list:
-    """All 24 automorphisms of (Y^2+Y=X^3, 0) over an even-degree field.
+    """The 24 automorphisms of (Y^2+Y=X^3, 0) over an even-degree field, as
+    their sorted (u, a, c) keys of bits; ``_act`` applies a key to a point.
 
     The list is self-verified once per context: curve preservation and
     addition-compatibility on random points, closure of the composition
@@ -150,26 +108,21 @@ def aut_group(field) -> list:
     if cached is not None:
         return list(cached)
 
+    mul, sqr = ctx.mul, ctx.sqr
     f4 = _fourth_roots(ctx)
-    cube_roots = [a for a in f4 if a.bits]
-    elements = []
-    for u in cube_roots:
-        for a in f4:
-            rhs = a * a * a
-            cs = [c for c in f4 if c * c + c == rhs]
-            # c lives in F_4 because c^2 + c = a^3 is an F_4 equation
-            for c in sorted(cs, key=lambda e: e.bits):
-                elements.append(AutomorphismElement(u, a, c))
-    _verify_aut_group(ctx, elements)
-    _AUT_CACHE[ctx] = tuple(elements)
-    return list(elements)
+    # u^3 = 1 and c^2 + c = a^3 are F_4 equations, so u, a and c lie in F_4
+    keys = [(u, a, c) for u in f4 if u for a in f4 for c in f4
+            if sqr(c) ^ c == mul(sqr(a), a)]
+    _verify_aut_group(ctx, keys)
+    _AUT_CACHE[ctx] = tuple(keys)
+    return keys
 
 
-def _verify_aut_group(ctx: FieldContext, elements):
-    if len(elements) != 24:
+def _verify_aut_group(ctx: FieldContext, keys):
+    if len(keys) != 24:
         raise VerificationError("expected 24 automorphisms, found %d"
-                                % len(elements))
-    index = {alpha.key(): j for j, alpha in enumerate(elements)}
+                                % len(keys))
+    index = {key: j for j, key in enumerate(keys)}
     if len(index) != 24:
         raise VerificationError("automorphism list has duplicates")
     if (1, 0, 0) not in index:
@@ -179,25 +132,22 @@ def _verify_aut_group(ctx: FieldContext, elements):
     rng = random.Random(0xA07)
     points = [curve.random_point(rng) for _ in range(4)]
 
-    neg = AutomorphismElement(ctx.one, ctx.zero, ctx.one)
-    if neg.key() not in index:
+    if (1, 0, 1) not in index:
         raise VerificationError("negation element missing")
     for P in points:
-        if neg(P) != -P:
+        if _act(ctx, (1, 0, 1), P.x.bits, P.y.bits) != _pair(-P):
             raise VerificationError("(1,0,1) does not act as negation")
 
-    # img[j]: the validated image of points[0] under elements[j]
+    # img[j]: the validated image of points[0] under keys[j]
     img = []
-    S = points[0] + points[1]
-    for alpha in elements:
-        ims = [alpha(P) for P in points]  # the action validates membership
-        # the (u, a, c) formula fixes the origin, as in projective form a
-        # and c multiply Z, which is 0 there; this checks the call's shortcut
-        if not alpha(curve.infinity()).is_infinity():
-            raise VerificationError("automorphism call moves the origin")
-        if alpha(S) != ims[0] + ims[1]:
+    pairs = [_pair(P) for P in points]
+    S = _add_pairs(curve, pairs[0], pairs[1])
+    for key in keys:
+        ims = [_act(ctx, key, x, y) for x, y in pairs]  # validates membership
+        image_S = None if S is None else _act(ctx, key, *S)
+        if image_S != _add_pairs(curve, ims[0], ims[1]):
             raise VerificationError("automorphism is not additive")
-        img.append((ims[0].x.bits, ims[0].y.bits))
+        img.append(ims[0])
 
     noncommuting = False
     for ka in index:
@@ -217,14 +167,19 @@ def _verify_aut_group(ctx: FieldContext, elements):
 # the quotient map and its fibers
 
 
+def _rho_bits(ctx: FieldContext, x: int) -> int:
+    """(x^4 + x)^3 on bits."""
+    t = ctx.sqr(ctx.sqr(x)) ^ x
+    return ctx.mul(ctx.sqr(t), t)
+
+
 def rho(P: CurvePoint) -> FieldElement:
     """The 24-fold quotient invariant (x^4 + x)^3 of an affine point."""
     _require_supersingular_model(P.curve)
     if P.is_infinity():
         raise ValueError("the quotient map is affine; the origin is excluded")
-    x = P.x
-    t = x * x * x * x + x
-    return t * t * t
+    ctx = P.curve.ctx
+    return FieldElement(ctx, _rho_bits(ctx, P.x.bits))
 
 
 def _even_context_point(P: CurvePoint) -> CurvePoint:
@@ -234,18 +189,22 @@ def _even_context_point(P: CurvePoint) -> CurvePoint:
     return P.curve.lift_point(P, big)
 
 
-def aut_orbit(P: CurvePoint) -> set:
-    """Orbit of P under all 24 automorphisms (over an even-degree field)."""
-    _require_supersingular_model(P.curve)
-    P = _even_context_point(P)
-    orbit = {alpha(P) for alpha in aut_group(P.curve.ctx)}
+def _orbit_pairs(ctx: FieldContext, x: int, y: int) -> set:
+    """The images of the affine point (x, y) under the 24 keys, as pairs."""
+    orbit = {_act(ctx, key, x, y) for key in aut_group(ctx)}
     if 24 % len(orbit):
         raise VerificationError("orbit size does not divide the group order")
     return orbit
 
 
-def _point_sort_key(P: CurvePoint) -> bytes:
-    return json.dumps(P.to_json(), sort_keys=True).encode()
+def aut_orbit(P: CurvePoint) -> set:
+    """Orbit of P under all 24 automorphisms (over an even-degree field)."""
+    _require_supersingular_model(P.curve)
+    P = _even_context_point(P)
+    if P.is_infinity():
+        return {P}
+    return {_point(P.curve, p)
+            for p in _orbit_pairs(P.curve.ctx, P.x.bits, P.y.bits)}
 
 
 class LameClass:
@@ -289,19 +248,19 @@ def _classify_torsion(n: int) -> tuple:
         raise ValueError(
             f"desk-scale classification stops at order {_MAX_ORDER}")
     curve, P1, P2 = torsion_basis(n)
-    row = [curve.infinity()]
+    ctx = curve.ctx
+    p1, p2 = _pair(P1), _pair(P2)
+    row = [None]  # row[b] = b*P1
     for _ in range(n - 1):
-        row.append(row[-1] + P1)
-    points = []
+        row.append(_add_pairs(curve, row[-1], p1))
+    groups = {}
+    Q = None  # a*P2
     for a in range(n):
-        Q = a * P2
         for b in range(n):
             if gcd(gcd(a, b), n) == 1:
-                points.append(row[b] + Q)
-
-    groups = {}
-    for P in points:
-        groups.setdefault(rho(P).bits, []).append(P)
+                x, y = _add_pairs(curve, row[b], Q)
+                groups.setdefault(_rho_bits(ctx, x), []).append((x, y))
+        Q = _add_pairs(curve, Q, p2)
 
     total = sum(len(members) for members in groups.values())
     if total != psi(n):
@@ -311,14 +270,17 @@ def _classify_torsion(n: int) -> tuple:
     classes = []
     for bits in sorted(groups):
         members = groups[bits]
-        rep = min(members, key=_point_sort_key)
-        orbit = aut_orbit(rep)
-        if orbit != set(members):
+        # the least member by the bytes of its JSON: on one curve the
+        # records differ only in the x and y hex strings, each closed by a quote
+        rep = min(members, key=lambda p: (format(p[0], "x") + '"',
+                                          format(p[1], "x") + '"'))
+        if _orbit_pairs(ctx, *rep) != set(members):
             raise VerificationError(
                 "quotient fiber differs from automorphism orbit at rho=%x"
                 % bits)
-        value = rep.curve.ctx(bits)
-        classes.append(LameClass(n, value, element_degree(value), rep))
+        value = FieldElement(ctx, bits)
+        classes.append(LameClass(n, value, element_degree(value),
+                                 _point(curve, rep)))
     return tuple(classes)
 
 

@@ -254,25 +254,8 @@ class CurvePoint:
             return NotImplemented
         if self.curve != other.curve:
             raise ValueError("points on different curves")
-        if self.is_infinity():
-            return other
-        if other.is_infinity():
-            return self
         E = self.curve
-        mul, sqr, inv = E.ctx.mul, E.ctx.sqr, E.ctx.inv
-        a1, a2, a3, a4 = E.a1.bits, E.a2.bits, E.a3.bits, E.a4.bits
-        x1, y1, x2, y2 = self.x.bits, self.y.bits, other.x.bits, other.y.bits
-        if x1 == x2:
-            h = mul(a1, x1) ^ a3
-            if y2 == y1 ^ h:
-                return E.infinity()
-            # tangent; h(x1) != 0 here since h = 0 forces y2 = y1 + h = y1
-            lam = mul(sqr(x1) ^ a4 ^ mul(a1, y1), inv(h))
-        else:
-            lam = mul(y1 ^ y2, inv(x1 ^ x2))
-        x3 = sqr(lam) ^ mul(a1, lam) ^ a2 ^ x1 ^ x2
-        y3 = mul(lam ^ a1, x3) ^ mul(lam, x1) ^ y1 ^ a3
-        return CurvePoint(E, FieldElement(E.ctx, x3), FieldElement(E.ctx, y3))
+        return _point(E, _add_pairs(E, _pair(self), _pair(other)))
 
     def __sub__(self, other: "CurvePoint") -> "CurvePoint":
         return self + (-other)
@@ -316,6 +299,43 @@ class CurvePoint:
             return "CurvePoint(infinity)"
         return (f"CurvePoint(x=0x{self.x.bits:x}, y=0x{self.y.bits:x}, "
                 f"d={self.curve.ctx.degree})")
+
+
+def _pair(P: CurvePoint):
+    """P as an (x, y) pair of bits, None for the origin."""
+    return None if P.is_infinity() else (P.x.bits, P.y.bits)
+
+
+def _point(curve: WeierstrassCurve, p) -> CurvePoint:
+    """The CurvePoint of an (x, y) pair of bits, None for the origin; the
+    pair is trusted to lie on the curve."""
+    if p is None:
+        return curve.infinity()
+    return CurvePoint(curve, FieldElement(curve.ctx, p[0]),
+                      FieldElement(curve.ctx, p[1]))
+
+
+def _add_pairs(curve: WeierstrassCurve, p, q):
+    """p + q on the curve, for (x, y) pairs of bits with None the origin: the
+    chord-and-tangent law, the one adder that CurvePoint.__add__ wraps."""
+    if p is None:
+        return q
+    if q is None:
+        return p
+    ctx = curve.ctx
+    mul, sqr, inv = ctx.mul, ctx.sqr, ctx.inv
+    a1, a2, a3, a4 = curve.a1.bits, curve.a2.bits, curve.a3.bits, curve.a4.bits
+    (x1, y1), (x2, y2) = p, q
+    if x1 == x2:
+        h = mul(a1, x1) ^ a3
+        if y2 == y1 ^ h:
+            return None
+        # tangent; h(x1) != 0 here since h = 0 forces y2 = y1 + h = y1
+        lam = mul(sqr(x1) ^ a4 ^ mul(a1, y1), inv(h))
+    else:
+        lam = mul(y1 ^ y2, inv(x1 ^ x2))
+    x3 = sqr(lam) ^ mul(a1, lam) ^ a2 ^ x1 ^ x2
+    return x3, mul(lam ^ a1, x3) ^ mul(lam, x1) ^ y1 ^ a3
 
 
 def supersingular_trace(d: int) -> int:

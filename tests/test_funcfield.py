@@ -789,6 +789,29 @@ def test_fiber_escape():
     assert escaped
 
 
+def test_fiber_reads_an_int_value_as_field_bits():
+    # as _fiber_poly and ramification_profile read it
+    E = WeierstrassCurve.supersingular(4)
+    Y = CurveFunction.coordinate_y(E)
+    want = fiber(Y, E.ctx(6))
+    assert len(want) == 3
+    assert fiber(Y, 6) == want
+
+
+def test_function_reads_an_int_operand_as_a_gf2_scalar():
+    # as FieldElement and Series do; constructors keep reading field bits
+    E = WeierstrassCurve.supersingular(4)
+    X = CurveFunction.coordinate_x(E)
+    P = E.random_point(random.Random(1))
+    zero = CurveFunction.constant(E, 0)
+    for c in range(8):
+        assert (X + c).expand(P, 2) == X.expand(P, 2) + c
+        assert X + c == (X + 1 if c & 1 else X)
+        assert X * c == (X if c & 1 else zero)
+    assert CurveFunction.constant(E, 6).constant_value() == E.ctx(6)
+    assert CurveFunction(E, 6).constant_value() == E.ctx(6)
+
+
 def test_fiber_poly_holds_the_fiber_x_coordinates():
     # D at INFINITY; an int value coerces into the context; every affine
     # point of a fiber is a root; a function that is identically the value
@@ -850,10 +873,11 @@ def test_profile_passes_the_fiber_value(monkeypatch):
 
 def reference_expand_shifted(func, value, place, prec):
     """The series of func - value rebuilt as a function and expanded, or of
-    1/func at a pole: the route _expand_shifted replaced."""
+    1/func at a pole: the route _expand_shifted replaced.  The value is read
+    into the context, as fiber reads it."""
     if value is INFINITY:
         return func.inverse().expand(place, prec)
-    return (func + value).expand(place, prec)
+    return (func + func.curve.ctx(value)).expand(place, prec)
 
 
 def _certified_cover(P, n):
@@ -893,7 +917,8 @@ def test_shifted_series_matches_the_rebuilt_function():
                     assert s == reference_expand_shifted(f, value, Q, prec)
                     checked += 1
     assert checked >= 2 * 5 * 3
-    # an int value is field bits, as in func + value, not a GF(2) scalar
+    # an int value is field bits, as fiber and _fiber_poly read it, not a
+    # GF(2) scalar as func + value reads it
     E = WeierstrassCurve.supersingular(4)
     X, P = CurveFunction.coordinate_x(E), E.point(0, 0)
     assert (_expand_shifted(X, 3, P, 4)

@@ -1,17 +1,18 @@
 """Automorphism quotient, torsion classification, counts, census, covers."""
 
 import hashlib
+import json
 import random
+from math import gcd
 
 import pytest
 
-from lame2 import lame
+from lame2 import gf2, lame
 from lame2.cli import run
 from lame2.common import FiberEscapeError, VerificationError
-from lame2.gf2 import GF, Poly, embed, poly_roots
+from lame2.gf2 import GF, Poly, element_degree, embed, poly_roots
 from lame2.weierstrass import WeierstrassCurve, supersingular_order, torsion_basis
 from lame2.lame import (
-    AutomorphismElement,
     aut_group,
     aut_orbit,
     classify_torsion,
@@ -34,45 +35,46 @@ from lame2.funcfield import differentiate, ramification_index
 def test_aut_group_size_and_identity():
     G = aut_group(GF(2))
     assert len(G) == 24
-    idents = [g for g in G if g.is_identity()]
-    assert len(idents) == 1
+    assert G.count((1, 0, 0)) == 1
 
 
 def test_aut_group_closure_and_inverses():
-    G = aut_group(GF(4))
-    keys = {g.key() for g in G}
+    ctx = GF(4)
+    G = aut_group(ctx)
+    keys = set(G)
     assert len(keys) == 24
     for g in G:
         for h in G:
-            assert g.compose(h).key() in keys
+            assert lame._compose(ctx, g, h) in keys
     # every element has an inverse in the set
-    ident = [g for g in G if g.is_identity()][0]
     for g in G:
-        assert any(g.compose(h) == ident for h in G)
+        assert any(lame._compose(ctx, g, h) == (1, 0, 0) for h in G)
 
 
 def test_aut_group_is_nonabelian():
-    G = aut_group(GF(2))
-    assert any(g.compose(h) != h.compose(g) for g in G for h in G)
+    ctx = GF(2)
+    G = aut_group(ctx)
+    assert any(lame._compose(ctx, g, h) != lame._compose(ctx, h, g)
+               for g in G for h in G)
 
 
 def test_negation_is_an_automorphism():
     curve = WeierstrassCurve.supersingular(6)
-    G = aut_group(curve.ctx)
-    neg = [g for g in G if g.key() == (1, 0, 1)][0]
+    assert (1, 0, 1) in aut_group(curve.ctx)
     P = curve.point(curve.ctx(2), curve.fiber_y(curve.ctx(2))[0])
-    assert neg(P) == -P
+    assert curve.point(*lame._act(curve.ctx, (1, 0, 1), P.x.bits, P.y.bits)) \
+        == -P
 
 
 def test_automorphisms_preserve_the_curve():
     curve = WeierstrassCurve.supersingular(4)
     pts = [curve.point(x, y) for x in curve.ctx.elements()
            for y in curve.fiber_y(x)]
-    for g in aut_group(curve.ctx):
+    for key in aut_group(curve.ctx):
         for P in pts:
-            img = g(P)
-            assert curve.contains(img.x, img.y)
-        assert g(curve.infinity()).is_infinity()
+            x, y = lame._act(curve.ctx, key, P.x.bits, P.y.bits)
+            assert curve.contains(x, y)
+    assert aut_orbit(curve.infinity()) == {curve.infinity()}
 
 
 def test_aut_group_rejects_ordinary_model():
@@ -82,35 +84,36 @@ def test_aut_group_rejects_ordinary_model():
         rho(P)
     with pytest.raises(ValueError, match="even degree"):
         aut_group(GF(3))
-    g = aut_group(curve.ctx)[5]
     with pytest.raises(ValueError, match="Y\\^2\\+Y=X\\^3"):
-        g(P)
+        aut_orbit(P)
 
 
 # -- the verifier against a FieldElement oracle ------------------------------
 
 
-def _fe_act(alpha, P):
-    """alpha(P) in FieldElement arithmetic; curve.point validates the image."""
+def _fe_act(key, P):
+    """key(P) in FieldElement arithmetic; curve.point validates the image."""
     if P.is_infinity():
         return P
-    u2 = alpha.u * alpha.u
-    return P.curve.point(u2 * P.x + alpha.a,
-                         P.y + u2 * alpha.a * alpha.a * P.x + alpha.c)
+    u, a, c = (P.curve.ctx(v) for v in key)
+    u2 = u * u
+    return P.curve.point(u2 * P.x + a, P.y + u2 * a * a * P.x + c)
 
 
-def _fe_compose(alpha, beta):
-    u1sq = alpha.u * alpha.u
-    return AutomorphismElement(alpha.u * beta.u, u1sq * beta.a + alpha.a,
-                               alpha.c + beta.c + u1sq * alpha.a * alpha.a * beta.a)
+def _fe_compose(ctx, k1, k2):
+    """The key of k1 after k2, in FieldElement arithmetic."""
+    (u1, a1, c1), (u2, a2, c2) = ((ctx(v) for v in k) for k in (k1, k2))
+    u1sq = u1 * u1
+    return tuple(v.bits for v in (u1 * u2, u1sq * a2 + a1,
+                                  c1 + c2 + u1sq * a1 * a1 * a2))
 
 
-def reference_verify_aut_group(ctx, elements, act=_fe_act, compose=_fe_compose):
+def reference_verify_aut_group(ctx, keys, act=_fe_act, compose=_fe_compose):
     """The per-pair FieldElement loop the int verifier replaced."""
-    if len(elements) != 24:
+    if len(keys) != 24:
         raise VerificationError("expected 24 automorphisms, found %d"
-                                % len(elements))
-    table = {alpha.key() for alpha in elements}
+                                % len(keys))
+    table = set(keys)
     if len(table) != 24:
         raise VerificationError("automorphism list has duplicates")
     if (1, 0, 0) not in table:
@@ -120,41 +123,38 @@ def reference_verify_aut_group(ctx, elements, act=_fe_act, compose=_fe_compose):
     rng = random.Random(0xA07)
     points = [curve.random_point(rng) for _ in range(4)]
 
-    neg = AutomorphismElement(ctx.one, ctx.zero, ctx.one)
-    if neg.key() not in table:
+    if (1, 0, 1) not in table:
         raise VerificationError("negation element missing")
     for P in points:
-        if act(neg, P) != -P:
+        if act((1, 0, 1), P) != -P:
             raise VerificationError("(1,0,1) does not act as negation")
 
-    for alpha in elements:
+    for key in keys:
         for P in points:
-            act(alpha, P)
-        if not act(alpha, curve.infinity()).is_infinity():
-            raise VerificationError("automorphism call moves the origin")
-        if act(alpha, points[0] + points[1]) != \
-                act(alpha, points[0]) + act(alpha, points[1]):
+            act(key, P)
+        if act(key, points[0] + points[1]) != \
+                act(key, points[0]) + act(key, points[1]):
             raise VerificationError("automorphism is not additive")
 
     noncommuting = False
-    for alpha in elements:
-        for beta in elements:
-            gamma = compose(alpha, beta)
-            if gamma.key() not in table:
+    for ka in keys:
+        for kb in keys:
+            gamma = compose(ctx, ka, kb)
+            if gamma not in table:
                 raise VerificationError("composition left the set")
-            if act(gamma, points[0]) != act(alpha, act(beta, points[0])):
+            if act(gamma, points[0]) != act(ka, act(kb, points[0])):
                 raise VerificationError("composition law disagrees with action")
-            if not noncommuting and gamma.key() != compose(beta, alpha).key():
+            if not noncommuting and gamma != compose(ctx, kb, ka):
                 noncommuting = True
     if not noncommuting:
         raise VerificationError("group verified abelian; expected non-abelian")
 
 
-def _both_raise(ctx, elements, exc, match, act=_fe_act, compose=_fe_compose):
+def _both_raise(ctx, keys, exc, match, act=_fe_act, compose=_fe_compose):
     with pytest.raises(exc, match=match):
-        lame._verify_aut_group(ctx, elements)
+        lame._verify_aut_group(ctx, keys)
     with pytest.raises(exc, match=match):
-        reference_verify_aut_group(ctx, elements, act, compose)
+        reference_verify_aut_group(ctx, keys, act, compose)
 
 
 @pytest.mark.parametrize("d", [2, 4, 6, 8, 10, 12, 24])
@@ -162,36 +162,37 @@ def test_verifier_and_oracle_accept_the_group(d):
     G = aut_group(GF(d))
     lame._verify_aut_group(GF(d), G)
     reference_verify_aut_group(GF(d), G)
-    keys = [g.key() for g in G]
-    assert keys == sorted(keys)
+    assert G == sorted(G)
+    for ka in G:
+        for kb in G:
+            assert lame._compose(GF(d), ka, kb) == _fe_compose(GF(d), ka, kb)
     if d == 2:
-        assert keys == [(u, a, c) for u in (1, 2, 3) for a in range(4)
-                        for c in ((0, 1) if a == 0 else (2, 3))]
+        assert G == [(u, a, c) for u in (1, 2, 3) for a in range(4)
+                     for c in ((0, 1) if a == 0 else (2, 3))]
 
 
-def _replaced(G, j, element):
+def _replaced(G, j, key):
     out = list(G)
-    out[j] = element
+    out[j] = key
     return out
 
 
 def test_verifier_and_oracle_refuse_corrupted_lists():
     ctx = GF(6)
     G = aut_group(ctx)
-    keys = [g.key() for g in G]
-    omega = ctx(keys[-1][0])  # a cube root of unity other than 1
-    assert omega * omega + omega == ctx.one
-    plain = keys.index((omega.bits, 0, 0))
-    g = G[plain]
-    outsider = AutomorphismElement(ctx.zero, g.a, g.c)  # u = 0: no member
+    omega = G[-1][0]  # a cube root of unity other than 1
+    assert ctx.sqr(omega) ^ omega == 1
+    plain = G.index((omega, 0, 0))
+    _u, a, c = G[plain]
+    outsider = (0, a, c)  # u = 0: no member
     _both_raise(ctx, G[:23], VerificationError, "expected 24 automorphisms")
     _both_raise(ctx, _replaced(G, 3, G[4]), VerificationError, "duplicates")
-    _both_raise(ctx, _replaced(G, keys.index((1, 0, 0)), outsider),
+    _both_raise(ctx, _replaced(G, G.index((1, 0, 0)), outsider),
                 VerificationError, "identity element missing")
-    _both_raise(ctx, _replaced(G, keys.index((1, 0, 1)), outsider),
+    _both_raise(ctx, _replaced(G, G.index((1, 0, 1)), outsider),
                 VerificationError, "negation element missing")
     # c + omega solves c^2 + c = a^3 + 1, so every image leaves the curve
-    flipped = AutomorphismElement(g.u, g.a, g.c + omega)
+    flipped = (omega, a, c ^ omega)
     _both_raise(ctx, _replaced(G, plain, flipped), ValueError,
                 "point is not on the curve")
     # every triple that keeps points on the curve is a member, so a
@@ -200,20 +201,12 @@ def test_verifier_and_oracle_refuse_corrupted_lists():
                 "point is not on the curve")
 
 
-def _element_law(law):
-    """A law on keys (ctx, k1, k2) -> key, as the oracle's compose."""
-    def compose(alpha, beta):
-        ctx = alpha.u.ctx
-        return AutomorphismElement(*(ctx(v) for v in law(ctx, alpha.key(), beta.key())))
-    return compose
-
-
 def _element_action(action):
     """An action on keys (ctx, key, x, y) -> (x, y), as the oracle's act."""
-    def act(alpha, P):
+    def act(key, P):
         if P.is_infinity():
             return P
-        x, y = action(P.curve.ctx, alpha.key(), P.x.bits, P.y.bits)
+        x, y = action(P.curve.ctx, key, P.x.bits, P.y.bits)
         return P.curve.point(x, y)
     return act
 
@@ -223,8 +216,7 @@ def _both_refuse_law(monkeypatch, match, law=lame._compose, action=lame._act):
     G = aut_group(ctx)
     monkeypatch.setattr(lame, "_compose", law)
     monkeypatch.setattr(lame, "_act", action)
-    _both_raise(ctx, G, VerificationError, match,
-                _element_action(action), _element_law(law))
+    _both_raise(ctx, G, VerificationError, match, _element_action(action), law)
 
 
 def test_verifiers_refuse_a_law_that_leaves_the_set(monkeypatch):
@@ -245,7 +237,7 @@ def test_verifiers_refuse_an_abelian_group(monkeypatch):
     # Z/2 x Z/12 on the 24 keys, acting through its Z/2 factor by negation;
     # every other certificate holds, so only the non-abelian check refuses
     ctx = GF(6)
-    keys = [g.key() for g in aut_group(ctx)]
+    keys = aut_group(ctx)
     rest = [k for k in keys if k not in ((1, 0, 0), (1, 0, 1))]
     coords = [(0, 0), (1, 0)] + [(e, m) for m in range(1, 12) for e in (0, 1)]
     label = dict(zip([(1, 0, 0), (1, 0, 1)] + rest, coords))
@@ -273,7 +265,7 @@ def test_verifiers_refuse_a_non_additive_action(monkeypatch):
     ctx = GF(6)
     curve = WeierstrassCurve.supersingular(ctx)
     T = curve.random_point(random.Random(5))
-    moved = aut_group(ctx)[5].key()
+    moved = aut_group(ctx)[5]
     real = lame._act
 
     def action(ctx, key, x, y):
@@ -282,20 +274,6 @@ def test_verifiers_refuse_a_non_additive_action(monkeypatch):
         Q = curve.point(ctx(x), ctx(y)) + T  # a translation keeps the curve
         return Q.x.bits, Q.y.bits
     _both_refuse_law(monkeypatch, "not additive", action=action)
-
-
-def test_verifiers_refuse_a_call_that_moves_the_origin(monkeypatch):
-    # the (u, a, c) formula fixes the origin, so only a substituted call
-    # reaches the check that the call's shortcut keeps it fixed
-    ctx = GF(6)
-    G = aut_group(ctx)
-    T = WeierstrassCurve.supersingular(ctx).random_point(random.Random(5))
-    real = AutomorphismElement.__call__
-
-    def call(alpha, P):
-        return T if P.is_infinity() else real(alpha, P)
-    monkeypatch.setattr(AutomorphismElement, "__call__", call)
-    _both_raise(ctx, G, VerificationError, "call moves the origin", act=call)
 
 
 # -- the invariant map and its orbits ---------------------------------------
@@ -312,8 +290,9 @@ def test_rho_is_invariant_under_the_group():
     x = curve.ctx(5)
     P = curve.point(x, curve.fiber_y(x)[0])
     v = rho(P)
-    for g in aut_group(curve.ctx):
-        assert rho(g(P)) == v
+    for key in aut_group(curve.ctx):
+        x, y = lame._act(curve.ctx, key, P.x.bits, P.y.bits)
+        assert rho(curve.point(x, y)) == v
 
 
 def test_orbit_of_two_torsion_free_locus():
@@ -389,6 +368,38 @@ def test_classes_partition_psi_points():
         assert sum(sizes) == psi(n)
 
 
+def reference_classify_torsion(n):
+    """The point-level route the int classification replaced: CurvePoint
+    sums, aut_orbit, and the least member by the bytes of its JSON."""
+    curve, P1, P2 = torsion_basis(n)
+    row = [curve.infinity()]
+    for _ in range(n - 1):
+        row.append(row[-1] + P1)
+    groups = {}
+    for a in range(n):
+        Q = a * P2
+        for b in range(n):
+            if gcd(gcd(a, b), n) == 1:
+                P = row[b] + Q
+                groups.setdefault(rho(P).bits, []).append(P)
+    assert sum(len(members) for members in groups.values()) == psi(n)
+    classes = []
+    for bits in sorted(groups):
+        members = groups[bits]
+        rep = min(members, key=lambda P: json.dumps(
+            P.to_json(), sort_keys=True).encode())
+        assert aut_orbit(rep) == set(members)
+        classes.append((bits, element_degree(curve.ctx(bits)), rep.to_json()))
+    return classes
+
+
+@pytest.mark.parametrize("n", range(3, 14, 2))
+def test_classification_matches_the_point_level_route(n):
+    got = [(c.rho_value.bits, c.moduli_degree, c.representative.to_json())
+           for c in classify_torsion(n)]
+    assert got == reference_classify_torsion(n)
+
+
 def test_class_json_shape():
     (cls,) = classify_torsion(5)
     rec = cls.to_json()
@@ -435,7 +446,6 @@ def test_eta_agrees_on_prime_powers_and_splits_at_six():
 
 
 def test_degree_count_true_matches_field_scan():
-    from lame2.gf2 import element_degree
     for d in (1, 2, 3, 4, 6):
         ctx = GF(d)
         seen = sum(1 for c in ctx.elements() if element_degree(c) == d)
@@ -506,6 +516,20 @@ def test_census_extension_step_matches_the_e_loop(d):
     for c in GF(d).elements():
         assert lame._roots_in_some_extension(c) \
             == reference_roots_in_some_extension(c), c
+
+
+def test_census_split_trials_pinned(monkeypatch):
+    # trace trials of a cold `moduli --d 4`, the sweep running from
+    # u = x^(d-1) down and each factor resuming after the trial that split
+    # off its parent; the sweep from u = 1 up, restarting per factor, made
+    # 1,310
+    calls = []
+    real = gf2._trace_mod
+    monkeypatch.setattr(gf2, "_trace_mod",
+                        lambda *args: calls.append(args) or real(*args))
+    monkeypatch.setattr(gf2, "_EMBED_GEN", {})  # embeddings split too
+    assert run(["moduli", "--d", "4"])[0] == 0
+    assert len(calls) == 329
 
 
 def test_census_matches_classification_degrees():
