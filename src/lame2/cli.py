@@ -141,6 +141,8 @@ def cmd_ramify(args) -> tuple:
     if args.ordinary is not None:
         if args.field is None:
             raise UsageError("--ordinary needs --field")
+        if not 1 <= args.field <= 20:  # the fields count_points enumerates
+            raise UsageError(f"--field must lie in 1..20, got {args.field}")
         ctx = GF(args.field)
         try:
             t = ctx.from_hex(args.ordinary)

@@ -512,12 +512,20 @@ class CurveFunction:
         return self._degree
 
     def evaluate(self, place):
-        """Value at a point; INFINITY for poles."""
+        """Value at a point; INFINITY for poles.
+
+        At the origin the quotient's valuation is exact (see expand), so two
+        terms of xy_expansion fix both a pole and the t^0 term.
+        """
+        if self.is_constant():
+            return self.constant_value()
         if not _at_origin(place):
             dx = self.D(place.x)
             if dx:
                 return (self.A(place.x) + self.B(place.x) * place.y) / dx
-        s = self.expand(place, 1)
+            s = self.expand(place, 1)
+        else:
+            s = self._quotient(*xy_expansion(self.curve, place, 2))
         if s.coeffs and s.val < 0:
             return INFINITY
         return s.value_at_origin()
@@ -562,15 +570,18 @@ class CurveFunction:
             if not self.curve.hpoly(place.x):
                 v *= 2
             window = prec - 1 + 2 * v
-        X, Y = xy_expansion(self.curve, place, window)
-        num = self.A(X)
-        if not self.B.is_zero():
-            num = num + self.B(X) * Y
-        s = num / self.D(X)
+        s = self._quotient(*xy_expansion(self.curve, place, window))
         if s.prec < prec:
             raise PrecisionError(
                 f"expansion known through t^{s.prec - 1}, not t^{prec - 1}")
         return s
+
+    def _quotient(self, X, Y) -> Series:
+        """(A(X) + B(X) Y) / D(X) on the series of X and Y."""
+        num = self.A(X)
+        if not self.B.is_zero():
+            num = num + self.B(X) * Y
+        return num / self.D(X)
 
     def to_json(self):
         return {"A": [format(c, "x") for c in self.A.coeffs],
@@ -736,17 +747,22 @@ def different_exponent(func: CurveFunction, place, *, value=None) -> int:
 
     s is func - func(Q) at finite values and 1/func at poles.  Odd
     (tame) ramification gives d = e - 1; even indices are wild and carry
-    the extra conductor the series computes.  The differents of a degree-n
-    cover of the line by a genus-one curve sum to 2n (Riemann-Hurwitz), so
-    d <= 2n and s is needed through t^(2n+1).  Pass `value` = func(Q)
-    (INFINITY at a pole) when it is already known; s must vanish at Q, so a
-    wrong value raises VerificationError.
+    the extra conductor the series computes.  s through t^n (n = deg func)
+    fixes e <= n and every tame d = e - 1; only where ds/dt vanishes
+    through t^(n-1), at a wild point, is s widened to t^(2n+1): the
+    differents of a degree-n cover of the line by a genus-one curve sum to
+    2n (Riemann-Hurwitz).  Pass `value` = func(Q) (INFINITY at a pole) when
+    it is already known; s must vanish at Q, so a wrong value raises
+    VerificationError.
     """
     if value is None:
         value = func.evaluate(place)
-    s = _expand_shifted(func, value, place, 2 * func.degree() + 2)
+    n = func.degree()
+    s = _expand_shifted(func, value, place, n + 1)
     if s.valuation() < 1:
         raise VerificationError(f"function does not take {value!r} at {place!r}")
+    if s.deriv().is_zero_to_prec():
+        s = _expand_shifted(func, value, place, 2 * n + 2)
     return s.deriv().valuation()
 
 
@@ -767,6 +783,13 @@ def _fiber_poly(func: CurveFunction, value) -> Poly:
 def fiber(func: CurveFunction, value):
     """All rational points with func = value, as [(point, e)] sorted.
 
+    At an affine Q over a finite c, e <= m, the multiplicity of x(Q) in
+    _fiber_poly: A + cD + BY vanishes at Q to order at least e, and its
+    norm to order m v_Q(X - x(Q)), its order at Q plus that at the
+    conjugate point, or twice that at Q where h(x(Q)) = 0 and
+    v_Q(X - x(Q)) = 2.  So a simple root gives e = 1 unexpanded and a
+    multiple one is expanded through t^m; the origin and poles use e <= n.
+
     Raises FiberEscapeError when the multiplicities do not add up to the
     degree of the cover, i.e. part of the fiber lives in an extension field.
     """
@@ -776,13 +799,14 @@ def fiber(func: CurveFunction, value):
         raise ValueError("constant functions have no finite fibers")
     if value is not INFINITY:
         value = E.ctx(value)
-    points = [E.point(r, y0) for r, _m in poly_roots(_fiber_poly(func, value))
+    points = [(E.point(r, y0), n if value is INFINITY else m)
+              for r, m in poly_roots(_fiber_poly(func, value))
               for y0 in E.fiber_y(r)]
     hits = []
-    for Q in points + [E.infinity()]:
+    for Q, m in points + [(E.infinity(), n)]:
         if func.evaluate(Q) == value:
-            # e <= n: the expansion through t^n finds it
-            e = _expand_shifted(func, value, Q, n + 1).valuation()
+            e = 1 if m == 1 else \
+                _expand_shifted(func, value, Q, m + 1).valuation()
             hits.append((Q, e))
     total = sum(e for _Q, e in hits)
     if total != n:

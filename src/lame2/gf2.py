@@ -196,12 +196,16 @@ def _is_irreducible(m, d):
 
 
 def lexmin_irreducible(d):
-    """Smallest integer with bit d set whose bit-polynomial is irreducible."""
+    """Smallest integer with bit d set whose bit-polynomial is irreducible.
+
+    For d >= 2 an irreducible has neither 0 nor 1 as a root: its constant
+    term is 1 and its number of terms odd, so only such m are tested.
+    """
     if d < 1:
         raise ValueError("degree must be positive")
-    m = 1 << d
-    while not _is_irreducible(m, d):
-        m += 1
+    m = 1 << d | (d > 1)  # x is the one irreducible with constant term 0
+    while not (m.bit_count() & 1 and _is_irreducible(m, d)):
+        m += 2
     return m
 
 

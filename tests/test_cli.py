@@ -84,6 +84,15 @@ def test_ordinary_hex_outside_the_field_is_usage_error(t):
     assert "at most 4 bits" in text
 
 
+@pytest.mark.parametrize("field", ["0", "-1", "21"])
+def test_ordinary_field_outside_the_enumerable_range_is_usage_error(field):
+    # count_points enumerates GF(2^d) for 1 <= d <= 20 only
+    code, text = invoke("ramify", "--order", "3", "--ordinary", "1",
+                        "--field", field)
+    assert code == 2
+    assert "--field must lie in 1..20" in text
+
+
 def test_bad_counts_bound():
     assert invoke("counts", "--max-n", "1")[0] == 2
 

@@ -6,15 +6,18 @@ expansions are checked by plugging the series back into the curve equation,
 and the different exponents are pinned against hand-computed valuations.
 """
 
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lame2 import (GF, INFINITY, FieldElement, FieldInputError,
                    Poly, cover_profile, ordinary_torsion_point)
 from lame2.common import (FiberEscapeError, PrecisionError, ProfileFalsified,
                           VerificationError)
-from lame2.gf2 import _pmod
+from lame2.gf2 import _pmod, poly_roots
 from lame2.funcfield import (
     _check_on_curve,
     _expand_shifted,
@@ -1031,6 +1034,158 @@ def test_short_window_at_a_wild_point_raises():
                 s.deriv().valuation()
         else:
             assert s.deriv().valuation() == d
+
+
+# ---------------------------------------------------------------------------
+# windows sized by the fact they prove, against the full-window routes
+
+
+def reference_evaluate(func, place):
+    """func(Q) with expand(place, 1) at the origin and where D vanishes."""
+    if not place.is_infinity():
+        dx = func.D(place.x)
+        if dx:
+            return (func.A(place.x) + func.B(place.x) * place.y) / dx
+    s = func.expand(place, 1)
+    if s.coeffs and s.val < 0:
+        return INFINITY
+    return s.value_at_origin()
+
+
+def reference_fiber(func, value):
+    """fiber with every point expanded through t^n, n = deg func."""
+    E = func.curve
+    n = func.degree()
+    if value is not INFINITY:
+        value = E.ctx(value)
+    points = [E.point(r, y0) for r, _m in poly_roots(_fiber_poly(func, value))
+              for y0 in E.fiber_y(r)]
+    hits = [(Q, _expand_shifted(func, value, Q, n + 1).valuation())
+            for Q in points + [E.infinity()]
+            if reference_evaluate(func, Q) == value]
+    total = sum(e for _Q, e in hits)
+    if total != n:
+        raise FiberEscapeError(f"fiber accounts for {total} of {n} sheets",
+                               leftover=n - total)
+    return hits
+
+
+def reference_different_exponent(func, place, value):
+    """d with s expanded through t^(2n+1), the Riemann-Hurwitz bound."""
+    s = _expand_shifted(func, value, place, 2 * func.degree() + 2)
+    assert s.valuation() >= 1
+    return s.deriv().valuation()
+
+
+def _check_routes(func, profile, label):
+    """fiber, different_exponent and evaluate against their references over
+    every certified fiber, and e <= m, the root multiplicity of x(Q) in
+    _fiber_poly, at every affine point over a finite value."""
+    E = func.curve
+    for value, entries in profile.items():
+        assert fiber(func, value) == reference_fiber(func, value), label
+        if value is not INFINITY:
+            mult = {r.bits: m
+                    for r, m in poly_roots(_fiber_poly(func, value))}
+        for Q, e, d in entries:
+            assert different_exponent(func, Q, value=value) == d \
+                == reference_different_exponent(func, Q, value), label
+            if value is not INFINITY and not Q.is_infinity():
+                assert e <= mult[Q.x.bits], label
+            for g in (func, func.inverse()):
+                assert g.evaluate(Q) == reference_evaluate(g, Q), label
+    O = E.infinity()
+    for g in (func, func.inverse(), func + func.curve.ctx.one,
+              CurveFunction.coordinate_y(E)):
+        assert g.evaluate(O) == reference_evaluate(g, O), label
+
+
+@pytest.fixture(scope="module")
+def ramify_pool_covers():
+    """(argv, function, profile) for every cover the 40 `ramify` argvs of
+    the benchmark's pool certify, as run through the CLI."""
+    import lame2.lame as lame
+    from lame2.cli import run
+    path = Path(__file__).parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    seen = []
+    real = lame.ramification_profile
+
+    def spy(func, values):
+        seen.append((func, real(func, values)))
+        return seen[-1][1]
+
+    covers = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lame, "ramification_profile", spy)
+        for argv in workloads.pool():
+            if argv[0] != "ramify":
+                continue
+            assert run(argv)[0] == 0, argv
+            covers.append((" ".join(argv), *seen[-1]))
+    return covers
+
+
+def test_routes_match_their_references_on_the_pool(ramify_pool_covers):
+    assert len(ramify_pool_covers) == 40
+    for label, func, profile in ramify_pool_covers:
+        _check_routes(func, profile, label)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from([3, 5, 7, 9]), seed=st.integers(0, 10 ** 6))
+def test_routes_match_their_references_on_drawn_covers(n, seed):
+    func, profile = _certified_cover(torsion_basis(n, seed)[1], n)
+    _check_routes(func, profile, f"torsion_basis(n={n}, seed={seed})")
+
+
+def test_wild_points_widen_to_the_riemann_hurwitz_window():
+    # the x-maps have degree n = 2 and d > n - 1 at their wild points, so
+    # ds/dt vanishes through t^(n-1) and d comes from the wider window
+    for E, values in ((WeierstrassCurve.supersingular(2), [INFINITY]),
+                      (WeierstrassCurve.ordinary(GF(4), 9),
+                       [GF(4).zero, INFINITY])):
+        X = CurveFunction.coordinate_x(E)
+        profile = ramification_profile(X, values)
+        assert all(d > 1 for fib in profile.values() for _Q, _e, d in fib)
+        _check_routes(X, profile, repr(E))
+
+
+# `perfbench/run.py --workload covers --seed 1`: six tame and three wild
+# covers, the argvs of one pass
+COVERS_SEED_1 = [argv.split() for argv in (
+    "ramify --order 7 --ordinary 5 --field 4",
+    "ramify --order 13 --seed 4",
+    "ramify --order 7 --seed 0",
+    "ramify --order 11 --seed 0",
+    "ramify --order 5 --ordinary 1 --field 3",
+    "ramify --order 3 --seed 1",
+    "ramify --order 3 --ordinary d --field 5",
+    "ramify --order 5 --seed 5",
+    "ramify --order 9 --seed 3",
+)]
+
+
+def test_expansion_windows_pinned(monkeypatch):
+    # xy_expansion calls and the sum of their windows over one pass, run in
+    # one process; expanding every fiber point through t^n, every ramified
+    # one again through t^(2n+1) and the origin's value through t^(n+1)
+    # made 120 calls with windows summing to 1,110
+    import lame2.funcfield as ff
+    from lame2.cli import run
+    windows = []
+    real = ff.xy_expansion
+
+    def counting(curve, place, prec):
+        windows.append(prec)
+        return real(curve, place, prec)
+
+    monkeypatch.setattr(ff, "xy_expansion", counting)
+    for argv in COVERS_SEED_1:
+        assert run(argv)[0] == 0, argv
+    assert (len(windows), sum(windows)) == (82, 308)
 
 
 def test_differentiate_product_rule():
