@@ -23,10 +23,9 @@ from .lame import LameClass, aut_group, aut_orbit, classify_torsion, \
     lame_count_dividing, moduli_census, ordinary_torsion_point, psi, rho, \
     third_point_datum
 from .moduli12 import WeightedPoint, discriminant_formula, forgetful, \
-    j_formula, negation_pair_report, tate_normal_form, wp_equal
-from .triples import Triple, burnside_check, cyclic_class_count, \
-    enumerate_triples, expected_class_count, lifting_count_check, \
-    signature_one_composition_count, triples_csv
+    j_formula, tate_normal_form, wp_equal
+from .triples import Triple, cyclic_class_count, enumerate_triples, \
+    expected_class_count, lifting_count_check, triples_csv
 from .hyper import HyperellipticCurve, MumfordDivisor, cantor_add, \
     cantor_mul, class_of_point_pair, divisor_class_order, is_supersingular, \
     jacobian_order, zeta_lpoly

@@ -41,7 +41,7 @@ from .common import (
 )
 from .gf2 import (FieldElement, Poly, _coeff_bits, _root_multiplicity,
                   poly_roots)
-from .weierstrass import CurvePoint, WeierstrassCurve
+from .weierstrass import CurvePoint, WeierstrassCurve, _slope
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +272,7 @@ def xy_expansion(curve: WeierstrassCurve, place, prec: int):
     else:
         if place.curve != curve:
             raise ValueError("place lies on a different curve")
-        x0, y0 = place.x.bits, place.y.bits
+        x0, y0 = place.xy
         h0 = mul(a1, x0) ^ a3
         if h0:
             # t = X - x0: y_k = (f_k + [k even] y_(k/2)^2 + a1 y_(k-1)) / h0
@@ -520,9 +520,10 @@ class CurveFunction:
         if self.is_constant():
             return self.constant_value()
         if not _at_origin(place):
-            dx = self.D(place.x)
+            x0 = place.x
+            dx = self.D(x0)
             if dx:
-                return (self.A(place.x) + self.B(place.x) * place.y) / dx
+                return (self.A(x0) + self.B(x0) * place.y) / dx
             s = self.expand(place, 1)
         else:
             s = self._quotient(*xy_expansion(self.curve, place, 2))
@@ -596,26 +597,22 @@ class CurveFunction:
 
 def _line_through(P: CurvePoint, Q: CurvePoint) -> CurveFunction:
     """A function with divisor (P) + (Q) + (-(P+Q)) - 3(O)."""
-    E = P.curve
-    ctx = E.ctx
     if P.is_infinity() or Q.is_infinity():
         raise ValueError("lines require affine operands")
-    if P.x == Q.x and (P != Q or P.y == Q.y + E.hpoly(P.x)):
+    E = P.curve
+    lam = _slope(E, P.xy, Q.xy)
+    if lam is None:
         # vertical: P + Q = O (covers P = -Q, including 2-torsion doubling)
-        return CurveFunction(E, Poly(ctx, [P.x, ctx.one]), 0, 1)
-    if P == Q:
-        lam = (P.x * P.x + E.a4 + E.a1 * P.y) / E.hpoly(P.x)
-    else:
-        lam = (P.y + Q.y) / (P.x + Q.x)
-    nu = P.y + lam * P.x
-    return CurveFunction(E, Poly(ctx, [nu, lam]), Poly.one(ctx), 1)
+        return _vertical_at(P)
+    x1, y1 = P.xy
+    return CurveFunction(E, Poly(E.ctx, [y1 ^ E.ctx.mul(lam, x1), lam]), 1)
 
 
 def _vertical_at(S: CurvePoint) -> CurveFunction:
     E = S.curve
     if S.is_infinity():
         return CurveFunction.constant(E, 1)
-    return CurveFunction(E, Poly(E.ctx, [S.x, E.ctx.one]), 0, 1)
+    return CurveFunction(E, Poly(E.ctx, [S.xy[0], 1]), 0, 1)
 
 
 def _miller_accumulate(P: CurvePoint, n: int) -> CurveFunction:

@@ -36,8 +36,6 @@ from .weierstrass import (
     WeierstrassCurve,
     _is_supersingular_model,
     _add_pairs,
-    _pair,
-    _point,
     extension_order,
     point_of_exact_order,
     point_order,
@@ -135,12 +133,12 @@ def _verify_aut_group(ctx: FieldContext, keys):
     if (1, 0, 1) not in index:
         raise VerificationError("negation element missing")
     for P in points:
-        if _act(ctx, (1, 0, 1), P.x.bits, P.y.bits) != _pair(-P):
+        if _act(ctx, (1, 0, 1), *P.xy) != (-P).xy:
             raise VerificationError("(1,0,1) does not act as negation")
 
     # img[j]: the validated image of points[0] under keys[j]
     img = []
-    pairs = [_pair(P) for P in points]
+    pairs = [P.xy for P in points]
     S = _add_pairs(curve, pairs[0], pairs[1])
     for key in keys:
         ims = [_act(ctx, key, x, y) for x, y in pairs]  # validates membership
@@ -179,7 +177,7 @@ def rho(P: CurvePoint) -> FieldElement:
     if P.is_infinity():
         raise ValueError("the quotient map is affine; the origin is excluded")
     ctx = P.curve.ctx
-    return FieldElement(ctx, _rho_bits(ctx, P.x.bits))
+    return FieldElement(ctx, _rho_bits(ctx, P.xy[0]))
 
 
 def _even_context_point(P: CurvePoint) -> CurvePoint:
@@ -203,8 +201,7 @@ def aut_orbit(P: CurvePoint) -> set:
     P = _even_context_point(P)
     if P.is_infinity():
         return {P}
-    return {_point(P.curve, p)
-            for p in _orbit_pairs(P.curve.ctx, P.x.bits, P.y.bits)}
+    return {CurvePoint(P.curve, p) for p in _orbit_pairs(P.curve.ctx, *P.xy)}
 
 
 class LameClass:
@@ -249,7 +246,7 @@ def _classify_torsion(n: int) -> tuple:
             f"desk-scale classification stops at order {_MAX_ORDER}")
     curve, P1, P2 = torsion_basis(n)
     ctx = curve.ctx
-    p1, p2 = _pair(P1), _pair(P2)
+    p1, p2 = P1.xy, P2.xy
     row = [None]  # row[b] = b*P1
     for _ in range(n - 1):
         row.append(_add_pairs(curve, row[-1], p1))
@@ -280,7 +277,7 @@ def _classify_torsion(n: int) -> tuple:
                 % bits)
         value = FieldElement(ctx, bits)
         classes.append(LameClass(n, value, element_degree(value),
-                                 _point(curve, rep)))
+                                 CurvePoint(curve, rep)))
     return tuple(classes)
 
 

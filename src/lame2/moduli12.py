@@ -272,13 +272,3 @@ def tate_normal_form(curve: WeierstrassCurve, P: CurvePoint) -> WeightedPoint:
         raise VerificationError("shear moved the marked point")
     return WeightedPoint(final.a1, final.a2, final.a3)
 
-
-def negation_pair_report(curve: WeierstrassCurve, P: CurvePoint) -> dict:
-    """Whether (E, P) and (E, -P) land on the same weighted point.
-
-    The two pairs are abstractly isomorphic only if some curve
-    automorphism carries P to -P, so equality is measured, not assumed.
-    """
-    wp = tate_normal_form(curve, P)
-    wn = tate_normal_form(curve, -P)
-    return {"point": wp, "negation": wn, "equal": wp_equal(wp, wn)}

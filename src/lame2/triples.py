@@ -117,28 +117,6 @@ def cyclic_class_count(n: int) -> int:
     return (comb(n - 1, 2) + 2 * (n % 3 == 0)) // 3
 
 
-def burnside_check(max_n: int = 200) -> dict:
-    """Direct enumeration versus the Burnside count for every degree."""
-    degrees = range(3, max_n + 1)
-    mismatches = [n for n in degrees
-                  if len(_all_classes(n)) != cyclic_class_count(n)]
-    return {"max_n": max_n, "degrees_checked": len(degrees),
-            "passed": not mismatches}
-
-
-def signature_one_composition_count(n: int) -> int:
-    """Ordered all-odd primitive compositions of n into three parts."""
-    if n < 3 or n % 2 == 0:
-        raise ValueError("degree must be odd and at least 3")
-    count = 0
-    for a in range(1, n - 1, 2):
-        for b in range(1, n - a, 2):
-            c = n - a - b
-            if c >= 1 and c % 2 and gcd(gcd(a, b), c) == 1:
-                count += 1
-    return count
-
-
 def expected_class_count(n: int) -> int:
     """Exact-order class count in characteristic 2 for odd n.
 

@@ -14,6 +14,10 @@ Two families recur throughout the package:
 * the ordinary curves ``Y^2 + X*Y = X^3 + t*X`` with t != 0 (j = 1/t^2,
   unique two-torsion point (0, 0)).
 
+A point is its (x, y) pair of bits; ``.x`` and ``.y`` are FieldElement
+views.  ``_slope`` gives the chord or tangent slope on ints to the group law
+``_add_pairs`` and to the lines of Miller's algorithm in ``funcfield``.
+
 The group of ``Y^2 + Y = X^3`` over every F_(2^d) is read from pi^2 = -2 for
 its F_2-Frobenius pi: the exponent, the n-torsion field, point orders.
 Scalar multiplication, point counting, a torsion-basis search with a
@@ -139,10 +143,10 @@ class WeierstrassCurve:
         y = self.ctx(y)
         if not self.contains(x, y):
             raise ValueError("point is not on the curve")
-        return CurvePoint(self, x, y)
+        return CurvePoint(self, (x.bits, y.bits))
 
     def infinity(self) -> "CurvePoint":
-        return CurvePoint(self, None, None)
+        return CurvePoint(self, None)
 
     def fiber_y(self, x) -> tuple:
         """All y with (x, y) on the curve, sorted by bit pattern."""
@@ -179,7 +183,8 @@ class WeierstrassCurve:
             x = self.ctx.random(rng)
             ys = self.fiber_y(x)
             if ys:
-                return CurvePoint(self, x, ys[rng.randrange(len(ys))])
+                y = ys[rng.randrange(len(ys))]
+                return CurvePoint(self, (x.bits, y.bits))
 
     def base_change(self, target: FieldContext) -> "WeierstrassCurve":
         return WeierstrassCurve(
@@ -231,31 +236,37 @@ class WeierstrassCurve:
 
 
 class CurvePoint:
-    """A point on a WeierstrassCurve; x = y = None encodes the origin."""
+    """A point on a WeierstrassCurve: its (x, y) pair of bits ``xy``, None at
+    the origin, trusted to lie on the curve (``WeierstrassCurve.point``
+    checks).  ``x`` and ``y`` are read-only FieldElement views, None at O."""
 
-    __slots__ = ("curve", "x", "y")
+    __slots__ = ("curve", "xy")
 
-    def __init__(self, curve: WeierstrassCurve, x, y):
+    def __init__(self, curve: WeierstrassCurve, xy):
         self.curve = curve
-        self.x = x
-        self.y = y
+        self.xy = xy
+
+    x = property(lambda self: None if self.xy is None
+                 else FieldElement(self.curve.ctx, self.xy[0]))
+    y = property(lambda self: None if self.xy is None
+                 else FieldElement(self.curve.ctx, self.xy[1]))
 
     def is_infinity(self) -> bool:
-        return self.x is None
+        return self.xy is None
 
     def __neg__(self) -> "CurvePoint":
-        if self.is_infinity():
+        if self.xy is None:
             return self
-        E = self.curve
-        return CurvePoint(E, self.x, self.y + E.hpoly(self.x))
+        (x, y), E = self.xy, self.curve
+        return CurvePoint(E, (x, y ^ E.ctx.mul(E.a1.bits, x) ^ E.a3.bits))
 
     def __add__(self, other: "CurvePoint") -> "CurvePoint":
         if not isinstance(other, CurvePoint):
             return NotImplemented
         if self.curve != other.curve:
             raise ValueError("points on different curves")
-        E = self.curve
-        return _point(E, _add_pairs(E, _pair(self), _pair(other)))
+        return CurvePoint(self.curve,
+                          _add_pairs(self.curve, self.xy, other.xy))
 
     def __sub__(self, other: "CurvePoint") -> "CurvePoint":
         return self + (-other)
@@ -265,17 +276,17 @@ class CurvePoint:
             return NotImplemented
         if k < 0:
             return (-self) * (-k)
-        acc = self.curve.infinity()
+        acc = None
         for bit in format(k, "b"):  # from the top: no doubling left unread
-            acc = acc + acc
+            acc = _add_pairs(self.curve, acc, acc)
             if bit == "1":
-                acc = acc + self
-        return acc
+                acc = _add_pairs(self.curve, acc, self.xy)
+        return CurvePoint(self.curve, acc)
 
     __rmul__ = __mul__
 
     def to_json(self):
-        if self.is_infinity():
+        if self.xy is None:
             return INFINITY.to_json()
         return {"curve": [a.to_json() for a in self.curve.coefficients()],
                 "x": self.x.to_json(), "y": self.y.to_json()}
@@ -283,59 +294,46 @@ class CurvePoint:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CurvePoint):
             return NotImplemented
-        if self.curve != other.curve:
-            return False
-        if self.is_infinity() or other.is_infinity():
-            return self.is_infinity() and other.is_infinity()
-        return self.x == other.x and self.y == other.y
+        return self.curve == other.curve and self.xy == other.xy
 
     def __hash__(self):
-        if self.is_infinity():
-            return hash((self.curve, None))
-        return hash((self.curve, self.x.bits, self.y.bits))
+        return hash((self.curve, self.xy))
 
     def __repr__(self) -> str:
-        if self.is_infinity():
+        if self.xy is None:
             return "CurvePoint(infinity)"
-        return (f"CurvePoint(x=0x{self.x.bits:x}, y=0x{self.y.bits:x}, "
+        return (f"CurvePoint(x=0x{self.xy[0]:x}, y=0x{self.xy[1]:x}, "
                 f"d={self.curve.ctx.degree})")
 
 
-def _pair(P: CurvePoint):
-    """P as an (x, y) pair of bits, None for the origin."""
-    return None if P.is_infinity() else (P.x.bits, P.y.bits)
-
-
-def _point(curve: WeierstrassCurve, p) -> CurvePoint:
-    """The CurvePoint of an (x, y) pair of bits, None for the origin; the
-    pair is trusted to lie on the curve."""
-    if p is None:
-        return curve.infinity()
-    return CurvePoint(curve, FieldElement(curve.ctx, p[0]),
-                      FieldElement(curve.ctx, p[1]))
+def _slope(curve: WeierstrassCurve, p, q):
+    """Slope of the line through the affine (x, y) pairs of bits p and q on
+    the curve, the tangent when p == q; None when the line is vertical,
+    that is when p + q is the origin."""
+    mul, inv = curve.ctx.mul, curve.ctx.inv
+    (x1, y1), (x2, y2) = p, q
+    if x1 != x2:
+        return mul(y1 ^ y2, inv(x1 ^ x2))
+    a1 = curve.a1.bits
+    h = mul(a1, x1) ^ curve.a3.bits
+    if y2 == y1 ^ h:
+        return None
+    # tangent; h(x1) != 0 here since h = 0 forces y2 = y1 + h = y1
+    return mul(curve.ctx.sqr(x1) ^ curve.a4.bits ^ mul(a1, y1), inv(h))
 
 
 def _add_pairs(curve: WeierstrassCurve, p, q):
     """p + q on the curve, for (x, y) pairs of bits with None the origin: the
-    chord-and-tangent law, the one adder that CurvePoint.__add__ wraps."""
-    if p is None:
-        return q
-    if q is None:
-        return p
-    ctx = curve.ctx
-    mul, sqr, inv = ctx.mul, ctx.sqr, ctx.inv
-    a1, a2, a3, a4 = curve.a1.bits, curve.a2.bits, curve.a3.bits, curve.a4.bits
-    (x1, y1), (x2, y2) = p, q
-    if x1 == x2:
-        h = mul(a1, x1) ^ a3
-        if y2 == y1 ^ h:
-            return None
-        # tangent; h(x1) != 0 here since h = 0 forces y2 = y1 + h = y1
-        lam = mul(sqr(x1) ^ a4 ^ mul(a1, y1), inv(h))
-    else:
-        lam = mul(y1 ^ y2, inv(x1 ^ x2))
-    x3 = sqr(lam) ^ mul(a1, lam) ^ a2 ^ x1 ^ x2
-    return x3, mul(lam ^ a1, x3) ^ mul(lam, x1) ^ y1 ^ a3
+    chord-and-tangent law, the one adder CurvePoint wraps."""
+    if p is None or q is None:
+        return q if p is None else p
+    lam = _slope(curve, p, q)
+    if lam is None:
+        return None
+    mul, a1 = curve.ctx.mul, curve.a1.bits
+    x1, y1 = p
+    x3 = curve.ctx.sqr(lam) ^ mul(a1, lam) ^ curve.a2.bits ^ x1 ^ q[0]
+    return x3, mul(lam ^ a1, x3) ^ mul(lam, x1) ^ y1 ^ curve.a3.bits
 
 
 def supersingular_trace(d: int) -> int:
@@ -414,6 +412,8 @@ def point_order(curve: WeierstrassCurve, point: "CurvePoint",
     large ordinary fields must pass it in (e.g. from extension_order).
     order_from_multiple certifies that the multiple kills the point.
     """
+    if point.curve != curve:
+        raise ValueError("point lies on a different curve")
     if point.is_infinity():
         return 1
     N = group_order
@@ -507,6 +507,8 @@ def torsion_basis(n: int, seed: int = 0):
 def torsion_points(curve: WeierstrassCurve, P: CurvePoint, Q: CurvePoint,
                    n: int, exact: bool = True) -> list:
     """All points a*P + b*Q, filtered to exact order n when `exact`."""
+    if P.curve != curve or Q.curve != curve:
+        raise ValueError("points on different curves")
     pts = []
     for a in range(n):
         for b in range(n):

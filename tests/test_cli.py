@@ -284,17 +284,17 @@ CurveFunction CurvePoint FiberEscapeError FieldContext FieldElement
 FieldInputError GF HyperellipticCurve INFINITY LameClass LocalExpansion
 MumfordDivisor Poly PrecisionError ProfileFalsified Series
 TorsionSearchExhausted Triple VerificationError WeierstrassCurve
-WeightedPoint aut_group aut_orbit burnside_check cantor_add cantor_mul
+WeightedPoint aut_group aut_orbit cantor_add cantor_mul
 class_of_point_pair classify_torsion cover_profile curve_invariants
 cyclic_class_count degree_count_true different_exponent differentiate
 discriminant_formula divisor_class_order element_degree embed
 enumerate_triples eta_paper expected_class_count extension_order fiber
 forgetful galois_equivariance_check is_supersingular j_formula
 jacobian_order lame_count_dividing lexmin_irreducible lifting_count_check
-local_expand miller_function moduli_census negation_pair_report
+local_expand miller_function moduli_census
 ordinary_torsion_point point_of_exact_order point_order poly_roots psi
 ramification_index ramification_profile rho
-signature_one_composition_count solve_artin_schreier supersingular_order
+solve_artin_schreier supersingular_order
 supersingular_trace tate_normal_form third_point_datum torsion_basis
 torsion_field_degree torsion_points trace triples_csv uniformizer_tag
 wp_equal xy_expansion zeta_lpoly

@@ -8,6 +8,7 @@ and the different exponents are pinned against hand-computed valuations.
 
 import importlib.util
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from lame2.funcfield import (
     _check_on_curve,
     _expand_shifted,
     _fiber_poly,
+    _line_through,
     LocalExpansion,
     local_expand,
     CurveFunction,
@@ -729,6 +731,63 @@ def test_miller_intermediate_divisor():
     assert poles == {3 * P: 1, curve.infinity(): 2}
 
 
+def reference_line(P, Q):
+    # the chord-and-tangent line on FieldElements, as _line_through once
+    # built it
+    E = P.curve
+    ctx = E.ctx
+    if P.x == Q.x and (P != Q or P.y == Q.y + E.hpoly(P.x)):
+        return CurveFunction(E, Poly(ctx, [P.x, ctx.one]), 0, 1)
+    if P == Q:
+        lam = (P.x * P.x + E.a4 + E.a1 * P.y) / E.hpoly(P.x)
+    else:
+        lam = (P.y + Q.y) / (P.x + Q.x)
+    nu = P.y + lam * P.x
+    return CurveFunction(E, Poly(ctx, [nu, lam]), Poly.one(ctx), 1)
+
+
+def _check_line(P, Q):
+    # the line matches the reference, and its zeros are exactly P, Q and
+    # -(P+Q), with multiplicity, the origin left out
+    label = (P.curve, P, Q)
+    line = _line_through(P, Q)
+    assert line == reference_line(P, Q), label
+    zeros = [R for R in (P, Q, -(P + Q)) if not R.is_infinity()]
+    for R in zeros:
+        assert line.evaluate(R) == 0, label
+    assert dict(fiber(line, 0)) == Counter(zeros), label
+
+
+def _general_curve(ctx, rng):
+    """A smooth curve with every a_i drawn at random."""
+    while True:
+        try:
+            return WeierstrassCurve(ctx, *(ctx.random(rng) for _ in range(5)))
+        except ValueError:
+            continue
+
+
+@pytest.mark.parametrize("d", [3, 8, 13])
+def test_line_through_matches_the_fieldelement_formulas(d):
+    # general curves (every a_i random) reach the chord, the tangent and
+    # the vertical line through P and -P
+    rng = random.Random(70 + d)
+    for E in (_general_curve(GF(d), rng) for _ in range(2)):
+        pts = [E.random_point(rng) for _ in range(4)]
+        for P in pts:
+            for Q in pts + [-P]:
+                _check_line(P, Q)
+
+
+@pytest.mark.parametrize("d, t", [(3, 5), (8, 0x1d), (13, 2)])
+def test_line_through_two_torsion_is_vertical(d, t):
+    # (0, 0) on Y^2 + XY = X^3 + tX: h(0) = 0, so its tangent is X
+    E = WeierstrassCurve.ordinary(GF(d), t)
+    P = E.point(0, 0)
+    assert _line_through(P, P) == CurveFunction.coordinate_x(E)
+    _check_line(P, P)
+
+
 # ---------------------------------------------------------------------------
 # ramification
 
@@ -1139,6 +1198,41 @@ def test_routes_match_their_references_on_the_pool(ramify_pool_covers):
 def test_routes_match_their_references_on_drawn_covers(n, seed):
     func, profile = _certified_cover(torsion_basis(n, seed)[1], n)
     _check_routes(func, profile, f"torsion_basis(n={n}, seed={seed})")
+
+
+# ---------------------------------------------------------------------------
+# fibers against enumeration
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 10), deg=st.integers(0, 2), with_y=st.booleans(),
+       seed=st.integers(0, 10 ** 6))
+def test_fiber_matches_enumeration(d, deg, with_y, seed):
+    # a random function (A + BY)/D on a random curve, B = 0 unless with_y,
+    # over the value it takes at a random point of E(F_(2^d)), the origin
+    # included; the fiber is every such point where the function takes
+    # that value, and e comes from the expansion through t^n, n = deg func
+    label = f"d={d}, deg={deg}, with_y={with_y}, seed={seed}"
+    rng = random.Random(seed)
+    E = _general_curve(GF(d), rng)
+    func = _random_function(E, rng, deg)
+    if not with_y:
+        func = CurveFunction(E, func.A, 0, func.D)
+    n = func.degree()
+    if n == 0:
+        return
+    points = [E.infinity()] + [E.point(x, y) for x in E.ctx.elements()
+                               for y in E.fiber_y(x)]
+    value = func.evaluate(rng.choice(points))
+    sheets = {Q: _expand_shifted(func, value, Q, n + 1).valuation()
+              for Q in points if func.evaluate(Q) == value}
+    try:
+        hits = fiber(func, value)
+    except FiberEscapeError as err:
+        assert sum(sheets.values()) == n - err.leftover < n, label
+        return
+    assert dict(hits) == sheets, label
+    assert sum(sheets.values()) == n, label
 
 
 def test_wild_points_widen_to_the_riemann_hurwitz_window():

@@ -15,7 +15,6 @@ from lame2.moduli12 import (
     discriminant_formula,
     forgetful,
     j_formula,
-    negation_pair_report,
     tate_normal_form,
     wp_equal,
 )
@@ -201,6 +200,17 @@ def test_tate_preserves_j():
     curve, P, _ = ordinary_torsion_point(ctx(7), 5)
     inv = curve_invariants(*curve.coefficients())
     assert j_formula(tate_normal_form(curve, P)) == std_j(inv)
+
+
+def negation_pair_report(curve, P):
+    """Whether (E, P) and (E, -P) land on the same weighted point.
+
+    The two pairs are abstractly isomorphic only if some curve
+    automorphism carries P to -P, so equality is measured, not assumed.
+    """
+    wp = tate_normal_form(curve, P)
+    wn = tate_normal_form(curve, -P)
+    return {"point": wp, "negation": wn, "equal": wp_equal(wp, wn)}
 
 
 def test_negation_pairs_report_equal():

@@ -1,6 +1,7 @@
 """Cyclic triple census and the counting side of the lifting bijection."""
 
 import json
+from math import gcd
 
 import pytest
 
@@ -8,15 +9,34 @@ import lame2.triples
 from lame2.cli import run
 from lame2.triples import (
     Triple,
-    burnside_check,
+    _all_classes,
     cyclic_class_count,
     enumerate_triples,
     expected_class_count,
     lifting_count_check,
-    signature_one_composition_count,
     triples_csv,
 )
 from lame2.lame import classify_torsion, lame_count_dividing, psi
+
+
+def burnside_check(max_n=200):
+    """Direct enumeration versus the Burnside count for every degree."""
+    degrees = range(3, max_n + 1)
+    mismatches = [n for n in degrees if len(_all_classes(n))
+                  != lame2.triples.cyclic_class_count(n)]
+    return {"max_n": max_n, "degrees_checked": len(degrees),
+            "passed": not mismatches}
+
+
+def signature_one_composition_count(n):
+    """Ordered all-odd primitive compositions of n into three parts."""
+    count = 0
+    for a in range(1, n - 1, 2):
+        for b in range(1, n - a, 2):
+            c = n - a - b
+            if c >= 1 and c % 2 and gcd(gcd(a, b), c) == 1:
+                count += 1
+    return count
 
 
 def test_canonicalization_picks_least_rotation():

@@ -10,11 +10,10 @@ from fractions import Fraction
 
 import pytest
 
-from lame2 import GF, trace
+from lame2 import GF, trace, weierstrass
 from lame2.arith import factorint
 from lame2.common import VerificationError
 from lame2.weierstrass import (
-    CurvePoint,
     WeierstrassCurve,
     _spans_torsion,
     _supersingular_exponent,
@@ -130,7 +129,7 @@ def reference_add(P, Q):
         lam = (y1 + y2) / (x1 + x2)
     x3 = lam * lam + E.a1 * lam + E.a2 + x1 + x2
     y3 = (lam + E.a1) * x3 + y1 + lam * x1 + E.a3
-    return CurvePoint(E, x3, y3)
+    return E.point(x3, y3)
 
 
 @pytest.mark.parametrize("d", [3, 8, 13])
@@ -162,15 +161,15 @@ def test_scalar_multiple_takes_no_unread_doubling(monkeypatch):
     sums = [E.infinity()]
     for _ in range(15):
         sums.append(sums[-1] + P)
-    add = CurvePoint.__add__
+    add = weierstrass._add_pairs
     calls = []
 
-    def counted(A, B):
-        if not (A.is_infinity() or B.is_infinity()):
-            calls.append((A, B))
-        return add(A, B)
+    def counted(curve, p, q):
+        if p is not None and q is not None:
+            calls.append((p, q))
+        return add(curve, p, q)
 
-    monkeypatch.setattr(CurvePoint, "__add__", counted)
+    monkeypatch.setattr(weierstrass, "_add_pairs", counted)
     for k, want in ((3, 2), (15, 6)):
         calls.clear()
         assert k * P == sums[k]
@@ -483,6 +482,29 @@ def test_point_order_function():
     assert point_order(curve, 3 * P9) == 3
     with pytest.raises(VerificationError):
         point_order(curve, P9, group_order=5)
+
+
+def test_point_order_refuses_a_point_of_another_curve():
+    # the order would be stripped from the other curve's group order
+    E = WeierstrassCurve.supersingular(4)
+    F = WeierstrassCurve.ordinary(GF(4), 1)
+    P = F.random_point(random.Random(1))
+    for R in (P, F.infinity()):
+        with pytest.raises(ValueError, match="different curve"):
+            point_order(E, R)
+    assert point_order(F, P) == point_order(F, P, F.count_points())
+
+
+def test_torsion_points_refuses_points_of_another_curve():
+    curve, P, Q = torsion_basis(3)
+    other = WeierstrassCurve.ordinary(curve.ctx, 1)
+    R = other.random_point(random.Random(3))
+    for args in ((other, P, Q), (curve, R, Q), (curve, P, R)):
+        with pytest.raises(ValueError, match="different curves"):
+            torsion_points(*args, 3)
+    # an equal curve built anew is the same curve
+    same = WeierstrassCurve.supersingular(curve.ctx)
+    assert torsion_points(same, P, Q, 3) == torsion_points(curve, P, Q, 3)
 
 
 def test_extension_order_matches_enumeration():
