@@ -744,22 +744,26 @@ def different_exponent(func: CurveFunction, place, *, value=None) -> int:
 
     s is func - func(Q) at finite values and 1/func at poles.  Odd
     (tame) ramification gives d = e - 1; even indices are wild and carry
-    the extra conductor the series computes.  s through t^n (n = deg func)
-    fixes e <= n and every tame d = e - 1; only where ds/dt vanishes
-    through t^(n-1), at a wild point, is s widened to t^(2n+1): the
-    differents of a degree-n cover of the line by a genus-one curve sum to
-    2n (Riemann-Hurwitz).  Pass `value` = func(Q) (INFINITY at a pole) when
-    it is already known; s must vanish at Q, so a wrong value raises
-    VerificationError.
+    the extra conductor the series computes (windows: _different).  Pass
+    `value` = func(Q) (INFINITY at a pole) when it is already known; s must
+    vanish at Q, so a wrong value raises VerificationError.
     """
     if value is None:
         value = func.evaluate(place)
-    n = func.degree()
-    s = _expand_shifted(func, value, place, n + 1)
+    s = _expand_shifted(func, value, place, func.degree() + 1)
     if s.valuation() < 1:
         raise VerificationError(f"function does not take {value!r} at {place!r}")
+    return _different(func, value, place, s)
+
+
+def _different(func: CurveFunction, value, place, s: Series) -> int:
+    """v_t(ds/dt) for s = _expand_shifted(func, value, place, n + 1), which
+    fixes e <= n = deg func and every tame d = e - 1; only where ds/dt
+    vanishes through t^(n-1), at a wild point, is s widened to t^(2n+1):
+    the differents of a degree-n cover of the line by a genus-one curve sum
+    to 2n (Riemann-Hurwitz)."""
     if s.deriv().is_zero_to_prec():
-        s = _expand_shifted(func, value, place, 2 * n + 2)
+        s = _expand_shifted(func, value, place, 2 * func.degree() + 2)
     return s.deriv().valuation()
 
 
@@ -784,12 +788,19 @@ def fiber(func: CurveFunction, value):
     _fiber_poly: A + cD + BY vanishes at Q to order at least e, and its
     norm to order m v_Q(X - x(Q)), its order at Q plus that at the
     conjugate point, or twice that at Q where h(x(Q)) = 0 and
-    v_Q(X - x(Q)) = 2.  So a simple root gives e = 1 unexpanded and a
-    multiple one is expanded through t^m; the origin and poles use e <= n.
+    v_Q(X - x(Q)) = 2.  So a simple root gives e = 1 unexpanded; a multiple
+    one, the origin and the poles are expanded through t^n, n = deg func,
+    and that series also gives the different exponent (_different).
 
     Raises FiberEscapeError when the multiplicities do not add up to the
     degree of the cover, i.e. part of the fiber lives in an extension field.
     """
+    return [(Q, e) for Q, e, _s in _fiber(func, value)]
+
+
+def _fiber(func: CurveFunction, value):
+    """fiber(func, value) as [(point, e, s)], s the series _expand_shifted
+    gave through t^n, or None where e = 1 came from a simple root."""
     E = func.curve
     n = func.degree()
     if n == 0:
@@ -802,10 +813,9 @@ def fiber(func: CurveFunction, value):
     hits = []
     for Q, m in points + [(E.infinity(), n)]:
         if func.evaluate(Q) == value:
-            e = 1 if m == 1 else \
-                _expand_shifted(func, value, Q, m + 1).valuation()
-            hits.append((Q, e))
-    total = sum(e for _Q, e in hits)
+            s = None if m == 1 else _expand_shifted(func, value, Q, n + 1)
+            hits.append((Q, 1 if s is None else s.valuation(), s))
+    total = sum(e for _Q, e, _s in hits)
     if total != n:
         raise FiberEscapeError(
             f"fiber over {value!r} accounts for {total} of {n} sheets",
@@ -831,9 +841,8 @@ def ramification_profile(func: CurveFunction, branch_values):
     for value in branch_values:
         key = value if value is INFINITY else E.ctx(value)
         entries = []
-        for Q, e in fiber(func, key):
-            d = (different_exponent(func, Q, value=key)
-                 if e > 1 else 0)
+        for Q, e, s in _fiber(func, key):
+            d = _different(func, key, Q, s) if e > 1 else 0
             if e % 2 == 1 and e > 1 and d != e - 1:
                 raise VerificationError(
                     f"tame point reports d={d}, expected {e - 1}")

@@ -29,6 +29,8 @@ and is safe to share; embedding generators are cached per context pair.
 """
 
 from array import array
+from functools import cache, reduce
+from operator import xor
 
 from .arith import divisors, factorint
 from .common import FieldInputError, VerificationError
@@ -835,74 +837,91 @@ class _Modulus:
         return self.reduce(self.fold(int(format(a, "b"), 4)))
 
 
-def _frobenius_rows(mod):
-    """[x^(2^j) mod g for j = 0..d], packed, by d squarings mod g."""
+def _frobenius_rows(mod, k=None):
+    """[x^(2^j) mod g for j = 0..k], packed, by k (default d) squarings."""
     rows = [mod.reduce(1 << mod.w)]
-    for _ in range(mod.d):
+    for _ in range(mod.d if k is None else k):
         rows.append(mod.square(rows[-1]))
     return rows
 
 
 def _trace_mod(mod, u, combs):
-    """Tr(u*x) mod g = sum_(j<d) u^(2^j) * rows[j], packed, from the combs of
-    rows[j] = x^(2^j) mod g: d scalar products and one fold."""
+    """Tr(u*x) mod g = sum_(j<d) u^(2^j) x^(2^j), packed, from the combs of
+    the rows x^(2^j) mod g, j < e: e scalar products and one fold.  For e < d
+    g divides x^(2^e) - x, so scalar i sums u^(2^j) over j = i mod e."""
     conj = mod.sweep.setdefault((mod.ctx, u), [u])  # the same u every sweep
     while len(conj) < mod.d:
         conj.append(mod.ctx.sqr(conj[-1]))
+    if (e := len(combs)) < mod.d:
+        conj = [reduce(xor, conj[i::e]) for i in range(e)]
     return mod.fold(mod.dot(conj, combs))
 
 
-def _split_once(mod, rows, start=0):
+def _traces(mod, rows):
+    """i -> Tr(u*x) mod g as a Poly, u = x^(d-1-i), for mod = _Modulus(g)
+    and the packed rows x^(2^j) mod g; each trace is computed once."""
+    combs, d = [_comb(row) for row in rows], mod.d
+    return cache(lambda i: mod.poly(_trace_mod(mod, 1 << (d - 1 - i), combs)))
+
+
+def _split_once(g, trace, start=0):
     """(h, g/h, i): a proper factorization of a product g of distinct linear
-    factors, given mod = _Modulus(g) and packed rows[j] = x^(2^j) mod g, j < d,
+    factors, given trace(i) = Tr(u*x) mod some multiple of g (``_traces``),
     and the index i of the trial that split g.
 
     Berlekamp's trace algorithm: trial i is u = x^(d-1-i), from the top of
     the power basis down, as Tr(x^i) vanishes on the sparse moduli until i
     nears d.  For distinct roots r, r' the trace form is nondegenerate, so
-    some u has Tr(u*(r+r')) = 1 and gcd(g, Tr(u*x)) is a proper factor.
-    A factor's roots agree on every trial up to the one that split it off,
-    so its own sweep may begin after that one, at ``start``.  Deterministic,
-    at most d attempts, and the combs of the rows serve them all.
+    some u has Tr(u*(r+r')) = 1 and gcd(g, Tr(u*x) mod g) is a proper
+    factor.  A factor's roots agree on every trial up to the one that split
+    it off, so its own sweep may begin after that one, at ``start``.
+    Deterministic, at most d attempts; a split tree shares its traces.
     """
-    g, combs = mod.g, [_comb(row) for row in rows]
-    for i in range(start, mod.d):
-        h = g.gcd(mod.poly(_trace_mod(mod, 1 << (mod.d - 1 - i), combs)))
+    for i in range(start, g.ctx.degree):
+        h = g.gcd(trace(i) % g)
         if 0 < h.degree < g.degree:
             return h, g // h, i
     raise VerificationError("splitting failed: input is not separable split")
 
 
-def _split_linear(g, rows, start=0):
+def _split_linear(g, rows):
     """All roots of g, a product of distinct linear factors, given packed
-    rows[j] = x^(2^j) mod some multiple of g for j < d; the sweep begins at
-    trial ``start`` (see _split_once)."""
-    if g.degree == 1:
-        return [g.coeff(0) / g.leading()]
-    mod = _Modulus(g)
-    rows = [mod.reduce(row) for row in rows]
-    h, k, i = _split_once(mod, rows, start)
-    return _split_linear(h, rows, i + 1) + _split_linear(k, rows, i + 1)
+    rows[j] = x^(2^j) mod some multiple of g for j < d, reduced mod g once;
+    each factor resumes after the trial that split its parent (_split_once)."""
+    if g.degree > 1:
+        mod = _Modulus(g)
+        trace = _traces(mod, [mod.reduce(row) for row in rows])
+
+    def split(g, start):
+        if g.degree == 1:
+            return [g.coeff(0) / g.leading()]
+        h, k, i = _split_once(g, trace, start)
+        return split(h, i + 1) + split(k, i + 1)
+    return split(g, 0)
 
 
 def _conjugate_roots(f):
     """Sorted root bits of f, a GF(2) irreducible of degree e | d, over GF(2^d).
 
-    The roots are the e Frobenius conjugates r, r^2, ..., r^(2^(e-1)) of any
-    one root r (Lidl-Niederreiter, Thm 2.14), and r is found by following the
-    smaller factor of each split down to a linear one.
+    f divides x^(2^e) - x, so the Frobenius rows repeat with period e and
+    e rows serve every trace (_trace_mod).  A root r is found by following
+    the smaller factor of each split down to a linear one, and the roots are
+    its e conjugates r, r^2, ..., r^(2^(e-1)) (Lidl-Niederreiter, Thm 2.14):
+    as f has bits for coefficients, f(r^2) = f(r)^2, so f(r) = 0 and e
+    distinct conjugates certify the whole root set.
     """
+    if any(c > 1 for c in f.coeffs):
+        raise ValueError("conjugate roots need a polynomial over GF(2)")
     mod = _Modulus(f)
-    rows = _frobenius_rows(mod)[:-1]
-    start = 0
-    while mod.n > 1:
-        h, k, i = _split_once(mod, rows, start)
-        mod, start = _Modulus(min(h, k, key=lambda p: p.degree)), i + 1
-        rows = [mod.reduce(row) for row in rows]
-    roots = [mod.g.coeff(0) / mod.g.leading()]
+    trace = _traces(mod, _frobenius_rows(mod, f.degree - 1))
+    g, start = mod.g, 0
+    while g.degree > 1:
+        h, k, i = _split_once(g, trace, start)
+        g, start = min(h, k, key=lambda p: p.degree), i + 1
+    roots = [g.coeff(0) / g.leading()]
     for _ in range(f.degree - 1):
         roots.append(roots[-1].square())
-    if len({r.bits for r in roots}) != f.degree or any(f(r) for r in roots):
+    if len({r.bits for r in roots}) != f.degree or f(roots[0]):
         raise VerificationError("Frobenius orbit is not the root set")
     return sorted(r.bits for r in roots)
 

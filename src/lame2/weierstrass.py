@@ -167,6 +167,13 @@ class WeierstrassCurve:
         ctx = self.ctx
         mul, sqr, inv, mask = ctx.mul, ctx.sqr, ctx.inv, ctx.trace_mask()
         a1, a2, a3, a4, a6 = (a.bits for a in self.coefficients())
+        if not a1:  # h = a3 != 0 everywhere: Tr(f / a3^2) = parity(f & cmask)
+            c = inv(sqr(a3))
+            cmask = sum((mul(c, 1 << i) & mask).bit_count() % 2 << i
+                        for i in range(ctx.degree))
+            return 1 + 2 * sum(
+                not ((mul(mul(x ^ a2, x) ^ a4, x) ^ a6) & cmask).bit_count() & 1
+                for x in range(1 << ctx.degree))
         total = 1
         for x in range(1 << ctx.degree):
             h = mul(a1, x) ^ a3
@@ -179,6 +186,9 @@ class WeierstrassCurve:
         return total
 
     def random_point(self, rng: random.Random) -> "CurvePoint":
+        """A random affine point; ValueError if none, which needs q <= 4."""
+        if self.ctx.degree <= 2 and self.count_points() == 1:
+            raise ValueError("the curve has no affine point")
         while True:
             x = self.ctx.random(rng)
             ys = self.fiber_y(x)

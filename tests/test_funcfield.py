@@ -8,6 +8,7 @@ and the different exponents are pinned against hand-computed valuations.
 
 import importlib.util
 import random
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -921,13 +922,13 @@ def test_different_exponent_takes_the_known_value():
 def test_profile_passes_the_fiber_value(monkeypatch):
     import lame2.funcfield as ff
     seen = []
-    real = ff.different_exponent
+    real = ff._different
 
-    def spy(func, place, **kw):
-        seen.append(kw.get("value"))
-        return real(func, place, **kw)
+    def spy(func, value, place, s):
+        seen.append(value)
+        return real(func, value, place, s)
 
-    monkeypatch.setattr(ff, "different_exponent", spy)
+    monkeypatch.setattr(ff, "_different", spy)
     E = WeierstrassCurve.supersingular(2)
     ramification_profile(CurveFunction.coordinate_y(E), [0, 1, INFINITY])
     assert seen == [E.ctx.zero, E.ctx.one, INFINITY]
@@ -1005,8 +1006,8 @@ def test_local_expand_at_a_pole_inverts_the_series_it_holds():
 
 
 def test_profile_builds_functions_only_for_the_pole_fiber(monkeypatch):
-    # f - c is f's series shifted by c, so the only functions built are the
-    # two 1/f at the origin (the index, then the different)
+    # f - c is f's series shifted by c, so the only function built is 1/f
+    # at the origin, whose one series gives the index and the different
     f, profile = _certified_cover(torsion_basis(7, 0)[1], 7)
     built = []
     real = CurveFunction.__init__
@@ -1017,7 +1018,7 @@ def test_profile_builds_functions_only_for_the_pole_fiber(monkeypatch):
 
     monkeypatch.setattr(CurveFunction, "__init__", counting)
     assert ramification_profile(f, list(profile)) == profile
-    assert len(built) == 2
+    assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -1264,9 +1265,12 @@ COVERS_SEED_1 = [argv.split() for argv in (
 
 def test_expansion_windows_pinned(monkeypatch):
     # xy_expansion calls and the sum of their windows over one pass, run in
-    # one process; expanding every fiber point through t^n, every ramified
-    # one again through t^(2n+1) and the origin's value through t^(n+1)
-    # made 120 calls with windows summing to 1,110
+    # one process: one expansion through t^n per multiple root, origin and
+    # pole gives both e and d; expanding every fiber point through t^n,
+    # every ramified one again through t^(2n+1) and the origin's value
+    # through t^(n+1) made 120 calls with windows summing to 1,110, and
+    # expanding multiple roots through t^m, then ramified points again for
+    # the different, made 82 summing to 308
     import lame2.funcfield as ff
     from lame2.cli import run
     windows = []
@@ -1279,7 +1283,37 @@ def test_expansion_windows_pinned(monkeypatch):
     monkeypatch.setattr(ff, "xy_expansion", counting)
     for argv in COVERS_SEED_1:
         assert run(argv)[0] == 0, argv
-    assert (len(windows), sum(windows)) == (82, 308)
+    assert (len(windows), sum(windows)) == (55, 203)
+
+
+def test_root_finding_counts_pinned(monkeypatch):
+    # packed-row operations and gcds over one pass with cold embeddings;
+    # reducing every row mod every factor after each split, d rows for the
+    # conjugate roots and a second 1/f per pole fiber made 1,258 squares,
+    # 3,329 reductions, 3,472 scalar-product passes and 702 gcds
+    import lame2.gf2 as gf2
+    from lame2.cli import run
+    counts = dict.fromkeys(["square", "reduce", "dot", "gcd", "trial"], 0)
+
+    def counting(cls, name):
+        real = getattr(cls, name)
+
+        def spy(*args):
+            counts[name] += 1
+            if name == "gcd" and \
+                    sys._getframe(1).f_code is gf2._split_once.__code__:
+                counts["trial"] += 1
+            return real(*args)
+        monkeypatch.setattr(cls, name, spy)
+
+    for name in ("square", "reduce", "dot"):
+        counting(gf2._Modulus, name)
+    counting(gf2.Poly, "gcd")
+    monkeypatch.setattr(gf2, "_EMBED_GEN", {})
+    for argv in COVERS_SEED_1:
+        assert run(argv)[0] == 0, argv
+    assert counts == {"square": 634, "reduce": 1101, "dot": 1214,
+                      "gcd": 684, "trial": 143}
 
 
 def test_differentiate_product_rule():

@@ -24,7 +24,7 @@ from lame2.gf2 import (_TABLE_MAX_DEGREE, _Modulus, _bit_poly, _comb,
                        _conjugate_roots, _embed_gen, _factor_degrees,
                        _field_kernel, _frobenius_rows, _is_irreducible, _pmod,
                        _root_multiplicity, _split_once, _table_kernel,
-                       _trace_mod)
+                       _trace_mod, _traces)
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +626,64 @@ def test_conjugate_roots_match_poly_roots():
             assert _conjugate_roots(f) == want, (d, e)
 
 
+def reference_conjugate_roots(f):
+    """The d-row route: d Frobenius rows mod f, reduced again mod the
+    smaller factor after each split, and every root checked."""
+    mod = _Modulus(f)
+    rows = _frobenius_rows(mod)[:-1]
+    g, start = mod.g, 0
+    while g.degree > 1:
+        h, k, i = _split_once(g, _traces(mod, rows), start)
+        g, start = min(h, k, key=lambda p: p.degree), i + 1
+        mod = _Modulus(g)
+        rows = [mod.reduce(row) for row in rows]
+    roots = [g.coeff(0) / g.leading()]
+    for _ in range(f.degree - 1):
+        roots.append(roots[-1].square())
+    assert len({r.bits for r in roots}) == f.degree
+    assert not any(f(r) for r in roots)
+    return sorted(r.bits for r in roots)
+
+
+def random_irreducible(rng, e):
+    while True:
+        m = (1 << e) | rng.getrandbits(e) | 1
+        if _is_irreducible(m, e):
+            return m
+
+
+@pytest.mark.parametrize("d", [4, 6, 12, 18, 24, 30, 40, 48, 60, 64])
+def test_e_row_traces_match_d_rows(d, monkeypatch):
+    # f irreducible over GF(2) of degree e | d divides x^(2^e) - x, so the
+    # Frobenius rows repeat with period e: folding the d conjugates of u onto
+    # e rows gives every trial's d-row trace, and the same roots
+    ctx = GF(d)
+    rng = random.Random(70 + d)
+    for e in [e for e in divisors(d) if e > 1][-3:]:
+        f = _bit_poly(ctx, random_irreducible(rng, e))
+        mod = _Modulus(f)
+        rows = _frobenius_rows(mod)[:-1]
+        assert rows[e:] == rows[:d - e]
+        combs = [_comb(row) for row in rows]
+        for i in range(d):
+            u = 1 << (d - 1 - i)
+            assert _trace_mod(mod, u, combs[:e]) \
+                == _trace_mod(mod, u, combs), (e, i)
+        built = []
+        real = gf2._frobenius_rows
+        monkeypatch.setattr(gf2, "_frobenius_rows",
+                            lambda *a: built.append(real(*a)) or built[-1])
+        assert _conjugate_roots(f) == reference_conjugate_roots(f), (d, e)
+        monkeypatch.undo()
+        assert [len(rows) for rows in built] == [e]
+
+
+def test_conjugate_roots_need_bit_coefficients():
+    ctx = GF(4)
+    with pytest.raises(ValueError):
+        _conjugate_roots(Poly(ctx, [2, 1]))  # x + a, a not in GF(2)
+
+
 def reference_trace_map_mod(u, g):
     # sum_(i<d) (u*x)^(2^i) mod g by d polynomial squarings mod g
     s = (Poly.x(g.ctx) * u) % g
@@ -792,9 +850,8 @@ def test_split_once_rejects_unsplit_input(d):
     c = next(a for a in ctx.elements() if trace(a))
     g = Poly(ctx, [c.bits, 1, 1])
     mod = _Modulus(g)
-    rows = _frobenius_rows(mod)[:-1]
     with pytest.raises(VerificationError):
-        _split_once(mod, rows)
+        _split_once(mod.g, _traces(mod, _frobenius_rows(mod)[:-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import sys
 from math import gcd
 
 import pytest
@@ -519,17 +520,26 @@ def test_census_extension_step_matches_the_e_loop(d):
 
 
 def test_census_split_trials_pinned(monkeypatch):
-    # trace trials of a cold `moduli --d 4`, the sweep running from
-    # u = x^(d-1) down and each factor resuming after the trial that split
-    # off its parent; the sweep from u = 1 up, restarting per factor, made
-    # 1,310
-    calls = []
-    real = gf2._trace_mod
+    # split trials of a cold `moduli --d 4`, one gcd each, the sweep running
+    # from u = x^(d-1) down and each factor resuming after the trial that
+    # split off its parent (the sweep from u = 1 up, restarting per factor,
+    # made 1,310); the factors of one split tree share each trial's trace,
+    # so 140 traces serve the 329 trials, where reducing the rows mod every
+    # factor made one trace a trial
+    calls, trials = [], []
+    real, real_gcd = gf2._trace_mod, gf2.Poly.gcd
     monkeypatch.setattr(gf2, "_trace_mod",
                         lambda *args: calls.append(args) or real(*args))
+
+    def counting_gcd(a, b):
+        if sys._getframe(1).f_code is gf2._split_once.__code__:
+            trials.append(b)
+        return real_gcd(a, b)
+
+    monkeypatch.setattr(gf2.Poly, "gcd", counting_gcd)
     monkeypatch.setattr(gf2, "_EMBED_GEN", {})  # embeddings split too
     assert run(["moduli", "--d", "4"])[0] == 0
-    assert len(calls) == 329
+    assert (len(calls), len(trials)) == (140, 329)
 
 
 def test_census_matches_classification_degrees():

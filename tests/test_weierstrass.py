@@ -5,11 +5,15 @@ trace recurrence), the group law is exercised against its axioms, and the
 torsion machinery is validated through explicit order certificates.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import lame2
 from lame2 import GF, trace, weierstrass
 from lame2.arith import factorint
 from lame2.common import VerificationError
@@ -279,6 +283,68 @@ def test_count_points_oracle_on_general_curves():
                 continue
             _assert_count_matches_oracle(E)
             done += 1
+
+
+def reference_generic_count(E):
+    """The int loop count_points runs when a1 != 0, for any curve: h and
+    1/h^2 at every x, and the trace through the context's mask."""
+    ctx = E.ctx
+    mul, sqr, inv, mask = ctx.mul, ctx.sqr, ctx.inv, ctx.trace_mask()
+    a1, a2, a3, a4, a6 = (a.bits for a in E.coefficients())
+    total = 1
+    for x in range(1 << ctx.degree):
+        h = mul(a1, x) ^ a3
+        if not h:
+            total += 1
+        elif not (mul(mul(mul(x ^ a2, x) ^ a4, x) ^ a6, inv(sqr(h)))
+                  & mask).bit_count() & 1:
+            total += 2
+    return total
+
+
+def test_constant_h_count_matches_the_generic_loop():
+    # a1 = 0 folds 1/a3^2 into one trace mask; a1 != 0 runs the generic loop
+    rng = random.Random(90)
+    for d in range(1, 11):
+        ctx = GF(d)
+        for a1_zero in (True, False):
+            done = 0
+            while done < 4:
+                a1 = 0 if a1_zero else 1 + rng.randrange(ctx.order - 1)
+                a = [rng.randrange(ctx.order) for _ in range(4)]
+                try:
+                    E = WeierstrassCurve(ctx, a1, *a)
+                except ValueError:  # singular
+                    continue
+                assert E.count_points() == reference_generic_count(E), E
+                done += 1
+    for d in range(1, 13):
+        E = WeierstrassCurve.supersingular(d)
+        assert E.count_points() == reference_generic_count(E) \
+            == supersingular_order(d)
+
+
+def test_random_point_refuses_a_curve_with_only_the_origin():
+    # Y^2 + Y = X^3 + X + 1 over GF(2) has #E = 1: no x has a point above
+    # it, so a draw loop would never end; run it in a child with a timeout
+    E = WeierstrassCurve(GF(1), 0, 0, 1, 1, 1)
+    assert E.count_points() == 1
+    code = ("import random\n"
+            "from lame2 import GF\n"
+            "from lame2.weierstrass import WeierstrassCurve\n"
+            "E = WeierstrassCurve(GF(1), 0, 0, 1, 1, 1)\n"
+            "try:\n"
+            "    E.random_point(random.Random(0))\n"
+            "except ValueError as exc:\n"
+            "    print('refused:', exc)\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(lame2.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.startswith("refused:")
+    # a curve with affine points over GF(2) still draws them
+    F = WeierstrassCurve.supersingular(1)
+    assert F.contains(*F.random_point(random.Random(0)).xy)
 
 
 def test_supersingular_exponent_is_the_largest_order():
