@@ -15,9 +15,9 @@ from .common import INFINITY, VerificationError, PrecisionError, \
 from .weierstrass import WeierstrassCurve, CurvePoint, curve_invariants, \
     extension_order, point_of_exact_order, point_order, supersingular_order, \
     supersingular_trace, torsion_basis, torsion_field_degree, torsion_points
-from .funcfield import CurveFunction, LocalExpansion, Series, \
-    different_exponent, differentiate, fiber, local_expand, miller_function, \
-    ramification_index, ramification_profile, uniformizer_tag, xy_expansion
+from .funcfield import CurveFunction, Series, different_exponent, \
+    differentiate, fiber, local_expand, miller_function, ramification_index, \
+    ramification_profile, xy_expansion
 from .lame import LameClass, aut_group, aut_orbit, classify_torsion, \
     cover_profile, degree_count_true, eta_paper, galois_equivariance_check, \
     lame_count_dividing, moduli_census, ordinary_torsion_point, psi, rho, \

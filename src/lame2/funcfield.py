@@ -148,11 +148,12 @@ class Series:
         return self
 
     def __mul__(self, other):
+        """By the exact scalar 0 the product is the field zero, not a Series
+        with a window, so that X + 0*Y keeps the whole window of X."""
         mul = self.ctx.mul
         c = self._scalar(other)
         if c is not None:
             if not c:
-                # the product is exactly zero, not zero through a window
                 return self.ctx.zero
             return Series._of(self.ctx, self.val, [mul(a, c) for a in self.coeffs])
         if not isinstance(other, Series):
@@ -662,72 +663,13 @@ def _expand_shifted(func: CurveFunction, value, place, prec: int) -> Series:
     return func.expand(place, prec) + func.curve.ctx(value)
 
 
-def uniformizer_tag(curve: WeierstrassCurve, place) -> str:
-    """Which uniformizer rule applies at the place.
-
-    X - x0 wherever the curve equation solves for Y (h(x0) != 0), Y - y0 at
-    the exceptional affine points, X/Y at the point at infinity.
-    """
-    if _at_origin(place):
-        return "x_over_y_at_infinity"
-    if curve.hpoly(place.x) != curve.ctx.zero:
-        return "x_minus_x0"
-    return "y_based"
-
-
-class LocalExpansion:
-    """Truncated t-adic expansion of a curve function at one place.
-
-    coefficients[k] multiplies t^k for 0 <= k < precision.  A pole is stored
-    as the expansion of 1/f with `inverted` set, so the coefficient list
-    always starts at exponent 0; valuation() undoes the inversion.
-    """
-
-    __slots__ = ("center", "uniformizer_tag", "coefficients", "precision",
-                 "inverted")
-
-    def __init__(self, center, tag: str, coefficients, precision: int,
-                 inverted: bool = False):
-        self.center = center
-        self.uniformizer_tag = tag
-        self.coefficients = list(coefficients)
-        self.precision = precision
-        self.inverted = inverted
-
-    def valuation(self) -> int:
-        for k, c in enumerate(self.coefficients):
-            if c.bits:
-                return -k if self.inverted else k
-        raise PrecisionError("all coefficients vanish to working precision")
-
-    def to_json(self):
-        return {"center": INFINITY.to_json() if self.center is INFINITY
-                else self.center.to_json(),
-                "uniformizer": self.uniformizer_tag,
-                "coefficients": [c.to_json()["hex"] for c in self.coefficients],
-                "precision": self.precision,
-                "inverted": self.inverted}
-
-    def __repr__(self):
-        return "LocalExpansion(%r, %s, prec=%d)" % (
-            self.uniformizer_tag, self.coefficients, self.precision)
-
-
-def local_expand(func: CurveFunction, place, m: int) -> LocalExpansion:
-    """Expansion of func at the place to precision m (coefficients 0..m-1)."""
+def local_expand(func: CurveFunction, place, m: int) -> Series:
+    """func.expand(place, m) for 1 <= m <= 64; a pole has valuation < 0."""
     if not 1 <= m <= 64:
         raise ValueError("precision must be between 1 and 64")
     if func.is_zero():
         raise ValueError("the zero function has no valuation")
-    series = func.expand(place, m)
-    inverted = bool(series.coeffs) and series.val < 0
-    if inverted:
-        # known through t^(m-1) with valuation -e, so 1/func is known
-        # through t^(m+2e-1)
-        series = series.inverse()
-    tag = uniformizer_tag(func.curve, place)
-    coeffs = [series.coeff(k) for k in range(m)]
-    return LocalExpansion(place, tag, coeffs, m, inverted)
+    return func.expand(place, m)
 
 
 def ramification_index(func: CurveFunction, place) -> int:

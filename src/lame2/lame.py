@@ -41,7 +41,8 @@ from .weierstrass import (
     point_order,
     torsion_basis,
 )
-from .funcfield import _fiber_poly, miller_function, ramification_profile
+from .funcfield import (_different, _expand_shifted, _fiber_poly,
+                        miller_function, ramification_profile)
 
 # desk-scale caps: the largest torsion order classified point by point, and
 # the largest degree d of the field-of-moduli census over F_(2^d)
@@ -464,12 +465,14 @@ def third_point_datum(P: CurvePoint, n: int) -> dict:
     """Index and different exponent at the third point only.
 
     Skips the fiber enumeration of cover_profile, so it stays in the base
-    field and is cheap enough to sweep every exact-order point.
+    field and is cheap enough to sweep every exact-order point; one series
+    of f - f(Q) through t^n gives both e and d.
     """
-    from .funcfield import different_exponent, ramification_index
     f, Q, supersingular = _normalized_cover(P, n)
-    e = ramification_index(f, Q)
-    d = different_exponent(f, Q) if e > 1 else 0
+    value = f.evaluate(Q)
+    s = _expand_shifted(f, value, Q, n + 1)
+    e = s.valuation()
+    d = _different(f, value, Q, s) if e > 1 else 0
     return {
         "n": n,
         "model": "supersingular" if supersingular else "ordinary",

@@ -281,7 +281,7 @@ def test_traced_layers_resolve():
 # in a diff
 PUBLIC_NAMES = """
 CurveFunction CurvePoint FiberEscapeError FieldContext FieldElement
-FieldInputError GF HyperellipticCurve INFINITY LameClass LocalExpansion
+FieldInputError GF HyperellipticCurve INFINITY LameClass
 MumfordDivisor Poly PrecisionError ProfileFalsified Series
 TorsionSearchExhausted Triple VerificationError WeierstrassCurve
 WeightedPoint aut_group aut_orbit cantor_add cantor_mul
@@ -296,7 +296,7 @@ ordinary_torsion_point point_of_exact_order point_order poly_roots psi
 ramification_index ramification_profile rho
 solve_artin_schreier supersingular_order
 supersingular_trace tate_normal_form third_point_datum torsion_basis
-torsion_field_degree torsion_points trace triples_csv uniformizer_tag
+torsion_field_degree torsion_points trace triples_csv
 wp_equal xy_expansion zeta_lpoly
 """.split()
 

@@ -25,7 +25,6 @@ from lame2.funcfield import (
     _expand_shifted,
     _fiber_poly,
     _line_through,
-    LocalExpansion,
     local_expand,
     CurveFunction,
     Series,
@@ -36,7 +35,6 @@ from lame2.funcfield import (
     miller_function,
     ramification_index,
     ramification_profile,
-    uniformizer_tag,
     xy_expansion,
 )
 from lame2.weierstrass import WeierstrassCurve, torsion_basis
@@ -470,6 +468,13 @@ def _newton_reference(curve, place, prec):
     raise AssertionError("Newton reference did not converge")
 
 
+def _regime(E, place):
+    """The uniformizer xy_expansion takes at place: X/Y, X - x0 or Y - y0."""
+    if place is INFINITY or place.is_infinity():
+        return "x_over_y_at_infinity"
+    return "x_minus_x0" if E.hpoly(place.x) else "y_based"
+
+
 def _oracle_places(E, rng):
     """The origin, a point with h(x0) != 0 and, when a1 != 0, the point
     with h(x0) = 0, whose uniformizer is Y - y0."""
@@ -548,7 +553,7 @@ def test_expansion_matches_the_field_element_reference(ctx):
     tags = set()
     for E in curves:
         for place in _oracle_places(E, rng):
-            tags.add(uniformizer_tag(E, place))
+            tags.add(_regime(E, place))
             for prec in (1, 2, 5, 17, 40):
                 got = xy_expansion(E, place, prec)
                 want = reference_xy_expansion(E, place, prec)
@@ -569,7 +574,7 @@ def test_expansion_matches_newton_reference(d):
     tags = set()
     for E in curves:
         for place in _oracle_places(E, rng):
-            tags.add(uniformizer_tag(E, place))
+            tags.add(_regime(E, place))
             for prec in (1, 3, 12, 40):
                 got = xy_expansion(E, place, prec)
                 want = _newton_reference(E, place, prec)
@@ -989,20 +994,23 @@ def test_shifted_series_matches_the_rebuilt_function():
             == X.expand(P, 4) + E.ctx(3))
 
 
-def test_local_expand_at_a_pole_inverts_the_series_it_holds():
+def test_local_expand_at_a_pole_has_a_negative_valuation():
     # f has its n-fold pole at the origin and 1/f at P; Y has a triple pole
     # at the origin
     for n, f, profile in _ramify_covers():
         E = f.curve
-        (P, _e, _d), = profile[E.ctx.zero]
-        cases = [(f, E.infinity()), (f.inverse(), P),
-                 (CurveFunction.coordinate_y(E), E.infinity())]
-        for g, Q in cases:
+        (P, e, _d), = profile[E.ctx.zero]
+        assert e == n
+        cases = [(f, E.infinity(), n), (f.inverse(), P, n),
+                 (CurveFunction.coordinate_y(E), E.infinity(), 3)]
+        for g, Q, pole in cases:
             for m in range(1, 13):
-                rec = local_expand(g, Q, m)
-                ref = g.inverse().expand(Q, m)
-                assert rec.inverted
-                assert rec.coefficients == [ref.coeff(k) for k in range(m)]
+                s = local_expand(g, Q, m)
+                assert s == g.expand(Q, m)
+                assert s.valuation() == -pole
+                # both inverses are known through t^(m-1) at least; == reads
+                # the shorter window
+                assert s.inverse() == g.inverse().expand(Q, m)
 
 
 def test_profile_builds_functions_only_for_the_pole_fiber(monkeypatch):
@@ -1336,18 +1344,16 @@ def test_differentiate_of_x_and_y():
 
 
 # ---------------------------------------------------------------------------
-# local expansion records
+# local expansions
 
 
 def test_local_expand_of_x_at_origin():
     E = WeierstrassCurve.supersingular(2)
     X = CurveFunction.coordinate_x(E)
-    rec = local_expand(X, E.point(0, 0), 3)
-    assert rec.uniformizer_tag == "x_minus_x0"
-    assert [c.bits for c in rec.coefficients] == [0, 1, 0]
-    assert rec.precision == 3
-    assert not rec.inverted
-    assert rec.valuation() == 1
+    s = local_expand(X, E.point(0, 0), 3)
+    assert [s.coeff(k).bits for k in range(3)] == [0, 1, 0]
+    assert s.prec == 3
+    assert s.valuation() == 1
 
 
 def test_local_expand_valuations():
@@ -1359,20 +1365,19 @@ def test_local_expand_valuations():
     assert local_expand(Y, P, 4).valuation() == 3
     assert local_expand(X / Y, O, 3).valuation() == 1
     pole = local_expand(Y, O, 6)
-    assert pole.inverted
     assert pole.valuation() == -3
-    assert pole.uniformizer_tag == "x_over_y_at_infinity"
+    assert pole.prec == 6
 
 
-def test_local_expand_y_based_tag():
+def test_local_expand_y_based():
     E = WeierstrassCurve.ordinary(GF(4), 2)
     X = CurveFunction.coordinate_x(E)
-    rec = local_expand(X, E.point(0, 0), 5)
-    assert rec.uniformizer_tag == "y_based"
-    assert rec.valuation() == 2
+    P = E.point(0, 0)
+    assert _regime(E, P) == "y_based"
+    assert local_expand(X, P, 5).valuation() == 2
 
 
-def test_local_expand_validation_and_json():
+def test_local_expand_validation():
     E = WeierstrassCurve.supersingular(2)
     X = CurveFunction.coordinate_x(E)
     P = E.point(0, 0)
@@ -1382,32 +1387,47 @@ def test_local_expand_validation_and_json():
         local_expand(X, P, 65)
     with pytest.raises(ValueError):
         local_expand(CurveFunction.constant(E, 0), P, 4)
-    rec = local_expand(X, P, 3).to_json()
-    assert rec["uniformizer"] == "x_minus_x0"
-    assert rec["coefficients"] == ["0", "1", "0"]
-    assert rec["precision"] == 3
+
+
+def test_local_expand_is_the_expansion_of_func():
+    # affine points, the two-torsion point (uniformizer Y - y0), the origin
+    # and poles, on random functions and at both window bounds
+    rng = random.Random(11)
+    regimes = set()
+    for E in (WeierstrassCurve.supersingular(3),
+              WeierstrassCurve.ordinary(GF(4), 2)):
+        places = [E.infinity()] + [E.point(x, y) for x in E.ctx.elements()
+                                   for y in E.fiber_y(x)]
+        poles = 0
+        for _ in range(6):
+            f = _random_function(E, rng, deg=2)
+            for Q in places:
+                for m in (1, 5, 64):
+                    s, ref = local_expand(f, Q, m), f.expand(Q, m)
+                    assert (s.val, s.prec, s.coeffs) == \
+                        (ref.val, ref.prec, ref.coeffs)
+                    regimes.add(_regime(E, Q))
+                    poles += bool(s.coeffs) and s.val < 0
+        assert poles
+    assert regimes == {"x_minus_x0", "y_based", "x_over_y_at_infinity"}
 
 
 def test_local_expand_multiplicative():
     E = WeierstrassCurve.supersingular(3)
     rng = random.Random(5)
     P = E.point(0, 0)
+    poles = 0
     for _ in range(8):
         f = _random_function(E, rng, deg=2)
         g = _random_function(E, rng, deg=2)
         if f.is_zero() or g.is_zero():
             continue
-        m = 6
-        a = local_expand(f, P, m)
-        b = local_expand(g, P, m)
-        c = local_expand(f * g, P, m)
-        if a.inverted or b.inverted or c.inverted:
-            continue
-        prod = [E.ctx.zero] * m
-        for i in range(m):
-            for j in range(m - i):
-                prod[i + j] = prod[i + j] + a.coefficients[i] * b.coefficients[j]
-        assert prod == c.coefficients
+        for Q in (P, E.infinity()):
+            a, b = local_expand(f, Q, 6), local_expand(g, Q, 6)
+            # == compares through the shorter of the two windows
+            assert local_expand(f * g, Q, 6) == a * b
+            poles += a.valuation() < 0 or b.valuation() < 0
+    assert poles
 
 
 def test_function_json_format():

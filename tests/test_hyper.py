@@ -1,5 +1,6 @@
 """Hyperelliptic family, Cantor arithmetic, L-polynomials, certificates."""
 
+import itertools
 import random
 
 import pytest
@@ -234,6 +235,35 @@ def test_jacobian_order_genus_two_extensions():
     # directly instead: prod(1 - a^4) = (1+4)^4
     assert jacobian_order(L, 4) == 625
 
+
+
+def _reduced_divisors(C):
+    """Every reduced Mumford pair of C, by brute force: u monic of degree at
+    most the genus, deg v < deg u, and u | v^2 + v + f."""
+    ctx, f = C.ctx, C.f_poly()
+    q = 1 << ctx.degree
+    out = [C.identity_divisor()]
+    for deg in range(1, C.genus + 1):
+        for low in itertools.product(range(q), repeat=deg):
+            u = Poly(ctx, [*low, 1])
+            for vs in itertools.product(range(q), repeat=deg):
+                v = Poly(ctx, list(vs))
+                if ((v * v + v + f) % u).is_zero():
+                    out.append(MumfordDivisor(C, u, v))
+    return out
+
+
+@pytest.mark.parametrize("d, order", [(1, 5), (2, 25), (3, 65), (4, 625)])
+def test_enumerated_jacobian_matches_the_lpoly_order(d, order):
+    # Y^2 + Y = X^5 over GF(2^d): the reduced divisors are the Jacobian, and
+    # adding one of them with Cantor permutes them
+    C = HyperellipticCurve(GF(d), 2)
+    divisors = _reduced_divisors(C)
+    group = set(divisors)
+    assert len(group) == len(divisors) == jacobian_order(C.lpoly(), d) == order
+    rng = random.Random(70 + d)
+    for A in rng.sample(divisors, min(3, order)):
+        assert {cantor_add(C, A, B) for B in divisors} == group
 
 def test_lpoly_counts_roundtrip():
     # the completed polynomial reproduces the enumerated counts above genus

@@ -12,7 +12,8 @@ from lame2 import gf2, lame
 from lame2.cli import run
 from lame2.common import FiberEscapeError, VerificationError
 from lame2.gf2 import GF, Poly, element_degree, embed, poly_roots
-from lame2.weierstrass import WeierstrassCurve, supersingular_order, torsion_basis
+from lame2.weierstrass import (WeierstrassCurve, supersingular_order,
+                               torsion_basis, torsion_points)
 from lame2.lame import (
     aut_group,
     aut_orbit,
@@ -26,6 +27,7 @@ from lame2.lame import (
     ordinary_torsion_point,
     psi,
     rho,
+    third_point_datum,
 )
 from lame2.funcfield import differentiate, ramification_index
 
@@ -594,6 +596,23 @@ def test_ordinary_cover_is_wild():
     assert rep["tame"] is False
     assert rep["signature"] == 0
 
+
+
+def test_third_point_datum_expands_each_point_once(monkeypatch):
+    # one series of f - f(Q) gives both e and d: every exact-order point for
+    # n = 3, 5, 7, 9 costs one xy_expansion, and the data are those of the
+    # route that expanded each point twice (digest taken there)
+    from lame2 import funcfield
+    calls = []
+    real = funcfield.xy_expansion
+    monkeypatch.setattr(funcfield, "xy_expansion",
+                        lambda *args: calls.append(args) or real(*args))
+    data = [third_point_datum(T, n) for n in (3, 5, 7, 9)
+            for T in torsion_points(*torsion_basis(n), n, exact=True)]
+    assert len(data) == len(calls) == 152
+    digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode())
+    assert digest.hexdigest() == \
+        "a7c28701240fe13a86164ed483afb679b524eae8b81206c4635fba66fc0f1669"
 
 def _escape_first(monkeypatch, escapes):
     # ramification_profile raising FiberEscapeError on its first `escapes`
