@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from .common import INFINITY, VerificationError
-from .gf2 import GF, FieldElement
+from .gf2 import GF
 from .weierstrass import curve_invariants, torsion_basis
 from .lame import (
     _MAX_CENSUS_DEGREE,
@@ -59,8 +59,6 @@ def _jsonable(v):
         return "infinity"
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, FieldElement):
-        return v.to_json()
     if isinstance(v, dict):
         return {str(k): _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
@@ -114,7 +112,7 @@ def cmd_classify(args) -> tuple:
         "order": n,
         "count": len(classes),
         "expected": expected,
-        "classes": [c.to_json() for c in classes],
+        "classes": classes,
         "passed": len(classes) == expected,
     }
     return _output(args, report,
@@ -124,15 +122,9 @@ def cmd_classify(args) -> tuple:
 
 
 def _profile_json(profile) -> list:
-    out = []
-    for value, fib in profile.items():
-        entry = {
-            "value": "infinity" if value is INFINITY else value.to_json(),
-            "points": [{"point": pt.to_json(), "e": e, "d": d}
-                       for pt, e, d in fib],
-        }
-        out.append(entry)
-    return out
+    return [{"value": value,
+             "points": [{"point": pt, "e": e, "d": d} for pt, e, d in fib]}
+            for value, fib in profile.items()]
 
 
 def cmd_ramify(args) -> tuple:
@@ -173,8 +165,8 @@ def cmd_ramify(args) -> tuple:
         "different_exponent": rep["different_exponent"],
         "tame": rep["tame"],
         "signature": rep["signature"],
-        "third_point": rep["third_point"].to_json(),
-        "third_value": rep["third_value"].to_json(),
+        "third_point": rep["third_point"],
+        "third_value": rep["third_value"],
         "profile": _profile_json(rep["profile"]),
         "passed": rep["index"] == want_index and rep["tame"] == want_tame
         and sum(d for fib in rep["profile"].values()
@@ -220,7 +212,7 @@ def cmd_triples(args) -> tuple:
         "schema": SCHEMA,
         "command": "triples",
         "degree": n,
-        "primitive": [t.to_json() for t in triples],
+        "primitive": triples,
         "signature_one": sum(1 for t in triples if t.signature == 1),
         "lifting": check,
         "passed": bool(check["passed"]),
@@ -246,7 +238,7 @@ def cmd_moduli(args) -> tuple:
         "by_degree_expected": census["by_degree_expected"],
         "eta": eta_paper(d),
         "degree_count": degree_count_true(d),
-        "classes": [c.to_json() for c in census["classes"]],
+        "classes": census["classes"],
         "passed": census["count"] == (1 << d),
     }
     return _output(args, report, ["d", "rho_hex", "order", "moduli_degree"],
@@ -282,7 +274,7 @@ def cmd_hyper(args) -> tuple:
             "polygon": cert["polygon"],
             "slopes": [str(s) for s in cert["slopes"]],
         },
-        "sample_point": [sample[0].to_json(), sample[1].to_json()],
+        "sample_point": sample,
         "sample_class_order": order,
         # the count matches L, J(F_2) (of order L(1)) is a subgroup of
         # J(F_(2^d)), and the sample class order divides the group order

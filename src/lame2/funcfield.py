@@ -378,6 +378,8 @@ class CurveFunction:
 
     def base_change(self, target) -> "CurveFunction":
         """The same function viewed over an extension of the base field."""
+        if target is self.curve.ctx:
+            return self
         big = self.curve.base_change(target)
         return CurveFunction(big,
                              self.A.map_context(target),
@@ -602,24 +604,20 @@ def _line_through(P: CurvePoint, Q: CurvePoint) -> CurveFunction:
         raise ValueError("lines require affine operands")
     E = P.curve
     lam = _slope(E, P.xy, Q.xy)
+    x1, y1 = P.xy
     if lam is None:
         # vertical: P + Q = O (covers P = -Q, including 2-torsion doubling)
-        return _vertical_at(P)
-    x1, y1 = P.xy
+        return CurveFunction(E, Poly(E.ctx, [x1, 1]))
     return CurveFunction(E, Poly(E.ctx, [y1 ^ E.ctx.mul(lam, x1), lam]), 1)
 
 
-def _vertical_at(S: CurvePoint) -> CurveFunction:
-    E = S.curve
-    if S.is_infinity():
-        return CurveFunction.constant(E, 1)
-    return CurveFunction(E, Poly(E.ctx, [S.xy[0], 1]), 0, 1)
+def _miller_accumulate(P: CurvePoint, n: int):
+    """(f, nP), f with divisor n(P) - (nP) - (n-1)(O); no constraint on nP.
 
-
-def _miller_accumulate(P: CurvePoint, n: int) -> CurveFunction:
-    """f with divisor n(P) - (nP) - (n-1)(O); no constraint on nP.
-
-    Double-and-add accumulation of chord and vertical lines.
+    Double-and-add accumulation of chord lines into the numerator f, a
+    polynomial in X and Y, and of the verticals X - x(T) at the new
+    multiples T into the denominator D (1 at the origin); f/D is normalised
+    once, and the normalised (A + BY)/D is unique.
     """
     if P.is_infinity():
         raise ValueError("the base point must be affine")
@@ -627,23 +625,24 @@ def _miller_accumulate(P: CurvePoint, n: int) -> CurveFunction:
         raise ValueError("n must be positive")
     E = P.curve
     f = CurveFunction.constant(E, 1)
+    D = Poly.one(E.ctx)
     T = P
     for bit in bin(n)[3:]:
-        line = _line_through(T, T)
-        T = T + T
-        f = f * f * line / _vertical_at(T)
-        if bit == "1":
-            line = _line_through(T, P)
-            T = T + P
-            f = f * line / _vertical_at(T)
-    return f
+        f, D = f * f, D * D
+        for S in (T, P) if bit == "1" else (T,):  # double, then add P
+            f = f * _line_through(T, S)
+            T = T + S
+            if not T.is_infinity():
+                D = D * Poly(E.ctx, [T.xy[0], 1])
+    return CurveFunction(E, f.A, f.B, D), T
 
 
 def miller_function(P: CurvePoint, n: int) -> CurveFunction:
     """f with divisor exactly n(P) - n(O), for an n-torsion point P."""
-    if not P.is_infinity() and not (n * P).is_infinity():
+    f, nP = _miller_accumulate(P, n)
+    if not nP.is_infinity():
         raise ValueError("n*P must be the identity for a degree-n cover")
-    return _miller_accumulate(P, n)
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -681,17 +680,14 @@ def ramification_index(func: CurveFunction, place) -> int:
                            func.degree() + 1).valuation()
 
 
-def different_exponent(func: CurveFunction, place, *, value=None) -> int:
+def different_exponent(func: CurveFunction, place) -> int:
     """d = v_t(ds/dt) for s the pullback of a uniformizer below.
 
     s is func - func(Q) at finite values and 1/func at poles.  Odd
     (tame) ramification gives d = e - 1; even indices are wild and carry
-    the extra conductor the series computes (windows: _different).  Pass
-    `value` = func(Q) (INFINITY at a pole) when it is already known; s must
-    vanish at Q, so a wrong value raises VerificationError.
+    the extra conductor the series computes (windows: _different).
     """
-    if value is None:
-        value = func.evaluate(place)
+    value = func.evaluate(place)
     s = _expand_shifted(func, value, place, func.degree() + 1)
     if s.valuation() < 1:
         raise VerificationError(f"function does not take {value!r} at {place!r}")

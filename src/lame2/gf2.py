@@ -679,7 +679,8 @@ class Poly:
 
     def _rem(self, other, quotient=None):
         """self mod other, appending the quotient's coefficients, high to low,
-        to `quotient` when one is given.  A monic divisor needs no inversion."""
+        to `quotient` when one is given.  A monic divisor, or one longer than
+        self, needs no inversion."""
         if self.ctx is not other.ctx:
             raise ValueError("polynomials over different contexts")
         if other.is_zero():
@@ -688,9 +689,9 @@ class Poly:
         db = other.degree
         low = other.coeffs[:-1]
         inv_lead = other.coeffs[-1]
-        if inv_lead != 1:
-            inv_lead = self.ctx.inv(inv_lead)
         rem = list(self.coeffs)
+        if inv_lead != 1 and len(rem) > db:
+            inv_lead = self.ctx.inv(inv_lead)
         for i in range(len(rem) - 1, db - 1, -1):
             c = rem[i]
             if c and inv_lead != 1:

@@ -449,13 +449,13 @@ def _normalized_cover(P: CurvePoint, n: int):
     supersingular = curve.is_supersingular()
     if supersingular:
         Q = half * P
-        f = f / f.evaluate(Q)
+        f = f * f.evaluate(Q).inverse()
     else:
         R = curve.point(0, curve.fiber_y(curve.ctx.zero)[0])
         if not (R + R).is_infinity() or R.is_infinity():
             raise VerificationError("x = 0 is not the 2-torsion point")
         Q = half * P + R
-        f = f / f.evaluate(R)
+        f = f * f.evaluate(R).inverse()
     if Q + Q != P:
         raise VerificationError("midpoint does not double back to P")
     return f, Q, supersingular
@@ -503,25 +503,18 @@ def cover_profile(P: CurvePoint, n: int) -> dict:
     # the field carrying P, so the certificate runs over the splitting
     # extension of the fiber (one extra quadratic step covers the y-line).
     k = _fiber_splitting_degree(f, third)
-    retried = False
-    while True:
-        if k == 1:
-            work, P_w, Q_w = f, P, Q
-        else:
-            big = GF(curve.ctx.degree * k)
-            work = f.base_change(big)
-            P_w = curve.lift_point(P, big)
-            Q_w = curve.lift_point(Q, big)
-        values = [work.curve.ctx.zero, work.curve.ctx(
-            embed(third, work.curve.ctx)), INFINITY]
+    for m in (k, 2 * k):
+        big = GF(curve.ctx.degree * m)
+        work = f.base_change(big)
+        P_w = curve.lift_point(P, big)
+        Q_w = curve.lift_point(Q, big)
+        values = [big.zero, embed(third, big), INFINITY]
         try:
             profile = ramification_profile(work, values)
             break
         except FiberEscapeError:
-            if retried:
+            if m > k:
                 raise
-            retried = True
-            k *= 2
 
     zero_fiber = profile[values[0]]
     pole_fiber = profile[INFINITY]

@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .arith import factorint, integer_nthroot
+from .arith import factorint
 from .common import INFINITY, VerificationError
 from .gf2 import FieldElement
 from .weierstrass import CurvePoint, WeierstrassCurve
@@ -145,30 +145,9 @@ def _fraction_sqrt(fr: Fraction) -> Fraction:
     return Fraction(rn, rd)
 
 
-def _is_rational_square(fr: Fraction) -> bool:
-    if fr < 0:
-        return False
-    rn, rd = isqrt(fr.numerator), isqrt(fr.denominator)
-    return rn * rn == fr.numerator and rd * rd == fr.denominator
-
-
-def _is_rational_cube(fr: Fraction) -> bool:
-    # odd powers are bijective on signs, so only magnitudes matter
-    rn, okn = integer_nthroot(abs(fr.numerator), 3)
-    rd, okd = integer_nthroot(fr.denominator, 3)
-    return bool(okn and okd)
-
-
 def _cube_character(v: FieldElement) -> FieldElement:
     q1 = (1 << v.ctx.degree) - 1
     return v ** (q1 // 3)
-
-
-def _is_cube(v: FieldElement) -> bool:
-    q1 = (1 << v.ctx.degree) - 1
-    if q1 % 3:
-        return True
-    return _cube_character(v) == v.ctx.one
 
 
 def _cube_coset_min(c: FieldElement) -> FieldElement:
@@ -189,26 +168,13 @@ def _cube_coset_min(c: FieldElement) -> FieldElement:
 
 
 def wp_equal(p: WeightedPoint, q: WeightedPoint) -> bool:
-    """Whether the triples agree after some weighted scaling."""
+    """Whether the triples agree after some weighted scaling: canonical()
+    picks one representative of each scaling orbit."""
     if p.is_binary != q.is_binary:
         raise ValueError("points over different kinds of field")
     if p.is_binary and p.a.ctx != q.a.ctx:
         raise ValueError("points over different fields")
-    if (bool(p.a), bool(p.b), bool(p.c)) != (bool(q.a), bool(q.b), bool(q.c)):
-        return False
-    if p.a:
-        lam = q.a / p.a
-        return q.b == lam * lam * p.b and q.c == lam ** 3 * p.c
-    if p.b:
-        r = q.b / p.b  # the square of any admissible scaling
-        if p.c:
-            lam = (q.c / p.c) / r
-            return lam * lam == r
-        if p.is_binary:
-            return True
-        return _is_rational_square(r)
-    r = q.c / p.c
-    return _is_cube(r) if p.is_binary else _is_rational_cube(r)
+    return p.canonical() == q.canonical()
 
 
 # -- the displayed coordinate formulas ------------------------------------------

@@ -197,6 +197,8 @@ class WeierstrassCurve:
                 return CurvePoint(self, (x.bits, y.bits))
 
     def base_change(self, target: FieldContext) -> "WeierstrassCurve":
+        if target is self.ctx:
+            return self
         return WeierstrassCurve(
             target, *(embed(a, target) for a in self.coefficients()))
 

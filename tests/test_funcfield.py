@@ -729,12 +729,74 @@ def test_miller_rejects_non_torsion_multiple():
 def test_miller_intermediate_divisor():
     # for n*P != O the accumulator's divisor is n(P) - (nP) - (n-1)(O)
     curve, P, _Q = torsion_basis(5)
-    f = _miller_accumulate(P, 3)
+    f, T = _miller_accumulate(P, 3)
+    assert T == 3 * P
     assert f.degree() == 3
     zeros = fiber(f, curve.ctx.zero)
     assert zeros == [(P, 3)]
     poles = dict(fiber(f, INFINITY))
     assert poles == {3 * P: 1, curve.infinity(): 2}
+
+
+def reference_miller_accumulate(P, n):
+    """The division route: after each line, f is divided by the vertical
+    function X - x(T) through the new multiple T (1 at the origin)."""
+    E = P.curve
+
+    def vertical(S):
+        if S.is_infinity():
+            return CurveFunction.constant(E, 1)
+        return CurveFunction(E, Poly(E.ctx, [S.xy[0], 1]))
+
+    f = CurveFunction.constant(E, 1)
+    T = P
+    for bit in bin(n)[3:]:
+        line = _line_through(T, T)
+        T = T + T
+        f = f * f * line / vertical(T)
+        if bit == "1":
+            line = _line_through(T, P)
+            T = T + P
+            f = f * line / vertical(T)
+    return f
+
+
+def _ordinary_pool_points():
+    """(n, P) for the ordinary `ramify` argvs of the benchmark's pool."""
+    out = []
+    for argv in _pool_ramify_argvs():
+        if "--ordinary" in argv:
+            opt = dict(zip(argv[1::2], argv[2::2]))
+            t = GF(int(opt["--field"])).from_hex(opt["--ordinary"])
+            n = int(opt["--order"])
+            out.append((n, ordinary_torsion_point(t, n, 0)[1]))
+    return out
+
+
+def test_miller_matches_the_division_route():
+    # every multiple m <= n of the torsion_basis point, whose accumulator
+    # ends at mP, and the ordinary points the benchmark certifies: the
+    # normalised (A + BY)/D is unique, so A, B and D agree exactly
+    cases = [(torsion_basis(n)[1], n, range(1, n + 1))
+             for n in range(3, 14, 2)]
+    ordinary = _ordinary_pool_points()
+    assert len(ordinary) == 9
+    cases += [(P, n, [n]) for n, P in ordinary]
+    for P, n, multiples in cases:
+        for m in multiples:
+            f, T = _miller_accumulate(P, m)
+            ref = reference_miller_accumulate(P, m)
+            assert T == m * P, (P, m)
+            assert (f.A, f.B, f.D) == (ref.A, ref.B, ref.D), (P, m)
+        assert miller_function(P, n) == reference_miller_accumulate(P, n)
+
+
+def test_base_change_to_its_own_field_is_the_same_function():
+    E = WeierstrassCurve.supersingular(3)
+    f = CurveFunction(E, Poly(E.ctx, [5, 1]), Poly.one(E.ctx), Poly.x(E.ctx))
+    assert f.base_change(f.curve.ctx) is f
+    big = f.base_change(GF(6))
+    assert big.curve.ctx is GF(6) and big.curve == E.base_change(GF(6))
 
 
 def reference_line(P, Q):
@@ -909,19 +971,6 @@ def test_ramification_of_two_torsion_x_map():
     assert ramification_index(X, O) == 2
     d_O = different_exponent(X, O)
     assert d_R + d_O == 4  # Riemann-Hurwitz for the degree-2 x-map
-
-
-def test_different_exponent_takes_the_known_value():
-    # value= replaces the evaluation at Q; the right value gives the same d,
-    # and a wrong one must raise, because s then does not vanish at Q
-    E = WeierstrassCurve.ordinary(GF(4), 9)
-    X = CurveFunction.coordinate_x(E)
-    R, O = E.point(0, 0), E.infinity()
-    assert different_exponent(X, R, value=E.ctx.zero) == different_exponent(X, R)
-    assert different_exponent(X, O, value=INFINITY) == different_exponent(X, O)
-    for Q, wrong in ((R, E.ctx.one), (R, INFINITY), (O, E.ctx.zero)):
-        with pytest.raises(VerificationError):
-            different_exponent(X, Q, value=wrong)
 
 
 def test_profile_passes_the_fiber_value(monkeypatch):
@@ -1156,7 +1205,7 @@ def _check_routes(func, profile, label):
             mult = {r.bits: m
                     for r, m in poly_roots(_fiber_poly(func, value))}
         for Q, e, d in entries:
-            assert different_exponent(func, Q, value=value) == d \
+            assert different_exponent(func, Q) == d \
                 == reference_different_exponent(func, Q, value), label
             if value is not INFINITY and not Q.is_infinity():
                 assert e <= mult[Q.x.bits], label
@@ -1168,16 +1217,21 @@ def _check_routes(func, profile, label):
         assert g.evaluate(O) == reference_evaluate(g, O), label
 
 
+def _pool_ramify_argvs():
+    """The 40 `ramify` argvs of the benchmark's pool."""
+    path = Path(__file__).parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [argv for argv in workloads.pool() if argv[0] == "ramify"]
+
+
 @pytest.fixture(scope="module")
 def ramify_pool_covers():
     """(argv, function, profile) for every cover the 40 `ramify` argvs of
     the benchmark's pool certify, as run through the CLI."""
     import lame2.lame as lame
     from lame2.cli import run
-    path = Path(__file__).parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
     seen = []
     real = lame.ramification_profile
 
@@ -1188,9 +1242,7 @@ def ramify_pool_covers():
     covers = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lame, "ramification_profile", spy)
-        for argv in workloads.pool():
-            if argv[0] != "ramify":
-                continue
+        for argv in _pool_ramify_argvs():
             assert run(argv)[0] == 0, argv
             covers.append((" ".join(argv), *seen[-1]))
     return covers
@@ -1295,13 +1347,17 @@ def test_expansion_windows_pinned(monkeypatch):
 
 
 def test_root_finding_counts_pinned(monkeypatch):
-    # packed-row operations and gcds over one pass with cold embeddings;
-    # reducing every row mod every factor after each split, d rows for the
-    # conjugate roots and a second 1/f per pole fiber made 1,258 squares,
-    # 3,329 reductions, 3,472 scalar-product passes and 702 gcds
+    # packed-row operations, gcds and function constructions and inverses
+    # over one pass with cold embeddings; reducing every row mod every
+    # factor after each split, d rows for the conjugate roots and a second
+    # 1/f per pole fiber made 1,258 squares, 3,329 reductions, 3,472
+    # scalar-product passes and 702 gcds; dividing each Miller step by a
+    # vertical function and each cover by a constant one made 684 gcds,
+    # 227 constructions and 50 inverses
     import lame2.gf2 as gf2
     from lame2.cli import run
-    counts = dict.fromkeys(["square", "reduce", "dot", "gcd", "trial"], 0)
+    counts = dict.fromkeys(["square", "reduce", "dot", "gcd", "trial",
+                            "__init__", "inverse"], 0)
 
     def counting(cls, name):
         real = getattr(cls, name)
@@ -1317,11 +1373,14 @@ def test_root_finding_counts_pinned(monkeypatch):
     for name in ("square", "reduce", "dot"):
         counting(gf2._Modulus, name)
     counting(gf2.Poly, "gcd")
+    counting(CurveFunction, "__init__")
+    counting(CurveFunction, "inverse")
     monkeypatch.setattr(gf2, "_EMBED_GEN", {})
     for argv in COVERS_SEED_1:
         assert run(argv)[0] == 0, argv
     assert counts == {"square": 634, "reduce": 1101, "dot": 1214,
-                      "gcd": 684, "trial": 143}
+                      "gcd": 492, "trial": 143, "__init__": 131,
+                      "inverse": 9}
 
 
 def test_differentiate_product_rule():

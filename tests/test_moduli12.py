@@ -61,6 +61,28 @@ def test_pure_weight_two_orbits():
     assert not wp_equal(WeightedPoint(0, 1, 0), WeightedPoint(0, -1, 0))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_binary_equality_matches_a_search_over_every_scaling(d):
+    # wp_equal against the orbit itself: q equals p.scale(l) for some
+    # nonzero l; random points of every zero pattern, a = 0 and b = 0
+    # included, each against a random point and a scaled copy of itself
+    ctx = GF(d)
+    rng = random.Random(d)
+    nonzero = [c for c in ctx.elements() if c]
+    points = [WeightedPoint(*(rng.choice(nonzero) if on else ctx.zero
+                              for on in pattern))
+              for pattern in ((1, 1, 1), (1, 0, 1), (1, 1, 0), (1, 0, 0),
+                              (0, 1, 1), (0, 1, 0), (0, 0, 1))
+              for _ in range(12)]
+    seen = set()
+    for p in points:
+        for q in (rng.choice(points), p.scale(rng.choice(nonzero))):
+            orbit = any(p.scale(lam) == q for lam in nonzero)
+            assert wp_equal(p, q) == orbit, (p, q)
+            seen.add(orbit)
+    assert seen == {True, False}
+
+
 def test_canonical_leading_one():
     p = WeightedPoint(Fraction(2, 3), 5, 7).canonical()
     assert p.a == 1

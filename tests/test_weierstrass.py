@@ -515,6 +515,7 @@ def test_transform_char0_table_against_invariants():
 
 def test_base_change_preserves_structure():
     E = WeierstrassCurve.supersingular(2)
+    assert E.base_change(E.ctx) is E
     big = E.base_change(GF(8))
     assert big.count_points() == supersingular_order(8)
     # wrong-degree target must fail at the embedding layer
