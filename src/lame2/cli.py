@@ -70,7 +70,9 @@ def _jsonable(v):
     raise TypeError(f"cannot serialize {v!r}")
 
 
-def _emit_json(report: dict) -> str:
+def _emit_json(args, report: dict) -> str:
+    """The report as canonical JSON, stamped with the schema and command."""
+    report = {"schema": SCHEMA, "command": args.command, **report}
     return json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
 
 
@@ -85,7 +87,8 @@ def _csv(rows, header) -> str:
 def _output(args, report: dict, header, rows) -> tuple:
     """(text, exit code): the report as JSON, or `rows` (consumed only
     then) under `header` as CSV; exit 0 only if the report passed."""
-    text = _csv(rows, header) if args.format == "csv" else _emit_json(report)
+    text = (_csv(rows, header) if args.format == "csv"
+            else _emit_json(args, report))
     return text, 0 if report["passed"] else 1
 
 
@@ -107,8 +110,6 @@ def cmd_classify(args) -> tuple:
     classes = classify_torsion(n)
     expected = expected_class_count(n)
     report = {
-        "schema": SCHEMA,
-        "command": "classify",
         "order": n,
         "count": len(classes),
         "expected": expected,
@@ -153,8 +154,6 @@ def cmd_ramify(args) -> tuple:
     rep = cover_profile(P, n)
     indices = [e for fib in rep["profile"].values() for _p, e, _d in fib]
     report = {
-        "schema": SCHEMA,
-        "command": "ramify",
         "order": n,
         "model": rep["model"],
         "field_degree": rep["field_degree"],
@@ -195,8 +194,7 @@ def cmd_counts(args) -> tuple:
             if row["classified"] != row["classes_exact"]:
                 passed = False
         table.append(row)
-    report = {"schema": SCHEMA, "command": "counts", "max_n": top,
-              "table": table, "passed": passed}
+    report = {"max_n": top, "table": table, "passed": passed}
     return _output(args, report, ["n", "dividing", "exact", "classified"],
                    ((r["n"], r["classes_dividing"], r["classes_exact"],
                      r.get("classified", "")) for r in table))
@@ -209,8 +207,6 @@ def cmd_triples(args) -> tuple:
     triples = enumerate_triples(n, primitive_only=True)
     check = lifting_count_check(n)
     report = {
-        "schema": SCHEMA,
-        "command": "triples",
         "degree": n,
         "primitive": triples,
         "signature_one": sum(1 for t in triples if t.signature == 1),
@@ -229,8 +225,6 @@ def cmd_moduli(args) -> tuple:
         raise UsageError(f"--d must lie in 1..{_MAX_CENSUS_DEGREE}")
     census = moduli_census(d)
     report = {
-        "schema": SCHEMA,
-        "command": "moduli",
         "d": d,
         "count": census["count"],
         "expected": 1 << d,
@@ -261,8 +255,6 @@ def cmd_hyper(args) -> tuple:
     order = divisor_class_order(C, class_of_point_pair(C, sample))
     count, N, L1 = C.count_points(), C.jacobian_order(), sum(L)
     report = {
-        "schema": SCHEMA,
-        "command": "hyper",
         "genus": g,
         "field_degree": d,
         "lpoly": L,
@@ -305,9 +297,8 @@ def cmd_jcheck(args) -> tuple:
         disc = discriminant_formula(p)
         want = INFINITY if not disc else inv["c4"] ** 3 / disc
         if disc != inv["disc"] or j_formula(p) != want:
-            report = {"schema": SCHEMA, "command": "jcheck",
-                      "failed_at": [str(a), str(b), str(c)], "passed": False}
-            return _emit_json(report), 1
+            report = {"failed_at": [str(a), str(b), str(c)], "passed": False}
+            return _emit_json(args, report), 1
         if disc:
             ratios.add(disc / inv["disc"])
         matches += 1
@@ -318,9 +309,7 @@ def cmd_jcheck(args) -> tuple:
                                   cls.representative)
             j = j_formula(wp)
             if j != 0:
-                report = {"schema": SCHEMA, "command": "jcheck",
-                          "rep_order": n, "passed": False}
-                return _emit_json(report), 1
+                return _emit_json(args, {"rep_order": n, "passed": False}), 1
             rep_j.append(j)
     reps = len(rep_j)
     j_zero = all(j == 0 for j in rep_j)
@@ -328,8 +317,6 @@ def cmd_jcheck(args) -> tuple:
     ratio = ratios.pop() if len(ratios) == 1 else None
     passed = ratio == 1 and j_zero
     report = {
-        "schema": SCHEMA,
-        "command": "jcheck",
         "samples": matches,
         "seed": args.seed,
         "discriminant_constant": ratio,
@@ -417,9 +404,7 @@ def run(argv) -> tuple:
     except UsageError as e:
         return 2, f"usage error: {e}\n"
     except VerificationError as e:
-        report = {"schema": SCHEMA, "command": args.command,
-                  "error": str(e), "passed": False}
-        return 1, _emit_json(report)
+        return 1, _emit_json(args, {"error": str(e), "passed": False})
 
 
 def main(argv=None) -> int:

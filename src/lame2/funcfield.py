@@ -252,7 +252,7 @@ def xy_expansion(curve: WeierstrassCurve, place, prec: int):
     """
     ctx = curve.ctx
     mul, sqr = ctx.mul, ctx.sqr
-    a1, a2, a3, a4, a6 = (a.bits for a in curve.coefficients())
+    a1, a2, a3, a4, a6 = curve.a
     t = Series.uniformizer(ctx, prec + 1)
     if _at_origin(place):
         # w = 1/Y solves w = a1 z w + a2 z^2 w + a3 w^2 + a4 z w^2 + a6 w^3
@@ -312,8 +312,7 @@ def xy_expansion(curve: WeierstrassCurve, place, prec: int):
 
 def _check_on_curve(curve: WeierstrassCurve, X: Series, Y: Series):
     """Raise unless Y^2 + h(X) Y + f(X) vanishes through its window."""
-    a1, a2, a3, a4, a6 = curve.coefficients()
-    residual = Y * Y + (a1 * X + a3) * Y + X * X * (X + a2) + a4 * X + a6
+    residual = Y * Y + curve.h(X) * Y + curve.f(X)
     if not residual.is_zero_to_prec():
         raise VerificationError(
             "local expansion does not satisfy the curve equation")
@@ -333,6 +332,11 @@ def _as_poly(curve, v):
     return Poly(curve.ctx, [curve.ctx(v).bits])
 
 
+def _norm(curve, A, B):
+    """A^2 + A B h + B^2 f, the norm of A + B Y on the curve."""
+    return A * A + A * B * curve.h + B * B * curve.f
+
+
 class CurveFunction:
     """A rational function (A + B Y)/D on a fixed Weierstrass curve."""
 
@@ -347,11 +351,9 @@ class CurveFunction:
         if A.is_zero() and B.is_zero():
             D = Poly.one(curve.ctx)
         else:
-            g = A.gcd(B).gcd(D)
+            g = A.gcd(B).gcd(D) if D.degree > 0 else D  # constant D: gcd 1
             if g.degree > 0:
-                A = A // g
-                B = B // g
-                D = D // g
+                A, B, D = A // g, B // g, D // g
             lead = D.leading()
             if lead != curve.ctx.one:
                 A = A * (1 / lead)
@@ -398,12 +400,6 @@ class CurveFunction:
             raise ValueError("not a constant function")
         return self.A.coeff(0)
 
-    def _hf(self):
-        E = self.curve
-        h = Poly(E.ctx, [E.a3, E.a1])
-        f = Poly(E.ctx, [E.a6, E.a4, E.a2, E.ctx.one])
-        return h, f
-
     def __eq__(self, other):
         if not isinstance(other, CurveFunction):
             return NotImplemented
@@ -449,7 +445,7 @@ class CurveFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        h, f = self._hf()
+        h, f = self.curve.h, self.curve.f
         A1, B1, A2, B2 = self.A, self.B, other.A, other.B
         # (A1 + B1 Y)(A2 + B2 Y) with Y^2 = h Y + f
         A = A1 * A2 + B1 * B2 * f
@@ -460,23 +456,20 @@ class CurveFunction:
 
     def conjugate(self):
         """Image under the hyperelliptic involution Y -> Y + h."""
-        h, _ = self._hf()
-        return CurveFunction(self.curve, self.A + self.B * h, self.B, self.D)
+        return CurveFunction(self.curve, self.A + self.B * self.curve.h,
+                             self.B, self.D)
 
     def norm_numerator(self):
         """A^2 + A B h + B^2 f, the Y-free product numerator with the conjugate."""
-        h, f = self._hf()
-        return self.A * self.A + self.A * self.B * h + self.B * self.B * f
+        return _norm(self.curve, self.A, self.B)
 
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverting the zero function")
-        h, _ = self._hf()
-        n = self.norm_numerator()
         return CurveFunction(self.curve,
-                             self.D * (self.A + self.B * h),
+                             self.D * (self.A + self.B * self.curve.h),
                              self.D * self.B,
-                             n)
+                             self.norm_numerator())
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -505,9 +498,8 @@ class CurveFunction:
         if self._degree is None:
             self._degree = 0
             if not self.is_zero():
-                h, _ = self._hf()
                 n0 = self.norm_numerator()
-                n1 = self.D * self.B * h
+                n1 = self.D * self.B * self.curve.h
                 n2 = self.D * self.D
                 content = n0.gcd(n1).gcd(n2)
                 self._degree = (max(n0.degree, n1.degree, n2.degree)
@@ -571,7 +563,7 @@ class CurveFunction:
             window = max(2, prec + 1 + pole - 2 * self.D.degree)
         else:
             v = _root_multiplicity(self.D, place.x)
-            if not self.curve.hpoly(place.x):
+            if not self.curve.h(place.x):
                 v *= 2
             window = prec - 1 + 2 * v
         s = self._quotient(*xy_expansion(self.curve, place, window))
@@ -711,9 +703,7 @@ def _fiber_poly(func: CurveFunction, value) -> Poly:
     (A+cD)^2 + (A+cD)Bh + B^2 f of A + cD + BY times D."""
     if value is INFINITY:
         return func.D
-    h, f = func._hf()
-    AcD = func.A + func.D * func.curve.ctx(value)
-    norm = AcD * AcD + AcD * func.B * h + func.B * func.B * f
+    norm = _norm(func.curve, func.A + func.D * func.curve.ctx(value), func.B)
     if norm.is_zero():
         raise ValueError("function is identically the requested value")
     return norm * func.D
@@ -815,38 +805,28 @@ def ramification_profile(func: CurveFunction, branch_values):
 
 
 def differentiate(func: CurveFunction) -> CurveFunction:
-    """d(func)/dX, using dY/dX = (X^2 + a4 + a1 Y)/h."""
+    """d(func)/dX, using dY/dX = (f' + h' Y)/h."""
     E = func.curve
-    h, _ = func._hf()
-    A, B, D = func.A, func.B, func.D
+    h, A, B, D = E.h, func.A, func.B, func.D
     Ad, Bd, Dd = A.deriv(), B.deriv(), D.deriv()
-    ysel = Poly(E.ctx, [E.a4, 0, E.ctx.one])  # X^2 + a4
-    a1p = Poly(E.ctx, [E.a1])
     # quotient rule times h to clear the dY/dX denominator
-    new_A = h * Ad * D + B * ysel * D + h * Dd * A
-    new_B = h * Bd * D + a1p * B * D + h * Dd * B
+    new_A = h * Ad * D + B * E.f.deriv() * D + h * Dd * A
+    new_B = h * Bd * D + h.deriv() * B * D + h * Dd * B
     return CurveFunction(E, new_A, new_B, h * D * D)
 
 
 def _ramification_suspects(func: CurveFunction):
     """Rational points that could carry ramification of func."""
     E = func.curve
-    ctx = E.ctx
     pts = [E.infinity()]
-    xs = set()
     dfunc = differentiate(func)
-    if not dfunc.is_zero():
-        for r, _m in poly_roots(dfunc.norm_numerator()):
-            xs.add(r.bits)
-    # two-torsion x-coordinates: the X-uniformizer heuristic is blind there
-    hpoly = Poly(ctx, [E.a3, E.a1])
-    if hpoly.degree >= 1:
-        for r, _m in poly_roots(hpoly):
-            xs.add(r.bits)
-    for r, _m in poly_roots(func.D):
-        xs.add(r.bits)
+    # the critical points of the X-derivative, the two-torsion
+    # x-coordinates (the X-uniformizer heuristic is blind there; a constant
+    # h has none) and the poles
+    polys = [] if dfunc.is_zero() else [dfunc.norm_numerator()]
+    xs = {r.bits for p in polys + [E.h, func.D] for r, _m in poly_roots(p)}
     for xb in sorted(xs):
-        x0 = ctx(xb)
+        x0 = E.ctx(xb)
         for y0 in E.fiber_y(x0):
             pts.append(E.point(x0, y0))
     return pts

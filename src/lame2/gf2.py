@@ -751,10 +751,9 @@ class Poly:
         if isinstance(x, FieldElement):
             if x.ctx is not self.ctx:
                 raise ValueError("evaluation point in a different context")
-            mul = self.ctx.mul
-            acc = 0
+            mul, xb, acc = self.ctx.mul, x.bits, 0
             for c in reversed(self.coeffs):
-                acc = mul(acc, x.bits) ^ c
+                acc = mul(acc, xb) ^ c
             return FieldElement(self.ctx, acc)
         # generic Horner, used for series arguments
         acc = None

@@ -27,28 +27,24 @@ from .gf2 import GF, FieldContext, Poly, solve_artin_schreier
 
 
 class HyperellipticCurve:
-    """Y^2 + Y = X^(2g+1) over a binary field."""
+    """Y^2 + Y = f(X) with f = X^(2g+1), built once, over a binary field."""
 
-    __slots__ = ("ctx", "genus")
+    __slots__ = ("ctx", "genus", "f")
 
     def __init__(self, ctx: FieldContext, genus: int):
         if genus < 1:
             raise ValueError("genus must be at least 1")
         self.ctx = ctx
         self.genus = genus
-
-    def f_poly(self) -> Poly:
-        coeffs = [0] * (2 * self.genus + 1) + [1]
-        return Poly(self.ctx, coeffs)
+        self.f = Poly(ctx, [0] * (2 * genus + 1) + [1])
 
     def contains(self, x, y) -> bool:
         x = self.ctx(x)
         y = self.ctx(y)
-        return y * y + y == x ** (2 * self.genus + 1)
+        return y * y + y == self.f(x)
 
     def fiber_y(self, x) -> tuple:
-        x = self.ctx(x)
-        return tuple(sorted(solve_artin_schreier(x ** (2 * self.genus + 1)),
+        return tuple(sorted(solve_artin_schreier(self.f(self.ctx(x))),
                             key=lambda e: e.bits))
 
     def points(self):
@@ -62,8 +58,7 @@ class HyperellipticCurve:
     def count_points(self) -> int:
         if self.ctx.degree > 20:
             raise ValueError("field too large to enumerate")
-        e = 2 * self.genus + 1
-        affine = sum(2 for x in self.ctx.elements() if (x ** e).trace() == 0)
+        affine = sum(2 for x in self.ctx.elements() if self.f(x).trace() == 0)
         return affine + 1
 
     def sigma(self, pt):
@@ -115,8 +110,7 @@ class MumfordDivisor:
                 raise ValueError("the identity class carries v = 0")
         elif not v.is_zero() and v.degree >= u.degree:
             raise ValueError("v must reduce mod u")
-        f = curve.f_poly()
-        if not ((v * v + v + f) % u).is_zero():
+        if not ((v * v + v + curve.f) % u).is_zero():
             raise ValueError("v^2 + v = f fails mod u")
         self.curve = curve
         self.u = u
@@ -164,7 +158,7 @@ def cantor_add(curve: HyperellipticCurve, D1: MumfordDivisor,
             raise ValueError("divisor on a different curve")
         if not D.is_reduced:
             raise ValueError("divisor is not reduced")
-    f = curve.f_poly()
+    f = curve.f
     one = Poly.one(curve.ctx)
     u1, v1, u2, v2 = D1.u, D1.v, D2.u, D2.v
     d12, e1, e2 = u1.xgcd(u2)

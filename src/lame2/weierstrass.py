@@ -14,9 +14,11 @@ Two families recur throughout the package:
 * the ordinary curves ``Y^2 + X*Y = X^3 + t*X`` with t != 0 (j = 1/t^2,
   unique two-torsion point (0, 0)).
 
-A point is its (x, y) pair of bits; ``.x`` and ``.y`` are FieldElement
-views.  ``_slope`` gives the chord or tangent slope on ints to the group law
-``_add_pairs`` and to the lines of Miller's algorithm in ``funcfield``.
+A curve is its coefficient bits ``a`` plus the polynomials h and f of
+Y^2 + h(X) Y = f(X); a point is its (x, y) pair of bits.  ``a1`` .. ``a6``,
+``.x`` and ``.y`` are FieldElement views.  ``_slope`` gives the chord or
+tangent slope on ints to the group law ``_add_pairs`` and to the lines of
+Miller's algorithm in ``funcfield``.
 
 The group of ``Y^2 + Y = X^3`` over every F_(2^d) is read from pi^2 = -2 for
 its F_2-Frobenius pi: the exponent, the n-torsion field, point orders.
@@ -31,7 +33,7 @@ import random
 
 from .arith import factorint, order_from_multiple
 from .common import INFINITY, Infinity, TorsionSearchExhausted, VerificationError
-from .gf2 import GF, FieldContext, FieldElement, embed, solve_artin_schreier
+from .gf2 import GF, FieldContext, FieldElement, Poly, embed, solve_artin_schreier
 
 
 def curve_invariants(a1, a2, a3, a4, a6):
@@ -77,20 +79,27 @@ def transformed_coefficients(coeffs, u, r, s, t):
     return (new_a1, new_a2, new_a3, new_a4, new_a6)
 
 
-class WeierstrassCurve:
-    """A smooth long-Weierstrass curve over a binary field."""
+def _coefficient(i):
+    return property(lambda self: FieldElement(self.ctx, self.a[i]))
 
-    __slots__ = ("ctx", "a1", "a2", "a3", "a4", "a6")
+
+class WeierstrassCurve:
+    """A smooth long-Weierstrass curve Y^2 + h(X) Y = f(X) over a binary
+    field: its coefficient bits ``a = (a1, a2, a3, a4, a6)`` and the
+    polynomials ``h = a1 X + a3`` and ``f = X^3 + a2 X^2 + a4 X + a6``, built
+    once.  ``a1`` .. ``a6`` are read-only FieldElement views."""
+
+    __slots__ = ("ctx", "a", "h", "f")
 
     def __init__(self, ctx: FieldContext, a1, a2, a3, a4, a6):
         self.ctx = ctx
-        self.a1 = ctx(a1)
-        self.a2 = ctx(a2)
-        self.a3 = ctx(a3)
-        self.a4 = ctx(a4)
-        self.a6 = ctx(a6)
+        self.a = a = tuple(ctx(c).bits for c in (a1, a2, a3, a4, a6))
+        self.h = Poly(ctx, [a[2], a[0]])
+        self.f = Poly(ctx, [a[4], a[3], a[1], 1])
         if self.discriminant() == ctx.zero:
             raise ValueError("singular curve")
+
+    a1, a2, a3, a4, a6 = map(_coefficient, range(5))
 
     @classmethod
     def supersingular(cls, field) -> "WeierstrassCurve":
@@ -108,7 +117,7 @@ class WeierstrassCurve:
         return cls(ctx, 1, 0, 0, t, 0)
 
     def coefficients(self):
-        return (self.a1, self.a2, self.a3, self.a4, self.a6)
+        return tuple(FieldElement(self.ctx, c) for c in self.a)
 
     def invariants(self) -> dict:
         return curve_invariants(*self.coefficients())
@@ -123,20 +132,12 @@ class WeierstrassCurve:
 
     def is_supersingular(self) -> bool:
         # in characteristic 2 a smooth curve is supersingular iff a1 = 0
-        return self.a1 == self.ctx.zero
-
-    def rhs(self, x: FieldElement) -> FieldElement:
-        """X^3 + a2 X^2 + a4 X + a6 at x."""
-        return ((x + self.a2) * x + self.a4) * x + self.a6
-
-    def hpoly(self, x: FieldElement) -> FieldElement:
-        """a1 X + a3 at x; zero exactly at the two-torsion x-coordinates."""
-        return self.a1 * x + self.a3
+        return not self.a[0]
 
     def contains(self, x, y) -> bool:
         x = self.ctx(x)
         y = self.ctx(y)
-        return y * y + self.hpoly(x) * y == self.rhs(x)
+        return y * y + self.h(x) * y == self.f(x)
 
     def point(self, x, y) -> "CurvePoint":
         x = self.ctx(x)
@@ -151,8 +152,8 @@ class WeierstrassCurve:
     def fiber_y(self, x) -> tuple:
         """All y with (x, y) on the curve, sorted by bit pattern."""
         x = self.ctx(x)
-        h = self.hpoly(x)
-        f = self.rhs(x)
+        h = self.h(x)
+        f = self.f(x)
         if h == self.ctx.zero:
             # y^2 = f has the single root sqrt(f)
             return (f.sqrt(),)
@@ -166,7 +167,7 @@ class WeierstrassCurve:
         # on ints: one y where h = 0, else two or none as Tr(f / h^2) is 0 or 1
         ctx = self.ctx
         mul, sqr, inv, mask = ctx.mul, ctx.sqr, ctx.inv, ctx.trace_mask()
-        a1, a2, a3, a4, a6 = (a.bits for a in self.coefficients())
+        a1, a2, a3, a4, a6 = self.a
         if not a1:  # h = a3 != 0 everywhere: Tr(f / a3^2) = parity(f & cmask)
             c = inv(sqr(a3))
             cmask = sum((mul(c, 1 << i) & mask).bit_count() % 2 << i
@@ -203,6 +204,10 @@ class WeierstrassCurve:
             target, *(embed(a, target) for a in self.coefficients()))
 
     def lift_point(self, pt: "CurvePoint", target: FieldContext) -> "CurvePoint":
+        if pt.curve != self:
+            raise ValueError("point lies on a different curve")
+        if target is self.ctx:
+            return pt
         big = self.base_change(target)
         if pt.is_infinity():
             return big.infinity()
@@ -237,14 +242,14 @@ class WeierstrassCurve:
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeierstrassCurve):
             return NotImplemented
-        return self.ctx == other.ctx and self.coefficients() == other.coefficients()
+        return self.ctx == other.ctx and self.a == other.a
 
     def __hash__(self):
-        return hash((self.ctx, tuple(a.bits for a in self.coefficients())))
+        return hash((self.ctx, self.a))
 
     def __repr__(self) -> str:
-        a = [format(c.bits, "x") for c in self.coefficients()]
-        return f"WeierstrassCurve(GF(2^{self.ctx.degree}), a=[{', '.join(a)}])"
+        a = ", ".join(format(c, "x") for c in self.a)
+        return f"WeierstrassCurve(GF(2^{self.ctx.degree}), a=[{a}])"
 
 
 class CurvePoint:
@@ -270,7 +275,8 @@ class CurvePoint:
         if self.xy is None:
             return self
         (x, y), E = self.xy, self.curve
-        return CurvePoint(E, (x, y ^ E.ctx.mul(E.a1.bits, x) ^ E.a3.bits))
+        a1, _, a3, _, _ = E.a
+        return CurvePoint(E, (x, y ^ E.ctx.mul(a1, x) ^ a3))
 
     def __add__(self, other: "CurvePoint") -> "CurvePoint":
         if not isinstance(other, CurvePoint):
@@ -326,12 +332,12 @@ def _slope(curve: WeierstrassCurve, p, q):
     (x1, y1), (x2, y2) = p, q
     if x1 != x2:
         return mul(y1 ^ y2, inv(x1 ^ x2))
-    a1 = curve.a1.bits
-    h = mul(a1, x1) ^ curve.a3.bits
+    a1, _, a3, a4, _ = curve.a
+    h = mul(a1, x1) ^ a3
     if y2 == y1 ^ h:
         return None
     # tangent; h(x1) != 0 here since h = 0 forces y2 = y1 + h = y1
-    return mul(curve.ctx.sqr(x1) ^ curve.a4.bits ^ mul(a1, y1), inv(h))
+    return mul(curve.ctx.sqr(x1) ^ a4 ^ mul(a1, y1), inv(h))
 
 
 def _add_pairs(curve: WeierstrassCurve, p, q):
@@ -342,10 +348,10 @@ def _add_pairs(curve: WeierstrassCurve, p, q):
     lam = _slope(curve, p, q)
     if lam is None:
         return None
-    mul, a1 = curve.ctx.mul, curve.a1.bits
+    mul, (a1, a2, a3, _, _) = curve.ctx.mul, curve.a
     x1, y1 = p
-    x3 = curve.ctx.sqr(lam) ^ mul(a1, lam) ^ curve.a2.bits ^ x1 ^ q[0]
-    return x3, mul(lam ^ a1, x3) ^ mul(lam, x1) ^ y1 ^ curve.a3.bits
+    x3 = curve.ctx.sqr(lam) ^ mul(a1, lam) ^ a2 ^ x1 ^ q[0]
+    return x3, mul(lam ^ a1, x3) ^ mul(lam, x1) ^ y1 ^ a3
 
 
 def supersingular_trace(d: int) -> int:
@@ -368,7 +374,7 @@ def supersingular_order(d: int) -> int:
 
 def _is_supersingular_model(curve: WeierstrassCurve) -> bool:
     """Is the curve exactly Y^2 + Y = X^3, not merely isomorphic to it?"""
-    return tuple(a.bits for a in curve.coefficients()) == (0, 0, 1, 0, 0)
+    return curve.a == (0, 0, 1, 0, 0)
 
 
 def _supersingular_exponent(d: int) -> int:

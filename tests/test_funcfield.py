@@ -449,7 +449,7 @@ def _newton_reference(curve, place, prec):
             if g.is_zero_to_prec():
                 return z / w, 1 / w
             w = w + g / (a1 * z + a2 * (z * z) + a6 * (w * w) + 1)
-    elif curve.hpoly(place.x):
+    elif curve.h(place.x):
         X = t + place.x
         Y = Series.constant(place.y, prec + 1)
         for _ in range(8):
@@ -472,7 +472,7 @@ def _regime(E, place):
     """The uniformizer xy_expansion takes at place: X/Y, X - x0 or Y - y0."""
     if place is INFINITY or place.is_infinity():
         return "x_over_y_at_infinity"
-    return "x_minus_x0" if E.hpoly(place.x) else "y_based"
+    return "x_minus_x0" if E.h(place.x) else "y_based"
 
 
 def _oracle_places(E, rng):
@@ -481,7 +481,7 @@ def _oracle_places(E, rng):
     places = [INFINITY]
     while True:
         P = E.random_point(rng)
-        if not P.is_infinity() and E.hpoly(P.x):
+        if not P.is_infinity() and E.h(P.x):
             places.append(P)
             break
     if E.a1:
@@ -509,11 +509,11 @@ def reference_xy_expansion(curve, place, prec):
                 S[2 * k] = w[k].square()
         Y = ReferenceSeries(ctx, 0, w).inverse()
         X = t * Y
-    elif curve.hpoly(place.x):
+    elif curve.h(place.x):
         x0, y0 = place.x, place.y
         X = t + x0
         f = [zero, x0.square() + a4, x0 + a2, ctx.one]
-        inv = 1 / curve.hpoly(x0)
+        inv = 1 / curve.h(x0)
         y = [y0]
         for k in range(1, prec + 1):
             yk = a1 * y[k - 1] + (f[k] if k <= 3 else zero)
@@ -586,7 +586,7 @@ def test_expansion_matches_newton_reference(d):
 
 def test_expansion_certificate_rejects_a_corrupted_coefficient(monkeypatch):
     E = WeierstrassCurve.ordinary(GF(5), 3)
-    P = next(E.point(x, y) for x in E.ctx.elements() if E.hpoly(x)
+    P = next(E.point(x, y) for x in E.ctx.elements() if E.h(x)
              for y in E.fiber_y(x))
     for place in (P, INFINITY):
         X, Y = xy_expansion(E, place, 12)
@@ -804,10 +804,10 @@ def reference_line(P, Q):
     # built it
     E = P.curve
     ctx = E.ctx
-    if P.x == Q.x and (P != Q or P.y == Q.y + E.hpoly(P.x)):
+    if P.x == Q.x and (P != Q or P.y == Q.y + E.h(P.x)):
         return CurveFunction(E, Poly(ctx, [P.x, ctx.one]), 0, 1)
     if P == Q:
-        lam = (P.x * P.x + E.a4 + E.a1 * P.y) / E.hpoly(P.x)
+        lam = (P.x * P.x + E.a4 + E.a1 * P.y) / E.h(P.x)
     else:
         lam = (P.y + Q.y) / (P.x + Q.x)
     nu = P.y + lam * P.x
@@ -893,6 +893,13 @@ def test_profile_falsified_on_wrong_claim():
     found = {v.bits for (_q, v, _e) in report["extra_ramification"]
              if v is not INFINITY}
     assert 1 in found
+    # the x-map of an ordinary curve also ramifies at the two-torsion point,
+    # which only the root of h reveals: dX/dX = 1 has no critical point
+    E = WeierstrassCurve.ordinary(GF(4), 9)
+    with pytest.raises(ProfileFalsified) as exc:
+        ramification_profile(CurveFunction.coordinate_x(E), [INFINITY])
+    assert exc.value.report["extra_ramification"] == [
+        (E.point(0, 0), E.ctx.zero, 2)]
 
 
 def test_x_map_profile():
@@ -1347,17 +1354,19 @@ def test_expansion_windows_pinned(monkeypatch):
 
 
 def test_root_finding_counts_pinned(monkeypatch):
-    # packed-row operations, gcds and function constructions and inverses
-    # over one pass with cold embeddings; reducing every row mod every
-    # factor after each split, d rows for the conjugate roots and a second
-    # 1/f per pole fiber made 1,258 squares, 3,329 reductions, 3,472
-    # scalar-product passes and 702 gcds; dividing each Miller step by a
-    # vertical function and each cover by a constant one made 684 gcds,
-    # 227 constructions and 50 inverses
+    # packed-row operations, gcds, function constructions and inverses and
+    # on-curve point checks over one pass with cold embeddings; reducing
+    # every row mod every factor after each split, d rows for the conjugate
+    # roots and a second 1/f per pole fiber made 1,258 squares, 3,329
+    # reductions, 3,472 scalar-product passes and 702 gcds; dividing each
+    # Miller step by a vertical function and each cover by a constant one
+    # made 684 gcds, 227 constructions and 50 inverses; a gcd taken with a
+    # constant denominator made 492 gcds, and lifting points to their own
+    # field made 133 point checks
     import lame2.gf2 as gf2
     from lame2.cli import run
     counts = dict.fromkeys(["square", "reduce", "dot", "gcd", "trial",
-                            "__init__", "inverse"], 0)
+                            "__init__", "inverse", "point"], 0)
 
     def counting(cls, name):
         real = getattr(cls, name)
@@ -1375,12 +1384,13 @@ def test_root_finding_counts_pinned(monkeypatch):
     counting(gf2.Poly, "gcd")
     counting(CurveFunction, "__init__")
     counting(CurveFunction, "inverse")
+    counting(WeierstrassCurve, "point")
     monkeypatch.setattr(gf2, "_EMBED_GEN", {})
     for argv in COVERS_SEED_1:
         assert run(argv)[0] == 0, argv
     assert counts == {"square": 634, "reduce": 1101, "dot": 1214,
-                      "gcd": 492, "trial": 143, "__init__": 131,
-                      "inverse": 9}
+                      "gcd": 266, "trial": 143, "__init__": 131,
+                      "inverse": 9, "point": 121}
 
 
 def test_differentiate_product_rule():
@@ -1391,6 +1401,31 @@ def test_differentiate_product_rule():
     lhs = differentiate(f * g)
     rhs = differentiate(f) * g + f * differentiate(g)
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("d", [3, 8, 13])
+def test_differentiate_on_general_curves(d):
+    # dY/dX = (X^2 + a4 + a1 Y)/h read from the coefficients, and the
+    # product rule, where a1 = h', a2 and a4 are nonzero
+    ctx = GF(d)
+    rng = random.Random(d)
+    done = 0
+    while done < 3:
+        a1, a2, a4 = (1 + rng.randrange(ctx.order - 1) for _ in range(3))
+        try:
+            E = WeierstrassCurve(ctx, a1, a2, ctx.random(rng), a4,
+                                 ctx.random(rng))
+        except ValueError:  # singular
+            continue
+        X = CurveFunction.coordinate_x(E)
+        Y = CurveFunction.coordinate_y(E)
+        assert differentiate(X) == CurveFunction.constant(E, 1)
+        assert differentiate(Y) * (E.a1 * X + E.a3) == \
+            X * X + E.a4 + E.a1 * Y
+        f, g = (_random_function(E, rng, deg=1) for _ in range(2))
+        assert differentiate(f * g) == \
+            differentiate(f) * g + f * differentiate(g)
+        done += 1
 
 
 def test_differentiate_of_x_and_y():

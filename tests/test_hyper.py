@@ -240,7 +240,7 @@ def test_jacobian_order_genus_two_extensions():
 def _reduced_divisors(C):
     """Every reduced Mumford pair of C, by brute force: u monic of degree at
     most the genus, deg v < deg u, and u | v^2 + v + f."""
-    ctx, f = C.ctx, C.f_poly()
+    ctx, f = C.ctx, C.f
     q = 1 << ctx.degree
     out = [C.identity_divisor()]
     for deg in range(1, C.genus + 1):

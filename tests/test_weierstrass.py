@@ -126,9 +126,9 @@ def reference_add(P, Q):
         return Q if P.is_infinity() else P
     x1, y1, x2, y2 = P.x, P.y, Q.x, Q.y
     if x1 == x2:
-        if y2 == y1 + E.hpoly(x1):
+        if y2 == y1 + E.h(x1):
             return E.infinity()
-        lam = (x1 * x1 + E.a4 + E.a1 * y1) / E.hpoly(x1)
+        lam = (x1 * x1 + E.a4 + E.a1 * y1) / E.h(x1)
     else:
         lam = (y1 + y2) / (x1 + x2)
     x3 = lam * lam + E.a1 * lam + E.a2 + x1 + x2
@@ -244,10 +244,10 @@ def reference_count_points(E):
     """The FieldElement fiber loop the int count replaced."""
     total = 1
     for x in E.ctx.elements():
-        h = E.hpoly(x)
+        h = E.h(x)
         if h == E.ctx.zero:
             total += 1
-        elif trace(E.rhs(x) / (h * h)) == 0:
+        elif trace(E.f(x) / (h * h)) == 0:
             total += 2
     return total
 
@@ -366,7 +366,7 @@ def test_count_points_oracle_where_h_vanishes():
     for d in (3, 4, 5, 8):
         ctx = GF(d)
         E = WeierstrassCurve(ctx, 3, 5, 6, 1, 7)
-        assert sum(E.hpoly(x) == ctx.zero for x in ctx.elements()) == 1
+        assert sum(E.h(x) == ctx.zero for x in ctx.elements()) == 1
         _assert_count_matches_oracle(E)
 
 
@@ -526,6 +526,44 @@ def test_base_change_preserves_structure():
     P4 = E.lift_point(P, GF(4))
     assert P4.curve == E4
     assert point_order(E4, P4) == point_order(E, P) == 3
+
+
+def test_lift_point_to_its_own_field_and_of_another_curve():
+    E = WeierstrassCurve.supersingular(2)
+    P = E.point(0, 1)
+    assert E.lift_point(P, E.ctx) is P
+    # (0, 1) satisfies Y^2 + XY + Y = X^3 + X^2 too, but is not E's point
+    F = WeierstrassCurve(E.ctx, 1, 1, 1, 0, 0)
+    for R in (F.point(0, 1), F.infinity()):
+        for target in (E.ctx, GF(4)):
+            with pytest.raises(ValueError, match="different curve"):
+                E.lift_point(R, target)
+
+
+def test_curve_is_its_coefficient_bits_plus_h_and_f():
+    rng = random.Random(27)
+    ctx = GF(5)
+    curves = [WeierstrassCurve.supersingular(ctx),
+              WeierstrassCurve.supersingular(3),
+              WeierstrassCurve.ordinary(ctx, 3)]
+    while len(curves) < 8:
+        try:
+            curves.append(WeierstrassCurve(
+                ctx, *(ctx.random(rng) for _ in range(5))))
+        except ValueError:  # singular
+            pass
+    for E in curves:
+        a1, a2, a3, a4, a6 = E.coefficients()
+        assert E.a == tuple(c.bits for c in E.coefficients())
+        for x in E.ctx.elements():
+            assert E.h(x) == a1 * x + a3
+            assert E.f(x) == ((x + a2) * x + a4) * x + a6
+        with pytest.raises(AttributeError):
+            E.a1 = E.ctx.one
+        same = WeierstrassCurve(E.ctx, *E.a)
+        assert same == E and hash(same) == hash(E)
+        for F in curves:
+            assert (E == F) == ((E.ctx, E.a) == (F.ctx, F.a))
 
 
 def test_point_json_roundtrip():
