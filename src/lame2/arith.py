@@ -135,6 +135,23 @@ def order_from_multiple(N: int, kills) -> int:
     return n
 
 
+def power_sum(L: list, k: int) -> int:
+    """s_k, the sum of the k-th powers of the inverse roots of L.
+
+    L = [1, c_1, ..., c_n] = prod_i (1 - alpha_i T), so s_0 = n and, by
+    Newton's identities, s_j = -j c_j - sum_(i < j) c_i s_(j-i) with c_i = 0
+    past n.  #C(F_(q^k)) = q^k + 1 - s_k for the L-polynomial of a curve.
+    """
+    if k < 0:
+        raise ValueError(f"power sums need k >= 0, got {k}")
+    n = len(L) - 1
+    s = [n]
+    for j in range(1, k + 1):
+        s.append(-(j * L[j] if j <= n else 0)
+                 - sum(L[i] * s[j - i] for i in range(1, min(j - 1, n) + 1)))
+    return s[k]
+
+
 def mobius(n: int) -> int:
     f = factorint(n)
     return 0 if any(e > 1 for e in f.values()) else (-1) ** len(f)

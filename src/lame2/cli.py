@@ -18,9 +18,10 @@ import random
 import sys
 from fractions import Fraction
 
+from .arith import power_sum
 from .common import INFINITY, VerificationError
 from .gf2 import GF
-from .weierstrass import curve_invariants, torsion_basis
+from .weierstrass import _MAX_COUNT_DEGREE, curve_invariants, torsion_basis
 from .lame import (
     _MAX_CENSUS_DEGREE,
     _MAX_ORDER,
@@ -45,7 +46,6 @@ from .moduli12 import (
 )
 from .hyper import (
     HyperellipticCurve,
-    _power_sum,
     class_of_point_pair,
     divisor_class_order,
     is_supersingular,
@@ -134,8 +134,9 @@ def cmd_ramify(args) -> tuple:
     if args.ordinary is not None:
         if args.field is None:
             raise UsageError("--ordinary needs --field")
-        if not 1 <= args.field <= 20:  # the fields count_points enumerates
-            raise UsageError(f"--field must lie in 1..20, got {args.field}")
+        if not 1 <= args.field <= _MAX_COUNT_DEGREE:
+            raise UsageError(f"--field must lie in 1..{_MAX_COUNT_DEGREE},"
+                             f" got {args.field}")
         ctx = GF(args.field)
         try:
             t = ctx.from_hex(args.ordinary)
@@ -270,7 +271,7 @@ def cmd_hyper(args) -> tuple:
         "sample_class_order": order,
         # the count matches L, J(F_2) (of order L(1)) is a subgroup of
         # J(F_(2^d)), and the sample class order divides the group order
-        "passed": count == (1 << d) + 1 - _power_sum(L, d)
+        "passed": count == (1 << d) + 1 - power_sum(L, d)
         and (N == L1 if d == 1 else N % L1 == 0) and N % order == 0,
     }
     return _output(args, report,

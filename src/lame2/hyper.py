@@ -1,10 +1,12 @@
 """The hyperelliptic family Y^2 + Y = X^(2g+1) and its Jacobian.
 
-The curve has a single point at infinity and carries the involution
-sigma(x, y) = (x, y + 1), whose only fixed point is infinity.  A point P
-together with sigma(P) marks the curve the same way the torsion point marks
-an elliptic curve in the degree-n covers; the order of the divisor class
-[(P) - (sigma P)] is the group-theoretic invariant this module computes.
+The curve is Y^2 + h(X) Y = f(X) with h = 1, so membership, fibers and the
+point count are the ones of ``weierstrass``.  It has a single point at
+infinity and carries the involution sigma(x, y) = (x, y + 1), whose only
+fixed point is infinity.  A point P together with sigma(P) marks the curve
+the same way the torsion point marks an elliptic curve in the degree-n
+covers; the order of the divisor class [(P) - (sigma P)] is the
+group-theoretic invariant this module computes.
 
 Divisor classes use the Mumford representation (u, v) with v^2 + v = f
 mod u, added by Cantor's algorithm specialized to h = 1 in characteristic
@@ -21,31 +23,28 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import order_from_multiple
+from .arith import order_from_multiple, power_sum
 from .common import INFINITY, VerificationError
-from .gf2 import GF, FieldContext, Poly, solve_artin_schreier
+from .gf2 import GF, FieldContext, Poly
+from .weierstrass import WeierstrassCurve, _count_points
 
 
 class HyperellipticCurve:
-    """Y^2 + Y = f(X) with f = X^(2g+1), built once, over a binary field."""
+    """Y^2 + h(X) Y = f(X) with h = 1 and f = X^(2g+1), built once, over a
+    binary field; membership and fibers are the Weierstrass ones."""
 
-    __slots__ = ("ctx", "genus", "f")
+    __slots__ = ("ctx", "genus", "h", "f")
 
     def __init__(self, ctx: FieldContext, genus: int):
         if genus < 1:
             raise ValueError("genus must be at least 1")
         self.ctx = ctx
         self.genus = genus
+        self.h = Poly.one(ctx)
         self.f = Poly(ctx, [0] * (2 * genus + 1) + [1])
 
-    def contains(self, x, y) -> bool:
-        x = self.ctx(x)
-        y = self.ctx(y)
-        return y * y + y == self.f(x)
-
-    def fiber_y(self, x) -> tuple:
-        return tuple(sorted(solve_artin_schreier(self.f(self.ctx(x))),
-                            key=lambda e: e.bits))
+    contains = WeierstrassCurve.contains
+    fiber_y = WeierstrassCurve.fiber_y
 
     def points(self):
         """All points, infinity first, affine ones sorted by coordinates."""
@@ -56,10 +55,7 @@ class HyperellipticCurve:
         return out
 
     def count_points(self) -> int:
-        if self.ctx.degree > 20:
-            raise ValueError("field too large to enumerate")
-        affine = sum(2 for x in self.ctx.elements() if self.f(x).trace() == 0)
-        return affine + 1
+        return _count_points(self.ctx, self.h, self.f)
 
     def sigma(self, pt):
         """The hyperelliptic involution; fixes only infinity."""
@@ -232,7 +228,7 @@ def zeta_lpoly(genus: int, counts) -> list:
     for i in range(genus):
         c[2 * genus - i] = (1 << (genus - i)) * c[i]
     for d in range(genus + 1, len(counts) + 1):
-        predicted = (1 << d) + 1 - _power_sum(c, d)
+        predicted = (1 << d) + 1 - power_sum(c, d)
         if predicted != counts[d - 1]:
             raise VerificationError(
                 f"count over F_{2 ** d} contradicts the functional equation: "
@@ -257,21 +253,6 @@ def _elementary(s: list) -> list:
     return e
 
 
-def _power_sum(c: list, d: int) -> int:
-    """Sum of d-th powers of the inverse roots of the L-polynomial."""
-    deg = len(c) - 1
-    e = [(-1) ** i * c[i] for i in range(deg + 1)]
-    s = [0] * (d + 1)
-    for k in range(1, d + 1):
-        acc = 0
-        for i in range(1, min(k, deg) + 1):
-            acc += (-1) ** (i - 1) * e[i] * s[k - i]
-        if k <= deg:
-            acc += (-1) ** (k - 1) * k * e[k]
-        s[k] = acc
-    return s[d]
-
-
 @lru_cache(maxsize=None)
 def _family_lpoly(genus: int) -> list:
     counts = [HyperellipticCurve(GF(d), genus).count_points()
@@ -290,7 +271,7 @@ def jacobian_order(L: list, d: int = 1) -> int:
     deg = len(L) - 1
     if deg == 0 or d < 1:
         raise ValueError("need a nonconstant L-polynomial and d >= 1")
-    e = _elementary([0] + [_power_sum(L, k * d) for k in range(1, deg + 1)])
+    e = _elementary([0] + [power_sum(L, k * d) for k in range(1, deg + 1)])
     return sum((-1) ** k * ek for k, ek in enumerate(e))
 
 

@@ -567,13 +567,12 @@ def ordinary_torsion_point(t, n: int, seed: int = 0):
     base_order = base.count_points()
     q = 1 << base_ctx.degree
     k = 1
-    while extension_order(base_order, q, k) % n:
+    while (N := extension_order(base_order, q, k)) % n:
         k += 1
         if k > 4 * n * n:
             raise VerificationError("no extension carries order-n points")
     big = GF(base_ctx.degree * k)
     curve = base.base_change(big)
-    N = extension_order(base_order, q, k)
     rng = random.Random(seed)
     P = point_of_exact_order(curve, N, n, rng)
     return curve, P, N

@@ -22,16 +22,17 @@ Miller's algorithm in ``funcfield``.
 
 The group of ``Y^2 + Y = X^3`` over every F_(2^d) is read from pi^2 = -2 for
 its F_2-Frobenius pi: the exponent, the n-torsion field, point orders.
-Scalar multiplication, point counting, a torsion-basis search with a
-per-prime independence certificate, and the (u, r, s, t) change of
-variables also live here.
+Scalar multiplication, a torsion-basis search with a per-prime
+independence certificate, and the (u, r, s, t) change of variables also
+live here, as does ``_count_points``, the one point counter for any
+Y^2 + h(X) Y = f(X), which ``hyper`` reads too.
 """
 
 from __future__ import annotations
 
 import random
 
-from .arith import factorint, order_from_multiple
+from .arith import factorint, order_from_multiple, power_sum
 from .common import INFINITY, Infinity, TorsionSearchExhausted, VerificationError
 from .gf2 import GF, FieldContext, FieldElement, Poly, embed, solve_artin_schreier
 
@@ -77,6 +78,41 @@ def transformed_coefficients(coeffs, u, r, s, t):
     new_a6 = (a6 + r * a4 + r * r * a2 + r * r * r
               - t * a3 - t * t - r * t * a1) / (u3 * u3)
     return (new_a1, new_a2, new_a3, new_a4, new_a6)
+
+
+# the largest field degree _count_points enumerates
+_MAX_COUNT_DEGREE = 20
+
+
+def _count_points(ctx: FieldContext, h: Poly, f: Poly) -> int:
+    """#C(F_q) for Y^2 + h(X) Y = f(X) with one point at infinity, on ints.
+
+    Above x lies one y where h(x) = 0, else two or none as Tr(f/h^2) is 0
+    or 1.  h and f are evaluated at every x at once by Horner; a constant
+    h folds 1/h^2 into the trace mask.  Refuses fields past
+    2^_MAX_COUNT_DEGREE.
+    """
+    if ctx.degree > _MAX_COUNT_DEGREE:
+        raise ValueError("field too large to enumerate; use a formula")
+    mul, sqr, inv, mask = ctx.mul, ctx.sqr, ctx.inv, ctx.trace_mask()
+    xs = range(1 << ctx.degree)
+
+    def values(p):  # p(x) at every x, by the Horner steps v -> v x + c
+        *low, lead = p.coeffs
+        vs = [lead] * len(xs)
+        for i, c in enumerate(reversed(low)):
+            # a monic p skips its first product, lead * x = x
+            prod = xs if i == 0 and lead == 1 else map(mul, vs, xs)
+            vs = [v ^ c for v in prod] if c else list(prod)
+        return vs
+
+    if h.degree == 0:  # Tr(f / h^2) = parity(f & cmask)
+        c = inv(sqr(h.coeffs[0]))
+        cmask = sum((mul(c, 1 << i) & mask).bit_count() % 2 << i
+                    for i in range(ctx.degree))
+        return 1 + 2 * sum(not (v & cmask).bit_count() & 1 for v in values(f))
+    return 1 + sum(2 * (not (mul(v, inv(sqr(w))) & mask).bit_count() & 1)
+                   if w else 1 for v, w in zip(values(f), values(h)))
 
 
 def _coefficient(i):
@@ -161,30 +197,8 @@ class WeierstrassCurve:
         return tuple(sorted(ys, key=lambda e: e.bits))
 
     def count_points(self) -> int:
-        """|E(F_q)| by fiber enumeration; refuses fields past 2^20."""
-        if self.ctx.degree > 20:
-            raise ValueError("field too large to enumerate; use a formula")
-        # on ints: one y where h = 0, else two or none as Tr(f / h^2) is 0 or 1
-        ctx = self.ctx
-        mul, sqr, inv, mask = ctx.mul, ctx.sqr, ctx.inv, ctx.trace_mask()
-        a1, a2, a3, a4, a6 = self.a
-        if not a1:  # h = a3 != 0 everywhere: Tr(f / a3^2) = parity(f & cmask)
-            c = inv(sqr(a3))
-            cmask = sum((mul(c, 1 << i) & mask).bit_count() % 2 << i
-                        for i in range(ctx.degree))
-            return 1 + 2 * sum(
-                not ((mul(mul(x ^ a2, x) ^ a4, x) ^ a6) & cmask).bit_count() & 1
-                for x in range(1 << ctx.degree))
-        total = 1
-        for x in range(1 << ctx.degree):
-            h = mul(a1, x) ^ a3
-            if not h:
-                total += 1
-            else:
-                f = mul(mul(x ^ a2, x) ^ a4, x) ^ a6
-                if not (mul(f, inv(sqr(h))) & mask).bit_count() & 1:
-                    total += 2
-        return total
+        """|E(F_q)| by fiber enumeration, up to GF(2^_MAX_COUNT_DEGREE)."""
+        return _count_points(self.ctx, self.h, self.f)
 
     def random_point(self, rng: random.Random) -> "CurvePoint":
         """A random affine point; ValueError if none, which needs q <= 4."""
@@ -355,21 +369,14 @@ def _add_pairs(curve: WeierstrassCurve, p, q):
 
 
 def supersingular_trace(d: int) -> int:
-    """Frobenius trace of Y^2 + Y = X^3 over GF(2^d).
-
-    t_0 = 2, t_1 = 0, t_k = -2 t_{k-2}; zero for odd d.
-    """
-    if d < 0:
-        raise ValueError("d must be nonnegative")
-    if d % 2 == 1:
-        return 0
-    m = d // 2
-    return 2 * (-2) ** m
+    """Frobenius trace of Y^2 + Y = X^3 over GF(2^d): the power sum s_d of
+    its L-polynomial 1 + 2T^2 over F_2, so t_0 = 2, t_1 = 0, t_k = -2 t_(k-2)."""
+    return power_sum([1, 0, 2], d)
 
 
 def supersingular_order(d: int) -> int:
     """|E(F_{2^d})| for Y^2 + Y = X^3."""
-    return (1 << d) + 1 - supersingular_trace(d)
+    return extension_order(3, 2, d)
 
 
 def _is_supersingular_model(curve: WeierstrassCurve) -> bool:
@@ -409,16 +416,10 @@ def torsion_field_degree(n: int) -> int:
 
 
 def extension_order(base_order: int, q: int, k: int) -> int:
-    """|E(F_{q^k})| from |E(F_q)| via the Frobenius eigenvalue recurrence.
-
-    With t = q + 1 - base_order, the power sums s_j of the two eigenvalues
-    satisfy s_0 = 2, s_1 = t, s_j = t*s_{j-1} - q*s_{j-2}.
-    """
-    t = q + 1 - base_order
-    s0, s1 = 2, t
-    for _ in range(k - 1):
-        s0, s1 = s1, t * s1 - q * s0
-    return q ** k + 1 - s1
+    """|E(F_{q^k})| from |E(F_q)|: q^k + 1 - s_k, with s_k the k-th power
+    sum of the Frobenius eigenvalues, the inverse roots of the L-polynomial
+    1 - tT + qT^2, t = q + 1 - base_order."""
+    return q ** k + 1 - power_sum([1, base_order - q - 1, q], k)
 
 
 def point_order(curve: WeierstrassCurve, point: "CurvePoint",
@@ -472,12 +473,15 @@ def point_of_exact_order(curve: WeierstrassCurve, group_order: int, n: int,
     acc = curve.infinity()
     for pt in parts:
         acc = acc + pt
-    if not (n * acc).is_infinity():
+    if not _has_exact_order(acc, n):
         raise VerificationError("cofactor search returned a bad point")
-    for p in factorint(n):
-        if ((n // p) * acc).is_infinity():
-            raise VerificationError("cofactor search returned a bad point")
     return acc
+
+
+def _has_exact_order(T: CurvePoint, n: int) -> bool:
+    """n T = O while (n/p) T != O for every prime p | n."""
+    return (n * T).is_infinity() and all(
+        not ((n // p) * T).is_infinity() for p in factorint(n))
 
 
 def _spans_torsion(P: CurvePoint, Q: CurvePoint, n: int) -> bool:
@@ -527,16 +531,5 @@ def torsion_points(curve: WeierstrassCurve, P: CurvePoint, Q: CurvePoint,
     """All points a*P + b*Q, filtered to exact order n when `exact`."""
     if P.curve != curve or Q.curve != curve:
         raise ValueError("points on different curves")
-    pts = []
-    for a in range(n):
-        for b in range(n):
-            T = a * P + b * Q
-            if not exact:
-                pts.append(T)
-                continue
-            if (n * T).is_infinity() and not T.is_infinity():
-                good = all(not ((n // p) * T).is_infinity()
-                           for p in factorint(n))
-                if good:
-                    pts.append(T)
-    return pts
+    pts = (a * P + b * Q for a in range(n) for b in range(n))
+    return [T for T in pts if not exact or _has_exact_order(T, n)]

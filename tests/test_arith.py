@@ -7,7 +7,7 @@ import pytest
 
 from lame2.arith import (_strong_lucas_prp, _strong_prp, divisors, factorint,
                          integer_nthroot, is_prime, mobius,
-                         order_from_multiple)
+                         order_from_multiple, power_sum)
 from lame2.common import VerificationError
 from lame2.gf2 import GF
 from lame2.hyper import HyperellipticCurve, jacobian_order
@@ -239,3 +239,19 @@ def test_order_from_multiple_in_cyclic_groups():
             M // gcd(a, M)
     with pytest.raises(VerificationError):
         order_from_multiple(5, lambda k: k % 7 == 0)
+
+
+def test_power_sum_matches_the_roots():
+    # L = prod (1 - a_i T) over random integer a_i: s_k = sum a_i^k, and
+    # s_0 is the number of roots, deg L
+    rng = random.Random(11)
+    for _ in range(100):
+        roots = [rng.randint(-9, 9) for _ in range(rng.randint(0, 6))]
+        L = [1]
+        for a in roots:
+            L = [c - a * b for c, b in zip(L + [0], [0] + L)]
+        assert power_sum(L, 0) == len(L) - 1 == len(roots)
+        for k in range(12):
+            assert power_sum(L, k) == sum(a ** k for a in roots), (roots, k)
+    with pytest.raises(ValueError):
+        power_sum([1, 0, 2], -1)

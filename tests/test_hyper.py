@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from lame2.arith import power_sum
 from lame2.common import INFINITY, VerificationError
 from lame2.gf2 import GF, Poly
 from lame2.weierstrass import WeierstrassCurve
@@ -33,14 +34,16 @@ def test_point_counts_small_fields():
 
 
 def test_points_listing_matches_count():
+    # h = 1 and the listing is exactly the pairs that satisfy the equation
     for g in (1, 2, 3):
         for d in (1, 2, 3):
             C = HyperellipticCurve(GF(d), g)
+            assert C.h == Poly.one(C.ctx)
             pts = C.points()
             assert pts[0] is INFINITY
             assert len(pts) == C.count_points()
-            for pt in pts[1:]:
-                assert C.contains(*pt)
+            assert pts[1:] == [(x, y) for x in C.ctx.elements()
+                               for y in C.ctx.elements() if C.contains(x, y)]
 
 
 def test_sigma_is_an_involution_fixing_only_infinity():
@@ -269,15 +272,10 @@ def test_lpoly_counts_roundtrip():
     # the completed polynomial reproduces the enumerated counts above genus
     for g in (1, 2, 3):
         L = HyperellipticCurve(GF(1), g).lpoly()
-        for d in (1, 2, 3, 4):
+        for d in range(1, 13):
             C = HyperellipticCurve(GF(d), g)
-            predicted = (1 << d) + 1 - _psum(L, d)
+            predicted = (1 << d) + 1 - power_sum(L, d)
             assert predicted == C.count_points(), (g, d)
-
-
-def _psum(L, d):
-    from lame2.hyper import _power_sum
-    return _power_sum(L, d)
 
 
 # -- supersingularity certificates ---------------------------------------------------

@@ -17,6 +17,8 @@ import lame2
 from lame2 import GF, trace, weierstrass
 from lame2.arith import factorint
 from lame2.common import VerificationError
+from lame2.gf2 import FieldElement
+from lame2.hyper import HyperellipticCurve
 from lame2.weierstrass import (
     WeierstrassCurve,
     _spans_torsion,
@@ -324,6 +326,25 @@ def test_constant_h_count_matches_the_generic_loop():
             == supersingular_order(d)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: HyperellipticCurve(GF(10), 3),
+    lambda: WeierstrassCurve.ordinary(10, 5),
+    lambda: WeierstrassCurve.supersingular(10),
+], ids=["hyper", "ordinary", "supersingular"])
+def test_count_points_builds_no_field_element_per_x(make, monkeypatch):
+    C = make()
+    built = []
+    init = FieldElement.__init__
+
+    def spy(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(FieldElement, "__init__", spy)
+    C.count_points()
+    assert len(built) < 10
+
+
 def test_random_point_refuses_a_curve_with_only_the_origin():
     # Y^2 + Y = X^3 + X + 1 over GF(2) has #E = 1: no x has a point above
     # it, so a draw loop would never end; run it in a child with a timeout
@@ -610,6 +631,31 @@ def test_torsion_points_refuses_points_of_another_curve():
     # an equal curve built anew is the same curve
     same = WeierstrassCurve.supersingular(curve.ctx)
     assert torsion_points(same, P, Q, 3) == torsion_points(curve, P, Q, 3)
+
+
+@pytest.mark.parametrize("zero", [0, 2, None], ids=["a1=0", "a3=0", "a1a3"])
+def test_extension_order_matches_base_change_counts(zero):
+    # random nonsingular curves over GF(2^e), e <= 4, with a1 = 0, a3 = 0 or
+    # both nonzero, counted over every GF(2^(ek)) with ek <= 12 against the
+    # power-sum formula
+    rng = random.Random(93)
+    for e in range(1, 5):
+        ctx, q = GF(e), 1 << e
+        curves = []
+        while len(curves) < 2:
+            a = [rng.randrange(1, q), rng.randrange(q), rng.randrange(1, q),
+                 rng.randrange(q), rng.randrange(q)]
+            if zero is not None:
+                a[zero] = 0
+            try:
+                curves.append(WeierstrassCurve(ctx, *a))
+            except ValueError:  # singular
+                continue
+        for E in curves:
+            base = E.count_points()
+            for k in range(1, 12 // e + 1):
+                assert extension_order(base, q, k) \
+                    == E.base_change(GF(e * k)).count_points(), (E, k)
 
 
 def test_extension_order_matches_enumeration():
