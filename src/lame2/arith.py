@@ -5,7 +5,7 @@ where it is deterministic (Sorenson-Webster 2015), and Baillie-PSW above,
 which has no known counterexample.
 """
 
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .common import VerificationError
 
@@ -120,19 +120,33 @@ def divisors(n: int) -> list:
     return sorted(divs)
 
 
-def order_from_multiple(N: int, kills) -> int:
-    """Order of a group element from a multiple N of it.
+def order_from_multiple(N: int, x, times, is_identity) -> int:
+    """Order of the group element x from a multiple N of it.
 
-    kills(k) says whether k times the element is the identity; primes are
-    stripped from N while the element stays killed.
+    times(k, y) is k y and is_identity(y) tests for the identity.  A product
+    tree over the prime powers p^e || N gives each (N / p^e) x with O(log)
+    multiplications per level, and a node already at the identity passes it
+    to all its leaves.  The order of (N / p^e) x is the p-part of the order
+    of x, found by multiplying by p until the identity (Sutherland, "Order
+    computations in generic groups", 2007); missing it within e steps means
+    N x != 0, which raises, so N is certified to kill x.
     """
-    if not kills(N):
-        raise VerificationError(f"{N} does not annihilate the element")
-    n = N
-    for p in factorint(N):
-        while n % p == 0 and kills(n // p):
-            n //= p
-    return n
+    def split(y, parts):  # [(p, e, (N / p^e) x)] for y = (N / prod parts) x
+        if len(parts) == 1 or is_identity(y):
+            return [(p, e, y) for p, e in parts]
+        left, right = parts[:len(parts) // 2], parts[len(parts) // 2:]
+        return (split(times(prod(p ** e for p, e in right), y), left)
+                + split(times(prod(p ** e for p, e in left), y), right))
+
+    order = 1
+    for p, e, y in split(x, list(factorint(N).items()) or [(1, 0)]):
+        k = 0
+        while not is_identity(y):
+            if k == e:
+                raise VerificationError(f"{N} does not annihilate the element")
+            y, k = times(p, y), k + 1
+        order *= p ** k
+    return order
 
 
 def power_sum(L: list, k: int) -> int:

@@ -13,10 +13,10 @@ from __future__ import annotations
 import argparse
 import functools
 import io
-import json
 import random
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .arith import power_sum
 from .common import INFINITY, VerificationError
@@ -54,26 +54,52 @@ from .hyper import (
 SCHEMA = 1
 
 
-def _jsonable(v):
-    if v is INFINITY:
-        return "infinity"
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, dict):
-        return {str(k): _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    if hasattr(v, "to_json"):
-        return _jsonable(v.to_json())
-    if isinstance(v, (int, str, bool)) or v is None:
-        return v
-    raise TypeError(f"cannot serialize {v!r}")
+def _write(out: list, v, nl: str):
+    """Append v as json.dumps(v, sort_keys=True, indent=2) writes it at the
+    line prefix nl, reading INFINITY as "infinity", a Fraction as "p/q", a
+    tuple as a list, dict keys through str and an object by its to_json."""
+    if isinstance(v, str):
+        out.append(encode_basestring_ascii(v))
+    elif type(v) is int:
+        out.append(int.__repr__(v))
+    elif isinstance(v, (dict, list, tuple)):
+        if not v:
+            out.append("{}" if isinstance(v, dict) else "[]")
+            return
+        inner = nl + "  "
+        if isinstance(v, dict):
+            sep, close = "{" + inner, nl + "}"
+            for k, x in sorted({str(k): x for k, x in v.items()}.items()):
+                out.append(sep + encode_basestring_ascii(k) + ": ")
+                _write(out, x, inner)
+                sep = "," + inner
+        else:
+            sep, close = "[" + inner, nl + "]"
+            for x in v:
+                out.append(sep)
+                _write(out, x, inner)
+                sep = "," + inner
+        out.append(close)
+    elif v is INFINITY:
+        out.append('"infinity"')
+    elif isinstance(v, Fraction):
+        out.append(f'"{v.numerator}/{v.denominator}"')
+    elif hasattr(v, "to_json"):
+        _write(out, v.to_json(), nl)
+    elif v is None or isinstance(v, int):
+        out.append("null" if v is None else "true" if v is True
+                   else "false" if v is False else int.__repr__(v))
+    else:
+        raise TypeError(f"cannot serialize {v!r}")
 
 
 def _emit_json(args, report: dict) -> str:
-    """The report as canonical JSON, stamped with the schema and command."""
-    report = {"schema": SCHEMA, "command": args.command, **report}
-    return json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+    """The report as canonical JSON, stamped with the schema and command,
+    written in one pass by _write."""
+    out = []
+    _write(out, {"schema": SCHEMA, "command": args.command, **report}, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 def _csv(rows, header) -> str:

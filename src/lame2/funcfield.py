@@ -367,14 +367,6 @@ class CurveFunction:
 
     # -- constructors --------------------------------------------------------
     @classmethod
-    def coordinate_x(cls, curve):
-        return cls(curve, Poly.x(curve.ctx), 0, 1)
-
-    @classmethod
-    def coordinate_y(cls, curve):
-        return cls(curve, 0, Poly.one(curve.ctx), 1)
-
-    @classmethod
     def constant(cls, curve, c):
         return cls(curve, curve.ctx(c), 0, 1)
 

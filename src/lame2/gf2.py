@@ -265,12 +265,6 @@ class FieldContext:
                 f"hex {s!r} does not fit in GF(2^{self.degree})")
         return self(v)
 
-    def from_json(self, rec):
-        d = rec.get("d")
-        if type(d) is not int or d != self.degree:  # True, 4.0, "4" refused
-            raise ValueError("field-element record has the wrong degree")
-        return self.from_hex(rec["hex"])
-
     def elements(self):
         for b in range(1 << self.degree):
             yield FieldElement(self, b)
@@ -598,13 +592,6 @@ class Poly:
     @classmethod
     def zero(cls, ctx):
         return cls(ctx, [])
-
-    @classmethod
-    def from_roots(cls, ctx, roots):
-        p = cls.one(ctx)
-        for r in roots:
-            p = p * cls(ctx, [r.bits if isinstance(r, FieldElement) else r, 1])
-        return p
 
     # -- basic structure -----------------------------------------------------
     @property

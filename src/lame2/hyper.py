@@ -199,9 +199,10 @@ def class_of_point_pair(curve: HyperellipticCurve, pt) -> MumfordDivisor:
 
 def divisor_class_order(curve: HyperellipticCurve,
                         D: MumfordDivisor) -> int:
-    """Exact order: strip primes from the Jacobian order."""
-    return order_from_multiple(curve.jacobian_order(),
-                               lambda k: cantor_mul(curve, D, k).is_identity)
+    """Exact order, from the Jacobian order as a multiple."""
+    return order_from_multiple(curve.jacobian_order(), D,
+                               lambda k, E: cantor_mul(curve, E, k),
+                               lambda E: E.is_identity)
 
 
 # -- L-polynomials from exact counts ---------------------------------------------

@@ -33,7 +33,7 @@ from __future__ import annotations
 import random
 
 from .arith import factorint, order_from_multiple, power_sum
-from .common import INFINITY, Infinity, TorsionSearchExhausted, VerificationError
+from .common import INFINITY, TorsionSearchExhausted, VerificationError
 from .gf2 import GF, FieldContext, FieldElement, Poly, embed, solve_artin_schreier
 
 
@@ -160,11 +160,6 @@ class WeierstrassCurve:
 
     def discriminant(self) -> FieldElement:
         return curve_invariants(*self.coefficients())["disc"]
-
-    def j_invariant(self) -> FieldElement:
-        inv = self.invariants()
-        c4 = inv["c4"]
-        return c4 * c4 * c4 / inv["disc"]
 
     def is_supersingular(self) -> bool:
         # in characteristic 2 a smooth curve is supersingular iff a1 = 0
@@ -424,7 +419,7 @@ def extension_order(base_order: int, q: int, k: int) -> int:
 
 def point_order(curve: WeierstrassCurve, point: "CurvePoint",
                 group_order: int | None = None) -> int:
-    """Exact order of a point: strip primes from a multiple that kills it.
+    """Exact order of a point from a multiple that kills it.
 
     The multiple is `group_order` when given, the exponent of the group on
     the Y^2 + Y = X^3 model, and the enumerated count otherwise; callers on
@@ -439,7 +434,8 @@ def point_order(curve: WeierstrassCurve, point: "CurvePoint",
     if N is None:
         N = (_supersingular_exponent(curve.ctx.degree)
              if _is_supersingular_model(curve) else curve.count_points())
-    return order_from_multiple(N, lambda k: (k * point).is_infinity())
+    return order_from_multiple(N, point, lambda k, P: k * P,
+                               CurvePoint.is_infinity)
 
 
 # random points the cofactor search draws per prime before it gives up

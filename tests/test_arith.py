@@ -232,13 +232,27 @@ def test_jacobian_order_rejects_bad_input():
 
 
 def test_order_from_multiple_in_cyclic_groups():
-    # in Z/M, k kills a exactly when M | k a, so the order is M / gcd(a, M)
-    M = 2 ** 4 * 3 ** 2 * 7
-    for a in range(M):
-        assert order_from_multiple(M, lambda k: k * a % M == 0) == \
-            M // gcd(a, M)
+    # in Z/M, a has order M / gcd(a, M); M runs over 1, prime powers and
+    # numbers with many primes, a over 0, 1, the cofactors M/p and draws
+    rng = random.Random(29)
+    for M in range(1, 2001):
+        def times(k, y):
+            return k * y % M
+
+        def is_zero(y):
+            return y == 0
+        primes = factorint(M)
+        for a in {0, 1 % M, *(M // p for p in primes),
+                  *(rng.randrange(M) for _ in range(3))}:
+            assert order_from_multiple(M, a, times, is_zero) == M // gcd(a, M)
+        # a generator is killed by no proper divisor of M
+        for p in primes:
+            with pytest.raises(VerificationError):
+                order_from_multiple(M // p, 1, times, is_zero)
     with pytest.raises(VerificationError):
-        order_from_multiple(5, lambda k: k % 7 == 0)
+        order_from_multiple(5, 1, lambda k, y: k * y % 7, lambda y: y == 0)
+    with pytest.raises(VerificationError):
+        order_from_multiple(1, 3, lambda k, y: k * y % 7, lambda y: y == 0)
 
 
 def test_power_sum_matches_the_roots():

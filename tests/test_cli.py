@@ -7,13 +7,16 @@ import os
 import subprocess
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import lame2
 from lame2 import HyperellipticCurve
-from lame2.cli import main, run
+from lame2.cli import SCHEMA, _emit_json, main, run
+from lame2.common import INFINITY
 from lame2.gf2 import GF
 from lame2.triples import triples_csv
 
@@ -317,6 +320,54 @@ def test_import_pulls_in_no_sympy():
     assert out.strip() == "[]"
 
 
+_COUNTING_CHILD = """
+import functools, json, sys
+sys.path.insert(0, sys.argv[1])
+from lame2 import cli, hyper, lame, weierstrass
+calls = {}
+def counted(module, name):
+    real = getattr(module, name)
+    @functools.wraps(real)
+    def wrapper(*args):
+        calls[name] = calls.get(name, 0) + 1
+        return real(*args)
+    setattr(module, name, wrapper)
+for module, name in [(lame, "_verify_aut_group"), (lame, "_act"),
+                     (lame, "_compose"), (hyper, "cantor_add"),
+                     (weierstrass, "_add_pairs")]:
+    counted(module, name)
+lame._add_pairs = weierstrass._add_pairs  # one counter for both bindings
+code, _ = cli.run(sys.argv[2:])
+print(json.dumps(dict(calls, exit=code)))
+"""
+
+
+def _cold_counts(*argv):
+    """Call counts of one CLI run in a fresh interpreter, so no cache that
+    an earlier test filled (_AUT_CACHE, _classify_torsion) lowers them."""
+    src = os.path.dirname(os.path.dirname(lame2.__file__))
+    out = subprocess.run([sys.executable, "-c", _COUNTING_CHILD, src, *argv],
+                         capture_output=True, text=True, check=True).stdout
+    counts = json.loads(out)
+    assert counts.pop("exit") == 0
+    return counts
+
+
+def test_cold_process_operation_counts():
+    # Isom(E) is certified once per process, over F_4: 576 compositions
+    # plus the 53 of the search for a non-commuting pair; 192 actions for the
+    # F_4 permutations, 24 per other field and 24 per class orbit
+    counts = _cold_counts("counts", "--max-n", "13")
+    assert counts["_verify_aut_group"] == 1
+    assert counts["_compose"] == 629
+    assert counts["_act"] <= 850
+    # orders from one multiple per prime: a product tree that stops at the
+    # identity, then steps by p
+    assert _cold_counts("hyper", "--genus", "3", "--field", "12") == {
+        "cantor_add": 64}
+    assert _cold_counts("moduli", "--d", "4") == {"_add_pairs": 446}
+
+
 def test_json_has_sorted_keys_and_schema():
     code, text = invoke("moduli", "--d", "1")
     assert code == 0
@@ -341,6 +392,73 @@ def test_no_floats_anywhere():
                 for x in v:
                     walk(x)
         walk(json.loads(text))
+
+
+# -- the JSON writer against json.dumps ------------------------------------------
+
+
+def reference_jsonable(v):
+    """The tree json.dumps is given: the copy the one-pass writer replaced."""
+    if v is INFINITY:
+        return "infinity"
+    if isinstance(v, Fraction):
+        return f"{v.numerator}/{v.denominator}"
+    if isinstance(v, dict):
+        return {str(k): reference_jsonable(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [reference_jsonable(x) for x in v]
+    if hasattr(v, "to_json"):
+        return reference_jsonable(v.to_json())
+    if isinstance(v, (int, str, bool)) or v is None:
+        return v
+    raise TypeError(f"cannot serialize {v!r}")
+
+
+class _Record:
+    """An object that serializes through to_json, like the library's."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def to_json(self):
+        return self.value
+
+
+_LEAVES = st.one_of(
+    st.integers(), st.booleans(), st.none(), st.just(INFINITY),
+    st.text(), st.text(alphabet=st.characters(max_codepoint=0x1f)),
+    st.fractions(), st.sampled_from([GF(4)(9), GF(2).zero]))
+_REPORTS = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.one_of(st.text(), st.integers()), inner, max_size=4),
+    inner.map(_Record)), max_leaves=30)
+
+_PROBE = types.SimpleNamespace(command="probe")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(st.text(), _REPORTS, max_size=5))
+@example({"keys": {2: "two", 10: "ten"}, "empty": [{}, [], ()],
+          "odd": [Fraction(-3, 4), INFINITY, True, False, None, 0],
+          "text": "\u00e9\u2603\x00\x1f\"\\", "rec": _Record(INFINITY)})
+def test_emit_json_equals_json_dumps_of_the_reference(report):
+    stamped = {"schema": SCHEMA, "command": "probe", **report}
+    assert _emit_json(_PROBE, report) == json.dumps(
+        reference_jsonable(stamped), sort_keys=True, indent=2) + "\n"
+
+
+def test_emit_json_sorts_int_keys_as_strings():
+    text = _emit_json(_PROBE, {"t": {2: 0, 10: 1}})
+    assert text.index('"10"') < text.index('"2"')
+
+
+@pytest.mark.parametrize("report", [{"x": 1.5}, {"x": [{"y": 0.0}]},
+                                    {"x": _Record(2.5)}])
+def test_emit_json_refuses_floats(report):
+    with pytest.raises(TypeError, match="cannot serialize"):
+        _emit_json(_PROBE, report)
+    with pytest.raises(TypeError, match="cannot serialize"):
+        reference_jsonable(report)
 
 
 # -- frozen content --------------------------------------------------------------

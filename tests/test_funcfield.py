@@ -40,6 +40,16 @@ from lame2.funcfield import (
 from lame2.weierstrass import WeierstrassCurve, torsion_basis
 
 
+def coordinate_x(curve):
+    """The function X on the curve."""
+    return CurveFunction(curve, Poly.x(curve.ctx), 0, 1)
+
+
+def coordinate_y(curve):
+    """The function Y on the curve."""
+    return CurveFunction(curve, 0, Poly.one(curve.ctx), 1)
+
+
 # ---------------------------------------------------------------------------
 # series
 
@@ -637,8 +647,8 @@ def test_canonical_form():
 
 def test_y_squared_reduces():
     E = WeierstrassCurve.ordinary(GF(3), 5)
-    Y = CurveFunction.coordinate_y(E)
-    X = CurveFunction.coordinate_x(E)
+    Y = coordinate_y(E)
+    X = coordinate_x(E)
     lhs = Y * Y
     rhs = (E.a1 * X + E.a3) * Y + (X + E.a2) * X * X + E.a4 * X + E.a6
     assert lhs == rhs
@@ -689,11 +699,11 @@ def test_inverse_roundtrip():
 
 def test_degree_of_coordinates():
     E = WeierstrassCurve.supersingular(4)
-    assert CurveFunction.coordinate_x(E).degree() == 2
-    assert CurveFunction.coordinate_y(E).degree() == 3
+    assert coordinate_x(E).degree() == 2
+    assert coordinate_y(E).degree() == 3
     assert CurveFunction.constant(E, 5).degree() == 0
-    X = CurveFunction.coordinate_x(E)
-    Y = CurveFunction.coordinate_y(E)
+    X = coordinate_x(E)
+    Y = coordinate_y(E)
     # div(Y/X) = 2((0,0)) - ((0,1)) - (O): degree 2
     assert (Y / X).degree() == 2
 
@@ -706,7 +716,7 @@ def test_miller_three_torsion_is_y():
     E = WeierstrassCurve.supersingular(2)
     P = E.point(0, 0)
     f = miller_function(P, 3)
-    assert f == CurveFunction.coordinate_y(E)
+    assert f == coordinate_y(E)
 
 
 def test_miller_divisor_via_fibers():
@@ -852,7 +862,7 @@ def test_line_through_two_torsion_is_vertical(d, t):
     # (0, 0) on Y^2 + XY = X^3 + tX: h(0) = 0, so its tangent is X
     E = WeierstrassCurve.ordinary(GF(d), t)
     P = E.point(0, 0)
-    assert _line_through(P, P) == CurveFunction.coordinate_x(E)
+    assert _line_through(P, P) == coordinate_x(E)
     _check_line(P, P)
 
 
@@ -862,7 +872,7 @@ def test_line_through_two_torsion_is_vertical(d, t):
 
 def test_x_map_wild_at_origin():
     E = WeierstrassCurve.supersingular(3)
-    X = CurveFunction.coordinate_x(E)
+    X = coordinate_x(E)
     O = E.infinity()
     assert ramification_index(X, O) == 2
     assert different_exponent(X, O) == 4
@@ -875,7 +885,7 @@ def test_y_map_profile_on_supersingular():
     # Y is the 3-torsion cover: branch values 0, 1, infinity, each totally
     # ramified with e = 3 and tame different 2; the global sum is 2*3
     E = WeierstrassCurve.supersingular(2)
-    Y = CurveFunction.coordinate_y(E)
+    Y = coordinate_y(E)
     prof = ramification_profile(Y, [0, 1, INFINITY])
     zero, one = E.ctx.zero, E.ctx.one
     assert prof[zero] == [(E.point(0, 0), 3, 2)]
@@ -885,7 +895,7 @@ def test_y_map_profile_on_supersingular():
 
 def test_profile_falsified_on_wrong_claim():
     E = WeierstrassCurve.supersingular(2)
-    Y = CurveFunction.coordinate_y(E)
+    Y = coordinate_y(E)
     with pytest.raises(ProfileFalsified) as exc:
         ramification_profile(Y, [0, INFINITY])  # misses the branch value 1
     report = exc.value.report
@@ -897,14 +907,14 @@ def test_profile_falsified_on_wrong_claim():
     # which only the root of h reveals: dX/dX = 1 has no critical point
     E = WeierstrassCurve.ordinary(GF(4), 9)
     with pytest.raises(ProfileFalsified) as exc:
-        ramification_profile(CurveFunction.coordinate_x(E), [INFINITY])
+        ramification_profile(coordinate_x(E), [INFINITY])
     assert exc.value.report["extra_ramification"] == [
         (E.point(0, 0), E.ctx.zero, 2)]
 
 
 def test_x_map_profile():
     E = WeierstrassCurve.supersingular(2)
-    X = CurveFunction.coordinate_x(E)
+    X = coordinate_x(E)
     prof = ramification_profile(X, [INFINITY])
     assert prof[INFINITY] == [(E.infinity(), 2, 4)]
 
@@ -913,7 +923,7 @@ def test_fiber_escape():
     # over GF(2^3) some values of X^3 + x have no rational preimage on the
     # curve; the fiber certifier must refuse rather than undercount
     E = WeierstrassCurve.supersingular(3)
-    X = CurveFunction.coordinate_x(E)
+    X = coordinate_x(E)
     escaped = False
     for c in E.ctx.elements():
         try:
@@ -929,7 +939,7 @@ def test_fiber_escape():
 def test_fiber_reads_an_int_value_as_field_bits():
     # as _fiber_poly and ramification_profile read it
     E = WeierstrassCurve.supersingular(4)
-    Y = CurveFunction.coordinate_y(E)
+    Y = coordinate_y(E)
     want = fiber(Y, E.ctx(6))
     assert len(want) == 3
     assert fiber(Y, 6) == want
@@ -938,7 +948,7 @@ def test_fiber_reads_an_int_value_as_field_bits():
 def test_function_reads_an_int_operand_as_a_gf2_scalar():
     # as FieldElement and Series do; constructors keep reading field bits
     E = WeierstrassCurve.supersingular(4)
-    X = CurveFunction.coordinate_x(E)
+    X = coordinate_x(E)
     P = E.random_point(random.Random(1))
     zero = CurveFunction.constant(E, 0)
     for c in range(8):
@@ -970,7 +980,7 @@ def test_fiber_poly_holds_the_fiber_x_coordinates():
 def test_ramification_of_two_torsion_x_map():
     # on an ordinary curve X ramifies wildly at the two-torsion point
     E = WeierstrassCurve.ordinary(GF(4), 9)
-    X = CurveFunction.coordinate_x(E)
+    X = coordinate_x(E)
     R = E.point(0, 0)
     assert ramification_index(X, R) == 2
     d_R = different_exponent(X, R)
@@ -991,7 +1001,7 @@ def test_profile_passes_the_fiber_value(monkeypatch):
 
     monkeypatch.setattr(ff, "_different", spy)
     E = WeierstrassCurve.supersingular(2)
-    ramification_profile(CurveFunction.coordinate_y(E), [0, 1, INFINITY])
+    ramification_profile(coordinate_y(E), [0, 1, INFINITY])
     assert seen == [E.ctx.zero, E.ctx.one, INFINITY]
 
 
@@ -1044,7 +1054,7 @@ def test_shifted_series_matches_the_rebuilt_function():
     # an int value is field bits, as fiber and _fiber_poly read it, not a
     # GF(2) scalar as func + value reads it
     E = WeierstrassCurve.supersingular(4)
-    X, P = CurveFunction.coordinate_x(E), E.point(0, 0)
+    X, P = coordinate_x(E), E.point(0, 0)
     assert (_expand_shifted(X, 3, P, 4)
             == reference_expand_shifted(X, 3, P, 4)
             == X.expand(P, 4) + E.ctx(3))
@@ -1058,7 +1068,7 @@ def test_local_expand_at_a_pole_has_a_negative_valuation():
         (P, e, _d), = profile[E.ctx.zero]
         assert e == n
         cases = [(f, E.infinity(), n), (f.inverse(), P, n),
-                 (CurveFunction.coordinate_y(E), E.infinity(), 3)]
+                 (coordinate_y(E), E.infinity(), 3)]
         for g, Q, pole in cases:
             for m in range(1, 13):
                 s = local_expand(g, Q, m)
@@ -1100,8 +1110,8 @@ def test_high_order_denominator_is_not_read_as_zero():
     # D = X^42 vanishes to order 42 at (0, 0); the quotient is
     # (Y / X^3)^14 = (1 + t^3 + ...)^14 = 1 + t^6 + ..., so f(Q) = 1, e = 6
     E = WeierstrassCurve.supersingular(GF(2))
-    X = CurveFunction.coordinate_x(E)
-    Y = CurveFunction.coordinate_y(E)
+    X = coordinate_x(E)
+    Y = coordinate_y(E)
     f = _power(Y, 14) / _power(X, 42)
     Q = E.point(0, 0)
     assert f.evaluate(Q) == E.ctx.one
@@ -1121,11 +1131,11 @@ def test_expand_delivers_the_window_it_is_asked_for():
     rng = random.Random(17)
     for E in (WeierstrassCurve.supersingular(3),
               WeierstrassCurve.ordinary(GF(3), 3)):
-        X = CurveFunction.coordinate_x(E)
+        X = coordinate_x(E)
         places = [E.infinity(), E.point(0, E.fiber_y(E.ctx.zero)[0]),
                   E.random_point(rng)]
         for Q in places:
-            funcs = [X, CurveFunction.coordinate_y(E)]
+            funcs = [X, coordinate_y(E)]
             if not Q.is_infinity():
                 line = X + Q.x
                 funcs += [_random_function(E, rng, deg=2) / _power(line, k)
@@ -1220,7 +1230,7 @@ def _check_routes(func, profile, label):
                 assert g.evaluate(Q) == reference_evaluate(g, Q), label
     O = E.infinity()
     for g in (func, func.inverse(), func + func.curve.ctx.one,
-              CurveFunction.coordinate_y(E)):
+              coordinate_y(E)):
         assert g.evaluate(O) == reference_evaluate(g, O), label
 
 
@@ -1309,7 +1319,7 @@ def test_wild_points_widen_to_the_riemann_hurwitz_window():
     for E, values in ((WeierstrassCurve.supersingular(2), [INFINITY]),
                       (WeierstrassCurve.ordinary(GF(4), 9),
                        [GF(4).zero, INFINITY])):
-        X = CurveFunction.coordinate_x(E)
+        X = coordinate_x(E)
         profile = ramification_profile(X, values)
         assert all(d > 1 for fib in profile.values() for _Q, _e, d in fib)
         _check_routes(X, profile, repr(E))
@@ -1417,8 +1427,8 @@ def test_differentiate_on_general_curves(d):
                                  ctx.random(rng))
         except ValueError:  # singular
             continue
-        X = CurveFunction.coordinate_x(E)
-        Y = CurveFunction.coordinate_y(E)
+        X = coordinate_x(E)
+        Y = coordinate_y(E)
         assert differentiate(X) == CurveFunction.constant(E, 1)
         assert differentiate(Y) * (E.a1 * X + E.a3) == \
             X * X + E.a4 + E.a1 * Y
@@ -1430,8 +1440,8 @@ def test_differentiate_on_general_curves(d):
 
 def test_differentiate_of_x_and_y():
     E = WeierstrassCurve.supersingular(2)
-    X = CurveFunction.coordinate_x(E)
-    Y = CurveFunction.coordinate_y(E)
+    X = coordinate_x(E)
+    Y = coordinate_y(E)
     assert differentiate(X) == CurveFunction.constant(E, 1)
     # dY/dX = X^2 on this curve (a4 = 0, a1 = 0, h = 1)
     assert differentiate(Y) == X * X
@@ -1443,7 +1453,7 @@ def test_differentiate_of_x_and_y():
 
 def test_local_expand_of_x_at_origin():
     E = WeierstrassCurve.supersingular(2)
-    X = CurveFunction.coordinate_x(E)
+    X = coordinate_x(E)
     s = local_expand(X, E.point(0, 0), 3)
     assert [s.coeff(k).bits for k in range(3)] == [0, 1, 0]
     assert s.prec == 3
@@ -1452,8 +1462,8 @@ def test_local_expand_of_x_at_origin():
 
 def test_local_expand_valuations():
     E = WeierstrassCurve.supersingular(2)
-    X = CurveFunction.coordinate_x(E)
-    Y = CurveFunction.coordinate_y(E)
+    X = coordinate_x(E)
+    Y = coordinate_y(E)
     P = E.point(0, 0)
     O = E.infinity()
     assert local_expand(Y, P, 4).valuation() == 3
@@ -1465,7 +1475,7 @@ def test_local_expand_valuations():
 
 def test_local_expand_y_based():
     E = WeierstrassCurve.ordinary(GF(4), 2)
-    X = CurveFunction.coordinate_x(E)
+    X = coordinate_x(E)
     P = E.point(0, 0)
     assert _regime(E, P) == "y_based"
     assert local_expand(X, P, 5).valuation() == 2
@@ -1473,7 +1483,7 @@ def test_local_expand_y_based():
 
 def test_local_expand_validation():
     E = WeierstrassCurve.supersingular(2)
-    X = CurveFunction.coordinate_x(E)
+    X = coordinate_x(E)
     P = E.point(0, 0)
     with pytest.raises(ValueError):
         local_expand(X, P, 0)
@@ -1526,7 +1536,7 @@ def test_local_expand_multiplicative():
 
 def test_function_json_format():
     E = WeierstrassCurve.supersingular(4)
-    X = CurveFunction.coordinate_x(E)
-    Y = CurveFunction.coordinate_y(E)
+    X = coordinate_x(E)
+    Y = coordinate_y(E)
     rec = (Y / X).to_json()
     assert rec == {"A": [], "B": ["1"], "D": ["0", "1"], "d": 4}

@@ -268,6 +268,18 @@ def test_enumerated_jacobian_matches_the_lpoly_order(d, order):
     for A in rng.sample(divisors, min(3, order)):
         assert {cantor_add(C, A, B) for B in divisors} == group
 
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_divisor_class_order_matches_repeated_addition(d):
+    # every class of the enumerated Jacobian of Y^2 + Y = X^5 over GF(2^d)
+    C = HyperellipticCurve(GF(d), 2)
+    for D in _reduced_divisors(C):
+        k, acc = 1, D
+        while not acc.is_identity:
+            k, acc = k + 1, cantor_add(C, acc, D)
+        assert divisor_class_order(C, D) == k
+
+
 def test_lpoly_counts_roundtrip():
     # the completed polynomial reproduces the enumerated counts above genus
     for g in (1, 2, 3):

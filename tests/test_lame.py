@@ -12,8 +12,9 @@ from lame2 import gf2, lame
 from lame2.cli import run
 from lame2.common import FiberEscapeError, VerificationError
 from lame2.gf2 import GF, Poly, element_degree, embed, poly_roots
-from lame2.weierstrass import (WeierstrassCurve, supersingular_order,
-                               torsion_basis, torsion_points)
+from lame2.weierstrass import (WeierstrassCurve, _add_pairs,
+                               supersingular_order, torsion_basis,
+                               torsion_points)
 from lame2.lame import (
     aut_group,
     aut_orbit,
@@ -153,23 +154,81 @@ def reference_verify_aut_group(ctx, keys, act=_fe_act, compose=_fe_compose):
         raise VerificationError("group verified abelian; expected non-abelian")
 
 
-def _both_raise(ctx, keys, exc, match, act=_fe_act, compose=_fe_compose):
+def per_field_verify_aut_group(ctx, keys):
+    """The int verifier that ran once per field before the F_4 certificate:
+    every pair's composition checked by its action on one drawn point."""
+    if len(keys) != 24:
+        raise VerificationError("expected 24 automorphisms, found %d"
+                                % len(keys))
+    index = {key: j for j, key in enumerate(keys)}
+    if len(index) != 24:
+        raise VerificationError("automorphism list has duplicates")
+    if (1, 0, 0) not in index:
+        raise VerificationError("identity element missing")
+
+    curve = WeierstrassCurve.supersingular(ctx)
+    rng = random.Random(0xA07)
+    points = [curve.random_point(rng) for _ in range(4)]
+
+    if (1, 0, 1) not in index:
+        raise VerificationError("negation element missing")
+    for P in points:
+        if lame._act(ctx, (1, 0, 1), *P.xy) != (-P).xy:
+            raise VerificationError("(1,0,1) does not act as negation")
+
+    img = []
+    pairs = [P.xy for P in points]
+    S = _add_pairs(curve, pairs[0], pairs[1])
+    for key in keys:
+        ims = [lame._act(ctx, key, x, y) for x, y in pairs]
+        image_S = None if S is None else lame._act(ctx, key, *S)
+        if image_S != _add_pairs(curve, ims[0], ims[1]):
+            raise VerificationError("automorphism is not additive")
+        img.append(ims[0])
+
+    noncommuting = False
+    for ka in index:
+        for j, kb in enumerate(index):
+            gamma = lame._compose(ctx, ka, kb)
+            if gamma not in index:
+                raise VerificationError("composition left the set")
+            if img[index[gamma]] != lame._act(ctx, ka, *img[j]):
+                raise VerificationError("composition law disagrees with action")
+            if not noncommuting and gamma != lame._compose(ctx, kb, ka):
+                noncommuting = True
+    if not noncommuting:
+        raise VerificationError("group verified abelian; expected non-abelian")
+
+
+def _per_field_keys(ctx):
+    """The list each field built for itself before the F_4 certificate."""
+    mul, sqr = ctx.mul, ctx.sqr
+    w = embed(GF(2)(2), ctx).bits
+    f4 = sorted((0, 1, w, w ^ 1))
+    return [(u, a, c) for u in f4 if u for a in f4 for c in f4
+            if sqr(c) ^ c == mul(sqr(a), a)]
+
+
+def _both_raise(keys, exc, match, act=_fe_act, compose=_fe_compose):
+    """The F_4 certificate and the oracle over F_4 refuse the keys alike."""
     with pytest.raises(exc, match=match):
-        lame._verify_aut_group(ctx, keys)
+        lame._verify_aut_group(keys)
     with pytest.raises(exc, match=match):
-        reference_verify_aut_group(ctx, keys, act, compose)
+        reference_verify_aut_group(GF(2), keys, act, compose)
 
 
 @pytest.mark.parametrize("d", [2, 4, 6, 8, 10, 12, 24])
 def test_verifier_and_oracle_accept_the_group(d):
-    G = aut_group(GF(d))
-    lame._verify_aut_group(GF(d), G)
-    reference_verify_aut_group(GF(d), G)
-    assert G == sorted(G)
+    ctx = GF(d)
+    G = aut_group(ctx)
+    per_field_verify_aut_group(ctx, G)
+    reference_verify_aut_group(ctx, G)
+    assert G == _per_field_keys(ctx) == sorted(G)
     for ka in G:
         for kb in G:
-            assert lame._compose(GF(d), ka, kb) == _fe_compose(GF(d), ka, kb)
+            assert lame._compose(ctx, ka, kb) == _fe_compose(ctx, ka, kb)
     if d == 2:
+        lame._verify_aut_group(G)
         assert G == [(u, a, c) for u in (1, 2, 3) for a in range(4)
                      for c in ((0, 1) if a == 0 else (2, 3))]
 
@@ -181,27 +240,56 @@ def _replaced(G, j, key):
 
 
 def test_verifier_and_oracle_refuse_corrupted_lists():
-    ctx = GF(6)
-    G = aut_group(ctx)
-    omega = G[-1][0]  # a cube root of unity other than 1
-    assert ctx.sqr(omega) ^ omega == 1
+    G = aut_group(GF(2))
+    omega = 2  # a cube root of unity other than 1
     plain = G.index((omega, 0, 0))
-    _u, a, c = G[plain]
-    outsider = (0, a, c)  # u = 0: no member
-    _both_raise(ctx, G[:23], VerificationError, "expected 24 automorphisms")
-    _both_raise(ctx, _replaced(G, 3, G[4]), VerificationError, "duplicates")
-    _both_raise(ctx, _replaced(G, G.index((1, 0, 0)), outsider),
+    outsider = (0, 0, 0)  # u = 0: no member
+    _both_raise(G[:23], VerificationError, "expected 24 automorphisms")
+    _both_raise(_replaced(G, 3, G[4]), VerificationError, "duplicates")
+    _both_raise(_replaced(G, G.index((1, 0, 0)), outsider),
                 VerificationError, "identity element missing")
-    _both_raise(ctx, _replaced(G, G.index((1, 0, 1)), outsider),
+    _both_raise(_replaced(G, G.index((1, 0, 1)), outsider),
                 VerificationError, "negation element missing")
-    # c + omega solves c^2 + c = a^3 + 1, so every image leaves the curve
-    flipped = (omega, a, c ^ omega)
-    _both_raise(ctx, _replaced(G, plain, flipped), ValueError,
+    # c = omega solves c^2 + c = a^3 + 1, so every image leaves the curve
+    flipped = (omega, 0, omega)
+    _both_raise(_replaced(G, plain, flipped), ValueError,
                 "point is not on the curve")
     # every triple that keeps points on the curve is a member, so a
     # swapped-in outsider is refused by the membership certificate
-    _both_raise(ctx, _replaced(G, plain, outsider), ValueError,
+    _both_raise(_replaced(G, plain, outsider), ValueError,
                 "point is not on the curve")
+
+
+def test_aut_group_refuses_an_embedding_that_is_no_ring_map(monkeypatch):
+    # the generator of GF(2^6) has degree 6, so it is no root of x^2 + x + 1
+    # and sending w to it is additive but not multiplicative
+    real = lame.embed
+
+    def embed(a, ctx):
+        return ctx(2) if ctx.degree == 6 else real(a, ctx)
+    monkeypatch.setattr(lame, "_AUT_CACHE", {})
+    monkeypatch.setattr(lame, "embed", embed)
+    with pytest.raises(VerificationError, match="not a root of x\\^2"):
+        aut_group(GF(6))
+    assert len(aut_group(GF(4))) == 24
+
+
+def test_aut_group_spot_checks_each_field(monkeypatch):
+    # past the F_4 certificate, a field still refuses a negation that fixes
+    # its drawn point, and keys whose images leave the curve
+    keys = list(lame._f4_keys())
+    real = lame._act
+    monkeypatch.setattr(lame, "_AUT_CACHE", {})
+    monkeypatch.setattr(lame, "_act", lambda ctx, key, x, y: (
+        (x, y) if key == (1, 0, 1) else real(ctx, key, x, y)))
+    with pytest.raises(VerificationError, match="does not act as negation"):
+        aut_group(GF(6))
+    monkeypatch.setattr(lame, "_act", real)
+    # c = w solves c^2 + c = 1, not a^3 = 0: every image leaves the curve
+    keys[keys.index((2, 0, 0))] = (2, 0, 2)
+    monkeypatch.setattr(lame, "_f4_keys", lambda: tuple(keys))
+    with pytest.raises(ValueError, match="not on the curve"):
+        aut_group(GF(8))
 
 
 def _element_action(action):
@@ -215,11 +303,10 @@ def _element_action(action):
 
 
 def _both_refuse_law(monkeypatch, match, law=lame._compose, action=lame._act):
-    ctx = GF(6)
-    G = aut_group(ctx)
+    G = aut_group(GF(2))
     monkeypatch.setattr(lame, "_compose", law)
     monkeypatch.setattr(lame, "_act", action)
-    _both_raise(ctx, G, VerificationError, match, _element_action(action), law)
+    _both_raise(G, VerificationError, match, _element_action(action), law)
 
 
 def test_verifiers_refuse_a_law_that_leaves_the_set(monkeypatch):
@@ -239,8 +326,7 @@ def test_verifiers_refuse_a_law_that_disagrees_with_the_action(monkeypatch):
 def test_verifiers_refuse_an_abelian_group(monkeypatch):
     # Z/2 x Z/12 on the 24 keys, acting through its Z/2 factor by negation;
     # every other certificate holds, so only the non-abelian check refuses
-    ctx = GF(6)
-    keys = aut_group(ctx)
+    keys = aut_group(GF(2))
     rest = [k for k in keys if k not in ((1, 0, 0), (1, 0, 1))]
     coords = [(0, 0), (1, 0)] + [(e, m) for m in range(1, 12) for e in (0, 1)]
     label = dict(zip([(1, 0, 0), (1, 0, 1)] + rest, coords))
@@ -265,9 +351,11 @@ def test_verifiers_refuse_a_negation_that_fixes_points(monkeypatch):
 
 
 def test_verifiers_refuse_a_non_additive_action(monkeypatch):
-    ctx = GF(6)
+    # T in E(F_4), so the images stay among its eight affine points; no
+    # point of either verifier's additivity pair or its sum is -T
+    ctx = GF(2)
     curve = WeierstrassCurve.supersingular(ctx)
-    T = curve.random_point(random.Random(5))
+    T = curve.point(0, 0)
     moved = aut_group(ctx)[5]
     real = lame._act
 
@@ -275,7 +363,9 @@ def test_verifiers_refuse_a_non_additive_action(monkeypatch):
         if key != moved:
             return real(ctx, key, x, y)
         Q = curve.point(ctx(x), ctx(y)) + T  # a translation keeps the curve
-        return Q.x.bits, Q.y.bits
+        if Q.is_infinity():  # -T takes T, the point no other image hits
+            Q = T
+        return Q.xy
     _both_refuse_law(monkeypatch, "not additive", action=action)
 
 

@@ -55,7 +55,8 @@ def test_invariants_match_char0_oracle():
 def test_supersingular_curve_basic():
     E = WeierstrassCurve.supersingular(4)
     assert E.discriminant() == E.ctx.one
-    assert E.j_invariant() == E.ctx.zero
+    inv = E.invariants()
+    assert inv["c4"] ** 3 / inv["disc"] == E.ctx.zero  # j = 0
     assert E.is_supersingular()
 
 
@@ -65,7 +66,8 @@ def test_ordinary_curve_basic():
         t = ctx(tbits)
         E = WeierstrassCurve.ordinary(ctx, t)
         assert E.discriminant() == t * t
-        assert E.j_invariant() == 1 / (t * t)
+        inv = E.invariants()
+        assert inv["c4"] ** 3 / inv["disc"] == 1 / (t * t)  # j
         assert not E.is_supersingular()
 
 
@@ -514,7 +516,8 @@ def test_transform_is_isomorphism():
     E2, fwd = E.transform(u, r, s, t)
     u12 = u ** 12
     assert E2.discriminant() * u12 == E.discriminant()
-    assert E2.j_invariant() == E.j_invariant()
+    inv, inv2 = E.invariants(), E2.invariants()
+    assert inv2["c4"] ** 3 / inv2["disc"] == inv["c4"] ** 3 / inv["disc"]
     pts = _sample_points(E, rng, 8)
     for P in pts:
         assert fwd(P).curve == E2
@@ -608,6 +611,26 @@ def test_point_order_function():
     assert point_order(curve, 3 * P9) == 3
     with pytest.raises(VerificationError):
         point_order(curve, P9, group_order=5)
+
+
+def _brute_order(P):
+    """The least k >= 1 with k P = O, by repeated addition."""
+    k, acc = 1, P
+    while not acc.is_infinity():
+        k, acc = k + 1, acc + P
+    return k
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_point_order_matches_repeated_addition(d):
+    # every point of the supersingular curve and of one ordinary curve
+    for E in (WeierstrassCurve.supersingular(d),
+              WeierstrassCurve.ordinary(d, 1)):
+        pts = [E.infinity()] + [E.point(x, y) for x in E.ctx.elements()
+                                for y in E.fiber_y(x)]
+        assert len(pts) == E.count_points()
+        for P in pts:
+            assert point_order(E, P) == _brute_order(P)
 
 
 def test_point_order_refuses_a_point_of_another_curve():
