@@ -5,18 +5,20 @@ own assertions, and exits 0 only when everything passed; assertion failures
 exit 1 with the offending data in the report, usage errors exit 2.  JSON is
 the canonical output (sorted keys, integers and hex strings only, schema
 version field); CSV is a lossy tabular projection of the same data.  Equal
-invocations produce byte-identical output.
+invocations produce byte-identical output.  Flags are read from one table,
+_COMMANDS, as --flag value or --flag=value, by full name only; --help on its
+own or after a subcommand returns the usage the table gives, with exit 0.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import io
 import random
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import lcm
+from types import SimpleNamespace
 
 from .arith import power_sum
 from .common import INFINITY, VerificationError
@@ -54,10 +56,16 @@ from .hyper import (
 SCHEMA = 1
 
 
+# the writers of the dict values json.dumps writes from their exact type alone
+_LEAVES = {str: encode_basestring_ascii, int: int.__repr__,
+           bool: {True: "true", False: "false"}.__getitem__}
+
+
 def _write(out: list, v, nl: str):
     """Append v as json.dumps(v, sort_keys=True, indent=2) writes it at the
     line prefix nl, reading INFINITY as "infinity", a Fraction as "p/q", a
-    tuple as a list, dict keys through str and an object by its to_json."""
+    tuple as a list, dict keys through str and an object by its to_json.
+    A dict's leaf values are written inline, without a call each."""
     if isinstance(v, str):
         out.append(encode_basestring_ascii(v))
     elif type(v) is int:
@@ -70,8 +78,12 @@ def _write(out: list, v, nl: str):
         if isinstance(v, dict):
             sep, close = "{" + inner, nl + "}"
             for k, x in sorted({str(k): x for k, x in v.items()}.items()):
-                out.append(sep + encode_basestring_ascii(k) + ": ")
-                _write(out, x, inner)
+                key = sep + encode_basestring_ascii(k) + ": "
+                if (leaf := _LEAVES.get(type(x))) is not None:
+                    out.append(key + leaf(x))
+                else:
+                    out.append(key)
+                    _write(out, x, inner)
                 sep = "," + inner
         else:
             sep, close = "[" + inner, nl + "]"
@@ -306,6 +318,15 @@ def cmd_hyper(args) -> tuple:
                      int(cert["supersingular"]), order)])
 
 
+def _integral_point(pairs) -> tuple:
+    """(lam a, lam^2 b, lam^3 c) for the (numerator, denominator) pairs of a, b
+    and c, lam the lcm of the denominators: [a : b : c] on ints, its disc
+    lam^12 times as large in both forms (weight 12) and its j the same."""
+    (na, da), (nb, db), (nc, dc) = pairs
+    lam = lcm(da, db, dc)
+    return na * (lam // da), nb * (lam // db) * lam, nc * (lam // dc) * lam ** 2
+
+
 def cmd_jcheck(args) -> tuple:
     k = args.samples
     if k < 1:
@@ -314,20 +335,20 @@ def cmd_jcheck(args) -> tuple:
     matches = 0
     ratios = set()  # weighted discriminant over the formulary one
     while matches < k:
-        a = Fraction(rng.randint(-99, 99), rng.randint(1, 20))
-        b = Fraction(rng.randint(-99, 99), rng.randint(1, 20))
-        c = Fraction(rng.randint(-99, 99), rng.randint(1, 20))
-        if not (a or b or c):
+        drawn = [(rng.randint(-99, 99), rng.randint(1, 20)) for _ in range(3)]
+        if not any(n for n, _d in drawn):
             continue
+        a, b, c = _integral_point(drawn)
         p = WeightedPoint(a, b, c)
-        inv = curve_invariants(a, b, c, Fraction(0), Fraction(0))
+        inv = curve_invariants(a, b, c, 0, 0)
         disc = discriminant_formula(p)
-        want = INFINITY if not disc else inv["c4"] ** 3 / disc
+        want = INFINITY if not disc else Fraction(inv["c4"] ** 3, disc)
         if disc != inv["disc"] or j_formula(p) != want:
-            report = {"failed_at": [str(a), str(b), str(c)], "passed": False}
+            report = {"failed_at": [str(Fraction(n, d)) for n, d in drawn],
+                      "passed": False}
             return _emit_json(args, report), 1
         if disc:
-            ratios.add(disc / inv["disc"])
+            ratios.add(Fraction(disc, inv["disc"]))
         matches += 1
     rep_j = []
     for n in range(3, _MAX_ORDER + 1, 2):
@@ -359,74 +380,77 @@ def cmd_jcheck(args) -> tuple:
 # -- driver ----------------------------------------------------------------------
 
 
-@functools.cache  # parsing leaves the parser as it was
-def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="lame2",
-        description="Census and certification toolkit for torsion covers "
-                    "in characteristic two.")
-    sub = top.add_subparsers(dest="command", required=True)
+# name: (subcommand, help line, {flag: (type, default)}); a required flag has
+# the default ...; each subcommand also takes --json (the default) or --csv
+_COMMANDS = {
+    "classify": (cmd_classify, "torsion classes of exact order n",
+                 {"--order": (int, ...)}),
+    "ramify": (cmd_ramify, "certified cover branch data",
+               {"--order": (int, ...), "--ordinary": (str, None),
+                "--field": (int, None), "--seed": (int, 0)}),
+    "counts": (cmd_counts, "class-count table", {"--max-n": (int, ...)}),
+    "triples": (cmd_triples, "characteristic-zero triple census",
+                {"--degree": (int, ...)}),
+    "moduli": (cmd_moduli, "field-of-moduli census over F_2^d",
+               {"--d": (int, ...)}),
+    "hyper": (cmd_hyper, "hyperelliptic family reports",
+              {"--genus": (int, ...), "--field": (int, ...)}),
+    "jcheck": (cmd_jcheck, "coordinate formulas vs the formulary",
+               {"--samples": (int, 100), "--seed": (int, 0)}),
+}
 
-    def common(p):
-        p.add_argument("--json", dest="format", action="store_const",
-                       const="json", default="json")
-        p.add_argument("--csv", dest="format", action="store_const",
-                       const="csv")
 
-    p = sub.add_parser("classify", help="torsion classes of exact order n")
-    p.add_argument("--order", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_classify)
+def _usage(name) -> tuple:
+    """(--help text, exit 0) of the program at name None, else of name."""
+    if name is None:
+        rows = "".join(f"  {n:<9} {h}\n" for n, (_, h, _) in _COMMANDS.items())
+        return ("usage: lame2 <command> [--flag value | --flag=value ...]"
+                f" [--json | --csv]\n\ncommands:\n{rows}"), 0
+    _func, help_line, flags = _COMMANDS[name]
+    shown = [f"{f} {t.__name__.upper()}" if d is ...
+             else f"[{f} {t.__name__.upper()}]" for f, (t, d) in flags.items()]
+    return (f"usage: lame2 {name} {' '.join(shown)} [--json | --csv]\n"
+            f"{help_line}\n"), 0
 
-    p = sub.add_parser("ramify", help="certified cover branch data")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--ordinary", type=str, default=None,
-                   help="hex coefficient t for the ordinary family")
-    p.add_argument("--field", type=int, default=None,
-                   help="field degree carrying t")
-    p.add_argument("--seed", type=int, default=0)
-    common(p)
-    p.set_defaults(func=cmd_ramify)
 
-    p = sub.add_parser("counts", help="class-count table")
-    p.add_argument("--max-n", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_counts)
-
-    p = sub.add_parser("triples", help="characteristic-zero triple census")
-    p.add_argument("--degree", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_triples)
-
-    p = sub.add_parser("moduli", help="field-of-moduli census over F_2^d")
-    p.add_argument("--d", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_moduli)
-
-    p = sub.add_parser("hyper", help="hyperelliptic family reports")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--field", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_hyper)
-
-    p = sub.add_parser("jcheck", help="coordinate formulas vs the formulary")
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    common(p)
-    p.set_defaults(func=cmd_jcheck)
-
-    return top
+def _parse(argv):
+    """(subcommand, args) for argv, or (_usage, name) when it asks for
+    --help; UsageError for anything else the table does not describe."""
+    if argv and argv[0] in ("-h", "--help"):
+        return _usage, None
+    if not argv or argv[0] not in _COMMANDS:
+        raise UsageError("expected a command, one of " + ", ".join(_COMMANDS))
+    name, rest = argv[0], iter(argv[1:])
+    func, _help, flags = _COMMANDS[name]
+    values = {flag: default for flag, (_t, default) in flags.items()}
+    fmt = "json"
+    for arg in rest:
+        if arg in ("-h", "--help"):
+            return _usage, name
+        if arg in ("--json", "--csv"):
+            fmt = arg[2:]
+            continue
+        flag, eq, value = arg.partition("=")
+        if flag not in flags:
+            raise UsageError(f"{name} does not take {arg!r}")
+        if not eq and (value := next(rest, None)) is None:
+            raise UsageError(f"{flag} needs a value")
+        try:
+            values[flag] = flags[flag][0](value)
+        except ValueError:
+            raise UsageError(f"{flag} expects an int, got {value!r}")
+    missing = [flag for flag, v in values.items() if v is ...]
+    if missing:
+        raise UsageError(f"{name} needs {' and '.join(missing)}")
+    return func, SimpleNamespace(command=name, format=fmt, **{
+        flag[2:].replace("-", "_"): v for flag, v in values.items()})
 
 
 def run(argv) -> tuple:
     """(exit_code, output_text) for a CLI invocation; no printing."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return (2 if e.code else 0), ""
-    try:
-        text, code = args.func(args)
+        func, args = _parse(argv)
+        text, code = func(args)
         return code, text
     except UsageError as e:
         return 2, f"usage error: {e}\n"

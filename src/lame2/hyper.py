@@ -178,8 +178,8 @@ def cantor_mul(curve: HyperellipticCurve, D: MumfordDivisor,
     acc = curve.identity_divisor()
     step = D
     while n:
-        if n & 1:
-            acc = cantor_add(curve, acc, step)
+        if n & 1:  # the first term, or one after a partial sum hit 0, is copied
+            acc = step if acc.is_identity else cantor_add(curve, acc, step)
         n >>= 1
         if n:
             step = cantor_add(curve, step, step)

@@ -29,8 +29,8 @@ from math import gcd, lcm
 
 from .arith import divisors, factorint, mobius
 from .common import FiberEscapeError, INFINITY, VerificationError
-from .gf2 import GF, FieldContext, FieldElement, element_degree, embed, poly_roots
-from .gf2 import Poly, _factor_degrees
+from .gf2 import GF, FieldContext, FieldElement, element_degree, embed
+from .gf2 import Poly, _factor_degrees, solve_artin_schreier
 from .weierstrass import (
     CurvePoint,
     WeierstrassCurve,
@@ -364,14 +364,31 @@ def lame_count_dividing(n: int) -> int:
 # field-of-moduli census
 
 
+def _cube_roots(c: FieldElement) -> set:
+    """The cube roots of c in its field, by one Adleman-Manders-Miller step:
+    with 2^m - 1 = 3^s r, 3 not dividing r, t = c^(1/3 mod r) leaves t^3 / c
+    in the 3-Sylow subgroup S, and the roots are the t y, y in S, cubing to c."""
+    ctx, q1 = c.ctx, (1 << c.ctx.degree) - 1
+    r = q1 // gcd(q1, 3 ** ctx.degree)  # 3^s divides 3^m, as 3^s < 2^m
+    t, S = c ** (pow(3, -1, r) or 1), [ctx.one]  # any exponent serves at r = 1
+    if q1 > r:  # S is generated by the r-th power of a non-cube
+        g = next(g for z in range(2, q1 + 1) if (
+            g := FieldElement(ctx, z) ** r) ** (q1 // r // 3) != ctx.one)
+        S = [g ** k for k in range(q1 // r)]
+    return {t * y for y in S if (t * y) ** 3 == c}
+
+
 def _roots_in_some_extension(c: FieldElement):
-    """Roots of (x^4+x)^3 = c in the least extension tower step that has any:
-    GF(2^(de)) has a root exactly when a factor's degree over GF(2^d) divides
-    e, so e is the least factor degree."""
+    """Roots of (x^4+x)^3 = c in the least extension tower step that has any,
+    sorted by bits: GF(2^(de)) has a root exactly when a factor's degree over
+    GF(2^d) divides e, so e is the least factor degree.  For a cube root t of
+    c, the linearized x^4 + x = t (Lidl-Niederreiter, 3.4) is two
+    Artin-Schreier steps: x^4 + x = (x^2 + x)^2 + (x^2 + x)."""
     cube = [0, 0, 1] * 4  # (x^4 + x)^3 = x^12 + x^9 + x^6 + x^3
     big = GF(c.ctx.degree * min(_factor_degrees(Poly(c.ctx, [c.bits] + cube))))
-    g = Poly(big, [embed(c, big).bits] + cube)
-    return big, [r for r, _mult in poly_roots(g)]
+    roots = [x for t in _cube_roots(embed(c, big))
+             for s in solve_artin_schreier(t) for x in solve_artin_schreier(s)]
+    return big, sorted(roots, key=lambda x: x.bits)
 
 
 def _lift_to_curve(x0: FieldElement) -> CurvePoint:

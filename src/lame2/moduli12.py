@@ -12,9 +12,10 @@ j-invariant as polynomials in the weighted coordinates, the reduction of a
 marked curve to this normal form, and the forgetful map to the j-line.
 
 All arithmetic is exact and the formulas are written once, generically: the
-same code paths evaluate over the rationals (arbitrary-precision Fraction
-coordinates) and over binary fields, where the integer coefficients fold
-mod 2.  Running both ways guards the transcription of the coefficients.
+same code paths evaluate over binary fields, where the integer coefficients
+fold mod 2, and over the rationals, on int or Fraction coordinates as given:
+a point with integer coordinates is evaluated on ints, with j one exact
+Fraction.  Running both ways guards the transcription of the coefficients.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ def _as_coord(v, like=None):
     if isinstance(like, FieldElement):
         return like.ctx(v)
     if isinstance(v, (int, Fraction)):
-        return Fraction(v)
+        return v
     raise TypeError(f"unsupported coordinate {v!r}")
 
 
@@ -79,7 +80,8 @@ class WeightedPoint:
         spent making the later coordinate nonnegative.
         """
         if self.a:
-            return self.scale(1 / self.a)
+            return self.scale(self.a.inverse() if self.is_binary
+                              else Fraction(1, self.a))
         if self.is_binary:
             if self.b:
                 return self.scale((1 / self.b).sqrt())
@@ -203,7 +205,7 @@ def j_formula(p: WeightedPoint):
     if not disc:
         return INFINITY
     num = 16 * b ** 2 + 8 * b * a ** 2 + a ** 4 - 24 * a * c
-    return num ** 3 / disc
+    return Fraction(num ** 3, disc) if isinstance(disc, int) else num ** 3 / disc
 
 
 def forgetful(p: WeightedPoint):

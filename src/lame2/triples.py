@@ -73,20 +73,14 @@ class Triple:
                 "primitive": self.primitive}
 
 
-def _all_classes(n: int):
-    seen = set()
-    for a in range(1, n - 1):
-        for b in range(1, n - a):
-            seen.add(_canonical_rotation(a, b, n - a - b))
-    return seen
-
-
 def enumerate_triples(n: int, signature=None, primitive_only: bool = False):
     """All canonical triples of degree n passing the filters, sorted.
 
     Only odd degrees are enumerated: the even-degree branch data follow a
     different rule that this census does not model, so even n is refused
-    rather than silently miscounted.
+    rather than silently miscounted.  The walk over a <= n/3, then b >= a,
+    meets the classes in sorted order at their least rotations, as (a, b, c)
+    is one when a is its least part, except (a, b, a) with b > a.
     """
     if n < 3:
         raise ValueError("degree must be at least 3")
@@ -95,13 +89,16 @@ def enumerate_triples(n: int, signature=None, primitive_only: bool = False):
             "only odd degrees are enumerated; the even-degree census "
             "follows a different rule and is out of scope")
     out = []
-    for parts in sorted(_all_classes(n)):
-        t = Triple(*parts)
-        if signature is not None and t.signature != signature:
-            continue
-        if primitive_only and not t.primitive:
-            continue
-        out.append(t)
+    for a in range(1, n // 3 + 1):
+        for b in range(a, n - 2 * a + 1):
+            if n - a - b == a and b > a:
+                continue
+            t = Triple(a, b, n - a - b)
+            if signature is not None and t.signature != signature:
+                continue
+            if primitive_only and not t.primitive:
+                continue
+            out.append(t)
     return out
 
 

@@ -1,5 +1,6 @@
 """Exit-code contract, determinism, and frozen report fragments."""
 
+import argparse
 import hashlib
 import importlib.util
 import json
@@ -8,16 +9,19 @@ import subprocess
 import sys
 import types
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import lame2
-from lame2 import HyperellipticCurve
-from lame2.cli import SCHEMA, _emit_json, main, run
+from lame2 import HyperellipticCurve, curve_invariants
+import lame2.cli as cli
+from lame2.cli import SCHEMA, _emit_json, _integral_point, _parse, main, run
 from lame2.common import INFINITY
 from lame2.gf2 import GF
+from lame2.moduli12 import WeightedPoint, discriminant_formula, j_formula
 from lame2.triples import triples_csv
 
 
@@ -131,6 +135,119 @@ def test_seed_is_a_usage_error_where_unread(argv):
 ], ids=lambda argv: argv[0])
 def test_seed_is_accepted_where_read(argv):
     assert payload(*argv, "--seed", "1")["passed"] is True
+
+
+# -- the argv table ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "expected a command"),
+    (["frobnicate", "--order", "3"], "expected a command"),
+    (["--order", "3"], "expected a command"),
+    (["classify", "--order", "3", "--bogus", "1"], "does not take '--bogus'"),
+    (["classify", "--order", "3", "7"], "does not take '7'"),
+    (["classify", "--order", "3", "--json=1"], "does not take '--json=1'"),
+    (["counts", "--max", "13"], "does not take '--max'"),  # no abbreviations
+    (["classify"], "classify needs --order"),
+    (["hyper", "--genus", "2"], "hyper needs --field"),
+    (["classify", "--order"], "--order needs a value"),
+    (["ramify", "--order", "3", "--ordinary"], "--ordinary needs a value"),
+    (["classify", "--order", "three"], "--order expects an int, got 'three'"),
+    (["classify", "--order=3.0"], "--order expects an int, got '3.0'"),
+    (["jcheck", "--seed="], "--seed expects an int, got ''"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_malformed_argv_is_a_usage_error(capsys, argv, message):
+    code, text = run(argv)
+    assert code == 2
+    assert text.startswith("usage error: ") and message in text, text
+    assert capsys.readouterr() == ("", "")
+
+
+# each subcommand's flags, their types and defaults, ... for a required one
+COMMAND_FLAGS = {
+    "classify": {"--order": (int, ...)},
+    "ramify": {"--order": (int, ...), "--ordinary": (str, None),
+               "--field": (int, None), "--seed": (int, 0)},
+    "counts": {"--max-n": (int, ...)},
+    "triples": {"--degree": (int, ...)},
+    "moduli": {"--d": (int, ...)},
+    "hyper": {"--genus": (int, ...), "--field": (int, ...)},
+    "jcheck": {"--samples": (int, 100), "--seed": (int, 0)},
+}
+
+
+def test_flag_table_pinned():
+    assert {name: flags for name, (_cmd, _help, flags)
+            in cli._COMMANDS.items()} == COMMAND_FLAGS
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"]])
+def test_help_lists_the_commands(capsys, argv):
+    code, text = run(argv)
+    assert code == 0
+    assert text.startswith("usage: lame2 <command>")
+    for name in COMMAND_FLAGS:
+        assert f"\n  {name} " in text, name
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("name", sorted(COMMAND_FLAGS))
+def test_command_help_lists_its_flags(capsys, name):
+    for argv in ([name, "--help"], [name, "-h"], [name, "-h", "--bogus"]):
+        code, text = run(argv)
+        assert code == 0
+        assert text.startswith(f"usage: lame2 {name} ")
+        for flag in [*COMMAND_FLAGS[name], "--json", "--csv"]:
+            assert flag in text, (name, flag)
+    assert capsys.readouterr() == ("", "")
+
+
+def reference_parser():
+    """The argparse parser the table replaced, for the argvs both accept."""
+    top = argparse.ArgumentParser(prog="lame2")
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, flags in COMMAND_FLAGS.items():
+        p = sub.add_parser(name)
+        for flag, (kind, default) in flags.items():
+            if default is ...:
+                p.add_argument(flag, type=kind, required=True)
+            else:
+                p.add_argument(flag, type=kind, default=default)
+        p.add_argument("--json", dest="format", action="store_const",
+                       const="json", default="json")
+        p.add_argument("--csv", dest="format", action="store_const",
+                       const="csv")
+    return top
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--order", "3"],
+    ["ramify", "--order", "-5", "--ordinary", "-1", "--field=0", "--csv"],
+    ["ramify", "--seed", "2", "--order=7", "--seed=3", "--json"],
+    ["counts", "--csv", "--max-n", "+13", "--json"],
+    ["triples", "--degree", " 101 "],
+    ["moduli", "--d", "4"],
+    ["hyper", "--field", "12", "--genus", "3"],
+    ["jcheck"],
+    ["jcheck", "--samples=1_000", "--csv"],
+], ids=lambda argv: " ".join(argv))
+def test_table_parses_like_the_argparse_reference(argv):
+    func, args = _parse(argv)
+    assert func is cli._COMMANDS[argv[0]][0]
+    assert vars(args) == vars(reference_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("spaced, joined", [
+    (["classify", "--order", "3"], ["classify", "--order=3"]),
+    (["ramify", "--order", "5", "--ordinary", "1", "--field", "3", "--csv"],
+     ["ramify", "--csv", "--field=3", "--ordinary=1", "--order=5"]),
+    (["jcheck", "--samples", "4", "--seed", "2"],
+     ["jcheck", "--seed=7", "--samples=4", "--seed=2", "--json"]),
+], ids=["classify", "ramify", "jcheck"])
+def test_flag_equals_value_gives_the_same_bytes(spaced, joined):
+    # flags in any order, the last of a repeated flag winning
+    assert run(joined) == run(spaced)
+    assert run(spaced)[0] == 0
 
 
 def test_main_prints_and_returns(capsys):
@@ -323,7 +440,7 @@ def test_import_pulls_in_no_sympy():
 _COUNTING_CHILD = """
 import functools, json, sys
 sys.path.insert(0, sys.argv[1])
-from lame2 import cli, hyper, lame, weierstrass
+from lame2 import cli, gf2, hyper, lame, weierstrass
 calls = {}
 def counted(module, name):
     real = getattr(module, name)
@@ -334,9 +451,12 @@ def counted(module, name):
     setattr(module, name, wrapper)
 for module, name in [(lame, "_verify_aut_group"), (lame, "_act"),
                      (lame, "_compose"), (hyper, "cantor_add"),
-                     (weierstrass, "_add_pairs")]:
+                     (weierstrass, "_add_pairs"), (gf2, "poly_roots")]:
     counted(module, name)
-lame._add_pairs = weierstrass._add_pairs  # one counter for both bindings
+for owner, name in [(weierstrass, "_add_pairs"), (gf2, "poly_roots")]:
+    for module in [m for k, m in sys.modules.items() if k.startswith("lame2")]:
+        if hasattr(module, name):  # one counter for every binding
+            setattr(module, name, getattr(owner, name))
 code, _ = cli.run(sys.argv[2:])
 print(json.dumps(dict(calls, exit=code)))
 """
@@ -362,9 +482,10 @@ def test_cold_process_operation_counts():
     assert counts["_compose"] == 629
     assert counts["_act"] <= 850
     # orders from one multiple per prime: a product tree that stops at the
-    # identity, then steps by p
+    # identity, then steps by p; cantor_mul adds no identity term
     assert _cold_counts("hyper", "--genus", "3", "--field", "12") == {
-        "cantor_add": 64}
+        "cantor_add": 57}
+    # the census solves (x^4+x)^3 = c without root finding
     assert _cold_counts("moduli", "--d", "4") == {"_add_pairs": 446}
 
 
@@ -579,9 +700,47 @@ def test_jcheck_report():
     assert doc["lame_representatives"] == 19
 
 
+# SHA-256 of the canonical JSON of `jcheck --samples 500 --seed <s>`, taken
+# while the samples were checked on Fraction coordinates
+JCHECK_DIGESTS = {
+    1: "2bc4d7dd38c611284e5459deb0d09ae02279ff6460d34b3e616928d1b1fac8d3",
+    2: "a36283cc7c333c18d5cd9bfb231883f204cfa4ac18834687026dc2dcd830f41b",
+    3: "f6eff6f5553863d69a8f5b93e54999b80f2f7aab72ec38b8f58400fcd536368e",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(JCHECK_DIGESTS))
+def test_jcheck_digests_pinned(seed):
+    code, text = invoke("jcheck", "--samples", "500", "--seed", str(seed))
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == JCHECK_DIGESTS[seed]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.fractions(max_denominator=50).filter(
+    lambda v: abs(v.numerator) < 10 ** 6), min_size=3, max_size=3).filter(any))
+@example([Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6)])
+@example([Fraction(0), Fraction(0), Fraction(-7, 9)])
+def test_integral_point_keeps_disc_and_j(abc):
+    # the integral point is (lam a, lam^2 b, lam^3 c): disc has weight 12 in
+    # both forms and j weight 0
+    a, b, c = abc
+    ints = _integral_point([(v.numerator, v.denominator) for v in abc])
+    assert all(type(v) is int for v in ints)
+    lam = lcm(a.denominator, b.denominator, c.denominator)
+    assert ints == (lam * a, lam ** 2 * b, lam ** 3 * c)
+    p, q = WeightedPoint(*ints), WeightedPoint(a, b, c)
+    disc = curve_invariants(*ints, 0, 0)["disc"]
+    assert disc == lam ** 12 * curve_invariants(a, b, c, 0, 0)["disc"]
+    assert discriminant_formula(p) == lam ** 12 * discriminant_formula(q)
+    assert disc == discriminant_formula(p)
+    j = j_formula(p)
+    assert j == j_formula(q)
+    assert j is INFINITY or type(j) is Fraction
+
+
 @pytest.mark.parametrize("wrong", ["discriminant_formula", "j_formula"])
 def test_jcheck_reports_the_failing_sample(monkeypatch, wrong):
-    import lame2.cli as cli
     real = getattr(cli, wrong)
     monkeypatch.setattr(cli, wrong, lambda p: real(p) + 1)
     code, text = invoke("jcheck", "--samples", "5", "--csv")

@@ -612,12 +612,11 @@ def test_census_extension_step_matches_the_e_loop(d):
 
 
 def test_census_split_trials_pinned(monkeypatch):
-    # split trials of a cold `moduli --d 4`, one gcd each, the sweep running
-    # from u = x^(d-1) down and each factor resuming after the trial that
-    # split off its parent (the sweep from u = 1 up, restarting per factor,
-    # made 1,310); the factors of one split tree share each trial's trace,
-    # so 140 traces serve the 329 trials, where reducing the rows mod every
-    # factor made one trace a trial
+    # split trials of a cold `moduli --d 4`, one gcd each: the census solves
+    # (x^4+x)^3 = c by cube roots and Artin-Schreier steps, so only the
+    # embeddings of subfields split polynomials now, one trace a trial (the
+    # roots split off the degree-12 polynomial took 140 traces for 329
+    # trials)
     calls, trials = [], []
     real, real_gcd = gf2._trace_mod, gf2.Poly.gcd
     monkeypatch.setattr(gf2, "_trace_mod",
@@ -631,7 +630,7 @@ def test_census_split_trials_pinned(monkeypatch):
     monkeypatch.setattr(gf2.Poly, "gcd", counting_gcd)
     monkeypatch.setattr(gf2, "_EMBED_GEN", {})  # embeddings split too
     assert run(["moduli", "--d", "4"])[0] == 0
-    assert (len(calls), len(trials)) == (140, 329)
+    assert (len(calls), len(trials)) == (43, 43)
 
 
 def test_census_matches_classification_degrees():

@@ -90,6 +90,10 @@ def test_canonical_leading_one():
     assert q.b == 3 and q.c >= 0  # squarefree representative
     r = WeightedPoint(0, 0, Fraction(-16, 27)).canonical()
     assert r.c == Fraction(2)  # cubefree and positive
+    # int coordinates stay exact: no 1 / a ever becomes a float
+    s = WeightedPoint(2, 5, 7).canonical()
+    assert s.coords() == (1, Fraction(5, 4), Fraction(7, 8))
+    assert not any(isinstance(v, float) for v in s.coords())
 
 
 def test_canonical_binary_fields():
@@ -138,6 +142,9 @@ def test_discriminant_vanishes_on_degenerate_locus():
 
 def test_j_at_the_base_point():
     assert j_formula(WeightedPoint(0, 0, 1)) == 0
+    # on int coordinates j is an exact Fraction, never a float
+    assert type(j_formula(WeightedPoint(0, 0, 1))) is Fraction
+    assert j_formula(WeightedPoint(1, 2, 3)) == Fraction(-27, 62)
     assert forgetful(WeightedPoint(0, 0, 1)) == 0
 
 

@@ -9,7 +9,7 @@ import lame2.triples
 from lame2.cli import run
 from lame2.triples import (
     Triple,
-    _all_classes,
+    _canonical_rotation,
     cyclic_class_count,
     enumerate_triples,
     expected_class_count,
@@ -17,6 +17,16 @@ from lame2.triples import (
     triples_csv,
 )
 from lame2.lame import classify_torsion, lame_count_dividing, psi
+
+
+def _all_classes(n):
+    """The least rotations of all compositions of n into three parts, by
+    brute force: the reference for enumerate_triples."""
+    seen = set()
+    for a in range(1, n - 1):
+        for b in range(1, n - a):
+            seen.add(_canonical_rotation(a, b, n - a - b))
+    return seen
 
 
 def burnside_check(max_n=200):
@@ -117,6 +127,20 @@ def test_expected_class_counts():
     assert expected_class_count(7) == 2
     assert expected_class_count(9) == 3
     assert expected_class_count(13) == 7
+
+
+def test_enumeration_matches_the_rotation_set():
+    # every odd degree through 201 and every filter combination, against
+    # the sorted and filtered rotation set
+    for n in range(3, 202, 2):
+        everything = [Triple(*parts) for parts in sorted(_all_classes(n))]
+        for signature in (None, 0, 1):
+            for primitive_only in (False, True):
+                want = [t for t in everything
+                        if signature in (None, t.signature)
+                        and (t.primitive or not primitive_only)]
+                assert enumerate_triples(n, signature, primitive_only) \
+                    == want, (n, signature, primitive_only)
 
 
 def test_signature_counts_match_class_formula():
