@@ -35,6 +35,8 @@ from operator import xor
 from .arith import divisors, factorint
 from .common import FieldInputError, VerificationError
 
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
 __all__ = [
     "GF",
     "FieldContext",
@@ -258,7 +260,11 @@ class FieldContext:
         raise TypeError(f"cannot coerce {type(v).__name__} into GF(2^{self.degree})")
 
     def from_hex(self, s):
-        """The element with this bit pattern; no reduction mod the modulus."""
+        """The element with this bit pattern; no reduction mod the modulus.
+        Hex digits only, no '0x', '+', space or '_'; '-1' is refused as negative."""
+        digits = s.removeprefix("-")
+        if not digits or not set(digits) <= _HEX_DIGITS:
+            raise FieldInputError(f"{s!r} is not a hex string")
         v = int(s, 16)
         if v.bit_length() > self.degree:
             raise FieldInputError(
@@ -433,7 +439,8 @@ class FieldElement:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.ctx.degree, self.bits))
+        # 0 and 1 equal the ints 0 and 1, so they hash as those ints
+        return self.bits if self.bits < 2 else hash((self.ctx.degree, self.bits))
 
     def __repr__(self):
         return f"<0x{self.bits:x} in GF(2^{self.ctx.degree})>"

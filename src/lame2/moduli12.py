@@ -9,7 +9,8 @@ carrying P at (0, 0); the residual change of variables scales the triple by
 weighted projective plane with weights (1, 2, 3).  This module provides
 those weighted points with exact equality testing, the discriminant and
 j-invariant as polynomials in the weighted coordinates, the reduction of a
-marked curve to this normal form, and the forgetful map to the j-line.
+marked curve to this normal form (one closed-form substitution, checked by
+the group law's 2P), and the forgetful map to the j-line.
 
 All arithmetic is exact and the formulas are written once, generically: the
 same code paths evaluate over binary fields, where the integer coefficients
@@ -219,24 +220,28 @@ def forgetful(p: WeightedPoint):
 def tate_normal_form(curve: WeierstrassCurve, P: CurvePoint) -> WeightedPoint:
     """Weighted coordinates of the pair (curve, P); needs P of order > 2.
 
-    Translating P to (0, 0) forces a6 = 0; the marked point is then not
-    2-torsion exactly when the new a3 is invertible, and the shear by
-    a4/a3 removes a4 while fixing everything the translation achieved.
+    The substitution x = X + x0, y = Y + y0 + sX carries P = (x0, y0) to
+    (0, 0) on Y^2 + a1 XY + cY = X^3 + bX^2 (``_normal_form``).  On that
+    model 2(0, 0) = (b, a1 b + c), so the group law's 2P, mapped back by
+    the same substitution, checks b and c.
     """
     if P.is_infinity():
         raise ValueError("the marked point must differ from the origin")
-    if (P + P).is_infinity():
-        raise ValueError("the marked point must not be 2-torsion")
-    moved, fwd = curve.transform(curve.ctx.one, P.x, curve.ctx.zero, P.y)
-    if fwd(P) != moved.point(0, 0):
-        raise VerificationError("translation failed to center the point")
-    if not moved.a3:
-        raise VerificationError("2-torsion escaped the order check")
-    final, fwd2 = moved.transform(
-        moved.ctx.one, moved.ctx.zero, moved.a4 / moved.a3, moved.ctx.zero)
-    if final.a4 or final.a6:
-        raise VerificationError("shear left a4 or a6 nonzero")
-    if fwd2(moved.point(0, 0)) != final.point(0, 0):
-        raise VerificationError("shear moved the marked point")
-    return WeightedPoint(final.a1, final.a2, final.a3)
+    if P.curve != curve:
+        raise ValueError("the marked point lies on a different curve")
+    s, b, c = _normal_form(curve, P.x, P.y)
+    a1, D = curve.a1, P + P
+    if D.x + P.x != b or D.y + P.y + s * b != a1 * b + c:
+        raise VerificationError("2P disagrees with the normal form")
+    return WeightedPoint(a1, b, c)
 
+
+def _normal_form(curve: WeierstrassCurve, x0, y0):
+    """(s, b, c) at the point (x0, y0) (Silverman, AEC, Table 3.1, mod 2):
+    c = h(x0), zero exactly at 2-torsion; s, the tangent slope, shears a4."""
+    a1, a2, a3, a4, _ = curve.coefficients()
+    c = a3 + a1 * x0
+    if not c:
+        raise ValueError("the marked point must not be 2-torsion")
+    s = (a4 + a1 * y0 + x0 * x0) / c
+    return s, a2 + x0 + s * a1 + s * s, c

@@ -22,10 +22,9 @@ Miller's algorithm in ``funcfield``.
 
 The group of ``Y^2 + Y = X^3`` over every F_(2^d) is read from pi^2 = -2 for
 its F_2-Frobenius pi: the exponent, the n-torsion field, point orders.
-Scalar multiplication, a torsion-basis search with a per-prime
-independence certificate, and the (u, r, s, t) change of variables also
-live here, as does ``_count_points``, the one point counter for any
-Y^2 + h(X) Y = f(X), which ``hyper`` reads too.
+Scalar multiplication and a torsion-basis search with a per-prime
+independence certificate also live here, as does ``_count_points``, the
+one point counter for any Y^2 + h(X) Y = f(X), which ``hyper`` reads too.
 """
 
 from __future__ import annotations
@@ -59,25 +58,6 @@ def curve_invariants(a1, a2, a3, a4, a6):
         raise VerificationError("1728*disc identity failed")
     return {"b2": b2, "b4": b4, "b6": b6, "b8": b8,
             "c4": c4, "c6": c6, "disc": disc}
-
-
-def transformed_coefficients(coeffs, u, r, s, t):
-    """Weierstrass coefficients after x = u^2 x' + r, y = u^3 y' + s u^2 x' + t.
-
-    Standard change-of-variables table; valid over any field whose elements
-    absorb integer scalars.  u must be invertible.
-    """
-    a1, a2, a3, a4, a6 = coeffs
-    u2 = u * u
-    u3 = u2 * u
-    new_a1 = (a1 + 2 * s) / u
-    new_a2 = (a2 - s * a1 + 3 * r - s * s) / u2
-    new_a3 = (a3 + r * a1 + 2 * t) / u3
-    new_a4 = (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1
-              + 3 * r * r - 2 * s * t) / (u2 * u2)
-    new_a6 = (a6 + r * a4 + r * r * a2 + r * r * r
-              - t * a3 - t * t - r * t * a1) / (u3 * u3)
-    return (new_a1, new_a2, new_a3, new_a4, new_a6)
 
 
 # the largest field degree _count_points enumerates
@@ -221,28 +201,6 @@ class WeierstrassCurve:
         if pt.is_infinity():
             return big.infinity()
         return big.point(embed(pt.x, target), embed(pt.y, target))
-
-    def transform(self, u, r, s, t):
-        """Isomorphic curve under (u, r, s, t) plus the forward point map."""
-        u = self.ctx(u)
-        r = self.ctx(r)
-        s = self.ctx(s)
-        t = self.ctx(t)
-        if u == self.ctx.zero:
-            raise ValueError("u must be invertible")
-        new = WeierstrassCurve(
-            self.ctx, *transformed_coefficients(self.coefficients(), u, r, s, t))
-        u2 = u * u
-        u3 = u2 * u
-
-        def fwd(pt: "CurvePoint") -> "CurvePoint":
-            if pt.is_infinity():
-                return new.infinity()
-            xp = (pt.x + r) / u2
-            yp = (pt.y + t + s * (pt.x + r)) / u3
-            return new.point(xp, yp)
-
-        return new, fwd
 
     def to_json(self) -> dict:
         return {"d": self.ctx.degree,
@@ -469,15 +427,9 @@ def point_of_exact_order(curve: WeierstrassCurve, group_order: int, n: int,
     acc = curve.infinity()
     for pt in parts:
         acc = acc + pt
-    if not _has_exact_order(acc, n):
+    if point_order(curve, acc, n) != n:
         raise VerificationError("cofactor search returned a bad point")
     return acc
-
-
-def _has_exact_order(T: CurvePoint, n: int) -> bool:
-    """n T = O while (n/p) T != O for every prime p | n."""
-    return (n * T).is_infinity() and all(
-        not ((n // p) * T).is_infinity() for p in factorint(n))
 
 
 def _spans_torsion(P: CurvePoint, Q: CurvePoint, n: int) -> bool:
@@ -528,4 +480,4 @@ def torsion_points(curve: WeierstrassCurve, P: CurvePoint, Q: CurvePoint,
     if P.curve != curve or Q.curve != curve:
         raise ValueError("points on different curves")
     pts = (a * P + b * Q for a in range(n) for b in range(n))
-    return [T for T in pts if not exact or _has_exact_order(T, n)]
+    return [T for T in pts if not exact or point_order(curve, T, n) == n]

@@ -82,6 +82,15 @@ def test_malformed_ordinary_hex_is_usage_error():
     assert "hex" in text
 
 
+@pytest.mark.parametrize("t", ["0x1", "+1", " 1", "1_1"])
+def test_ordinary_hex_with_a_prefix_sign_space_or_underscore_is_usage_error(t):
+    # int(t, 16) reads each as 1 or 0x11; the usage asks for hex digits
+    code, text = invoke("ramify", "--order", "3", "--ordinary", t,
+                        "--field", "2")
+    assert code == 2
+    assert "expects a hex string" in text
+
+
 @pytest.mark.parametrize("t", ["20", "-1"])
 def test_ordinary_hex_outside_the_field_is_usage_error(t):
     # GF(2^4) has 4-bit elements: neither is reduced or wrapped silently

@@ -1,5 +1,6 @@
 """The suite's own pytest settings."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -34,3 +35,31 @@ def test_a_failing_hypothesis_test_does_not_stop_the_suite(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert "INTERNALERROR" not in out.stdout + out.stderr
     assert "1 failed, 1 passed" in out.stdout
+
+
+def _unread_imports(tree):
+    """Names a module imports but never reads, for one parsed module."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # deletions leave imports behind; __init__ imports to re-export
+    unread = {}
+    for path in sorted((ROOT / "src" / "lame2").glob("*.py")):
+        if path.name != "__init__.py":
+            names = _unread_imports(ast.parse(path.read_text()))
+            if names:
+                unread[path.name] = names
+    assert unread == {}
+
+
+def test_the_import_scan_sees_an_unread_import():
+    tree = ast.parse("import os\nfrom a import b, c as d\nprint(b)\n")
+    assert _unread_imports(tree) == ["d", "os"]

@@ -1057,6 +1057,21 @@ def test_oversized_hex_rejected():
         ctx.from_hex("-1")
 
 
+@pytest.mark.parametrize("s", ["0x1", "+1", " 1", "1_1", "", "-", "--1"])
+def test_from_hex_takes_hex_digits_only(s):
+    # int(s, 16) would read the first four as 1 and 0x11
+    with pytest.raises(FieldInputError, match="not a hex string"):
+        GF(8).from_hex(s)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_zero_and_one_hash_as_the_ints_they_equal(d):
+    ctx = GF(d)
+    assert ctx.one == 1 and ctx.zero == 0
+    assert 1 in {ctx.one} and ctx.one in {1}
+    assert {0: "v"}.get(ctx.zero) == "v"
+
+
 def test_divisors_helper():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(1) == [1]

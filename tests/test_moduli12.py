@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from lame2.common import INFINITY
+import lame2.moduli12 as moduli12
+from lame2.common import INFINITY, VerificationError
 from lame2.gf2 import GF
 from lame2.weierstrass import WeierstrassCurve, curve_invariants, point_order, \
     torsion_basis
@@ -18,6 +19,54 @@ from lame2.moduli12 import (
     tate_normal_form,
     wp_equal,
 )
+
+
+def reference_transform(coeffs, u, r, s, t):
+    """Coefficients after x = u^2 x' + r, y = u^3 y' + s u^2 x' + t.
+
+    The generic change-of-variables table (Silverman, AEC, Table 3.1), valid
+    over any field whose elements absorb integer scalars; u invertible.
+    """
+    a1, a2, a3, a4, a6 = coeffs
+    u2 = u * u
+    u3 = u2 * u
+    return ((a1 + 2 * s) / u,
+            (a2 - s * a1 + 3 * r - s * s) / u2,
+            (a3 + r * a1 + 2 * t) / u3,
+            (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1
+             + 3 * r * r - 2 * s * t) / (u2 * u2),
+            (a6 + r * a4 + r * r * a2 + r * r * r
+             - t * a3 - t * t - r * t * a1) / (u3 * u3))
+
+
+def reference_change(curve, u, r, s, t):
+    """The curve under (u, r, s, t), built from the table, and the forward
+    point map."""
+    new = WeierstrassCurve(curve.ctx, *reference_transform(
+        curve.coefficients(), u, r, s, t))
+
+    def fwd(pt):
+        if pt.is_infinity():
+            return new.infinity()
+        return new.point((pt.x + r) / (u * u),
+                         (pt.y + t + s * (pt.x + r)) / u ** 3)
+
+    return new, fwd
+
+
+def reference_tate_normal_form(curve, P):
+    """The two-step route: translate P to (0, 0), then shear a4 away by
+    s = a4/a3, checking each step on the transformed curve."""
+    ctx = curve.ctx
+    if P.is_infinity() or (P + P).is_infinity():
+        raise ValueError("the marked point must have order > 2")
+    moved, fwd = reference_change(curve, ctx.one, P.x, ctx.zero, P.y)
+    assert fwd(P) == moved.point(0, 0) and moved.a3 and not moved.a6
+    final, fwd2 = reference_change(moved, ctx.one, ctx.zero,
+                                   moved.a4 / moved.a3, ctx.zero)
+    assert not (final.a4 or final.a6)
+    assert fwd2(moved.point(0, 0)) == final.point(0, 0)
+    return WeightedPoint(final.a1, final.a2, final.a3)
 
 
 def std_j(inv):
@@ -229,6 +278,130 @@ def test_tate_preserves_j():
     curve, P, _ = ordinary_torsion_point(ctx(7), 5)
     inv = curve_invariants(*curve.coefficients())
     assert j_formula(tate_normal_form(curve, P)) == std_j(inv)
+
+
+def test_tate_rejects_a_point_of_another_curve():
+    curve = WeierstrassCurve.supersingular(2)
+    # (0, 1) satisfies Y^2 + XY + Y = X^3 + X^2 too
+    other = WeierstrassCurve(curve.ctx, 1, 1, 1, 0, 0)
+    with pytest.raises(ValueError, match="different curve"):
+        tate_normal_form(curve, other.point(0, 1))
+
+
+def _random_curve(ctx, rng):
+    while True:
+        try:
+            return WeierstrassCurve(ctx, *(ctx.random(rng) for _ in range(5)))
+        except ValueError:  # singular
+            pass
+
+
+def _marked_points(curve):
+    """Every affine point of order > 2."""
+    return [P for x in curve.ctx.elements() for y in curve.fiber_y(x)
+            if not ((P := curve.point(x, y)) + P).is_infinity()]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_tate_closed_form_matches_the_reference_on_every_point(d):
+    ctx = GF(d)
+    rng = random.Random(d)
+    curves = [WeierstrassCurve.supersingular(ctx)]
+    curves += [_random_curve(ctx, rng) for _ in range(3)]
+    pairs = [(E, P) for E in curves for P in _marked_points(E)]
+    assert pairs
+    for E, P in pairs:
+        assert tate_normal_form(E, P) == reference_tate_normal_form(E, P)
+
+
+@pytest.mark.parametrize("d", [8, 13])
+def test_tate_closed_form_matches_the_reference_on_random_points(d):
+    ctx = GF(d)
+    rng = random.Random(d)
+    checked = 0
+    for E in [WeierstrassCurve.supersingular(ctx)] + [
+            _random_curve(ctx, rng) for _ in range(4)]:
+        for _ in range(8):
+            P = E.random_point(rng)
+            if not (P + P).is_infinity():
+                assert tate_normal_form(E, P) == \
+                    reference_tate_normal_form(E, P)
+                checked += 1
+    assert checked >= 30
+
+
+@pytest.mark.parametrize("slot", [1, 2])
+def test_tate_check_catches_a_corrupted_b_or_c(monkeypatch, slot):
+    # _normal_form returns (s, b, c); adding a nonzero e to b or to c
+    # must fail the 2P check on every marked point
+    ctx = GF(5)
+    rng = random.Random(slot)
+    E = _random_curve(ctx, rng)
+    points = _marked_points(E)
+    true_form = moduli12._normal_form
+    for P in points:
+        e = ctx(rng.randrange(1, ctx.order))
+
+        def corrupted(curve, x0, y0):
+            out = list(true_form(curve, x0, y0))
+            out[slot] += e
+            return tuple(out)
+
+        monkeypatch.setattr(moduli12, "_normal_form", corrupted)
+        with pytest.raises(VerificationError, match="2P"):
+            tate_normal_form(E, P)
+        monkeypatch.setattr(moduli12, "_normal_form", true_form)
+        tate_normal_form(E, P)
+    assert len(points) > 10
+
+
+def test_tate_builds_no_curve(monkeypatch):
+    reps = [cls.representative for n in range(3, 14, 2)
+            for cls in classify_torsion(n)]
+    assert len(reps) == 19
+    built = []
+    init = WeierstrassCurve.__init__
+
+    def spy(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(WeierstrassCurve, "__init__", spy)
+    for R in reps:
+        tate_normal_form(R.curve, R)
+    assert built == []
+
+
+# -- the generic change of variables, kept as the reference ---------------------
+
+
+def test_transform_is_isomorphism():
+    rng = random.Random(19)
+    ctx = GF(4)
+    E = WeierstrassCurve.ordinary(ctx, 7)
+    u, r, s, t = ctx(3), ctx(12), ctx(5), ctx(9)
+    E2, fwd = reference_change(E, u, r, s, t)
+    u12 = u ** 12
+    assert E2.discriminant() * u12 == E.discriminant()
+    inv, inv2 = E.invariants(), E2.invariants()
+    assert inv2["c4"] ** 3 / inv2["disc"] == inv["c4"] ** 3 / inv["disc"]
+    pts = [E.random_point(rng) for _ in range(8)]
+    for P in pts:
+        assert fwd(P).curve == E2
+    for P, Q in zip(pts, pts[1:]):
+        assert fwd(P + Q) == fwd(P) + fwd(Q)
+    assert fwd(E.infinity()).is_infinity()
+
+
+def test_transform_char0_table_against_invariants():
+    # over Q: scaling (u, 0, 0, 0) must scale disc by u^-12 and fix j
+    a = tuple(map(Fraction, (1, -2, 3, -4, 5)))
+    inv = curve_invariants(*a)
+    for u in (Fraction(2), Fraction(3, 5)):
+        b = reference_transform(a, u, Fraction(7), Fraction(-1), Fraction(4))
+        inv2 = curve_invariants(*b)
+        assert inv2["disc"] == inv["disc"] / u ** 12
+        assert inv2["c4"] == inv["c4"] / u ** 4
 
 
 def negation_pair_report(curve, P):

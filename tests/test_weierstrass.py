@@ -32,7 +32,6 @@ from lame2.weierstrass import (
     torsion_basis,
     torsion_field_degree,
     torsion_points,
-    transformed_coefficients,
 )
 
 
@@ -505,36 +504,7 @@ def test_point_of_exact_order_prime_power():
 
 
 # ---------------------------------------------------------------------------
-# transforms and base change
-
-
-def test_transform_is_isomorphism():
-    rng = random.Random(19)
-    ctx = GF(4)
-    E = WeierstrassCurve.ordinary(ctx, 7)
-    u, r, s, t = ctx(3), ctx(12), ctx(5), ctx(9)
-    E2, fwd = E.transform(u, r, s, t)
-    u12 = u ** 12
-    assert E2.discriminant() * u12 == E.discriminant()
-    inv, inv2 = E.invariants(), E2.invariants()
-    assert inv2["c4"] ** 3 / inv2["disc"] == inv["c4"] ** 3 / inv["disc"]
-    pts = _sample_points(E, rng, 8)
-    for P in pts:
-        assert fwd(P).curve == E2
-    for P, Q in zip(pts, pts[1:]):
-        assert fwd(P + Q) == fwd(P) + fwd(Q)
-    assert fwd(E.infinity()).is_infinity()
-
-
-def test_transform_char0_table_against_invariants():
-    # over Q: scaling (u, 0, 0, 0) must scale disc by u^-12 and fix j
-    a = tuple(map(Fraction, (1, -2, 3, -4, 5)))
-    inv = curve_invariants(*a)
-    for u in (Fraction(2), Fraction(3, 5)):
-        b = transformed_coefficients(a, u, Fraction(7), Fraction(-1), Fraction(4))
-        inv2 = curve_invariants(*b)
-        assert inv2["disc"] == inv["disc"] / u ** 12
-        assert inv2["c4"] == inv["c4"] / u ** 4
+# base change
 
 
 def test_base_change_preserves_structure():
