@@ -59,13 +59,16 @@ SCHEMA = 1
 # the writers of the dict values json.dumps writes from their exact type alone
 _LEAVES = {str: encode_basestring_ascii, int: int.__repr__,
            bool: {True: "true", False: "false"}.__getitem__}
+# (keys, their types, indent) -> [(text up to the value, key)] sorted by str,
+# the last of equal strs kept; keyed by type too, as 1 == True prints apart
+_PLANS = {}
 
 
 def _write(out: list, v, nl: str):
     """Append v as json.dumps(v, sort_keys=True, indent=2) writes it at the
     line prefix nl, reading INFINITY as "infinity", a Fraction as "p/q", a
     tuple as a list, dict keys through str and an object by its to_json.
-    A dict's leaf values are written inline, without a call each."""
+    A dict is written by its shape's plan, its leaf values without a call."""
     if isinstance(v, str):
         out.append(encode_basestring_ascii(v))
     elif type(v) is int:
@@ -76,15 +79,19 @@ def _write(out: list, v, nl: str):
             return
         inner = nl + "  "
         if isinstance(v, dict):
-            sep, close = "{" + inner, nl + "}"
-            for k, x in sorted({str(k): x for k, x in v.items()}.items()):
-                key = sep + encode_basestring_ascii(k) + ": "
-                if (leaf := _LEAVES.get(type(x))) is not None:
-                    out.append(key + leaf(x))
+            close = nl + "}"
+            shape = (keys := tuple(v), tuple(map(type, keys)), nl)
+            if (plan := _PLANS.get(shape)) is None:
+                last = {str(k): k for k in keys}
+                plan = _PLANS[shape] = [
+                    (("," if i else "{") + inner + encode_basestring_ascii(s)
+                     + ": ", last[s]) for i, s in enumerate(sorted(last))]
+            for prefix, k in plan:
+                if (leaf := _LEAVES.get(type(x := v[k]))) is not None:
+                    out.append(prefix + leaf(x))
                 else:
-                    out.append(key)
+                    out.append(prefix)
                     _write(out, x, inner)
-                sep = "," + inner
         else:
             sep, close = "[" + inner, nl + "]"
             for x in v:
@@ -244,7 +251,7 @@ def cmd_triples(args) -> tuple:
     if n < 3 or n % 2 == 0:
         raise UsageError("--degree must be odd and at least 3")
     triples = enumerate_triples(n, primitive_only=True)
-    check = lifting_count_check(n)
+    check = lifting_count_check(n, triples)
     report = {
         "degree": n,
         "primitive": triples,

@@ -147,6 +147,13 @@ def _field_kernel(d, m):
     return mul, sqr, inv
 
 
+def _least_primitive(ctx):
+    """The least g with g^((q-1)/p) != 1 at every prime p | q - 1, as bits."""
+    n = ctx.order - 1
+    return next((c for c in range(2, n + 1) if all(
+        FieldElement(ctx, c) ** (n // p) != 1 for p in factorint(n))), 1)
+
+
 def _table_kernel(ctx):
     """(mul, sqr, inv) by exp/log tables of g, the least primitive element.
 
@@ -154,8 +161,7 @@ def _table_kernel(ctx):
     nonzero element and is back at 1 after n = 2^d - 1 steps.
     """
     d, m, n = ctx.degree, ctx.modulus, ctx.order - 1
-    g = next(c for c in range(2, n + 1) if all(
-        FieldElement(ctx, c) ** (n // p) != 1 for p in factorint(n)))
+    g = _least_primitive(ctx)
     shifts = [i for i in range(g.bit_length()) if g >> i & 1]
     fold = [_pmod(h << d, m) for h in range(1 << g.bit_length())]
     exp, log = array("H", [0]) * (2 * n - 1), array("H", [0]) * (n + 1)
@@ -432,8 +438,10 @@ class FieldElement:
         return self.bits != 0
 
     def __eq__(self, other):
+        # 0 and 1 equal their namesakes in every field, as they equal the ints
         if isinstance(other, FieldElement):
-            return self.ctx is other.ctx and self.bits == other.bits
+            return self.bits == other.bits and (
+                self.bits < 2 or self.ctx is other.ctx)
         if isinstance(other, int):
             return other in (0, 1) and self.bits == other
         return NotImplemented

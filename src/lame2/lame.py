@@ -13,12 +13,12 @@ field for the embedding of F_4 and one drawn point (see ``aut_group``).
 
 The degree-12 map (x, y) |-> (x^4 + x)^3 is invariant under all 24
 automorphisms and identifies the quotient of the affine curve by the group
-with the affine line.  Odd-torsion points are classified by their image
-under this map, on (x, y) pairs of bits, with a point built only for each
-class representative; the classification, the counting formulas, the
-field-of-moduli census, and the Galois equivariance of the quotient all
-live here, together with the canonical branch-certified cover attached to
-a torsion point on either curve family.
+with the affine line.  Odd-torsion classes are orbits of two generators
+acting on E[n] = (Z/n)^2 as integer matrices, with one point built per
+orbit; the classification, the counting formulas, the field-of-moduli
+census, and the Galois equivariance of the quotient all live here, with
+the canonical branch-certified cover attached to a torsion point on
+either curve family.
 """
 
 from __future__ import annotations
@@ -28,23 +28,26 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .arith import divisors, factorint, mobius
-from .common import FiberEscapeError, INFINITY, VerificationError
+from .common import (FiberEscapeError, INFINITY, TorsionSearchExhausted,
+                     VerificationError)
 from .gf2 import GF, FieldContext, FieldElement, element_degree, embed
 from .gf2 import Poly, _factor_degrees, solve_artin_schreier
 from .weierstrass import (
     CurvePoint,
     WeierstrassCurve,
-    _is_supersingular_model,
     _add_pairs,
+    _is_supersingular_model,
+    _spans_torsion,
+    _supersingular_exponent,
     extension_order,
     point_of_exact_order,
     point_order,
-    torsion_basis,
+    torsion_field_degree,
 )
 from .funcfield import (_different, _expand_shifted, _fiber_poly,
                         miller_function, ramification_profile)
 
-# desk-scale caps: the largest torsion order classified point by point, and
+# desk-scale caps: the largest torsion order classified, and
 # the largest degree d of the field-of-moduli census over F_(2^d)
 _MAX_ORDER = 13
 _MAX_CENSUS_DEGREE = 8
@@ -82,14 +85,23 @@ def _compose(ctx: FieldContext, k1, k2):
             c1 ^ c2 ^ mul(mul(u1sq, sqr(a1)), a2))
 
 
+# keys over F_4 = GF(2), w = 2, of order 3 and 4: they generate the group,
+# SL_2(F_3), as it has no subgroup of order 12
+_GENERATORS = ((2, 0, 0), (1, 1, 2))
+
+
 @lru_cache(maxsize=None)
 def _f4_keys() -> tuple:
-    """The 24 keys over F_4 = GF(2), certified once per process."""
+    """The 24 keys over F_4 = GF(2) and _GENERATORS' orders, certified once."""
     mul, sqr = GF(2).mul, GF(2).sqr
     # u^3 = 1 and c^2 + c = a^3 are F_4 equations, so u, a and c lie in F_4
     keys = [(u, a, c) for u in range(1, 4) for a in range(4) for c in range(4)
             if sqr(c) ^ c == mul(sqr(a), a)]
-    _verify_aut_group(keys)
+    perm = dict(zip(keys, _verify_aut_group(keys)))
+    g3, g4, one, neg = (perm[k] for k in (*_GENERATORS, (1, 0, 0), (1, 0, 1)))
+    cube = tuple(g3[g3[j]] for j in g3)  # cube[i] = g3[g3[g3[i]]]
+    if g3 == one or cube != one or tuple(g4[j] for j in g4) != neg:
+        raise VerificationError("_GENERATORS are not of orders 3 and 4")
     return tuple(keys)
 
 
@@ -139,7 +151,7 @@ def _verify_aut_group(keys):
     preservation: in characteristic 2 the on-curve defect of a key's image
     has no y term, so it is a cubic in x, and it vanishes at all four x in
     F_4.  Identity, negation, closure, a non-commuting pair and additivity on
-    one pair are checked too.
+    one pair are checked too.  Returns the permutations, aligned with keys.
     """
     if len(keys) != 24:
         raise VerificationError("expected 24 automorphisms, found %d"
@@ -182,6 +194,7 @@ def _verify_aut_group(keys):
                 noncommuting = True
     if not noncommuting:
         raise VerificationError("group verified abelian; expected non-abelian")
+    return perm
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +266,11 @@ class LameClass:
 def classify_torsion(n: int) -> list:
     """Group the exact-order-n points by quotient value, one class each.
 
-    The ground field is the full n-torsion field.  Every merged pair is
-    certified: points share a quotient value exactly when they share an
-    automorphism orbit.
+    The ground field is the full n-torsion field.  Classes are the integer
+    orbits of exact-order vectors (a, b) ~ aP + bQ, each certified: one
+    point's 24 images number the orbit and share a quotient value that no
+    other orbit has, so points share a quotient value exactly when they
+    share an automorphism orbit.
     """
     return list(_classify_torsion(n))
 
@@ -267,41 +282,71 @@ def _classify_torsion(n: int) -> tuple:
     if n > _MAX_ORDER:
         raise ValueError(
             f"desk-scale classification stops at order {_MAX_ORDER}")
-    curve, P1, P2 = torsion_basis(n)
-    ctx = curve.ctx
-    p1, p2 = P1.xy, P2.xy
-    row = [None]  # row[b] = b*P1
-    for _ in range(n - 1):
-        row.append(_add_pairs(curve, row[-1], p1))
-    groups = {}
-    Q = None  # a*P2
-    for a in range(n):
+    d = torsion_field_degree(n)
+    curve, ctx = WeierstrassCurve.supersingular(d), GF(d)
+    w = embed(GF(2)(2), ctx).bits  # the root of x^2 + x + 1 aut_group checks
+    g3, g4 = (tuple((0, 1, w, w ^ 1)[v] for v in key) for key in _GENERATORS)
+    # (P, g3 P) is a basis unless P spans an eigenline of g3 mod some p | n
+    rng = random.Random(0)
+    for _ in range(64):
+        P = point_of_exact_order(curve, _supersingular_exponent(d), n, rng)
+        Q = CurvePoint(curve, _act(ctx, g3, *P.xy))
+        if _spans_torsion(P, Q, n):
+            break
+    else:
+        raise TorsionSearchExhausted(f"no basis (P, g3 P) of the {n}-torsion"
+                                     " found in 64 trials", trials=64)
+    p, q = P.xy, Q.xy
+    rows = [[None, p], [None, q]]  # rows[0][a] = a P, rows[1][b] = b Q
+    for row in rows:
+        for _ in range(n - 2):
+            row.append(_add_pairs(curve, row[-1], row[1]))
+    at, minus_q = {pt: a for a, pt in enumerate(rows[0])}, (q[0], q[1] ^ 1)
+
+    def coords(T):  # (a, b) with T = a P + b Q: baby steps in P, giant in Q
         for b in range(n):
-            if gcd(gcd(a, b), n) == 1:
-                x, y = _add_pairs(curve, row[b], Q)
-                groups.setdefault(_rho_bits(ctx, x), []).append((x, y))
-        Q = _add_pairs(curve, Q, p2)
+            if T in at:
+                return at[T], b
+            T = _add_pairs(curve, T, minus_q)
+        raise VerificationError("point outside the span of the basis")
 
-    total = sum(len(members) for members in groups.values())
-    if total != psi(n):
+    # g3^2 + g3 + 1 = 0 on the basis: g3 Q = -(P + Q), -(x, y) = (x, y + 1)
+    x, y = _add_pairs(curve, p, q)
+    if _act(ctx, g3, *q) != (x, y ^ 1):
+        raise VerificationError("(w,0,0) does not map Q to -(P + Q)")
+    (i00, i10), (i01, i11) = (coords(_act(ctx, g4, *r)) for r in (p, q))
+    # the orbits of the vectors (a, b) ~ a P + b Q under g3 and g4
+    seen, orbits = set(), []
+    for v in ((a, b) for a in range(n) for b in range(n)):
+        if v not in seen and gcd(gcd(*v), n) == 1:
+            seen.add(v)
+            orbits.append(orbit := [v])
+            for s, t in orbit:
+                for u in ((-t % n, (s - t) % n),
+                          ((s * i00 + t * i01) % n, (s * i10 + t * i11) % n)):
+                    if u not in seen:
+                        seen.add(u)
+                        orbit.append(u)
+    if len(seen) != psi(n):
         raise VerificationError("exact-order locus has size %d, expected %d"
-                                % (total, psi(n)))
+                                % (len(seen), psi(n)))
 
-    classes = []
-    for bits in sorted(groups):
-        members = groups[bits]
-        # the least member by the bytes of its JSON: on one curve the
-        # records differ only in the x and y hex strings, each closed by a quote
-        rep = min(members, key=lambda p: (format(p[0], "x") + '"',
-                                          format(p[1], "x") + '"'))
-        if _orbit_pairs(ctx, *rep) != set(members):
-            raise VerificationError(
-                "quotient fiber differs from automorphism orbit at rho=%x"
-                % bits)
-        value = FieldElement(ctx, bits)
-        classes.append(LameClass(n, value, element_degree(value),
-                                 CurvePoint(curve, rep)))
-    return tuple(classes)
+    classes = {}
+    for orbit in orbits:
+        (a, b), size = orbit[0], len(orbit)
+        images = _orbit_pairs(ctx, *_add_pairs(curve, rows[0][a], rows[1][b]))
+        values = {_rho_bits(ctx, x) for x, _y in images}
+        if len(images) != size or len(values) != 1 or values & set(classes):
+            raise VerificationError("the orbit of %dP + %dQ is not a quotient"
+                                    " fiber of size %d" % (a, b, size))
+        # the least image by the bytes of its JSON: on one curve the records
+        # differ only in the x and y hex strings, each closed by a quote
+        rep = min(images, key=lambda pt: (format(pt[0], "x") + '"',
+                                          format(pt[1], "x") + '"'))
+        value = FieldElement(ctx, values.pop())
+        classes[value.bits] = LameClass(n, value, element_degree(value),
+                                        CurvePoint(curve, rep))
+    return tuple(classes[bits] for bits in sorted(classes))
 
 
 def psi(n: int) -> int:

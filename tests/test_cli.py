@@ -485,11 +485,17 @@ def _cold_counts(*argv):
 def test_cold_process_operation_counts():
     # Isom(E) is certified once per process, over F_4: 576 compositions
     # plus the 53 of the search for a non-commuting pair; 192 actions for the
-    # F_4 permutations, 24 per other field and 24 per class orbit
-    counts = _cold_counts("counts", "--max-n", "13")
-    assert counts["_verify_aut_group"] == 1
-    assert counts["_compose"] == 629
-    assert counts["_act"] <= 850
+    # F_4 permutations, 24 per other field and 24 per class orbit, plus the
+    # two generators on the basis.  The classes are integer orbits: tables
+    # of multiples of the basis, two discrete logs and one addition per
+    # orbit (913 and 315 additions when every exact-order point was built)
+    for argv, most in [(("counts", "--max-n", "13"), 450),
+                       (("classify", "--order", "13"), 130)]:
+        counts = _cold_counts(*argv)
+        assert counts["_verify_aut_group"] == 1
+        assert counts["_compose"] == 629
+        assert counts["_act"] <= 850
+        assert counts["_add_pairs"] <= most, (argv, counts)
     # orders from one multiple per prime: a product tree that stops at the
     # identity, then steps by p; cantor_mul adds no identity term
     assert _cold_counts("hyper", "--genus", "3", "--field", "12") == {
@@ -571,6 +577,11 @@ _PROBE = types.SimpleNamespace(command="probe")
 @example({"keys": {2: "two", 10: "ten"}, "empty": [{}, [], ()],
           "odd": [Fraction(-3, 4), INFINITY, True, False, None, 0],
           "text": "\u00e9\u2603\x00\x1f\"\\", "rec": _Record(INFINITY)})
+# one key set in two insertion orders, at one indent and at two; keys that
+# are equal but print apart, and int keys whose strings collide
+@example({"p": {"a": 1, "b": [2]}, "q": {"b": [2], "a": 1},
+          "r": [{"b": {"a": 0, "b": 1}}, {"b": 1, "a": 0}],
+          "s": [{True: 0}, {1: 0}, {1: "int", "1": "str"}, {"1": 0, 1: 1}]})
 def test_emit_json_equals_json_dumps_of_the_reference(report):
     stamped = {"schema": SCHEMA, "command": "probe", **report}
     assert _emit_json(_PROBE, report) == json.dumps(

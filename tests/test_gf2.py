@@ -7,6 +7,7 @@ for irreducibility of the canonical moduli.
 """
 
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -1070,6 +1071,29 @@ def test_zero_and_one_hash_as_the_ints_they_equal(d):
     assert ctx.one == 1 and ctx.zero == 0
     assert 1 in {ctx.one} and ctx.one in {1}
     assert {0: "v"}.get(ctx.zero) == "v"
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_a_set_of_zeros_has_one_member_in_every_insertion_order(order):
+    zeros = [0, GF(2).zero, GF(4).zero]
+    assert len({zeros[i] for i in order}) == 1
+    ones = [1, GF(2).one, GF(4).one]
+    assert len({ones[i] for i in order}) == 1
+    # past 0 and 1, elements of different fields stay apart
+    assert len({zeros[i] for i in order} | {GF(2)(2), GF(4)(2)}) == 3
+
+
+def test_equality_is_transitive_across_fields():
+    rng = random.Random(67)
+    sample = [0, 1, 2, 3, -1, True, False]
+    for d in (1, 2, 3, 4, 8, 12):
+        ctx = GF(d)
+        sample += [ctx.zero, ctx.one, ctx(2)] + [
+            ctx.random(rng) for _ in range(4)]
+    for a, b, c in itertools.product(sample, repeat=3):
+        if a == b and b == c:
+            assert a == c, (a, b, c)
+            assert hash(a) == hash(c), (a, c)
 
 
 def test_divisors_helper():

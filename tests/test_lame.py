@@ -486,11 +486,38 @@ def reference_classify_torsion(n):
     return classes
 
 
-@pytest.mark.parametrize("n", range(3, 14, 2))
-def test_classification_matches_the_point_level_route(n):
+@pytest.mark.parametrize("n", range(3, 46, 2))
+def test_classification_matches_the_point_level_route(n, monkeypatch):
+    # the cap is raised in this test only, and the uncached function runs,
+    # so no order past the cap stays classified for later callers
+    monkeypatch.setattr(lame, "_MAX_ORDER", 45)
     got = [(c.rho_value.bits, c.moduli_degree, c.representative.to_json())
-           for c in classify_torsion(n)]
+           for c in lame._classify_torsion.__wrapped__(n)]
     assert got == reference_classify_torsion(n)
+
+
+def test_generators_are_checked_over_f4(monkeypatch):
+    monkeypatch.setattr(lame, "_GENERATORS", ((1, 0, 1), (1, 1, 2)))
+    with pytest.raises(VerificationError, match="orders 3 and 4"):
+        lame._f4_keys.__wrapped__()
+    monkeypatch.setattr(lame, "_GENERATORS", ((2, 0, 0), (2, 0, 0)))
+    with pytest.raises(VerificationError, match="orders 3 and 4"):
+        lame._f4_keys.__wrapped__()
+
+
+@pytest.mark.parametrize("generators, match", [
+    # (w, 0, 0) and negation generate a group of order 6: each integer
+    # orbit is a quarter of its point's 24 images
+    (((2, 0, 0), (1, 0, 1)), "not a quotient fiber of size 6"),
+    # an order-4 key in place of the order-3 one fails g^2 + g + 1 = 0
+    (((1, 1, 2), (1, 1, 2)), "does not map Q to -"),
+])
+def test_classification_refuses_wrong_generators(monkeypatch, generators,
+                                                 match):
+    lame._f4_keys()  # the F_4 certificate of the true generators, cached
+    monkeypatch.setattr(lame, "_GENERATORS", generators)
+    with pytest.raises(VerificationError, match=match):
+        lame._classify_torsion.__wrapped__(7)
 
 
 def test_class_json_shape():

@@ -185,6 +185,16 @@ def test_lifting_count_check_reports_a_mismatch(monkeypatch, name, wrong):
     assert doc["lifting"]["passed"] is False
 
 
+def test_lifting_count_check_reads_the_census_it_is_handed():
+    # the CLI hands over its primitive census for m = n; the report is the
+    # one the check builds by enumerating every divisor itself
+    for n in list(range(3, 60, 2)) + [101, 105]:
+        primitive = enumerate_triples(n, primitive_only=True)
+        assert all(t.parts() == _canonical_rotation(*t.parts())
+                   for t in primitive)
+        assert lifting_count_check(n, primitive) == lifting_count_check(n)
+
+
 def test_lifting_count_check_formula_only():
     rep = lifting_count_check(35)
     assert rep["cumulative"] == rep["order_dividing_classes"] == 51

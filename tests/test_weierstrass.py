@@ -210,7 +210,7 @@ def test_supersingular_counts_enumeration_vs_formula():
     frozen = {1: 3, 2: 9, 3: 9, 4: 9, 5: 33, 6: 81, 7: 129, 8: 225, 10: 1089}
     for d, want in frozen.items():
         assert supersingular_order(d) == want
-    for d in range(1, 11):
+    for d in range(1, 13):  # every degree torsion_basis once recounted at
         E = WeierstrassCurve.supersingular(d)
         assert E.count_points() == supersingular_order(d)
 
@@ -325,6 +325,66 @@ def test_constant_h_count_matches_the_generic_loop():
         E = WeierstrassCurve.supersingular(d)
         assert E.count_points() == reference_generic_count(E) \
             == supersingular_order(d)
+
+
+def reference_horner_count(ctx, h, f):
+    """The count before the running powers: f and h at every x in natural
+    order by Horner, a constant h folding 1/h^2 into the trace mask."""
+    mul, sqr, inv, mask = ctx.mul, ctx.sqr, ctx.inv, ctx.trace_mask()
+    xs = range(1 << ctx.degree)
+
+    def values(p):
+        *low, lead = p.coeffs
+        vs = [lead] * len(xs)
+        for i, c in enumerate(reversed(low)):
+            prod = xs if i == 0 and lead == 1 else map(mul, vs, xs)
+            vs = [v ^ c for v in prod] if c else list(prod)
+        return vs
+
+    if h.degree == 0:
+        c = inv(sqr(h.coeffs[0]))
+        cmask = sum((mul(c, 1 << i) & mask).bit_count() % 2 << i
+                    for i in range(ctx.degree))
+        return 1 + 2 * sum(not (v & cmask).bit_count() & 1 for v in values(f))
+    return 1 + sum(2 * (not (mul(v, inv(sqr(w))) & mask).bit_count() & 1)
+                   if w else 1 for v, w in zip(values(f), values(h)))
+
+
+def brute_count(ctx, h, f):
+    """1 + #{(x, y) : y^2 + h(x) y = f(x)}, over every pair of bits."""
+    mul, sqr = ctx.mul, ctx.sqr
+
+    def at(p, x):
+        v = 0
+        for c in reversed(p.coeffs):
+            v = mul(v, x) ^ c
+        return v
+
+    q = 1 << ctx.degree
+    return 1 + sum(sqr(y) ^ mul(hx, y) == fx for x in range(q)
+                   for hx, fx in [(at(h, x), at(f, x))] for y in range(q))
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_running_power_count_matches_horner_and_brute_force(d):
+    ctx = GF(d)
+    rng = random.Random(34 + d)
+    curves = [HyperellipticCurve(ctx, g) for g in (1, 2, 3)]
+    curves += [WeierstrassCurve.supersingular(ctx)]
+    curves += [WeierstrassCurve.ordinary(ctx, t)
+               for t in {1, 1 + rng.randrange(ctx.order - 1)}]
+    while len(curves) < 8:  # a1 = 0 with every term and h = a3 != 1
+        a = [rng.randrange(ctx.order) for _ in range(3)]
+        try:
+            curves.append(WeierstrassCurve(
+                ctx, 0, a[0], 1 + rng.randrange(ctx.order - 1), a[1], a[2]))
+        except ValueError:  # singular
+            pass
+    for C in curves:
+        N = C.count_points()
+        assert N == reference_horner_count(ctx, C.h, C.f), (d, C)
+        if d <= 6:
+            assert N == brute_count(ctx, C.h, C.f), (d, C)
 
 
 @pytest.mark.parametrize("make", [
