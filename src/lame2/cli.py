@@ -6,13 +6,13 @@ exit 1 with the offending data in the report, usage errors exit 2.  JSON is
 the canonical output (sorted keys, integers and hex strings only, schema
 version field); CSV is a lossy tabular projection of the same data.  Equal
 invocations produce byte-identical output.  Flags are read from one table,
-_COMMANDS, as --flag value or --flag=value, by full name only; --help on its
-own or after a subcommand returns the usage the table gives, with exit 0.
+_COMMANDS, as --flag value or --flag=value, by full name only, each checked
+against the range of values its entry allows; --help on its own or after a
+subcommand returns the usage the table gives, with exit 0.
 """
 
 from __future__ import annotations
 
-import io
 import random
 import sys
 from fractions import Fraction
@@ -25,6 +25,7 @@ from .common import INFINITY, VerificationError
 from .gf2 import GF
 from .weierstrass import _MAX_COUNT_DEGREE, curve_invariants, torsion_basis
 from .lame import (
+    _CLASSIFIED_UP_TO,
     _MAX_CENSUS_DEGREE,
     _MAX_ORDER,
     classify_torsion,
@@ -54,6 +55,9 @@ from .hyper import (
 )
 
 SCHEMA = 1
+_OPEN = sys.maxsize  # the stop of a range with no upper bound
+# the orders whose Lame representatives jcheck puts in Tate normal form
+_JCHECK_ORDERS = range(3, 14, 2)
 
 
 # the writers of the dict values json.dumps writes from their exact type alone
@@ -122,11 +126,7 @@ def _emit_json(args, report: dict) -> str:
 
 
 def _csv(rows, header) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(str(x) for x in row) + "\n")
-    return buf.getvalue()
+    return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
 
 
 def _output(args, report: dict, header, rows) -> tuple:
@@ -141,17 +141,11 @@ class UsageError(Exception):
     pass
 
 
-def _odd_order(n: int) -> int:
-    if n % 2 == 0 or not 3 <= n <= _MAX_ORDER:
-        raise UsageError(f"order must be odd with 3 <= n <= {_MAX_ORDER}, got {n}")
-    return n
-
-
 # -- subcommands -----------------------------------------------------------------
 
 
 def cmd_classify(args) -> tuple:
-    n = _odd_order(args.order)
+    n = args.order
     classes = classify_torsion(n)
     expected = expected_class_count(n)
     report = {
@@ -174,14 +168,11 @@ def _profile_json(profile) -> list:
 
 
 def cmd_ramify(args) -> tuple:
-    n = _odd_order(args.order)
+    n = args.order
     seed = args.seed
     if args.ordinary is not None:
         if args.field is None:
             raise UsageError("--ordinary needs --field")
-        if not 1 <= args.field <= _MAX_COUNT_DEGREE:
-            raise UsageError(f"--field must lie in 1..{_MAX_COUNT_DEGREE},"
-                             f" got {args.field}")
         ctx = GF(args.field)
         try:
             t = ctx.from_hex(args.ordinary)
@@ -224,23 +215,20 @@ def cmd_ramify(args) -> tuple:
 
 
 def cmd_counts(args) -> tuple:
-    top = args.max_n
-    if top < 3:
-        raise UsageError("--max-n must be at least 3")
     table = []
     passed = True
-    for n in range(3, top + 1, 2):
+    for n in range(3, args.max_n + 1, 2):
         row = {
             "n": n,
             "classes_dividing": lame_count_dividing(n),
             "classes_exact": expected_class_count(n),
         }
-        if n <= _MAX_ORDER:
+        if n <= _CLASSIFIED_UP_TO:
             row["classified"] = len(classify_torsion(n))
             if row["classified"] != row["classes_exact"]:
                 passed = False
         table.append(row)
-    report = {"max_n": top, "table": table, "passed": passed}
+    report = {"max_n": args.max_n, "table": table, "passed": passed}
     return _output(args, report, ["n", "dividing", "exact", "classified"],
                    ((r["n"], r["classes_dividing"], r["classes_exact"],
                      r.get("classified", "")) for r in table))
@@ -248,8 +236,6 @@ def cmd_counts(args) -> tuple:
 
 def cmd_triples(args) -> tuple:
     n = args.degree
-    if n < 3 or n % 2 == 0:
-        raise UsageError("--degree must be odd and at least 3")
     triples = enumerate_triples(n, primitive_only=True)
     check = lifting_count_check(n, triples)
     report = {
@@ -267,8 +253,6 @@ def cmd_triples(args) -> tuple:
 
 def cmd_moduli(args) -> tuple:
     d = args.d
-    if not 1 <= d <= _MAX_CENSUS_DEGREE:
-        raise UsageError(f"--d must lie in 1..{_MAX_CENSUS_DEGREE}")
     census = moduli_census(d)
     report = {
         "d": d,
@@ -288,10 +272,6 @@ def cmd_moduli(args) -> tuple:
 
 def cmd_hyper(args) -> tuple:
     g, d = args.genus, args.field
-    if g < 1 or g > 3:
-        raise UsageError("--genus must lie in 1..3")
-    if d < 1 or d > 12:
-        raise UsageError("--field must lie in 1..12")
     C = HyperellipticCurve(GF(d), g)
     L = C.lpoly()
     cert = is_supersingular(L)
@@ -335,13 +315,10 @@ def _integral_point(pairs) -> tuple:
 
 
 def cmd_jcheck(args) -> tuple:
-    k = args.samples
-    if k < 1:
-        raise UsageError("--samples must be positive")
     rng = random.Random(args.seed)
     matches = 0
     ratios = set()  # weighted discriminant over the formulary one
-    while matches < k:
+    while matches < args.samples:
         drawn = [(rng.randint(-99, 99), rng.randint(1, 20)) for _ in range(3)]
         if not any(n for n, _d in drawn):
             continue
@@ -358,7 +335,7 @@ def cmd_jcheck(args) -> tuple:
             ratios.add(Fraction(disc, inv["disc"]))
         matches += 1
     rep_j = []
-    for n in range(3, _MAX_ORDER + 1, 2):
+    for n in _JCHECK_ORDERS:
         for cls in classify_torsion(n):
             wp = tate_normal_form(cls.representative.curve,
                                   cls.representative)
@@ -387,24 +364,37 @@ def cmd_jcheck(args) -> tuple:
 # -- driver ----------------------------------------------------------------------
 
 
-# name: (subcommand, help line, {flag: (type, default)}); a required flag has
-# the default ...; each subcommand also takes --json (the default) or --csv
+# name: (subcommand, help line, {flag: (type, default, allowed)}); a required
+# flag has the default ..., and allowed is the range of values the flag takes,
+# or None for any; each subcommand also takes --json (the default) or --csv
 _COMMANDS = {
     "classify": (cmd_classify, "torsion classes of exact order n",
-                 {"--order": (int, ...)}),
+                 {"--order": (int, ..., range(3, _MAX_ORDER + 1, 2))}),
     "ramify": (cmd_ramify, "certified cover branch data",
-               {"--order": (int, ...), "--ordinary": (str, None),
-                "--field": (int, None), "--seed": (int, 0)}),
-    "counts": (cmd_counts, "class-count table", {"--max-n": (int, ...)}),
+               {"--order": (int, ..., range(3, 14, 2)),
+                "--ordinary": (str, None, None),
+                "--field": (int, None, range(1, _MAX_COUNT_DEGREE + 1)),
+                "--seed": (int, 0, None)}),
+    "counts": (cmd_counts, "class-count table",
+               {"--max-n": (int, ..., range(3, _OPEN))}),
     "triples": (cmd_triples, "characteristic-zero triple census",
-                {"--degree": (int, ...)}),
+                {"--degree": (int, ..., range(3, _OPEN, 2))}),
     "moduli": (cmd_moduli, "field-of-moduli census over F_2^d",
-               {"--d": (int, ...)}),
+               {"--d": (int, ..., range(1, _MAX_CENSUS_DEGREE + 1))}),
     "hyper": (cmd_hyper, "hyperelliptic family reports",
-              {"--genus": (int, ...), "--field": (int, ...)}),
+              {"--genus": (int, ..., range(1, 4)),
+               "--field": (int, ..., range(1, 13))}),
     "jcheck": (cmd_jcheck, "coordinate formulas vs the formulary",
-               {"--samples": (int, 100), "--seed": (int, 0)}),
+               {"--samples": (int, 100, range(1, _OPEN)),
+                "--seed": (int, 0, None)}),
 }
+
+
+def _span(allowed: range) -> str:
+    """The values of allowed, as "1..20", "odd 3..13" or "3.." when open."""
+    odd = "odd " if allowed.step == 2 else ""
+    top = "" if allowed.stop >= _OPEN else allowed[-1]
+    return f"{odd}{allowed.start}..{top}"
 
 
 def _usage(name) -> tuple:
@@ -414,8 +404,10 @@ def _usage(name) -> tuple:
         return ("usage: lame2 <command> [--flag value | --flag=value ...]"
                 f" [--json | --csv]\n\ncommands:\n{rows}"), 0
     _func, help_line, flags = _COMMANDS[name]
-    shown = [f"{f} {t.__name__.upper()}" if d is ...
-             else f"[{f} {t.__name__.upper()}]" for f, (t, d) in flags.items()]
+    shown = []
+    for f, (t, d, a) in flags.items():
+        arg = f"{f} {t.__name__.upper()}" + (f"({_span(a)})" if a else "")
+        shown.append(arg if d is ... else f"[{arg}]")
     return (f"usage: lame2 {name} {' '.join(shown)} [--json | --csv]\n"
             f"{help_line}\n"), 0
 
@@ -429,7 +421,7 @@ def _parse(argv):
         raise UsageError("expected a command, one of " + ", ".join(_COMMANDS))
     name, rest = argv[0], iter(argv[1:])
     func, _help, flags = _COMMANDS[name]
-    values = {flag: default for flag, (_t, default) in flags.items()}
+    values = {flag: default for flag, (_t, default, _a) in flags.items()}
     fmt = "json"
     for arg in rest:
         if arg in ("-h", "--help"):
@@ -446,9 +438,11 @@ def _parse(argv):
             values[flag] = flags[flag][0](value)
         except ValueError:
             raise UsageError(f"{flag} expects an int, got {value!r}")
-    missing = [flag for flag, v in values.items() if v is ...]
-    if missing:
+    if missing := [flag for flag, v in values.items() if v is ...]:
         raise UsageError(f"{name} needs {' and '.join(missing)}")
+    for flag, v in values.items():
+        if (allowed := flags[flag][2]) and v is not None and v not in allowed:
+            raise UsageError(f"{flag} must lie in {_span(allowed)}, got {v}")
     return func, SimpleNamespace(command=name, format=fmt, **{
         flag[2:].replace("-", "_"): v for flag, v in values.items()})
 

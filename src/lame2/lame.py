@@ -47,10 +47,12 @@ from .weierstrass import (
 from .funcfield import (_different, _expand_shifted, _fiber_poly,
                         miller_function, ramification_profile)
 
-# desk-scale caps: the largest torsion order classified, and
-# the largest degree d of the field-of-moduli census over F_(2^d)
+# desk-scale caps: the largest torsion order classified and the largest
+# degree d of the field-of-moduli census over F_(2^d); then, named apart from
+# the cap, the largest order whose class counts are checked by classifying
 _MAX_ORDER = 13
 _MAX_CENSUS_DEGREE = 8
+_CLASSIFIED_UP_TO = 13
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +389,7 @@ def lame_count_dividing(n: int) -> int:
     """Number of cover classes of order dividing n (n odd, n > 1).
 
     Closed form (n^2-1)/24 away from multiples of 3, (3m^2+5)/8 at n = 3m;
-    cross-checked against the brute classification for n <= _MAX_ORDER.
+    cross-checked by brute classification for n <= _CLASSIFIED_UP_TO.
     """
     if n <= 1 or n % 2 == 0:
         raise ValueError("n must be odd and at least 3")
@@ -396,7 +398,7 @@ def lame_count_dividing(n: int) -> int:
     else:
         m = n // 3
         expected = (3 * m * m + 5) // 8
-    if n <= _MAX_ORDER:
+    if n <= _CLASSIFIED_UP_TO:
         brute = sum(len(classify_torsion(m)) for m in divisors(n) if m > 1)
         if brute != expected:
             raise VerificationError(

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 from .arith import divisors
-from .lame import _MAX_ORDER, classify_torsion, lame_count_dividing, psi
+from .lame import _CLASSIFIED_UP_TO, classify_torsion, lame_count_dividing, psi
 
 
 def _canonical_rotation(a: int, b: int, c: int) -> tuple:
@@ -138,8 +138,8 @@ def lifting_count_check(n: int, primitive=None) -> dict:
     """Count witnesses of the lifting bijection for every order dividing n.
 
     For each divisor m > 1 the signature-1 primitive triples of degree m
-    are counted and compared with the characteristic-2 class count (the
-    classification itself when m <= _MAX_ORDER, the closed formula always);
+    are counted and compared with the characteristic-2 class count (by
+    classifying when m <= _CLASSIFIED_UP_TO, by the closed formula always);
     the divisor total must reproduce the order-dividing-n class count, and
     "passed" says whether every comparison held.  For m = n it filters
     ``primitive``, enumerate_triples(n, primitive_only=True), when given.
@@ -161,7 +161,7 @@ def lifting_count_check(n: int, primitive=None) -> dict:
             "expected_classes": expected,
             "psi_over_24": str(Fraction(psi(m), 24)),
         }
-        if m <= _MAX_ORDER:
+        if m <= _CLASSIFIED_UP_TO:
             entry["char2_classes"] = len(classify_torsion(m))
             passed &= entry["char2_classes"] == len(triples)
         passed &= len(triples) == expected

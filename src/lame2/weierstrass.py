@@ -65,6 +65,7 @@ def curve_invariants(a1, a2, a3, a4, a6):
 
 # the largest field degree _count_points enumerates
 _MAX_COUNT_DEGREE = 20
+_SUPERSINGULAR = {}  # context -> its curve Y^2 + Y = X^3
 
 
 def _count_points(ctx: FieldContext, h: Poly, f: Poly) -> int:
@@ -130,9 +131,12 @@ class WeierstrassCurve:
 
     @classmethod
     def supersingular(cls, field) -> "WeierstrassCurve":
-        """Y^2 + Y = X^3 over GF(2^d); `field` is a context or a degree."""
+        """Y^2 + Y = X^3 over GF(2^d), one shared curve per field; `field` is
+        a context or a degree."""
         ctx = field if isinstance(field, FieldContext) else GF(field)
-        return cls(ctx, 0, 0, 1, 0, 0)
+        if (curve := _SUPERSINGULAR.get(ctx)) is None:
+            curve = _SUPERSINGULAR[ctx] = cls(ctx, 0, 0, 1, 0, 0)
+        return curve
 
     @classmethod
     def ordinary(cls, field, t) -> "WeierstrassCurve":

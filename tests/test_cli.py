@@ -164,6 +164,8 @@ def test_seed_is_accepted_where_read(argv):
     (["classify", "--order", "three"], "--order expects an int, got 'three'"),
     (["classify", "--order=3.0"], "--order expects an int, got '3.0'"),
     (["jcheck", "--seed="], "--seed expects an int, got ''"),
+    (["ramify", "--order", "-5", "--ordinary", "-1", "--field=0", "--csv"],
+     "--order must lie in odd 3..13, got -5"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
 def test_malformed_argv_is_a_usage_error(capsys, argv, message):
     code, text = run(argv)
@@ -172,16 +174,21 @@ def test_malformed_argv_is_a_usage_error(capsys, argv, message):
     assert capsys.readouterr() == ("", "")
 
 
-# each subcommand's flags, their types and defaults, ... for a required one
+# each subcommand's flags, their types, defaults (... for a required one)
+# and the ranges of values they take (None for any); no upper bound is a
+# range up to sys.maxsize
 COMMAND_FLAGS = {
-    "classify": {"--order": (int, ...)},
-    "ramify": {"--order": (int, ...), "--ordinary": (str, None),
-               "--field": (int, None), "--seed": (int, 0)},
-    "counts": {"--max-n": (int, ...)},
-    "triples": {"--degree": (int, ...)},
-    "moduli": {"--d": (int, ...)},
-    "hyper": {"--genus": (int, ...), "--field": (int, ...)},
-    "jcheck": {"--samples": (int, 100), "--seed": (int, 0)},
+    "classify": {"--order": (int, ..., range(3, 14, 2))},
+    "ramify": {"--order": (int, ..., range(3, 14, 2)),
+               "--ordinary": (str, None, None),
+               "--field": (int, None, range(1, 21)), "--seed": (int, 0, None)},
+    "counts": {"--max-n": (int, ..., range(3, sys.maxsize))},
+    "triples": {"--degree": (int, ..., range(3, sys.maxsize, 2))},
+    "moduli": {"--d": (int, ..., range(1, 9))},
+    "hyper": {"--genus": (int, ..., range(1, 4)),
+              "--field": (int, ..., range(1, 13))},
+    "jcheck": {"--samples": (int, 100, range(1, sys.maxsize)),
+               "--seed": (int, 0, None)},
 }
 
 
@@ -211,13 +218,57 @@ def test_command_help_lists_its_flags(capsys, name):
     assert capsys.readouterr() == ("", "")
 
 
+# (command, flag, range) of every flag whose values the table bounds
+RANGED = [(name, flag, allowed)
+          for name, (_c, _h, flags) in cli._COMMANDS.items()
+          for flag, (_t, _d, allowed) in flags.items() if allowed]
+
+
+def _with(name, flag, value):
+    """An argv of name with flag at value and every other required flag at
+    the least value it takes."""
+    argv = [name]
+    for other, (_t, default, allowed) in cli._COMMANDS[name][2].items():
+        if other != flag and default is ...:
+            argv += [other, str(allowed.start)]
+    return argv + [flag, str(value)]
+
+
+@pytest.mark.parametrize("name, flag, allowed", RANGED,
+                         ids=[f"{n} {f}" for n, f, _a in RANGED])
+def test_every_flag_range_holds_at_both_ends(capsys, name, flag, allowed):
+    first, last = allowed.start, allowed[-1]
+    for value in (first, last):
+        _func, args = _parse(_with(name, flag, value))
+        assert getattr(args, flag[2:].replace("-", "_")) == value
+    outside = [first - 1, last + 1]
+    if allowed.step == 2:  # an odd range refuses the even values within
+        outside += [first - 2, last + 2, first + 1]
+    for value in outside:
+        assert main(_with(name, flag, value)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage error: {flag} must lie in "), err
+        assert err.endswith(f", got {value}\n"), err
+    assert f"{flag} INT({cli._span(allowed)})" in run([name, "--help"])[1]
+
+
+def test_command_help_prints_each_bound():
+    assert run(["ramify", "--help"]) == (0, (
+        "usage: lame2 ramify --order INT(odd 3..13) [--ordinary STR]"
+        " [--field INT(1..20)] [--seed INT] [--json | --csv]\n"
+        "certified cover branch data\n"))
+    assert run(["counts", "-h"])[1].startswith(
+        "usage: lame2 counts --max-n INT(3..) [--json | --csv]\n")
+
+
 def reference_parser():
     """The argparse parser the table replaced, for the argvs both accept."""
     top = argparse.ArgumentParser(prog="lame2")
     sub = top.add_subparsers(dest="command", required=True)
     for name, flags in COMMAND_FLAGS.items():
         p = sub.add_parser(name)
-        for flag, (kind, default) in flags.items():
+        for flag, (kind, default, _allowed) in flags.items():
             if default is ...:
                 p.add_argument(flag, type=kind, required=True)
             else:
@@ -231,7 +282,6 @@ def reference_parser():
 
 @pytest.mark.parametrize("argv", [
     ["classify", "--order", "3"],
-    ["ramify", "--order", "-5", "--ordinary", "-1", "--field=0", "--csv"],
     ["ramify", "--seed", "2", "--order=7", "--seed=3", "--json"],
     ["counts", "--csv", "--max-n", "+13", "--json"],
     ["triples", "--degree", " 101 "],
@@ -301,6 +351,36 @@ def test_golden_digests(argv):
     code, text = invoke(*argv.split())
     assert code == 0
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[argv]
+
+
+# each library cap, by the module that owns it
+LIBRARY_CAPS = ["lame._MAX_ORDER", "lame._MAX_CENSUS_DEGREE",
+                "weierstrass._MAX_COUNT_DEGREE"]
+
+
+@pytest.mark.parametrize("cap", LIBRARY_CAPS + [
+    f"{name} {flag}" for name, flag, allowed in RANGED
+    if allowed.stop < sys.maxsize])
+def test_raising_one_cap_leaves_the_reports_unchanged(monkeypatch, cap):
+    # each cap is raised to take order 101, one at a time: a command's
+    # range in the table, or a library cap in every module that binds it
+    if "." in cap:
+        owner, attr = cap.split(".")
+        raised = max(getattr(getattr(lame2, owner), attr), 101)
+        for module in [m for k, m in sys.modules.items()
+                       if k.startswith("lame2") and hasattr(m, attr)]:
+            monkeypatch.setattr(module, attr, raised)
+    else:
+        name, flag = cap.split()
+        flags = cli._COMMANDS[name][2]
+        kind, default, allowed = flags[flag]
+        monkeypatch.setitem(flags, flag, (kind, default, range(
+            allowed.start, max(allowed.stop, 102), allowed.step)))
+    for argv in ["jcheck --samples 100", "triples --degree 101",
+                 "counts --max-n 13"]:
+        code, text = invoke(*argv.split())
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[argv], argv
 
 
 # SHA-256 of the canonical JSON of argvs the benchmark leaves out: the
@@ -451,16 +531,18 @@ import functools, json, sys
 sys.path.insert(0, sys.argv[1])
 from lame2 import cli, gf2, hyper, lame, weierstrass
 calls = {}
-def counted(module, name):
-    real = getattr(module, name)
+def counted(owner, name):
+    real = getattr(owner, name)
+    key = real.__qualname__
     @functools.wraps(real)
     def wrapper(*args):
-        calls[name] = calls.get(name, 0) + 1
+        calls[key] = calls.get(key, 0) + 1
         return real(*args)
-    setattr(module, name, wrapper)
+    setattr(owner, name, wrapper)
 for module, name in [(lame, "_verify_aut_group"), (lame, "_act"),
                      (lame, "_compose"), (hyper, "cantor_add"),
-                     (weierstrass, "_add_pairs"), (gf2, "poly_roots")]:
+                     (weierstrass, "_add_pairs"), (gf2, "poly_roots"),
+                     (weierstrass.WeierstrassCurve, "__init__")]:
     counted(module, name)
 for owner, name in [(weierstrass, "_add_pairs"), (gf2, "poly_roots")]:
     for module in [m for k, m in sys.modules.items() if k.startswith("lame2")]:
@@ -488,20 +570,26 @@ def test_cold_process_operation_counts():
     # F_4 permutations, 24 per other field and 24 per class orbit, plus the
     # two generators on the basis.  The classes are integer orbits: tables
     # of multiples of the basis, two discrete logs and one addition per
-    # orbit (913 and 315 additions when every exact-order point was built)
-    for argv, most in [(("counts", "--max-n", "13"), 450),
-                       (("classify", "--order", "13"), 130)]:
+    # orbit (913 and 315 additions when every exact-order point was built).
+    # Y^2 + Y = X^3 is built once per field (13 curves when built per call)
+    for argv, most, curves in [(("counts", "--max-n", "13"), 450, 6),
+                               (("classify", "--order", "13"), 130, 2)]:
         counts = _cold_counts(*argv)
         assert counts["_verify_aut_group"] == 1
         assert counts["_compose"] == 629
         assert counts["_act"] <= 850
         assert counts["_add_pairs"] <= most, (argv, counts)
+        assert counts["WeierstrassCurve.__init__"] == curves, (argv, counts)
+    assert _cold_counts("jcheck", "--samples", "100")[
+        "WeierstrassCurve.__init__"] == 6  # was 13
     # orders from one multiple per prime: a product tree that stops at the
     # identity, then steps by p; cantor_mul adds no identity term
     assert _cold_counts("hyper", "--genus", "3", "--field", "12") == {
         "cantor_add": 57}
-    # the census solves (x^4+x)^3 = c without root finding
-    assert _cold_counts("moduli", "--d", "4") == {"_add_pairs": 446}
+    # the census solves (x^4+x)^3 = c without root finding, on one curve
+    # per field (25 when built per call)
+    assert _cold_counts("moduli", "--d", "4") == {
+        "_add_pairs": 446, "WeierstrassCurve.__init__": 5}
 
 
 def test_json_has_sorted_keys_and_schema():

@@ -59,6 +59,13 @@ def test_supersingular_curve_basic():
     assert E.is_supersingular()
 
 
+def test_supersingular_curve_is_built_once_per_field():
+    E = WeierstrassCurve.supersingular(4)
+    assert WeierstrassCurve.supersingular(GF(4)) is E
+    assert WeierstrassCurve.supersingular(5) is not E
+    assert E == WeierstrassCurve(GF(4), 0, 0, 1, 0, 0)
+
+
 def test_ordinary_curve_basic():
     ctx = GF(4)
     for tbits in range(1, 16):
