@@ -371,14 +371,16 @@ class CurveFunction:
         return cls(curve, curve.ctx(c), 0, 1)
 
     def base_change(self, target) -> "CurveFunction":
-        """The same function viewed over an extension of the base field."""
+        """The same function viewed over an extension of the base field,
+        with its degree, which as a map to P^1 survives base change."""
         if target is self.curve.ctx:
             return self
-        big = self.curve.base_change(target)
-        return CurveFunction(big,
-                             self.A.map_context(target),
-                             self.B.map_context(target),
-                             self.D.map_context(target))
+        out = CurveFunction(self.curve.base_change(target),
+                            self.A.map_context(target),
+                            self.B.map_context(target),
+                            self.D.map_context(target))
+        out._degree = self.degree()
+        return out
 
     # -- structure -----------------------------------------------------------
     def is_zero(self):

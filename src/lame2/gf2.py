@@ -18,12 +18,12 @@ Cross-field structure:
 
 - ``embed`` maps F_(2^e) into F_(2^d) for e | d.  The image of the source
   generator is built on demand, once per (e, d) pair, as the least root of
-  the source modulus that agrees with the embeddings of the source's own
-  subfields, so composites of embeddings agree with direct embeddings.
+  the source modulus that agrees with the embeddings of the source's
+  maximal subfields, hence of all, so composites agree with direct ones.
 - ``element_degree`` returns the degree of the subfield generated by an
   element (the length of its Frobenius orbit).
 
-Values are immutable; each context caches one GF(2)-linear table, that of
+Values are immutable; each context caches an echelon basis of the image of
 y -> y^2 + y, which gives both the Artin-Schreier solutions and the trace,
 and is safe to share; embedding generators are cached per context pair.
 """
@@ -302,51 +302,35 @@ class FieldContext:
         return self._artin_schreier_rows()[1]
 
     def _artin_schreier_rows(self):
-        """RREF data for the GF(2)-linear map y -> y^2 + y.
+        """(pivots, trace mask) of the GF(2)-linear map y -> y^2 + y.
 
-        Returns (pivots, nullrow) where pivots is a list of (column,
-        transform-mask) pairs and nullrow the transform mask of the one zero
-        row; a transform mask selects which coordinates of the right-hand side
-        get xored together.  The kernel of the map is {0, 1}, so there is
-        exactly one zero row, and its mask is the trace mask: the image is
-        the kernel of the trace (Lidl-Niederreiter, Finite Fields, 2.3).
+        pivots lists (leading bit, (image, preimage)), highest first, for an
+        echelon basis of the image: each image of x^j, j < d, is reduced on
+        the pivots before it, its preimage alongside, and one that reduces
+        to zero puts its preimage in the kernel, whose rank must be 1 (it is
+        {0, 1}; x^0 is that zero, so no preimage has bit 0).  The image is
+        the kernel of the trace (Lidl-Niederreiter, Finite Fields, 2.3), so
+        the trace mask is the one nonzero functional vanishing on the pivots:
+        the bit no pivot leads, then, by back-substitution upwards, each
+        leading bit that the lower ones leave at odd parity with its pivot.
         """
         if self._as_rows is None:
-            d = self.degree
-            cols = []
+            d, sqr, pivots = self.degree, self.sqr, {}
             for j in range(d):
-                b = 1 << j
-                cols.append(self.sqr(b) ^ b)
-            rows = []
-            for i in range(d):
-                r = 0
-                for j in range(d):
-                    if (cols[j] >> i) & 1:
-                        r |= 1 << j
-                rows.append([r, 1 << i])
-            pivot_at = []
-            used = [False] * d
-            for col in range(d):
-                pivot = None
-                for i in range(d):
-                    if not used[i] and (rows[i][0] >> col) & 1:
-                        pivot = i
-                        break
-                if pivot is None:
-                    continue
-                used[pivot] = True
-                for i in range(d):
-                    if i != pivot and (rows[i][0] >> col) & 1:
-                        rows[i][0] ^= rows[pivot][0]
-                        rows[i][1] ^= rows[pivot][1]
-                pivot_at.append((col, pivot))
-            # masks are read only after the reduction has settled
-            pivots = [(col, rows[i][1]) for col, i in pivot_at]
-            nullrows = [rows[i][1] for i in range(d) if rows[i][0] == 0]
-            if len(nullrows) != 1:
+                v, p = sqr(1 << j) ^ 1 << j, 1 << j
+                while v and (top := v.bit_length() - 1) in pivots:
+                    w, q = pivots[top]
+                    v, p = v ^ w, p ^ q
+                if v:
+                    pivots[top] = (v, p)
+            if len(pivots) != d - 1:
                 raise VerificationError(
-                    f"y^2 + y has a kernel of rank {len(nullrows)}, not 1")
-            self._as_rows = (pivots, nullrows[0])
+                    f"y^2 + y has a kernel of rank {d - len(pivots)}, not 1")
+            mask = (1 << d) - 1 ^ sum(1 << top for top in pivots)
+            for top in sorted(pivots):
+                if (mask & pivots[top][0]).bit_count() & 1:
+                    mask |= 1 << top
+            self._as_rows = (sorted(pivots.items(), reverse=True), mask)
         return self._as_rows
 
 
@@ -494,19 +478,20 @@ def trace(a):
 def solve_artin_schreier(c):
     """All y in the context of c with y^2 + y = c.
 
-    Returns a tuple, empty when Tr(c) = 1 and (y, y + 1) otherwise.  Every
-    degree solves the cached GF(2)-linear system of y -> y^2 + y, whose
-    kernel is {0, 1}: its one zero row is the trace condition, and the
-    pivots give the solution with the free coordinate set to 0.
+    Returns a tuple, empty when Tr(c) = 1 and (y, y + 1) otherwise.  c is
+    reduced on the cached pivots (``FieldContext._artin_schreier_rows``),
+    highest first, and y, with bit 0 clear, sums their preimages; a
+    remainder is left exactly when Tr(c) = 1, which checks the trace mask.
     """
-    ctx = c.ctx
-    if c.trace():
+    ctx, cb, yb = c.ctx, c.bits, 0
+    pivots, mask = ctx._artin_schreier_rows()
+    for top, (w, p) in pivots:
+        if cb >> top & 1:
+            cb, yb = cb ^ w, yb ^ p
+    if bool(cb) != (c.bits & mask).bit_count() & 1:
+        raise VerificationError("trace mask disagrees with the image of y^2 + y")
+    if cb:
         return ()
-    pivots, cb = ctx._artin_schreier_rows()[0], c.bits
-    yb = 0
-    for col, mask in pivots:
-        if (cb & mask).bit_count() & 1:
-            yb |= 1 << col
     y = FieldElement(ctx, yb)
     if y.square() + y != c:
         raise VerificationError("Artin-Schreier solver produced a non-solution")
@@ -536,16 +521,20 @@ def _embed_gen(src, target):
     """The image of src's generator in target, as bits.
 
     The image is the least root of src's modulus in target that agrees with
-    every proper subfield GF(2^s) of src: embedding GF(2^s) into src and then
-    into target must give its direct embedding into target.  The recursion
-    only asks for subfields of src, so each pair's image is fixed by its
-    subfields alone, whatever order the pairs are asked in, and composites of
-    embeddings agree with direct ones.
+    every maximal proper subfield GF(2^s) of src, s = deg src / p for p
+    prime: embedding GF(2^s) into src and then into target must give its
+    direct embedding into target.  By induction on the source degree, the
+    pairs (s, src) and (s, target) agree with every subfield r of s, so
+    r -> src -> target = r -> s -> src -> target = r -> s -> target
+    = r -> target: the compatible roots, and the least, are those of a check
+    on every subfield.  The recursion only asks for subfields of src, so
+    each image is fixed by its subfields alone, whatever order the pairs
+    are asked in, and composites of embeddings agree with direct ones.
     """
     key = (src, target)
     gbits = _EMBED_GEN.get(key)
     if gbits is None:
-        subs = [GF(s) for s in divisors(src.degree)[:-1]]
+        subs = [GF(src.degree // p) for p in factorint(src.degree)]
         for gbits in _conjugate_roots(_bit_poly(target, src.modulus)):
             g = FieldElement(target, gbits)
             if all(_bit_poly(target, _embed_gen(sub, src))(g).bits

@@ -9,7 +9,8 @@ bits with u^3 = 1, a in F_4 and c^2 + c = a^3, acting by
 The parametrization is rederived rather than quoted, so the module verifies
 it at runtime before use, on raw ints: once per process over F_4, where all
 keys live, which proves it for every field containing F_4, and then in each
-field for the embedding of F_4 and one drawn point (see ``aut_group``).
+field for the embedding of F_4 and one drawn point (see ``aut_group``); the
+group law is proved on the generators' products (``_verify_aut_group``).
 
 The degree-12 map (x, y) |-> (x^4 + x)^3 is invariant under all 24
 automorphisms and identifies the quotient of the affine curve by the group
@@ -87,24 +88,20 @@ def _compose(ctx: FieldContext, k1, k2):
             c1 ^ c2 ^ mul(mul(u1sq, sqr(a1)), a2))
 
 
-# keys over F_4 = GF(2), w = 2, of order 3 and 4: they generate the group,
-# SL_2(F_3), as it has no subgroup of order 12
+# keys over F_4 = GF(2), w = 2, of order 3 and 4; _verify_aut_group walks
+# their products to prove that they generate the group, SL_2(F_3)
 _GENERATORS = ((2, 0, 0), (1, 1, 2))
 
 
 @lru_cache(maxsize=None)
 def _f4_keys() -> tuple:
-    """The 24 keys over F_4 = GF(2) and _GENERATORS' orders, certified once."""
+    """The 24 keys over F_4 = GF(2), certified once (``_verify_aut_group``)."""
     mul, sqr = GF(2).mul, GF(2).sqr
     # u^3 = 1 and c^2 + c = a^3 are F_4 equations, so u, a and c lie in F_4
-    keys = [(u, a, c) for u in range(1, 4) for a in range(4) for c in range(4)
-            if sqr(c) ^ c == mul(sqr(a), a)]
-    perm = dict(zip(keys, _verify_aut_group(keys)))
-    g3, g4, one, neg = (perm[k] for k in (*_GENERATORS, (1, 0, 0), (1, 0, 1)))
-    cube = tuple(g3[g3[j]] for j in g3)  # cube[i] = g3[g3[g3[i]]]
-    if g3 == one or cube != one or tuple(g4[j] for j in g4) != neg:
-        raise VerificationError("_GENERATORS are not of orders 3 and 4")
-    return tuple(keys)
+    keys = tuple((u, a, c) for u in range(1, 4) for a in range(4)
+                 for c in range(4) if sqr(c) ^ c == mul(sqr(a), a))
+    _verify_aut_group(keys)
+    return keys
 
 
 _AUT_CACHE = {}
@@ -147,23 +144,25 @@ def _verify_aut_group(keys):
     Each key acts by an affine map with F_4 coefficients, and E(F_4) has
     eight affine points, two above each x in F_4, closed under the keys.  So
     each key's permutation of them is computed once, every image validated
-    on the curve, and the 576 pairs compare perm[ka o kb] with perm[ka] o
-    perm[kb].  That proves the law: two affine maps agreeing at the three
-    non-collinear points (0, 0), (0, 1), (1, w) are equal.  It proves curve
-    preservation: in characteristic 2 the on-curve defect of a key's image
-    has no y term, so it is a cubic in x, and it vanishes at all four x in
-    F_4.  Identity, negation, closure, a non-commuting pair and additivity on
-    one pair are checked too.  Returns the permutations, aligned with keys.
+    on the curve.  That proves curve preservation: in characteristic 2 the
+    on-curve defect of a key's image has no y term, so it is a cubic in x,
+    and it vanishes at all four x in F_4.  A breadth-first walk of the left
+    products g o k, g in _GENERATORS, from the identity must stay in the
+    set, each product permuting the points as perm[g] o perm[k]: two affine
+    maps agreeing at the three non-collinear points (0, 0), (0, 1), (1, w)
+    are equal, so each is the true composite.  The walk reaches the words in
+    the generators, a group, so reaching all 24 keys proves the list closed.
+    Identity, negation, additivity on one pair and a non-commuting pair are
+    checked too.
     """
     if len(keys) != 24:
         raise VerificationError("expected 24 automorphisms, found %d"
                                 % len(keys))
-    index = {key: j for j, key in enumerate(keys)}
-    if len(index) != 24:
+    if len(set(keys)) != 24:
         raise VerificationError("automorphism list has duplicates")
-    if (1, 0, 0) not in index:
+    if (1, 0, 0) not in keys:
         raise VerificationError("identity element missing")
-    if (1, 0, 1) not in index:
+    if (1, 0, 1) not in keys:
         raise VerificationError("negation element missing")
 
     ctx = GF(2)
@@ -172,31 +171,33 @@ def _verify_aut_group(keys):
     points = [(x, y) for x in range(4) for y in range(4)
               if sqr(y) ^ y == mul(sqr(x), x)]
     at = {p: i for i, p in enumerate(points)}
-    # perm[j][i]: the index of points[i] moved by keys[j]
-    perm = [tuple(at[_act(ctx, key, *p)] for p in points) for key in keys]
+    # perm[key][i]: the index of points[i] moved by key
+    perm = {key: tuple(at[_act(ctx, key, *p)] for p in points) for key in keys}
 
-    if perm[index[(1, 0, 1)]] != tuple(
-            at[(-CurvePoint(curve, p)).xy] for p in points):
+    if perm[(1, 0, 1)] != tuple(at[(-CurvePoint(curve, p)).xy] for p in points):
         raise VerificationError("(1,0,1) does not act as negation")
     s = at[_add_pairs(curve, points[0], points[2])]
-    for row in perm:
+    for row in perm.values():
         if points[row[s]] != _add_pairs(curve, points[row[0]],
                                         points[row[2]]):
             raise VerificationError("automorphism is not additive")
 
-    noncommuting = False
-    for ka, pa in zip(keys, perm):
-        for kb, pb in zip(keys, perm):
-            gamma = _compose(ctx, ka, kb)
-            if gamma not in index:
+    reached = [(1, 0, 0)]
+    for k in reached:  # the list grows as the walk goes
+        for g in _GENERATORS:
+            gamma = _compose(ctx, g, k)
+            if gamma not in perm:
                 raise VerificationError("composition left the set")
-            if perm[index[gamma]] != tuple(map(pa.__getitem__, pb)):
+            if perm[gamma] != tuple(map(perm[g].__getitem__, perm[k])):
                 raise VerificationError("composition law disagrees with action")
-            if not noncommuting and gamma != _compose(ctx, kb, ka):
-                noncommuting = True
-    if not noncommuting:
+            if gamma not in reached:
+                reached.append(gamma)
+    if len(reached) != 24:  # keys of orders 3 and 4 generate SL_2(F_3)
+        raise VerificationError(f"_GENERATORS reach {len(reached)} of the 24 "
+                                "keys, so they are not of orders 3 and 4")
+    g3, g4 = _GENERATORS
+    if _compose(ctx, g3, g4) == _compose(ctx, g4, g3):
         raise VerificationError("group verified abelian; expected non-abelian")
-    return perm
 
 
 # ---------------------------------------------------------------------------

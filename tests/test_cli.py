@@ -549,7 +549,7 @@ for owner, name in [(weierstrass, "_add_pairs"), (gf2, "poly_roots")]:
         if hasattr(module, name):  # one counter for every binding
             setattr(module, name, getattr(owner, name))
 code, _ = cli.run(sys.argv[2:])
-print(json.dumps(dict(calls, exit=code)))
+print(json.dumps(dict(calls, exit=code, _EMBED_GEN=len(gf2._EMBED_GEN))))
 """
 
 
@@ -565,8 +565,9 @@ def _cold_counts(*argv):
 
 
 def test_cold_process_operation_counts():
-    # Isom(E) is certified once per process, over F_4: 576 compositions
-    # plus the 53 of the search for a non-commuting pair; 192 actions for the
+    # Isom(E) is certified once per process, over F_4: the 48 left products
+    # of the two generators with the 24 keys, then the two generators both
+    # ways round (629 when all 576 pairs were composed); 192 actions for the
     # F_4 permutations, 24 per other field and 24 per class orbit, plus the
     # two generators on the basis.  The classes are integer orbits: tables
     # of multiples of the basis, two discrete logs and one addition per
@@ -576,7 +577,7 @@ def test_cold_process_operation_counts():
                                (("classify", "--order", "13"), 130, 2)]:
         counts = _cold_counts(*argv)
         assert counts["_verify_aut_group"] == 1
-        assert counts["_compose"] == 629
+        assert counts["_compose"] == 50
         assert counts["_act"] <= 850
         assert counts["_add_pairs"] <= most, (argv, counts)
         assert counts["WeierstrassCurve.__init__"] == curves, (argv, counts)
@@ -585,11 +586,13 @@ def test_cold_process_operation_counts():
     # orders from one multiple per prime: a product tree that stops at the
     # identity, then steps by p; cantor_mul adds no identity term
     assert _cold_counts("hyper", "--genus", "3", "--field", "12") == {
-        "cantor_add": 57}
+        "cantor_add": 57, "_EMBED_GEN": 0}
     # the census solves (x^4+x)^3 = c without root finding, on one curve
-    # per field (25 when built per call)
+    # per field (25 when built per call); its six embedding pairs fix 25
+    # generator images, every subfield pair of theirs, as each subfield is
+    # reached through a chain of maximal ones
     assert _cold_counts("moduli", "--d", "4") == {
-        "_add_pairs": 446, "WeierstrassCurve.__init__": 5}
+        "_add_pairs": 446, "WeierstrassCurve.__init__": 5, "_EMBED_GEN": 25}
 
 
 def test_json_has_sorted_keys_and_schema():

@@ -1271,6 +1271,25 @@ def test_routes_match_their_references_on_the_pool(ramify_pool_covers):
         _check_routes(func, profile, label)
 
 
+def test_base_change_carries_the_degree_it_would_recompute(
+        ramify_pool_covers):
+    # the degree of a map to P^1 does not change under base change, so the
+    # one computed over the base field is carried to the extension; a fresh
+    # function on the same A, B and D recomputes it there
+    E = WeierstrassCurve.supersingular(3)
+    cases = [(CurveFunction(E, Poly(E.ctx, [5, 1]), Poly.one(E.ctx),
+                            Poly.x(E.ctx)), 2)]
+    cases += [(miller_function(torsion_basis(n)[1], n), k)
+              for n in range(3, 14, 2) for k in (2, 3)]
+    for f, k in cases:
+        big = f.base_change(GF(f.curve.ctx.degree * k))
+        fresh = CurveFunction(big.curve, big.A, big.B, big.D)
+        assert big._degree == fresh.degree() == f.degree(), (f, k)
+    for label, func, _profile in ramify_pool_covers:
+        fresh = CurveFunction(func.curve, func.A, func.B, func.D)
+        assert func.degree() == fresh.degree(), label
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(n=st.sampled_from([3, 5, 7, 9]), seed=st.integers(0, 10 ** 6))
 def test_routes_match_their_references_on_drawn_covers(n, seed):

@@ -441,8 +441,8 @@ def test_trace_mask_matches_the_squaring_loop(d):
                          ids=["kernel-everything", "kernel-zero"])
 def test_artin_schreier_table_refuses_a_wrong_kernel(monkeypatch, square):
     # with squaring replaced by the identity, y -> y^2 + y is zero and every
-    # row is a null row; replaced by zero, the map is the identity and no row
-    # is; the kernel of the true map is {0, 1}, so the table needs one
+    # image reduces to zero; replaced by zero, the map is the identity and no
+    # image does; the kernel of the true map is {0, 1}, so the table needs one
     ctx = GF(8)
     monkeypatch.setattr(ctx, "sqr", square)
     monkeypatch.setattr(ctx, "_as_rows", None)
@@ -498,6 +498,79 @@ def test_artin_schreier_odd_degrees_match_the_half_trace(d):
             acc = acc.square().square()
             h = h + acc
         assert set(sols) == {h, h + ctx.one}
+
+
+def reference_artin_schreier_rows(ctx):
+    """The row-RREF table the echelon basis replaced: the d x d matrix of
+    y -> y^2 + y transposed into rows, each with its transform mask, reduced;
+    returns (pivots, nullrow), pivots as (column, transform-mask) pairs."""
+    d = ctx.degree
+    cols = [ctx.sqr(1 << j) ^ (1 << j) for j in range(d)]
+    rows = [[sum(((cols[j] >> i) & 1) << j for j in range(d)), 1 << i]
+            for i in range(d)]
+    pivot_at, used = [], [False] * d
+    for col in range(d):
+        pivot = next((i for i in range(d)
+                      if not used[i] and (rows[i][0] >> col) & 1), None)
+        if pivot is None:
+            continue
+        used[pivot] = True
+        for i in range(d):
+            if i != pivot and (rows[i][0] >> col) & 1:
+                rows[i][0] ^= rows[pivot][0]
+                rows[i][1] ^= rows[pivot][1]
+        pivot_at.append((col, pivot))
+    nullrows = [rows[i][1] for i in range(d) if rows[i][0] == 0]
+    if len(nullrows) != 1:
+        raise VerificationError(
+            f"y^2 + y has a kernel of rank {len(nullrows)}, not 1")
+    return [(col, rows[i][1]) for col, i in pivot_at], nullrows[0]
+
+
+def reference_solve_artin_schreier(c, table):
+    """y^2 + y = c read off the row table: () or (y, y + 1), as bits."""
+    pivots, nullrow = table
+    if (c.bits & nullrow).bit_count() & 1:
+        return ()
+    yb = sum(1 << col for col, mask in pivots
+             if (c.bits & mask).bit_count() & 1)
+    return (yb, yb ^ 1)
+
+
+@pytest.mark.parametrize("d", list(range(1, 65)) + [96, 127])
+def test_artin_schreier_basis_matches_the_row_table(d):
+    ctx = GF(d)
+    table = reference_artin_schreier_rows(ctx)
+    assert ctx.trace_mask() == table[1]
+    rng = random.Random(300 + d)
+    for c in [ctx(1 << i) for i in range(d)] + [ctx.random(rng)
+                                                for _ in range(16)]:
+        got = tuple(y.bits for y in solve_artin_schreier(c))
+        assert got == reference_solve_artin_schreier(c, table), (d, c)
+
+
+@pytest.mark.parametrize("d", [1, 2, 8, 13, 48])
+def test_a_flipped_trace_mask_bit_fails_the_image_check(monkeypatch, d):
+    # x^i is on the image of y -> y^2 + y exactly when Tr(x^i) = 0, so a
+    # mask with bit i flipped misreads x^i, and solving it must refuse
+    ctx = GF(d)
+    pivots, mask = ctx._artin_schreier_rows()
+    for i in range(d):
+        monkeypatch.setattr(ctx, "_as_rows", (pivots, mask ^ 1 << i))
+        with pytest.raises(VerificationError, match="trace mask disagrees"):
+            solve_artin_schreier(ctx(1 << i))
+
+
+def test_artin_schreier_table_reports_a_kernel_of_rank_two(monkeypatch):
+    # squaring that fixes x puts x beside 1 in the kernel of y -> y^2 + y
+    ctx = GF(8)
+    real = ctx.sqr
+    monkeypatch.setattr(ctx, "sqr", lambda a: a if a == 2 else real(a))
+    monkeypatch.setattr(ctx, "_as_rows", None)
+    with pytest.raises(VerificationError, match="kernel of rank 2, not 1"):
+        ctx._artin_schreier_rows()
+    with pytest.raises(VerificationError, match="kernel of rank 2, not 1"):
+        reference_artin_schreier_rows(ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -946,6 +1019,36 @@ def test_embed_gen_matches_the_eager_sweep(reference_embeddings):
     assert len(table) == 107 and len(proper) == 87
     for (e, d), gbits in proper.items():
         assert _embed_gen(GF(e), GF(d)) == gbits, (e, d)
+
+
+def reference_embed_gen(src, target, table):
+    """The recursion the maximal-subfield check replaced: the least root of
+    src's modulus in target that agrees with every proper subfield of src."""
+    key = (src.degree, target.degree)
+    if key not in table:
+        subs = [GF(s) for s in divisors(src.degree)[:-1]]
+        for gbits in _conjugate_roots(_bit_poly(target, src.modulus)):
+            g = target(gbits)
+            if all(_bit_poly(target, reference_embed_gen(sub, src, table))(g)
+                   .bits == reference_embed_gen(sub, target, table)
+                   for sub in subs):
+                break
+        else:
+            raise VerificationError("no composition-consistent embedding root")
+        table[key] = gbits
+    return table[key]
+
+
+def test_maximal_subfield_check_matches_every_subfield():
+    # every e | D <= 48, then e | 60 and e | 64: the compatible roots are the
+    # same set, so the least one is the same generator image
+    table = {}
+    pairs = [(e, D) for D in list(range(2, 49)) + [60, 64]
+             for e in divisors(D)[:-1]]
+    for e, D in pairs:
+        assert _embed_gen(GF(e), GF(D)) == \
+            reference_embed_gen(GF(e), GF(D), table), (e, D)
+    assert len(pairs) == 167
 
 
 def test_embed_gen_builds_only_what_is_asked(reference_embeddings):

@@ -310,11 +310,19 @@ def _both_refuse_law(monkeypatch, match, law=lame._compose, action=lame._act):
 
 
 def test_verifiers_refuse_a_law_that_leaves_the_set(monkeypatch):
+    # the F_4 certificate composes only the generators' left products, so
+    # the law is corrupted at one of them, g4 o g4 (negation); the
+    # reference's every-pair loop also refuses it at (1,0,1) o (1,0,1)
     real = lame._compose
 
-    def law(ctx, k1, k2):
-        return (0, 0, 0) if k1 == k2 == (1, 0, 1) else real(ctx, k1, k2)
-    _both_refuse_law(monkeypatch, "composition left the set", law)
+    def corrupted_at(key):
+        return lambda ctx, k1, k2: ((0, 0, 0) if k1 == k2 == key
+                                    else real(ctx, k1, k2))
+    _both_refuse_law(monkeypatch, "composition left the set",
+                     corrupted_at((1, 1, 2)))
+    with pytest.raises(VerificationError, match="composition left the set"):
+        reference_verify_aut_group(GF(2), aut_group(GF(2)), _fe_act,
+                                   corrupted_at((1, 0, 1)))
 
 
 def test_verifiers_refuse_a_law_that_disagrees_with_the_action(monkeypatch):
@@ -325,10 +333,11 @@ def test_verifiers_refuse_a_law_that_disagrees_with_the_action(monkeypatch):
 
 def test_verifiers_refuse_an_abelian_group(monkeypatch):
     # Z/2 x Z/12 on the 24 keys, acting through its Z/2 factor by negation;
-    # every other certificate holds, so only the non-abelian check refuses
+    # the generators' labels, (1, 4) and (1, 1), generate it, so every other
+    # certificate holds and only the non-abelian check refuses
     keys = aut_group(GF(2))
     rest = [k for k in keys if k not in ((1, 0, 0), (1, 0, 1))]
-    coords = [(0, 0), (1, 0)] + [(e, m) for m in range(1, 12) for e in (0, 1)]
+    coords = [(0, 0), (1, 0)] + [(e, m) for m in range(1, 12) for e in (1, 0)]
     label = dict(zip([(1, 0, 0), (1, 0, 1)] + rest, coords))
     key_of = {v: k for k, v in label.items()}
     real = lame._act
@@ -367,6 +376,29 @@ def test_verifiers_refuse_a_non_additive_action(monkeypatch):
             Q = T
         return Q.xy
     _both_refuse_law(monkeypatch, "not additive", action=action)
+
+
+def test_verifier_refuses_a_generator_outside_the_keys(monkeypatch):
+    # (1, 1, 0) is no key, c^2 + c = 0 but a^3 = 1, so the walk's first
+    # product with it, (1, 1, 0) o identity, leaves the set
+    monkeypatch.setattr(lame, "_GENERATORS", ((2, 0, 0), (1, 1, 0)))
+    with pytest.raises(VerificationError, match="composition left the set"):
+        lame._verify_aut_group(aut_group(GF(2)))
+
+
+def test_verifiers_refuse_one_generator_product_acting_wrongly(monkeypatch):
+    # g4 o g4 is negation; a law that names it g4 stays in the set, and only
+    # the permutation of E(F_4)'s points tells them apart
+    real = lame._compose
+    _both_refuse_law(monkeypatch, "disagrees with action", lambda ctx, k1, k2: (
+        k1 if k1 == k2 == (1, 1, 2) else real(ctx, k1, k2)))
+
+
+def test_verifier_refuses_generators_that_do_not_reach_every_key(monkeypatch):
+    # (w, 0, 0) and negation generate a cyclic group of order 6
+    monkeypatch.setattr(lame, "_GENERATORS", ((2, 0, 0), (1, 0, 1)))
+    with pytest.raises(VerificationError, match="reach 6 of the 24 keys"):
+        lame._verify_aut_group(aut_group(GF(2)))
 
 
 # -- the invariant map and its orbits ---------------------------------------
