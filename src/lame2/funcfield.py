@@ -39,7 +39,7 @@ from .common import (
     ProfileFalsified,
     VerificationError,
 )
-from .gf2 import (FieldElement, Poly, _coeff_bits, _root_multiplicity,
+from .gf2 import (FieldElement, Poly, _operand_bits, _root_multiplicity,
                   poly_roots)
 from .weierstrass import CurvePoint, WeierstrassCurve, _slope
 
@@ -56,13 +56,13 @@ class Series:
     empty coefficient tuple means the series vanishes to order prec, in
     which case its true valuation is unknown.  Coefficients are read as
     FieldElements through coeff() and value_at_origin(); scalar operands
-    are FieldElements of the same context, or ints standing for GF(2).
+    follow the operand rule of ``gf2._operand_bits``.
     """
 
     __slots__ = ("ctx", "val", "coeffs")
 
     def __init__(self, ctx, val, coeffs):
-        self._set(ctx, val, _coeff_bits(ctx, coeffs))
+        self._set(ctx, val, [ctx(c).bits for c in coeffs])
 
     def _set(self, ctx, val, cs):
         lead = next((i for i, c in enumerate(cs) if c), len(cs))
@@ -113,17 +113,8 @@ class Series:
         if other.ctx != self.ctx:
             raise ValueError("operands live in different field contexts")
 
-    def _scalar(self, other):
-        """The bits of a scalar operand, or None when other is no scalar."""
-        if isinstance(other, FieldElement):
-            self._same_context(other)
-            return other.bits
-        if isinstance(other, int):
-            return other & 1
-        return None
-
     def __add__(self, other):
-        c = self._scalar(other)
+        c = _operand_bits(self.ctx, other)
         if c is not None:
             # scalars are exact; they fold into the t^0 slot of this window
             if self.prec <= 0:
@@ -151,7 +142,7 @@ class Series:
         """By the exact scalar 0 the product is the field zero, not a Series
         with a window, so that X + 0*Y keeps the whole window of X."""
         mul = self.ctx.mul
-        c = self._scalar(other)
+        c = _operand_bits(self.ctx, other)
         if c is not None:
             if not c:
                 return self.ctx.zero
@@ -198,7 +189,7 @@ class Series:
         return Series._of(self.ctx, -self.val, out)
 
     def __truediv__(self, other):
-        c = self._scalar(other)
+        c = _operand_bits(self.ctx, other)
         if c is not None:
             return self * FieldElement(self.ctx, self.ctx.inv(c))
         if not isinstance(other, Series):
@@ -206,8 +197,6 @@ class Series:
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        if self._scalar(other) is None:
-            return NotImplemented
         return self.inverse() * other
 
     def deriv(self):
@@ -323,13 +312,11 @@ def _check_on_curve(curve: WeierstrassCurve, X: Series, Y: Series):
 
 
 def _as_poly(curve, v):
-    if isinstance(v, Poly):
-        if v.ctx != curve.ctx:
-            raise ValueError("polynomial over a different context")
-        return v
-    if isinstance(v, FieldElement):
-        return Poly.const(v)
-    return Poly(curve.ctx, [curve.ctx(v).bits])
+    """v as a Poly over the curve's context, a constant by the constructor rule."""
+    p = v if isinstance(v, Poly) else Poly(curve.ctx, [v])
+    if p.ctx is not curve.ctx:
+        raise ValueError("polynomial over a different context")
+    return p
 
 
 def _norm(curve, A, B):
@@ -412,11 +399,8 @@ class CurveFunction:
             if other.curve != self.curve:
                 raise ValueError("functions on different curves")
             return other
-        if isinstance(other, int):  # a GF(2) scalar, as Series reads it
-            other &= 1
-        if isinstance(other, (FieldElement, int)):
-            return CurveFunction.constant(self.curve, other)
-        return None
+        c = _operand_bits(self.curve.ctx, other)
+        return None if c is None else CurveFunction.constant(self.curve, c)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -472,10 +456,7 @@ class CurveFunction:
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
+        return self.inverse() * other
 
     # -- geometry ------------------------------------------------------------
     def degree(self) -> int:
@@ -671,24 +652,27 @@ def different_exponent(func: CurveFunction, place) -> int:
 
     s is func - func(Q) at finite values and 1/func at poles.  Odd
     (tame) ramification gives d = e - 1; even indices are wild and carry
-    the extra conductor the series computes (windows: _different).
+    the extra conductor the series computes (windows: _local_datum).
     """
-    value = func.evaluate(place)
-    s = _expand_shifted(func, value, place, func.degree() + 1)
-    if s.valuation() < 1:
+    return _local_datum(func, func.evaluate(place), place)[1]
+
+
+def _local_datum(func: CurveFunction, value, place, s: Series | None = None):
+    """(e, d) = (v_t(s), v_t(ds/dt)), d = 0 when e = 1, for s the series
+    _expand_shifted(func, value, place, n + 1), expanded unless given: it
+    fixes e <= n = deg func and every tame d = e - 1, and s is widened to
+    t^(2n+1) only at a wild point, where ds/dt vanishes through t^(n-1), as
+    the differents of a genus-one cover of the line sum to 2n."""
+    if s is None:
+        s = _expand_shifted(func, value, place, func.degree() + 1)
+    e = s.valuation()
+    if e < 1:
         raise VerificationError(f"function does not take {value!r} at {place!r}")
-    return _different(func, value, place, s)
-
-
-def _different(func: CurveFunction, value, place, s: Series) -> int:
-    """v_t(ds/dt) for s = _expand_shifted(func, value, place, n + 1), which
-    fixes e <= n = deg func and every tame d = e - 1; only where ds/dt
-    vanishes through t^(n-1), at a wild point, is s widened to t^(2n+1):
-    the differents of a degree-n cover of the line by a genus-one curve sum
-    to 2n (Riemann-Hurwitz)."""
+    if e == 1:
+        return 1, 0
     if s.deriv().is_zero_to_prec():
         s = _expand_shifted(func, value, place, 2 * func.degree() + 2)
-    return s.deriv().valuation()
+    return e, s.deriv().valuation()
 
 
 def _fiber_poly(func: CurveFunction, value) -> Poly:
@@ -712,7 +696,7 @@ def fiber(func: CurveFunction, value):
     conjugate point, or twice that at Q where h(x(Q)) = 0 and
     v_Q(X - x(Q)) = 2.  So a simple root gives e = 1 unexpanded; a multiple
     one, the origin and the poles are expanded through t^n, n = deg func,
-    and that series also gives the different exponent (_different).
+    and that series also gives the different exponent (_local_datum).
 
     Raises FiberEscapeError when the multiplicities do not add up to the
     degree of the cover, i.e. part of the fiber lives in an extension field.
@@ -764,7 +748,7 @@ def ramification_profile(func: CurveFunction, branch_values):
         key = value if value is INFINITY else E.ctx(value)
         entries = []
         for Q, e, s in _fiber(func, key):
-            d = _different(func, key, Q, s) if e > 1 else 0
+            d = 0 if s is None else _local_datum(func, key, Q, s)[1]
             if e % 2 == 1 and e > 1 and d != e - 1:
                 raise VerificationError(
                     f"tame point reports d={d}, expected {e - 1}")

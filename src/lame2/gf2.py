@@ -7,6 +7,14 @@ modulus of degree d, the numerically smallest integer with bit d set whose
 bit-polynomial is irreducible over GF(2).  There is one context per degree,
 so contexts compare by identity and nothing needs to be serialized beyond d.
 
+Each input rule has one owner.  ``GF`` takes a degree, or a context as it is.
+The constructor rule, ``FieldContext.__call__`` (read by the Poly, Series and
+CurveFunction constructors and at Poly evaluation points), reduces an int as a
+bit-polynomial and refuses a negative one.  The operand rule,
+``_operand_bits`` (read by FieldElement, Poly, Series and CurveFunction
+arithmetic), reads an int as its image v & 1 in GF(2).  Both refuse an
+element of another context.
+
 Each context builds one raw-int kernel, ``ctx.mul``, ``ctx.sqr`` and
 ``ctx.inv`` (``_table_kernel`` for 2 <= d <= 12, else ``_field_kernel``),
 and all element and polynomial arithmetic runs on it; it reduces by one fold
@@ -53,12 +61,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # raw bit-polynomial helpers (coefficients in GF(2), packed into ints)
-
-def _nonnegative(v):
-    if v < 0:
-        raise FieldInputError(f"negative int {v} is not a field element")
-    return v
-
 
 def _pmod(a, m):
     dm = m.bit_length() - 1
@@ -230,13 +232,15 @@ class FieldContext:
 
     ``FieldContext(d)``, ``GF(d)`` and an unpickled context of degree d are
     one object, built with its kernel on first use; the degree must be an
-    int (not a bool) and at least 1.
+    int (not a bool) and at least 1, and a context is returned unchanged.
     """
 
     __slots__ = ("degree", "modulus", "zero", "one", "mul", "sqr", "inv",
                  "_as_rows")
 
     def __new__(cls, degree):
+        if isinstance(degree, FieldContext):
+            return degree
         if type(degree) is not int:  # bool is refused here too
             raise TypeError(f"field degree must be an int, got {degree!r}")
         self = _CANONICAL.get(degree)
@@ -254,15 +258,16 @@ class FieldContext:
         return self
 
     # -- construction -----------------------------------------------------
-    def __call__(self, v):
+    def __call__(self, v):  # the constructor rule
         if isinstance(v, FieldElement):
             if v.ctx is self:
                 return v
             raise ValueError("element belongs to a different context")
         if isinstance(v, int):
-            if v >> self.degree:  # every negative int lands here too
-                v = _pmod(_nonnegative(v), self.modulus)
-            return FieldElement(self, v)
+            if v < 0:
+                raise FieldInputError(f"negative int {v} is not a field element")
+            return FieldElement(self, _pmod(v, self.modulus)
+                                if v >> self.degree else v)
         raise TypeError(f"cannot coerce {type(v).__name__} into GF(2^{self.degree})")
 
     def from_hex(self, s):
@@ -347,20 +352,10 @@ class FieldElement:
         self.bits = bits
 
     # -- ring structure ----------------------------------------------------
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.ctx is not self.ctx:
-                raise ValueError("operands live in different field contexts")
-            return other
-        if isinstance(other, int):
-            return FieldElement(self.ctx, other & 1)
-        return NotImplemented
-
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if (b := _operand_bits(self.ctx, other)) is None:
             return NotImplemented
-        return FieldElement(self.ctx, self.bits ^ other.bits)
+        return FieldElement(self.ctx, self.bits ^ b)
 
     __radd__ = __add__
     __sub__ = __add__
@@ -370,22 +365,19 @@ class FieldElement:
         return self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if (b := _operand_bits(self.ctx, other)) is None:
             return NotImplemented
-        return FieldElement(self.ctx, self.ctx.mul(self.bits, other.bits))
+        return FieldElement(self.ctx, self.ctx.mul(self.bits, b))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if (b := _operand_bits(self.ctx, other)) is None:
             return NotImplemented
-        ctx = self.ctx
-        return FieldElement(ctx, ctx.mul(self.bits, ctx.inv(other.bits)))
+        return FieldElement(self.ctx, self.ctx.mul(self.bits, self.ctx.inv(b)))
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        return self.inverse() * other
 
     def inverse(self):
         return FieldElement(self.ctx, self.ctx.inv(self.bits))
@@ -451,23 +443,16 @@ class FieldElement:
         return {"d": self.ctx.degree, "hex": format(self.bits, "x")}
 
 
-def _coeff_bits(ctx, coeffs):
-    """The bits of Poly or Series coefficients over ctx, as a list.
-
-    An element of ctx gives its bits; an int is read as a bit-polynomial and
-    reduced mod the modulus.  An element of another context raises
-    ValueError, a negative int FieldInputError.
-    """
-    out = []
-    for c in coeffs:
-        if isinstance(c, FieldElement):
-            if c.ctx is not ctx:
-                raise ValueError("coefficient from a different context")
-            c = c.bits
-        elif c >> ctx.degree:  # every negative int lands here too
-            c = _pmod(_nonnegative(c), ctx.modulus)
-        out.append(c)
-    return out
+def _operand_bits(ctx, v):
+    """The operand rule: the bits of an element of ctx, v & 1 for an int, and
+    None for anything else; an element of another context raises."""
+    if isinstance(v, FieldElement):
+        if v.ctx is not ctx:
+            raise ValueError("operands live in different field contexts")
+        return v.bits
+    if isinstance(v, int):
+        return v & 1
+    return None
 
 
 def trace(a):
@@ -570,7 +555,7 @@ class Poly:
     __slots__ = ("ctx", "coeffs")
 
     def __init__(self, ctx, coeffs):
-        self._set(ctx, _coeff_bits(ctx, coeffs))
+        self._set(ctx, [ctx(c).bits for c in coeffs])
 
     def _set(self, ctx, cs):
         while cs and cs[-1] == 0:
@@ -627,9 +612,18 @@ class Poly:
         return "Poly(" + " + ".join(terms) + f") over GF(2^{self.ctx.degree})"
 
     # -- arithmetic ------------------------------------------------------------
+    def _operand(self, other):
+        """other as a Poly over this context, or None, by the operand rule."""
+        if isinstance(other, Poly):
+            if self.ctx is not other.ctx:
+                raise ValueError("polynomials over different contexts")
+            return other
+        b = _operand_bits(self.ctx, other)
+        return None if b is None else Poly._of(self.ctx, [b])
+
     def __add__(self, other):
-        if self.ctx is not other.ctx:
-            raise ValueError("polynomials over different contexts")
+        if (other := self._operand(other)) is None:
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -638,16 +632,16 @@ class Poly:
             out[i] ^= c
         return Poly._of(self.ctx, out)
 
+    __radd__ = __add__
     __sub__ = __add__
+    __rsub__ = __add__
 
     def __neg__(self):
         return self
 
     def __mul__(self, other):
-        if isinstance(other, FieldElement):
-            other = Poly.const(other)
-        if self.ctx is not other.ctx:
-            raise ValueError("polynomials over different contexts")
+        if (other := self._operand(other)) is None:
+            return NotImplemented
         if self.is_zero() or other.is_zero():
             return Poly.zero(self.ctx)
         mul = self.ctx.mul
@@ -659,6 +653,8 @@ class Poly:
                 if b:
                     out[j] ^= mul(a, b)
         return Poly._of(self.ctx, out)
+
+    __rmul__ = __mul__
 
     def square(self):
         sqr = self.ctx.sqr
@@ -739,10 +735,8 @@ class Poly:
                                    for i, c in enumerate(self.coeffs[1:], start=1)])
 
     def __call__(self, x):
-        if isinstance(x, FieldElement):
-            if x.ctx is not self.ctx:
-                raise ValueError("evaluation point in a different context")
-            mul, xb, acc = self.ctx.mul, x.bits, 0
+        if isinstance(x, (FieldElement, int)):  # a point, by the constructor rule
+            mul, xb, acc = self.ctx.mul, self.ctx(x).bits, 0
             for c in reversed(self.coeffs):
                 acc = mul(acc, xb) ^ c
             return FieldElement(self.ctx, acc)

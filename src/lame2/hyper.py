@@ -79,7 +79,7 @@ class HyperellipticCurve:
             return self.identity_divisor()
         x, y = pt
         u = Poly(self.ctx, [x, 1])
-        return MumfordDivisor(self, u, Poly.const(y))
+        return MumfordDivisor(self, u, Poly(self.ctx, [y]))
 
     def __eq__(self, other):
         if not isinstance(other, HyperellipticCurve):

@@ -45,8 +45,8 @@ from .weierstrass import (
     point_order,
     torsion_field_degree,
 )
-from .funcfield import (_different, _expand_shifted, _fiber_poly,
-                        miller_function, ramification_profile)
+from .funcfield import (_fiber_poly, _local_datum, miller_function,
+                        ramification_profile)
 
 # desk-scale caps: the largest torsion order classified and the largest
 # degree d of the field-of-moduli census over F_(2^d); then, named apart from
@@ -107,6 +107,14 @@ def _f4_keys() -> tuple:
 _AUT_CACHE = {}
 
 
+def _f4_image(ctx: FieldContext) -> tuple:
+    """iota = (0, 1, w, w + 1), F_4's bits 0 to 3 in ctx; w^2 + w = 1 checked."""
+    w = embed(GF(2)(2), ctx).bits
+    if ctx.sqr(w) ^ w != 1:
+        raise VerificationError("embedded w is not a root of x^2 + x + 1")
+    return (0, 1, w, w ^ 1)
+
+
 def aut_group(field) -> list:
     """The 24 automorphisms of (Y^2+Y=X^3, 0) over an even-degree field, as
     their sorted (u, a, c) keys of bits; ``_act`` applies a key to a point.
@@ -119,15 +127,12 @@ def aut_group(field) -> list:
     also moves one drawn point by all 24 keys, validating the images, and
     checks that (1, 0, 1) negates it.
     """
-    ctx = field if isinstance(field, FieldContext) else GF(field)
+    ctx = GF(field)
     if ctx.degree % 2:
         raise ValueError("the automorphism group needs F_4, an even degree")
     keys = _AUT_CACHE.get(ctx)
     if keys is None:
-        w = embed(GF(2)(2), ctx).bits
-        if ctx.sqr(w) ^ w != 1:
-            raise VerificationError("embedded w is not a root of x^2 + x + 1")
-        iota = (0, 1, w, w ^ 1)  # the images of the GF(2) bits 0, 1, 2, 3
+        iota = _f4_image(ctx)
         keys = tuple(sorted(tuple(iota[v] for v in key) for key in _f4_keys()))
         P = WeierstrassCurve.supersingular(ctx).random_point(
             random.Random(0xA07))
@@ -287,8 +292,8 @@ def _classify_torsion(n: int) -> tuple:
             f"desk-scale classification stops at order {_MAX_ORDER}")
     d = torsion_field_degree(n)
     curve, ctx = WeierstrassCurve.supersingular(d), GF(d)
-    w = embed(GF(2)(2), ctx).bits  # the root of x^2 + x + 1 aut_group checks
-    g3, g4 = (tuple((0, 1, w, w ^ 1)[v] for v in key) for key in _GENERATORS)
+    iota = _f4_image(ctx)
+    g3, g4 = (tuple(iota[v] for v in key) for key in _GENERATORS)
     # (P, g3 P) is a basis unless P spans an eigenline of g3 mod some p | n
     rng = random.Random(0)
     for _ in range(64):
@@ -556,10 +561,7 @@ def third_point_datum(P: CurvePoint, n: int) -> dict:
     of f - f(Q) through t^n gives both e and d.
     """
     f, Q, supersingular = _normalized_cover(P, n)
-    value = f.evaluate(Q)
-    s = _expand_shifted(f, value, Q, n + 1)
-    e = s.valuation()
-    d = _different(f, value, Q, s) if e > 1 else 0
+    e, d = _local_datum(f, f.evaluate(Q), Q)
     return {
         "n": n,
         "model": "supersingular" if supersingular else "ordinary",

@@ -31,11 +31,11 @@ from .weierstrass import CurvePoint, WeierstrassCurve
 
 
 def _as_coord(v, like=None):
-    if isinstance(v, FieldElement):
-        return v
+    """v read into the field of `like` by the constructor rule, which refuses
+    an element of another field; v as given when `like` is rational."""
     if isinstance(like, FieldElement):
         return like.ctx(v)
-    if isinstance(v, (int, Fraction)):
+    if isinstance(v, (FieldElement, int, Fraction)):
         return v
     raise TypeError(f"unsupported coordinate {v!r}")
 
@@ -51,9 +51,6 @@ class WeightedPoint:
         self.a = _as_coord(a, sample)
         self.b = _as_coord(b, sample)
         self.c = _as_coord(c, sample)
-        if isinstance(self.a, FieldElement):
-            if not (self.a.ctx == self.b.ctx == self.c.ctx):
-                raise ValueError("coordinates live in different fields")
         if not (self.a or self.b or self.c):
             raise ValueError("all coordinates vanish")
 

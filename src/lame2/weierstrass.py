@@ -133,7 +133,7 @@ class WeierstrassCurve:
     def supersingular(cls, field) -> "WeierstrassCurve":
         """Y^2 + Y = X^3 over GF(2^d), one shared curve per field; `field` is
         a context or a degree."""
-        ctx = field if isinstance(field, FieldContext) else GF(field)
+        ctx = GF(field)
         if (curve := _SUPERSINGULAR.get(ctx)) is None:
             curve = _SUPERSINGULAR[ctx] = cls(ctx, 0, 0, 1, 0, 0)
         return curve
@@ -141,7 +141,7 @@ class WeierstrassCurve:
     @classmethod
     def ordinary(cls, field, t) -> "WeierstrassCurve":
         """Y^2 + X*Y = X^3 + t*X over GF(2^d), t != 0."""
-        ctx = field if isinstance(field, FieldContext) else GF(field)
+        ctx = GF(field)
         t = ctx(t)
         if t == ctx.zero:
             raise ValueError("t = 0 gives a singular curve")

@@ -460,11 +460,30 @@ def test_demos_are_found():
     assert DEMOS
 
 
+# sha256 of each demo's stdout; a demo prints only exact, seeded results
+DEMO_DIGESTS = {
+    "01_torsion_classes.py":
+        "ebc5e0ef6e10d830b65cbf4f27269152bf740b1bb65dc9a0b3f0613a08989653",
+    "02_cover_branch_data.py":
+        "1aafe61f3f5fada4ee671c893da5d238b73c1f9dc978bcf504cd1cba07b55e99",
+    "03_moduli_census.py":
+        "66c9150b4292819cf4930458e83a4d194cd1cbcc3cecd1b54beb1b452308d39e",
+    "04_triples.py":
+        "f9f398e42c9a9755a1cec9177c186323ffdfe190c4bb288a49dfdf9147d002e0",
+    "05_weighted_coordinates.py":
+        "8eda4c7072b4b206b877699fbc25836c289ff715294470ce86c473e2d978547b",
+    "06_hyperelliptic.py":
+        "720310fdfc3bccde8f676118ca7aa4a1ef2467afc64819174fcffdd9d064faa3",
+}
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
     done = subprocess.run([sys.executable, str(demo)], capture_output=True,
                           text=True, env=_src_env())
     assert done.returncode == 0, done.stderr[-2000:]
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == \
+        DEMO_DIGESTS[demo.name]
 
 
 def test_traced_layers_resolve():

@@ -299,18 +299,28 @@ def test_series_arithmetic_matches_the_field_element_reference(ctx):
 
 
 @pytest.mark.parametrize("make", [
-    lambda ctx, cs: Poly(ctx, cs),
-    lambda ctx, cs: Series(ctx, 0, cs),
-], ids=["Poly", "Series"])
+    lambda ctx, cs: Poly(ctx, cs).coeffs,
+    lambda ctx, cs: Series(ctx, 0, cs).coeffs,
+    # each coefficient as the constant of a function, read back as bits
+    lambda ctx, cs: tuple(
+        CurveFunction(WeierstrassCurve.supersingular(ctx), c).A.coeff(0).bits
+        for c in cs),
+    # each coefficient as a point at which x is evaluated
+    lambda ctx, cs: tuple(Poly.x(ctx)(c).bits for c in cs),
+], ids=["Poly", "Series", "CurveFunction", "Poly-point"])
 def test_poly_and_series_share_one_coefficient_rule(make):
+    # the constructor rule of FieldContext.__call__, read by every
+    # constructor that takes field values
     ctx = GF(4)
     big = 0b1100101  # degree 6, reduced mod x^4 + x + 1
-    assert make(ctx, [1, big]).coeffs == (1, _pmod(big, ctx.modulus))
-    assert make(ctx, [1, ctx(0b1010), 0b1010]).coeffs == (1, 0b1010, 0b1010)
+    assert make(ctx, [1, big]) == (1, _pmod(big, ctx.modulus))
+    assert make(ctx, [1, ctx(0b1010), 0b1010]) == (1, 0b1010, 0b1010)
     with pytest.raises(FieldInputError, match="negative"):
         make(ctx, [1, -1])
     with pytest.raises(ValueError, match="different context"):
         make(ctx, [1, GF(8).one])
+    with pytest.raises(ValueError, match="different context"):
+        make(ctx, [1, GF(8)(3)])
     with pytest.raises(ValueError, match="different context"):
         make(ctx, [1, GF(2).one])
 
@@ -946,7 +956,7 @@ def test_fiber_reads_an_int_value_as_field_bits():
 
 
 def test_function_reads_an_int_operand_as_a_gf2_scalar():
-    # as FieldElement and Series do; constructors keep reading field bits
+    # as FieldElement, Poly and Series do; constructors keep reading field bits
     E = WeierstrassCurve.supersingular(4)
     X = coordinate_x(E)
     P = E.random_point(random.Random(1))
@@ -957,6 +967,22 @@ def test_function_reads_an_int_operand_as_a_gf2_scalar():
         assert X * c == (X if c & 1 else zero)
     assert CurveFunction.constant(E, 6).constant_value() == E.ctx(6)
     assert CurveFunction(E, 6).constant_value() == E.ctx(6)
+    # every operand type reads an int as its image in GF(2), on either side,
+    # and refuses an element of another context with one message
+    ctx, foreign = E.ctx, GF(8)(3)
+    a = ctx(0b1011)
+    for v in (a, Poly(ctx, [a, 1, 0b110]), X.expand(P, 4),
+              X + coordinate_y(E) * a):
+        for c in range(-2, 8):
+            g = ctx(c & 1)
+            assert v + c == v + g and c + v == g + v, (v, c)
+            assert v - c == v - g and c - v == g - v, (v, c)
+            assert v * c == v * g and c * v == g * v, (v, c)
+        for op in (lambda: v + foreign, lambda: foreign + v,
+                   lambda: v * foreign, lambda: foreign * v):
+            with pytest.raises(ValueError) as err:
+                op()
+            assert str(err.value) == "operands live in different field contexts"
 
 
 def test_fiber_poly_holds_the_fiber_x_coordinates():
@@ -993,13 +1019,13 @@ def test_ramification_of_two_torsion_x_map():
 def test_profile_passes_the_fiber_value(monkeypatch):
     import lame2.funcfield as ff
     seen = []
-    real = ff._different
+    real = ff._local_datum
 
-    def spy(func, value, place, s):
+    def spy(func, value, place, s=None):
         seen.append(value)
         return real(func, value, place, s)
 
-    monkeypatch.setattr(ff, "_different", spy)
+    monkeypatch.setattr(ff, "_local_datum", spy)
     E = WeierstrassCurve.supersingular(2)
     ramification_profile(coordinate_y(E), [0, 1, INFINITY])
     assert seen == [E.ctx.zero, E.ctx.one, INFINITY]

@@ -295,6 +295,8 @@ class DenseField:
         self.mul, self.sqr, self.inv = _field_kernel(d, m)
         self.zero, self.one = FieldElement(self, 0), FieldElement(self, 1)
 
+    __call__ = FieldContext.__call__  # the constructor rule Poly reads
+
     def elements(self):
         return (FieldElement(self, b) for b in range(1 << self.degree))
 

@@ -95,6 +95,8 @@ def test_divisor_json():
     C = HyperellipticCurve(GF(1), 2)
     D = C.point_divisor((C.ctx(0), C.ctx(0)))
     assert D.to_json() == {"u": ["0", "1"], "v": [], "d": 1, "genus": 2}
+    with pytest.raises(ValueError, match="different context"):
+        C.point_divisor((C.ctx(0), GF(2).one))
 
 
 # -- Cantor against the elliptic oracle ------------------------------------------

@@ -84,6 +84,16 @@ def test_rejects_zero_triple():
         WeightedPoint(0, 0, 0)
 
 
+def test_coordinates_enter_by_the_constructor_rule():
+    # the first field coordinate fixes the context; an int is read as field
+    # bits and an element of another field is refused
+    ctx = GF(4)
+    assert WeightedPoint(ctx(3), 6, 1).coords() == (ctx(3), ctx(6), ctx(1))
+    for coords in ((ctx(3), GF(8)(1), 1), (1, ctx(3), GF(2).one)):
+        with pytest.raises(ValueError, match="different context"):
+            WeightedPoint(*coords)
+
+
 def test_scaling_orbits_are_equal():
     p = WeightedPoint(1, Fraction(3, 2), Fraction(-7, 5))
     for lam in (2, Fraction(-1, 3), Fraction(7, 11)):
