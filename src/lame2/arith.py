@@ -9,7 +9,16 @@ from math import gcd, isqrt, prod
 
 from .common import VerificationError
 
-_SMALL = [p for p in range(2, 1000) if all(p % q for q in range(2, isqrt(p) + 1))]
+
+def _primes_below(n: int) -> list:  # Eratosthenes: s[k] = 1 iff k is prime
+    s = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+    for p in range(2, isqrt(n - 1) + 1):
+        if s[p]:
+            s[p * p::p] = bytes(len(range(p * p, n, p)))
+    return [p for p, v in enumerate(s) if v]
+
+
+_SMALL = _primes_below(1000)
 
 
 def _strong_prp(n: int, a: int) -> bool:

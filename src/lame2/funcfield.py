@@ -62,7 +62,7 @@ class Series:
     __slots__ = ("ctx", "val", "coeffs")
 
     def __init__(self, ctx, val, coeffs):
-        self._set(ctx, val, [ctx(c).bits for c in coeffs])
+        self._set(ctx, val, [ctx.bits_of(c) for c in coeffs])
 
     def _set(self, ctx, val, cs):
         lead = next((i for i, c in enumerate(cs) if c), len(cs))

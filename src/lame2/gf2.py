@@ -8,12 +8,12 @@ bit-polynomial is irreducible over GF(2).  There is one context per degree,
 so contexts compare by identity and nothing needs to be serialized beyond d.
 
 Each input rule has one owner.  ``GF`` takes a degree, or a context as it is.
-The constructor rule, ``FieldContext.__call__`` (read by the Poly, Series and
-CurveFunction constructors and at Poly evaluation points), reduces an int as a
-bit-polynomial and refuses a negative one.  The operand rule,
-``_operand_bits`` (read by FieldElement, Poly, Series and CurveFunction
-arithmetic), reads an int as its image v & 1 in GF(2).  Both refuse an
-element of another context.
+The constructor rule, ``FieldContext.bits_of`` (``__call__`` wraps it; read by
+the constructors of Poly, Series, CurveFunction and WeierstrassCurve, and at
+Poly points), reduces an int as a bit-polynomial and refuses a negative one.
+The operand rule, ``_operand_bits`` (read by FieldElement, Poly, Series and
+CurveFunction arithmetic), reads an int as its image v & 1 in GF(2).  Both
+refuse an element of another context.
 
 Each context builds one raw-int kernel, ``ctx.mul``, ``ctx.sqr`` and
 ``ctx.inv`` (``_table_kernel`` for 2 <= d <= 12, else ``_field_kernel``),
@@ -26,8 +26,8 @@ Cross-field structure:
 
 - ``embed`` maps F_(2^e) into F_(2^d) for e | d.  The image of the source
   generator is built on demand, once per (e, d) pair, as the least root of
-  the source modulus that agrees with the embeddings of the source's
-  maximal subfields, hence of all, so composites agree with direct ones.
+  gcd(m, P_s + c_s), the roots of the source modulus m that agree with each
+  maximal subfield s (``_embed_gen``), so composites agree with direct ones.
 - ``element_degree`` returns the degree of the subfield generated by an
   element (the length of its Frobenius orbit).
 
@@ -258,16 +258,20 @@ class FieldContext:
         return self
 
     # -- construction -----------------------------------------------------
-    def __call__(self, v):  # the constructor rule
+    def __call__(self, v):  # the constructor rule, as an element
+        if isinstance(v, FieldElement) and v.ctx is self:
+            return v
+        return FieldElement(self, self.bits_of(v))
+
+    def bits_of(self, v):  # the constructor rule, as bits
         if isinstance(v, FieldElement):
             if v.ctx is self:
-                return v
+                return v.bits
             raise ValueError("element belongs to a different context")
         if isinstance(v, int):
             if v < 0:
                 raise FieldInputError(f"negative int {v} is not a field element")
-            return FieldElement(self, _pmod(v, self.modulus)
-                                if v >> self.degree else v)
+            return _pmod(v, self.modulus) if v >> self.degree else v
         raise TypeError(f"cannot coerce {type(v).__name__} into GF(2^{self.degree})")
 
     def from_hex(self, s):
@@ -503,31 +507,30 @@ def _bit_poly(ctx, bits):
 
 
 def _embed_gen(src, target):
-    """The image of src's generator in target, as bits.
-
-    The image is the least root of src's modulus in target that agrees with
-    every maximal proper subfield GF(2^s) of src, s = deg src / p for p
-    prime: embedding GF(2^s) into src and then into target must give its
-    direct embedding into target.  By induction on the source degree, the
-    pairs (s, src) and (s, target) agree with every subfield r of s, so
-    r -> src -> target = r -> s -> src -> target = r -> s -> target
-    = r -> target: the compatible roots, and the least, are those of a check
-    on every subfield.  The recursion only asks for subfields of src, so
-    each image is fixed by its subfields alone, whatever order the pairs
-    are asked in, and composites of embeddings agree with direct ones.
-    """
+    """The image of src's generator in target, as bits: the least root of
+    g = gcd(m, P_s + c_s), m src's modulus, over the maximal subfields s of
+    src, P_s = ``_embed_gen(s, src)`` as a bit-polynomial, c_s =
+    ``_embed_gen(s, target)``.  A root r of m agrees with s -> target iff
+    P_s(r) = c_s, and by induction maximal subfields vouch for all, so
+    composites agree with direct embeddings.  g | x^(2^e) - x, e = deg m, so
+    e Frobenius rows split it; the root is re-checked before caching."""
     key = (src, target)
     gbits = _EMBED_GEN.get(key)
     if gbits is None:
-        subs = [GF(src.degree // p) for p in factorint(src.degree)]
-        for gbits in _conjugate_roots(_bit_poly(target, src.modulus)):
-            g = FieldElement(target, gbits)
-            if all(_bit_poly(target, _embed_gen(sub, src))(g).bits
-                   == _embed_gen(sub, target) for sub in subs):
-                break
-        else:
+        e, m = src.degree, _bit_poly(target, src.modulus)
+        checks = [(_bit_poly(target, _embed_gen(GF(e // p), src)),
+                   FieldElement(target, _embed_gen(GF(e // p), target)))
+                  for p in factorint(e)]
+        g = m
+        for P, c in checks:
+            g = g.gcd(P + c)
+        if g.degree < 1:
             raise VerificationError("no composition-consistent embedding root")
-        _EMBED_GEN[key] = gbits
+        rows = _frobenius_rows(_Modulus(g), e - 1) if g.degree > 1 else []
+        r = min(_split_linear(g, rows), key=lambda r: r.bits)
+        if m(r) or any(P(r) != c for P, c in checks):
+            raise VerificationError("embedding root fails its checks")
+        gbits = _EMBED_GEN[key] = r.bits
     return gbits
 
 
@@ -555,7 +558,7 @@ class Poly:
     __slots__ = ("ctx", "coeffs")
 
     def __init__(self, ctx, coeffs):
-        self._set(ctx, [ctx(c).bits for c in coeffs])
+        self._set(ctx, [ctx.bits_of(c) for c in coeffs])
 
     def _set(self, ctx, cs):
         while cs and cs[-1] == 0:
@@ -736,7 +739,7 @@ class Poly:
 
     def __call__(self, x):
         if isinstance(x, (FieldElement, int)):  # a point, by the constructor rule
-            mul, xb, acc = self.ctx.mul, self.ctx(x).bits, 0
+            mul, xb, acc = self.ctx.mul, self.ctx.bits_of(x), 0
             for c in reversed(self.coeffs):
                 acc = mul(acc, xb) ^ c
             return FieldElement(self.ctx, acc)
@@ -871,8 +874,9 @@ def _split_once(g, trace, start=0):
 
 def _split_linear(g, rows):
     """All roots of g, a product of distinct linear factors, given packed
-    rows[j] = x^(2^j) mod some multiple of g for j < d, reduced mod g once;
-    each factor resumes after the trial that split its parent (_split_once)."""
+    rows[j] = x^(2^j) mod some multiple of g for j < d (j < e when g divides
+    x^(2^e) - x, ``_trace_mod``), reduced mod g once; each factor resumes
+    after the trial that split its parent (_split_once)."""
     if g.degree > 1:
         mod = _Modulus(g)
         trace = _traces(mod, [mod.reduce(row) for row in rows])
@@ -883,32 +887,6 @@ def _split_linear(g, rows):
         h, k, i = _split_once(g, trace, start)
         return split(h, i + 1) + split(k, i + 1)
     return split(g, 0)
-
-
-def _conjugate_roots(f):
-    """Sorted root bits of f, a GF(2) irreducible of degree e | d, over GF(2^d).
-
-    f divides x^(2^e) - x, so the Frobenius rows repeat with period e and
-    e rows serve every trace (_trace_mod).  A root r is found by following
-    the smaller factor of each split down to a linear one, and the roots are
-    its e conjugates r, r^2, ..., r^(2^(e-1)) (Lidl-Niederreiter, Thm 2.14):
-    as f has bits for coefficients, f(r^2) = f(r)^2, so f(r) = 0 and e
-    distinct conjugates certify the whole root set.
-    """
-    if any(c > 1 for c in f.coeffs):
-        raise ValueError("conjugate roots need a polynomial over GF(2)")
-    mod = _Modulus(f)
-    trace = _traces(mod, _frobenius_rows(mod, f.degree - 1))
-    g, start = mod.g, 0
-    while g.degree > 1:
-        h, k, i = _split_once(g, trace, start)
-        g, start = min(h, k, key=lambda p: p.degree), i + 1
-    roots = [g.coeff(0) / g.leading()]
-    for _ in range(f.degree - 1):
-        roots.append(roots[-1].square())
-    if len({r.bits for r in roots}) != f.degree or f(roots[0]):
-        raise VerificationError("Frobenius orbit is not the root set")
-    return sorted(r.bits for r in roots)
 
 
 def poly_roots(f):

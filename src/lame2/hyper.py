@@ -43,7 +43,7 @@ class HyperellipticCurve:
         self.h = Poly.one(ctx)
         self.f = Poly(ctx, [0] * (2 * genus + 1) + [1])
 
-    contains = WeierstrassCurve.contains
+    contains, _satisfies = WeierstrassCurve.contains, WeierstrassCurve._satisfies
     fiber_y = WeierstrassCurve.fiber_y
 
     def points(self):

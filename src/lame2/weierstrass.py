@@ -121,7 +121,7 @@ class WeierstrassCurve:
 
     def __init__(self, ctx: FieldContext, a1, a2, a3, a4, a6):
         self.ctx = ctx
-        self.a = a = tuple(ctx(c).bits for c in (a1, a2, a3, a4, a6))
+        self.a = a = tuple(map(ctx.bits_of, (a1, a2, a3, a4, a6)))
         self.h = Poly(ctx, [a[2], a[0]])
         self.f = Poly(ctx, [a[4], a[3], a[1], 1])
         if self.discriminant() == ctx.zero:
@@ -161,16 +161,16 @@ class WeierstrassCurve:
         return not self.a[0]
 
     def contains(self, x, y) -> bool:
-        x = self.ctx(x)
-        y = self.ctx(y)
-        return y * y + self.h(x) * y == self.f(x)
+        return self._satisfies(self.ctx(x), self.ctx(y))
 
     def point(self, x, y) -> "CurvePoint":
-        x = self.ctx(x)
-        y = self.ctx(y)
-        if not self.contains(x, y):
+        x, y = self.ctx(x), self.ctx(y)
+        if not self._satisfies(x, y):
             raise ValueError("point is not on the curve")
         return CurvePoint(self, (x.bits, y.bits))
+
+    def _satisfies(self, x, y) -> bool:  # x, y elements of the curve's field
+        return y * y + self.h(x) * y == self.f(x)
 
     def infinity(self) -> "CurvePoint":
         return CurvePoint(self, None)

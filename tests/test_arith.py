@@ -5,8 +5,8 @@ from math import gcd, isqrt
 
 import pytest
 
-from lame2.arith import (_strong_lucas_prp, _strong_prp, divisors, factorint,
-                         integer_nthroot, is_prime, mobius,
+from lame2.arith import (_SMALL, _strong_lucas_prp, _strong_prp, divisors,
+                         factorint, integer_nthroot, is_prime, mobius,
                          order_from_multiple, power_sum)
 from lame2.common import VerificationError
 from lame2.gf2 import GF
@@ -45,6 +45,12 @@ def test_factorint_divisors_mobius_match_brute_force():
         assert divisors(n) == divs[n], n
         want = 0 if any(e > 1 for e in f.values()) else (-1) ** len(f)
         assert mobius(n) == want, n
+
+
+def test_small_primes_match_trial_division():
+    # the sieve behind is_prime's table against trial division below 1000
+    assert _SMALL == [p for p in range(1000) if _brute_prime(p)]
+    assert len(_SMALL) == 168 and _SMALL[-1] == 997
 
 
 def test_is_prime_matches_brute_force():

@@ -384,10 +384,13 @@ def test_raising_one_cap_leaves_the_reports_unchanged(monkeypatch, cap):
 
 
 # SHA-256 of the canonical JSON of argvs the benchmark leaves out: the
-# census at the top of its range, which runs the most root splitting
+# census at the top of its range, which runs the most root splitting, and
+# an ordinary cover that embeds the subfield lattice of GF(2^840)
 PINNED_DIGESTS = {
     "moduli --d 8":
         "57773987c1c9a557084b3902b5e54950844d7df87afe95f44a138b2b3cb77d9b",
+    "ramify --order 13 --ordinary 1 --field 2":
+        "ad268c0db0f960d91cd06fef883caafbf866b174587e4c641374cb9e0da031af",
 }
 
 

@@ -22,10 +22,10 @@ from lame2 import (GF, FieldContext, FieldElement, FieldInputError, Poly,
                    lexmin_irreducible, poly_roots, solve_artin_schreier, trace)
 from lame2.arith import divisors
 from lame2.gf2 import (_TABLE_MAX_DEGREE, _Modulus, _bit_poly, _comb,
-                       _conjugate_roots, _embed_gen, _factor_degrees,
-                       _field_kernel, _frobenius_rows, _is_irreducible, _pmod,
-                       _root_multiplicity, _split_once, _table_kernel,
-                       _trace_mod, _traces)
+                       _embed_gen, _factor_degrees, _field_kernel,
+                       _frobenius_rows, _is_irreducible, _pmod,
+                       _root_multiplicity, _split_linear, _split_once,
+                       _table_kernel, _trace_mod, _traces)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +295,8 @@ class DenseField:
         self.mul, self.sqr, self.inv = _field_kernel(d, m)
         self.zero, self.one = FieldElement(self, 0), FieldElement(self, 1)
 
-    __call__ = FieldContext.__call__  # the constructor rule Poly reads
+    # the constructor rule Poly reads, as bits and as an element
+    bits_of, __call__ = FieldContext.bits_of, FieldContext.__call__
 
     def elements(self):
         return (FieldElement(self, b) for b in range(1 << self.degree))
@@ -692,24 +693,6 @@ def test_poly_roots_none_in_small_field():
     assert poly_roots(f) == []
 
 
-def test_conjugate_roots_match_poly_roots():
-    # the roots of the degree-e canonical modulus in GF(2^d), e | d, are one
-    # Frobenius orbit; poly_roots splits the polynomial completely instead
-    for d in list(range(1, 25)) + [48]:
-        ctx = GF(d)
-        for e in divisors(d) if d <= 24 else [d]:
-            m = lexmin_irreducible(e)
-            f = Poly(ctx, [(m >> i) & 1 for i in range(e + 1)])
-            if e == d and d > 24:
-                # GF(2^d) is GF(2)[x]/(f), so the roots are the conjugates
-                # of x itself
-                x = ctx(2)
-                want = sorted(x.frobenius(i).bits for i in range(d))
-            else:
-                want = [r.bits for r, mult in poly_roots(f)]
-            assert _conjugate_roots(f) == want, (d, e)
-
-
 def reference_conjugate_roots(f):
     """The d-row route: d Frobenius rows mod f, reduced again mod the
     smaller factor after each split, and every root checked."""
@@ -737,7 +720,7 @@ def random_irreducible(rng, e):
 
 
 @pytest.mark.parametrize("d", [4, 6, 12, 18, 24, 30, 40, 48, 60, 64])
-def test_e_row_traces_match_d_rows(d, monkeypatch):
+def test_e_row_traces_match_d_rows(d):
     # f irreducible over GF(2) of degree e | d divides x^(2^e) - x, so the
     # Frobenius rows repeat with period e: folding the d conjugates of u onto
     # e rows gives every trial's d-row trace, and the same roots
@@ -753,19 +736,8 @@ def test_e_row_traces_match_d_rows(d, monkeypatch):
             u = 1 << (d - 1 - i)
             assert _trace_mod(mod, u, combs[:e]) \
                 == _trace_mod(mod, u, combs), (e, i)
-        built = []
-        real = gf2._frobenius_rows
-        monkeypatch.setattr(gf2, "_frobenius_rows",
-                            lambda *a: built.append(real(*a)) or built[-1])
-        assert _conjugate_roots(f) == reference_conjugate_roots(f), (d, e)
-        monkeypatch.undo()
-        assert [len(rows) for rows in built] == [e]
-
-
-def test_conjugate_roots_need_bit_coefficients():
-    ctx = GF(4)
-    with pytest.raises(ValueError):
-        _conjugate_roots(Poly(ctx, [2, 1]))  # x + a, a not in GF(2)
+        assert sorted(r.bits for r in _split_linear(f, rows[:e])) \
+            == reference_conjugate_roots(f), (d, e)
 
 
 def reference_trace_map_mod(u, g):
@@ -993,7 +965,8 @@ def reference_ensure_embeddings(d, table):
             table[(d, d)] = _pmod(2, target.modulus)
             continue
         reference_ensure_embeddings(e, table)
-        roots = _conjugate_roots(_bit_poly(target, lexmin_irreducible(e)))
+        roots = reference_conjugate_roots(
+            _bit_poly(target, lexmin_irreducible(e)))
         for rbits in roots:
             g = target(rbits)
             if all(_bit_poly(target, table[(s, e)])(g).bits == table[(s, d)]
@@ -1029,7 +1002,7 @@ def reference_embed_gen(src, target, table):
     key = (src.degree, target.degree)
     if key not in table:
         subs = [GF(s) for s in divisors(src.degree)[:-1]]
-        for gbits in _conjugate_roots(_bit_poly(target, src.modulus)):
+        for gbits in reference_conjugate_roots(_bit_poly(target, src.modulus)):
             g = target(gbits)
             if all(_bit_poly(target, reference_embed_gen(sub, src, table))(g)
                    .bits == reference_embed_gen(sub, target, table)
@@ -1077,6 +1050,40 @@ def test_embed_gen_builds_only_what_is_asked(reference_embeddings):
     assert (4, 48) in built and (24, 48) not in built
     assert all(4 % e == 0 for e, _ in built), built
     assert out["gens"] == [reference_embeddings[p] for p in pairs]
+
+
+def test_embed_gen_split_trials_pinned(monkeypatch):
+    # split trials and gcds of a cold _embed_gen(GF(12), GF(48)): one gcd per
+    # maximal subfield of each source, then trials on the compatible roots
+    # only; splitting off one root of each whole modulus and taking its
+    # conjugates made 39 trials and no other gcd
+    counts = {"trial": 0, "gcd": 0}
+    real = gf2.Poly.gcd
+
+    def spy(a, b):
+        counts["gcd"] += 1
+        if sys._getframe(1).f_code is gf2._split_once.__code__:
+            counts["trial"] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(gf2.Poly, "gcd", spy)
+    monkeypatch.setattr(gf2, "_EMBED_GEN", {})
+    _embed_gen(GF(12), GF(48))
+    assert counts == {"trial": 28, "gcd": 43}
+
+
+def test_embed_gen_refuses_what_its_checks_refute(monkeypatch):
+    # 1 is no image of GF(2^2)'s generator, so no root of GF(2^4)'s modulus
+    # agrees with it and the gcd is constant; a splitter that returns a
+    # non-root fails the checks made before caching
+    monkeypatch.setattr(gf2, "_EMBED_GEN", {(GF(2), GF(8)): 1})
+    with pytest.raises(VerificationError, match="no composition-consistent"):
+        _embed_gen(GF(4), GF(8))
+    monkeypatch.setattr(gf2, "_EMBED_GEN", {})
+    monkeypatch.setattr(gf2, "_split_linear", lambda g, rows: [g.ctx.zero])
+    with pytest.raises(VerificationError, match="fails its checks"):
+        _embed_gen(GF(4), GF(8))
+    assert (GF(4), GF(8)) not in gf2._EMBED_GEN
 
 
 def test_embed_rejects_non_divisor():
