@@ -14,7 +14,7 @@ from .common import INFINITY, VerificationError, PrecisionError, \
     TorsionSearchExhausted
 from .weierstrass import WeierstrassCurve, CurvePoint, curve_invariants, \
     extension_order, point_of_exact_order, point_order, supersingular_order, \
-    supersingular_trace, torsion_basis, torsion_field_degree, torsion_points
+    torsion_basis, torsion_field_degree, torsion_points
 from .funcfield import CurveFunction, Series, different_exponent, \
     differentiate, fiber, local_expand, miller_function, ramification_index, \
     ramification_profile, xy_expansion

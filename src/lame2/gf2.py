@@ -440,9 +440,6 @@ class FieldElement:
     def degree(self):
         return element_degree(self)
 
-    def embed(self, target):
-        return embed(self, target)
-
     def to_json(self):
         return {"d": self.ctx.degree, "hex": format(self.bits, "x")}
 
@@ -526,8 +523,9 @@ def _embed_gen(src, target):
             g = g.gcd(P + c)
         if g.degree < 1:
             raise VerificationError("no composition-consistent embedding root")
-        rows = _frobenius_rows(_Modulus(g), e - 1) if g.degree > 1 else []
-        r = min(_split_linear(g, rows), key=lambda r: r.bits)
+        mod = _Modulus(g)
+        rows = _frobenius_rows(mod, e - 1) if g.degree > 1 else []
+        r = min(_split_linear(mod, rows), key=lambda r: r.bits)
         if m(r) or any(P(r) != c for P, c in checks):
             raise VerificationError("embedding root fails its checks")
         gbits = _EMBED_GEN[key] = r.bits
@@ -572,10 +570,6 @@ class Poly:
     @classmethod
     def x(cls, ctx):
         return cls(ctx, [0, 1])
-
-    @classmethod
-    def const(cls, v):
-        return cls(v.ctx, [v.bits])
 
     @classmethod
     def one(cls, ctx):
@@ -872,21 +866,19 @@ def _split_once(g, trace, start=0):
     raise VerificationError("splitting failed: input is not separable split")
 
 
-def _split_linear(g, rows):
-    """All roots of g, a product of distinct linear factors, given packed
-    rows[j] = x^(2^j) mod some multiple of g for j < d (j < e when g divides
-    x^(2^e) - x, ``_trace_mod``), reduced mod g once; each factor resumes
-    after the trial that split its parent (_split_once)."""
-    if g.degree > 1:
-        mod = _Modulus(g)
-        trace = _traces(mod, [mod.reduce(row) for row in rows])
+def _split_linear(mod, rows):
+    """All roots of g = mod.g, a product of distinct linear factors, given
+    packed rows[j] = x^(2^j) mod g for j < d (j < e when g divides
+    x^(2^e) - x, ``_trace_mod``), unread when g is linear; each factor
+    resumes after the trial that split its parent (_split_once)."""
+    trace = _traces(mod, rows)
 
     def split(g, start):
         if g.degree == 1:
             return [g.coeff(0) / g.leading()]
         h, k, i = _split_once(g, trace, start)
         return split(h, i + 1) + split(k, i + 1)
-    return split(g, 0)
+    return split(mod.g, 0)
 
 
 def poly_roots(f):
@@ -905,7 +897,9 @@ def poly_roots(f):
     g = f.gcd(mod.poly(rows.pop()) + Poly.x(f.ctx))
     if g.degree <= 0:
         return []
-    roots = _split_linear(g, rows)
+    mod = _Modulus(g)
+    roots = _split_linear(mod, [mod.reduce(row) for row in rows]
+                          if g.degree > 1 else [])
     out = []
     for r in sorted(roots, key=lambda e: e.bits):
         mult = _root_multiplicity(f, r)

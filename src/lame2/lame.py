@@ -45,8 +45,7 @@ from .weierstrass import (
     point_order,
     torsion_field_degree,
 )
-from .funcfield import (_fiber_poly, _local_datum, miller_function,
-                        ramification_profile)
+from .funcfield import _fiber, _fiber_poly, _local_datum, miller_function
 
 # desk-scale caps: the largest torsion order classified and the largest
 # degree d of the field-of-moduli census over F_(2^d); then, named apart from
@@ -577,50 +576,48 @@ def cover_profile(P: CurvePoint, n: int) -> dict:
 
     The function with divisor n(P) - n(0) is normalized by the family's
     convention: value 1 at the midpoint Q = ((n+1)/2)P on the supersingular
-    model, value 1 at the 2-torsion point R on the ordinary model.  The
-    returned report certifies the fibers over every branch value and the
-    different-degree accounting, and classifies the third branch point.
+    model, value 1 at the 2-torsion point R on the ordinary model.  Its
+    degree n and valuations n at P and -n at 0, checked in P's own field,
+    leave no other zero or pole over any extension; so only the third fiber
+    is listed, in its splitting field, and the third point is classified.
     """
     curve = P.curve
     f, Q, supersingular = _normalized_cover(P, n)
+    if (f.degree() != n or _local_datum(f, 0, P) != (n, n - 1)
+            or _local_datum(f, INFINITY, curve.infinity()) != (n, n - 1)):
+        raise VerificationError("zero and pole fibers are not n-fold")
 
-    third = f.evaluate(Q)
-    if third.bits == 0:
-        raise VerificationError("third branch value collided with 0")
+    third = f.evaluate(Q)  # neither 0 nor INFINITY: Q is neither P nor 0
 
-    # The unramified sheets over the third value need not be rational over
-    # the field carrying P, so the certificate runs over the splitting
-    # extension of the fiber (one extra quadratic step covers the y-line).
+    # Sheets over the third value need not be rational over P's field: list
+    # them over the splitting extension, one quadratic step up for the y-line.
     k = _fiber_splitting_degree(f, third)
     for m in (k, 2 * k):
         big = GF(curve.ctx.degree * m)
         work = f.base_change(big)
-        P_w = curve.lift_point(P, big)
-        Q_w = curve.lift_point(Q, big)
-        values = [big.zero, embed(third, big), INFINITY]
+        c = embed(third, big)
         try:
-            profile = ramification_profile(work, values)
+            hits = _fiber(work, c)
             break
         except FiberEscapeError:
             if m > k:
                 raise
 
-    zero_fiber = profile[values[0]]
-    pole_fiber = profile[INFINITY]
-    if zero_fiber != [(P_w, n, n - 1)]:
-        raise VerificationError("zero fiber is not n-fold at P")
-    if pole_fiber != [(work.curve.infinity(), n, n - 1)]:
-        raise VerificationError("pole fiber is not n-fold at the origin")
-
-    third_fiber = profile[values[1]]
-    ramified = [(pt, e, dq) for pt, e, dq in third_fiber if e > 1]
+    E = work.curve  # P and Q lifted onto it
+    P_w, Q_w = (E.point(embed(T.x, big), embed(T.y, big)) for T in (P, Q))
+    third_fiber = [(pt, e, 0 if s is None else _local_datum(work, c, pt, s)[1])
+                   for pt, e, s in hits]
+    ramified = [entry for entry in third_fiber if entry[1] > 1]
     if len(ramified) != 1 or ramified[0][0] != Q_w:
         raise VerificationError("third fiber is not ramified exactly at Q")
-    if sum(e for _pt, e, _dq in third_fiber) != n:
-        raise VerificationError("third fiber does not cover all sheets")
-    e3, d3 = ramified[0][1], ramified[0][2]
+    _Q, e3, d3 = ramified[0]
     tame = d3 == e3 - 1
-    total = sum(dq for fib in profile.values() for _pt, _e, dq in fib)
+    if e3 % 2 == 1 and not tame:
+        raise VerificationError(
+            f"tame point reports d={d3}, expected {e3 - 1}")
+    profile = {big.zero: [(P_w, n, n - 1)], c: third_fiber,
+               INFINITY: [(E.infinity(), n, n - 1)]}
+    total = sum(d for fib in profile.values() for _pt, _e, d in fib)
     if total != 2 * n:
         raise VerificationError("different degree %d is not 2n" % total)
 
@@ -637,7 +634,7 @@ def cover_profile(P: CurvePoint, n: int) -> dict:
         "different_exponent": d3,
         "tame": tame,
         "signature": signature,
-        "field_degree": work.curve.ctx.degree,
+        "field_degree": big.degree,
         "profile": profile,
     }
 

@@ -150,9 +150,6 @@ class WeierstrassCurve:
     def coefficients(self):
         return tuple(FieldElement(self.ctx, c) for c in self.a)
 
-    def invariants(self) -> dict:
-        return curve_invariants(*self.coefficients())
-
     def discriminant(self) -> FieldElement:
         return curve_invariants(*self.coefficients())["disc"]
 
@@ -334,12 +331,6 @@ def _add_pairs(curve: WeierstrassCurve, p, q):
     x1, y1 = p
     x3 = curve.ctx.sqr(lam) ^ mul(a1, lam) ^ a2 ^ x1 ^ q[0]
     return x3, mul(lam ^ a1, x3) ^ mul(lam, x1) ^ y1 ^ a3
-
-
-def supersingular_trace(d: int) -> int:
-    """Frobenius trace of Y^2 + Y = X^3 over GF(2^d): the power sum s_d of
-    its L-polynomial 1 + 2T^2 over F_2, so t_0 = 2, t_1 = 0, t_k = -2 t_(k-2)."""
-    return power_sum([1, 0, 2], d)
 
 
 def supersingular_order(d: int) -> int:

@@ -526,7 +526,7 @@ local_expand miller_function moduli_census
 ordinary_torsion_point point_of_exact_order point_order poly_roots psi
 ramification_index ramification_profile rho
 solve_artin_schreier supersingular_order
-supersingular_trace tate_normal_form third_point_datum torsion_basis
+tate_normal_form third_point_datum torsion_basis
 torsion_field_degree torsion_points trace triples_csv
 wp_equal xy_expansion zeta_lpoly
 """.split()

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lame2 import (GF, INFINITY, FieldElement, FieldInputError,
-                   Poly, cover_profile, ordinary_torsion_point)
+                   Poly, cover_profile, embed, ordinary_torsion_point)
 from lame2.common import (FiberEscapeError, PrecisionError, ProfileFalsified,
                           VerificationError)
 from lame2.gf2 import _pmod, poly_roots
@@ -647,7 +647,7 @@ def test_canonical_form():
     ctx = E.ctx
     x = Poly.x(ctx)
     c = ctx(7)
-    f1 = CurveFunction(E, x * x * c, Poly.const(c), x * c)
+    f1 = CurveFunction(E, x * x * c, Poly(ctx, [c]), x * c)
     f2 = CurveFunction(E, x * x, Poly.one(ctx), x)
     assert f1 == f2
     assert f1.D.leading() == ctx.one
@@ -1040,21 +1040,15 @@ def reference_expand_shifted(func, value, place, prec):
     return (func + func.curve.ctx(value)).expand(place, prec)
 
 
+def _over_its_field(rep):
+    """(function, profile) of a cover_profile report, the function base
+    changed to the field its third fiber was listed in."""
+    return rep["function"].base_change(GF(rep["field_degree"])), rep["profile"]
+
+
 def _certified_cover(P, n):
-    """(function, profile) as cover_profile(P, n) certified them, over the
-    field the fibers split in."""
-    import lame2.lame as lame
-    seen = []
-    real = lame.ramification_profile
-
-    def spy(func, values):
-        seen.append((func, real(func, values)))
-        return seen[-1][1]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lame, "ramification_profile", spy)
-        cover_profile(P, n)
-    return seen[-1]
+    """(function, profile) as cover_profile(P, n) certified them."""
+    return _over_its_field(cover_profile(P, n))
 
 
 def _ramify_covers():
@@ -1269,32 +1263,79 @@ def _pool_ramify_argvs():
     return [argv for argv in workloads.pool() if argv[0] == "ramify"]
 
 
+def _counted_cover(P, n):
+    """(cover_profile(P, n), calls): calls counts its poly_roots and
+    ramification_profile calls, spied on under both names in funcfield,
+    the one caller of poly_roots, and in lame."""
+    import lame2.funcfield as ff
+    import lame2.lame as lame
+    calls = Counter()
+
+    def spy(name):
+        real = getattr(ff, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("poly_roots", "ramification_profile"):
+            counted = spy(name)
+            for module in (ff, lame):
+                mp.setattr(module, name, counted, raising=False)
+        return cover_profile(P, n), calls
+
+
 @pytest.fixture(scope="module")
 def ramify_pool_covers():
-    """(argv, function, profile) for every cover the 40 `ramify` argvs of
-    the benchmark's pool certify, as run through the CLI."""
-    import lame2.lame as lame
-    from lame2.cli import run
-    seen = []
-    real = lame.ramification_profile
-
-    def spy(func, values):
-        seen.append((func, real(func, values)))
-        return seen[-1][1]
-
+    """(argv, report, calls) for every cover the 40 `ramify` argvs of the
+    benchmark's pool certify, as run through the CLI (_counted_cover)."""
+    import lame2.cli as cli
     covers = []
+
+    def certify(P, n):
+        covers.append(_counted_cover(P, n))
+        return covers[-1][0]
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lame, "ramification_profile", spy)
+        mp.setattr(cli, "cover_profile", certify)
         for argv in _pool_ramify_argvs():
-            assert run(argv)[0] == 0, argv
-            covers.append((" ".join(argv), *seen[-1]))
+            assert cli.run(argv)[0] == 0, argv
+            covers[-1] = (" ".join(argv), *covers[-1])
     return covers
 
 
 def test_routes_match_their_references_on_the_pool(ramify_pool_covers):
     assert len(ramify_pool_covers) == 40
-    for label, func, profile in ramify_pool_covers:
-        _check_routes(func, profile, label)
+    for label, rep, _calls in ramify_pool_covers:
+        _check_routes(*_over_its_field(rep), label)
+
+
+def reference_cover_profile(rep):
+    """The route cover_profile replaced: all three fibers listed and
+    certified by ramification_profile over the report's field."""
+    big = GF(rep["field_degree"])
+    return ramification_profile(rep["function"].base_change(big),
+                                [big.zero, embed(rep["third_value"], big),
+                                 INFINITY])
+
+
+def test_cover_profile_matches_the_three_fiber_route(ramify_pool_covers):
+    # the zero and pole fibers come from the divisor, so each cover makes
+    # one poly_roots call, for the third fiber, and no ramification_profile
+    # call; the route that listed all three fibers is the reference, in
+    # order as well as in content
+    covers = list(ramify_pool_covers)
+    for n in range(3, 14, 2):
+        for seed in range(6):
+            covers.append((f"torsion_basis(n={n}, seed={seed})",
+                           *_counted_cover(torsion_basis(n, seed)[1], n)))
+    assert len(covers) == 40 + 36
+    for label, rep, calls in covers:
+        assert calls == {"poly_roots": 1}, label
+        assert list(rep["profile"].items()) \
+            == list(reference_cover_profile(rep).items()), label
 
 
 def test_base_change_carries_the_degree_it_would_recompute(
@@ -1311,7 +1352,8 @@ def test_base_change_carries_the_degree_it_would_recompute(
         big = f.base_change(GF(f.curve.ctx.degree * k))
         fresh = CurveFunction(big.curve, big.A, big.B, big.D)
         assert big._degree == fresh.degree() == f.degree(), (f, k)
-    for label, func, _profile in ramify_pool_covers:
+    for label, rep, _calls in ramify_pool_covers:
+        func, _profile = _over_its_field(rep)
         fresh = CurveFunction(func.curve, func.A, func.B, func.D)
         assert func.degree() == fresh.degree(), label
 
@@ -1392,7 +1434,9 @@ def test_expansion_windows_pinned(monkeypatch):
     # every ramified one again through t^(2n+1) and the origin's value
     # through t^(n+1) made 120 calls with windows summing to 1,110, and
     # expanding multiple roots through t^m, then ramified points again for
-    # the different, made 82 summing to 308
+    # the different, made 82 summing to 308; listing the zero and pole
+    # fibers too, each reading the origin's value through t^1, made 55
+    # summing to 203, before the divisor certified those fibers
     import lame2.funcfield as ff
     from lame2.cli import run
     windows = []
@@ -1405,7 +1449,7 @@ def test_expansion_windows_pinned(monkeypatch):
     monkeypatch.setattr(ff, "xy_expansion", counting)
     for argv in COVERS_SEED_1:
         assert run(argv)[0] == 0, argv
-    assert (len(windows), sum(windows)) == (55, 203)
+    assert (len(windows), sum(windows)) == (37, 167)
 
 
 def test_root_finding_counts_pinned(monkeypatch):
@@ -1420,7 +1464,12 @@ def test_root_finding_counts_pinned(monkeypatch):
     # field made 133 point checks, and splitting one root off each whole
     # subfield modulus, before a gcd per maximal subfield cut out the
     # compatible roots, made 634 squares, 143 trials, 266 gcds, 1,101
-    # reductions and 1,214 scalar-product passes
+    # reductions and 1,214 scalar-product passes; listing the zero and
+    # pole fibers in the splitting field, before the divisor certified
+    # them in the point's own field, made 599 squares, 290 gcds, 1,077
+    # reductions, 1,182 scalar-product passes and 121 point checks; and
+    # reducing the embedding rows, already built mod g, a second time in
+    # _split_linear made 847 reductions and 952 scalar-product passes
     import lame2.gf2 as gf2
     from lame2.cli import run
     counts = dict.fromkeys(["square", "reduce", "dot", "gcd", "trial",
@@ -1446,9 +1495,9 @@ def test_root_finding_counts_pinned(monkeypatch):
     monkeypatch.setattr(gf2, "_EMBED_GEN", {})
     for argv in COVERS_SEED_1:
         assert run(argv)[0] == 0, argv
-    assert counts == {"square": 599, "reduce": 1077, "dot": 1182,
-                      "gcd": 290, "trial": 140, "__init__": 131,
-                      "inverse": 9, "point": 121}
+    assert counts == {"square": 403, "reduce": 795, "dot": 900,
+                      "gcd": 281, "trial": 140, "__init__": 131,
+                      "inverse": 9, "point": 115}
 
 
 def test_differentiate_product_rule():

@@ -656,7 +656,7 @@ def test_poly_roots_with_known_multiplicities():
     ctx = GF(6)
     r1, r2, r3 = ctx(0b101), ctx(0b1), ctx(0b11011)
     f = (from_roots(ctx, [r1, r1, r1, r2, r2, r3])
-         * Poly.const(ctx(0b100111)))
+         * Poly(ctx, [ctx(0b100111)]))
     got = poly_roots(f)
     assert [(r.bits, m) for r, m in got] == sorted(
         [(r2.bits, 2), (r1.bits, 3), (r3.bits, 1)])
@@ -736,7 +736,7 @@ def test_e_row_traces_match_d_rows(d):
             u = 1 << (d - 1 - i)
             assert _trace_mod(mod, u, combs[:e]) \
                 == _trace_mod(mod, u, combs), (e, i)
-        assert sorted(r.bits for r in _split_linear(f, rows[:e])) \
+        assert sorted(r.bits for r in _split_linear(mod, rows[:e])) \
             == reference_conjugate_roots(f), (d, e)
 
 
@@ -1080,7 +1080,7 @@ def test_embed_gen_refuses_what_its_checks_refute(monkeypatch):
     with pytest.raises(VerificationError, match="no composition-consistent"):
         _embed_gen(GF(4), GF(8))
     monkeypatch.setattr(gf2, "_EMBED_GEN", {})
-    monkeypatch.setattr(gf2, "_split_linear", lambda g, rows: [g.ctx.zero])
+    monkeypatch.setattr(gf2, "_split_linear", lambda mod, rows: [mod.ctx.zero])
     with pytest.raises(VerificationError, match="fails its checks"):
         _embed_gen(GF(4), GF(8))
     assert (GF(4), GF(8)) not in gf2._EMBED_GEN

@@ -30,7 +30,7 @@ from lame2.lame import (
     rho,
     third_point_datum,
 )
-from lame2.funcfield import differentiate, ramification_index
+from lame2.funcfield import CurveFunction, differentiate, ramification_index
 
 
 # -- the order-24 automorphism group ----------------------------------------
@@ -656,7 +656,7 @@ def reference_roots_in_some_extension(c):
         big = GF(c.ctx.degree * e)
         x = Poly.x(big)
         t = x * x * x * x + x
-        g = t * t * t + Poly.const(embed(c, big))
+        g = t * t * t + Poly(big, [embed(c, big)])
         roots = [r for r, _mult in poly_roots(g)]
         if roots:
             return big, roots
@@ -764,17 +764,17 @@ def test_third_point_datum_expands_each_point_once(monkeypatch):
         "a7c28701240fe13a86164ed483afb679b524eae8b81206c4635fba66fc0f1669"
 
 def _escape_first(monkeypatch, escapes):
-    # ramification_profile raising FiberEscapeError on its first `escapes`
-    # calls; returns the list of field degrees it was called over
-    real, degrees = lame.ramification_profile, []
+    # the third fiber's listing raising FiberEscapeError on its first
+    # `escapes` calls; returns the list of field degrees it was called over
+    real, degrees = lame._fiber, []
 
-    def profile(work, values):
+    def fiber(work, value):
         degrees.append(work.curve.ctx.degree)
         if len(degrees) <= escapes:
             raise FiberEscapeError("a fiber point left the field")
-        return real(work, values)
+        return real(work, value)
 
-    monkeypatch.setattr(lame, "ramification_profile", profile)
+    monkeypatch.setattr(lame, "_fiber", fiber)
     return degrees
 
 
@@ -794,6 +794,26 @@ def test_cover_profile_lets_a_second_escape_through(monkeypatch):
     with pytest.raises(FiberEscapeError):
         cover_profile(P, 5)
     assert degrees == [8, 16]
+
+
+def test_cover_profile_refutes_a_function_with_other_zeros(monkeypatch):
+    # f (X - x(R)) for a rational R != +-P has the zeros R and -R besides P
+    # and a pole of order n + 2 at the origin, which the divisor check
+    # refutes before any fiber is listed
+    curve, P, _ = torsion_basis(5, 0)
+    R = next(T for x in curve.ctx.elements() for y in curve.fiber_y(x)
+             if (T := curve.point(x, y)) not in (P, -P))
+    real = lame._normalized_cover
+
+    def normalized(P, n):
+        f, Q, supersingular = real(P, n)
+        line = CurveFunction(curve, Poly(curve.ctx, [R.x, 1]))
+        return f * line, Q, supersingular
+
+    monkeypatch.setattr(lame, "_normalized_cover", normalized)
+    with pytest.raises(VerificationError,
+                       match="zero and pole fibers are not n-fold"):
+        cover_profile(P, 5)
 
 
 def test_cover_rejects_even_or_tiny_orders():
