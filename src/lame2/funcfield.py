@@ -484,19 +484,22 @@ class CurveFunction:
     def evaluate(self, place):
         """Value at a point; INFINITY for poles.
 
-        At the origin the quotient's valuation is exact (see expand), so two
-        terms of xy_expansion fix both a pole and the t^0 term.
+        At the origin v = _origin_valuation() decides, with no series: a pole
+        below 0, a zero above, and at 0 lead(A), as deg A = deg D, D is monic
+        and X leads with t^-2 in t = X/Y.
         """
         if self.is_constant():
             return self.constant_value()
-        if not _at_origin(place):
-            x0 = place.x
-            dx = self.D(x0)
-            if dx:
-                return (self.A(x0) + self.B(x0) * place.y) / dx
-            s = self.expand(place, 1)
-        else:
-            s = self._quotient(*xy_expansion(self.curve, place, 2))
+        if _at_origin(place):
+            v = self._origin_valuation()
+            if v:
+                return INFINITY if v < 0 else self.curve.ctx.zero
+            return self.A.leading()
+        x0 = place.x
+        dx = self.D(x0)
+        if dx:
+            return (self.A(x0) + self.B(x0) * place.y) / dx
+        s = self.expand(place, 1)
         if s.coeffs and s.val < 0:
             return INFINITY
         return s.value_at_origin()
@@ -532,27 +535,28 @@ class CurveFunction:
         if self.is_constant():
             return Series.constant(self.constant_value(), prec)
         if _at_origin(place):
-            pole = 2 * self.A.degree  # -2 when A = 0; then B != 0
-            if not self.B.is_zero():
-                pole = max(pole, 2 * self.B.degree + 3)
-            window = max(2, prec + 1 + pole - 2 * self.D.degree)
+            window = max(2, prec + 1 - self._origin_valuation())
         else:
             v = _root_multiplicity(self.D, place.x)
             if not self.curve.h(place.x):
                 v *= 2
             window = prec - 1 + 2 * v
-        s = self._quotient(*xy_expansion(self.curve, place, window))
+        X, Y = xy_expansion(self.curve, place, window)
+        num = self.A(X)
+        if not self.B.is_zero():
+            num = num + self.B(X) * Y
+        s = num / self.D(X)
         if s.prec < prec:
             raise PrecisionError(
                 f"expansion known through t^{s.prec - 1}, not t^{prec - 1}")
         return s
 
-    def _quotient(self, X, Y) -> Series:
-        """(A(X) + B(X) Y) / D(X) on the series of X and Y."""
-        num = self.A(X)
+    def _origin_valuation(self) -> int:
+        """v_O = 2 deg D - max(2 deg A, 2 deg B + 3), as expand proves."""
+        pole = 2 * self.A.degree  # -2 when A = 0; then B != 0
         if not self.B.is_zero():
-            num = num + self.B(X) * Y
-        return num / self.D(X)
+            pole = max(pole, 2 * self.B.degree + 3)
+        return 2 * self.D.degree - pole
 
     def to_json(self):
         return {"A": [format(c, "x") for c in self.A.coeffs],
@@ -650,9 +654,9 @@ def ramification_index(func: CurveFunction, place) -> int:
 def different_exponent(func: CurveFunction, place) -> int:
     """d = v_t(ds/dt) for s the pullback of a uniformizer below.
 
-    s is func - func(Q) at finite values and 1/func at poles.  Odd
-    (tame) ramification gives d = e - 1; even indices are wild and carry
-    the extra conductor the series computes (windows: _local_datum).
+    s is func - func(Q) at finite values and 1/func at poles.  Odd (tame)
+    e must give d = e - 1 or raise; even indices are wild and carry the
+    extra conductor the series computes (windows and check: _local_datum).
     """
     return _local_datum(func, func.evaluate(place), place)[1]
 
@@ -662,7 +666,8 @@ def _local_datum(func: CurveFunction, value, place, s: Series | None = None):
     _expand_shifted(func, value, place, n + 1), expanded unless given: it
     fixes e <= n = deg func and every tame d = e - 1, and s is widened to
     t^(2n+1) only at a wild point, where ds/dt vanishes through t^(n-1), as
-    the differents of a genus-one cover of the line sum to 2n."""
+    the differents of a genus-one cover of the line sum to 2n.  Odd e is
+    tame in characteristic 2, so d = e - 1 is checked here, for every route."""
     if s is None:
         s = _expand_shifted(func, value, place, func.degree() + 1)
     e = s.valuation()
@@ -672,7 +677,10 @@ def _local_datum(func: CurveFunction, value, place, s: Series | None = None):
         return 1, 0
     if s.deriv().is_zero_to_prec():
         s = _expand_shifted(func, value, place, 2 * func.degree() + 2)
-    return e, s.deriv().valuation()
+    d = s.deriv().valuation()
+    if e % 2 and d != e - 1:
+        raise VerificationError(f"tame point reports d={d}, expected {e - 1}")
+    return e, d
 
 
 def _fiber_poly(func: CurveFunction, value) -> Poly:
@@ -729,15 +737,21 @@ def _fiber(func: CurveFunction, value):
     return hits
 
 
+def _fiber_data(func: CurveFunction, value):
+    """fiber(func, value) as [(point, e, d)], d read from _fiber's series."""
+    return [(Q, e, 0 if s is None else _local_datum(func, value, Q, s)[1])
+            for Q, e, s in _fiber(func, value)]
+
+
 def ramification_profile(func: CurveFunction, branch_values):
     """Certified ramification data over the claimed branch values.
 
     Returns {value: [(point, e, d), ...]} where e is the ramification index
     and d the different exponent.  The certificate checks that every fiber
-    is fully rational, that tame points satisfy d = e - 1, and that the
-    summed different reaches 2 deg(func) exactly, which Riemann-Hurwitz
-    forces for a cover of the line by a genus-one curve.  Ramification found
-    outside the claimed values falsifies the profile.
+    is fully rational, that tame points satisfy d = e - 1 (_local_datum),
+    and that the summed different reaches 2 deg(func) exactly, which
+    Riemann-Hurwitz forces for a cover of the line by a genus-one curve.
+    Ramification found outside the claimed values falsifies the profile.
     """
     E = func.curve
     n = func.degree()
@@ -746,16 +760,9 @@ def ramification_profile(func: CurveFunction, branch_values):
     seen_points = set()
     for value in branch_values:
         key = value if value is INFINITY else E.ctx(value)
-        entries = []
-        for Q, e, s in _fiber(func, key):
-            d = 0 if s is None else _local_datum(func, key, Q, s)[1]
-            if e % 2 == 1 and e > 1 and d != e - 1:
-                raise VerificationError(
-                    f"tame point reports d={d}, expected {e - 1}")
-            entries.append((Q, e, d))
-            seen_points.add(Q)
-            total_d += d
-        out[key] = entries
+        out[key] = entries = _fiber_data(func, key)
+        seen_points.update(Q for Q, _e, _d in entries)
+        total_d += sum(d for _Q, _e, d in entries)
     if total_d > 2 * n:
         raise VerificationError("different exceeds the Riemann-Hurwitz total")
     if total_d < 2 * n:

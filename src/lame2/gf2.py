@@ -276,10 +276,13 @@ class FieldContext:
 
     def from_hex(self, s):
         """The element with this bit pattern; no reduction mod the modulus.
-        Hex digits only, no '0x', '+', space or '_'; '-1' is refused as negative."""
+        Hex digits only, no '0x', '+', space or '_'; '-1' and '-0' are
+        refused as negative."""
         digits = s.removeprefix("-")
         if not digits or not set(digits) <= _HEX_DIGITS:
             raise FieldInputError(f"{s!r} is not a hex string")
+        if digits != s:
+            raise FieldInputError(f"negative hex {s!r} is not a field element")
         v = int(s, 16)
         if v.bit_length() > self.degree:
             raise FieldInputError(
@@ -652,14 +655,6 @@ class Poly:
         return Poly._of(self.ctx, out)
 
     __rmul__ = __mul__
-
-    def square(self):
-        sqr = self.ctx.sqr
-        out = [0] * (2 * len(self.coeffs) - 1) if self.coeffs else []
-        for i, a in enumerate(self.coeffs):
-            if a:
-                out[2 * i] = sqr(a)
-        return Poly._of(self.ctx, out)
 
     def _rem(self, other, quotient=None):
         """self mod other, appending the quotient's coefficients, high to low,

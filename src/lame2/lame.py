@@ -45,7 +45,7 @@ from .weierstrass import (
     point_order,
     torsion_field_degree,
 )
-from .funcfield import _fiber, _fiber_poly, _local_datum, miller_function
+from .funcfield import _fiber_data, _fiber_poly, _local_datum, miller_function
 
 # desk-scale caps: the largest torsion order classified and the largest
 # degree d of the field-of-moduli census over F_(2^d); then, named apart from
@@ -524,12 +524,6 @@ def galois_equivariance_check(d: int, samples: int = 1000,
 # the canonical cover of a torsion point, with certified branch data
 
 
-def _fiber_splitting_degree(func, value):
-    """Least extension degree whose x-line splits the fiber over value: the
-    lcm of the factor degrees of the polynomial of its x-coordinates."""
-    return lcm(1, *_factor_degrees(_fiber_poly(func, value)))
-
-
 def _normalized_cover(P: CurvePoint, n: int):
     """The cover function with its distinguished third point Q, 2Q = P."""
     if n < 3 or n % 2 == 0:
@@ -552,15 +546,10 @@ def _normalized_cover(P: CurvePoint, n: int):
     return f, Q, supersingular
 
 
-def third_point_datum(P: CurvePoint, n: int) -> dict:
-    """Index and different exponent at the third point only.
-
-    Skips the fiber enumeration of cover_profile, so it stays in the base
-    field and is cheap enough to sweep every exact-order point; one series
-    of f - f(Q) through t^n gives both e and d.
-    """
-    f, Q, supersingular = _normalized_cover(P, n)
-    e, d = _local_datum(f, f.evaluate(Q), Q)
+def _third_point_record(n: int, Q: CurvePoint, supersingular: bool,
+                        e: int, d: int) -> dict:
+    """The third point's keys, as third_point_datum and cover_profile report
+    them; order(Q) is n or 2n (2Q = P pins it), and n*Q = 0 decides which."""
     return {
         "n": n,
         "model": "supersingular" if supersingular else "ordinary",
@@ -571,33 +560,50 @@ def third_point_datum(P: CurvePoint, n: int) -> dict:
     }
 
 
+def third_point_datum(P: CurvePoint, n: int) -> dict:
+    """Index and different exponent at the third point only.
+
+    Skips the fiber enumeration of cover_profile, so it stays in the base
+    field and is cheap enough to sweep every exact-order point; one series
+    of f - f(Q) through t^n gives both e and d, and an odd e with
+    d != e - 1 raises (_local_datum).
+    """
+    f, Q, supersingular = _normalized_cover(P, n)
+    return _third_point_record(n, Q, supersingular,
+                               *_local_datum(f, f.evaluate(Q), Q))
+
+
 def cover_profile(P: CurvePoint, n: int) -> dict:
     """Degree-n cover attached to an n-torsion point, with its branch data.
 
     The function with divisor n(P) - n(0) is normalized by the family's
     convention: value 1 at the midpoint Q = ((n+1)/2)P on the supersingular
     model, value 1 at the 2-torsion point R on the ordinary model.  Its
-    degree n and valuations n at P and -n at 0, checked in P's own field,
-    leave no other zero or pole over any extension; so only the third fiber
-    is listed, in its splitting field, and the third point is classified.
+    degree n, its valuation n at P (from the series at P) and its valuation
+    -n at 0 (from the degrees of A, B and D, with no series), checked in
+    P's own field, leave no other zero or pole over any extension.  As n is
+    odd, both points are tame in characteristic 2, so d = n - 1 at each.
+    Only the third fiber is listed, in its splitting field, and the third
+    point is classified.
     """
-    curve = P.curve
     f, Q, supersingular = _normalized_cover(P, n)
-    if (f.degree() != n or _local_datum(f, 0, P) != (n, n - 1)
-            or _local_datum(f, INFINITY, curve.infinity()) != (n, n - 1)):
+    if (f.degree() != n or f._origin_valuation() != -n
+            or _local_datum(f, 0, P) != (n, n - 1)):
         raise VerificationError("zero and pole fibers are not n-fold")
 
     third = f.evaluate(Q)  # neither 0 nor INFINITY: Q is neither P nor 0
 
     # Sheets over the third value need not be rational over P's field: list
-    # them over the splitting extension, one quadratic step up for the y-line.
-    k = _fiber_splitting_degree(f, third)
+    # them over the splitting extension of the x-line (the lcm of the factor
+    # degrees of the polynomial of their x-coordinates), one quadratic step
+    # up for the y-line.
+    k = lcm(1, *_factor_degrees(_fiber_poly(f, third)))
     for m in (k, 2 * k):
-        big = GF(curve.ctx.degree * m)
+        big = GF(P.curve.ctx.degree * m)
         work = f.base_change(big)
         c = embed(third, big)
         try:
-            hits = _fiber(work, c)
+            third_fiber = _fiber_data(work, c)
             break
         except FiberEscapeError:
             if m > k:
@@ -605,38 +611,22 @@ def cover_profile(P: CurvePoint, n: int) -> dict:
 
     E = work.curve  # P and Q lifted onto it
     P_w, Q_w = (E.point(embed(T.x, big), embed(T.y, big)) for T in (P, Q))
-    third_fiber = [(pt, e, 0 if s is None else _local_datum(work, c, pt, s)[1])
-                   for pt, e, s in hits]
     ramified = [entry for entry in third_fiber if entry[1] > 1]
     if len(ramified) != 1 or ramified[0][0] != Q_w:
         raise VerificationError("third fiber is not ramified exactly at Q")
     _Q, e3, d3 = ramified[0]
-    tame = d3 == e3 - 1
-    if e3 % 2 == 1 and not tame:
-        raise VerificationError(
-            f"tame point reports d={d3}, expected {e3 - 1}")
     profile = {big.zero: [(P_w, n, n - 1)], c: third_fiber,
                INFINITY: [(E.infinity(), n, n - 1)]}
     total = sum(d for fib in profile.values() for _pt, _e, d in fib)
     if total != 2 * n:
         raise VerificationError("different degree %d is not 2n" % total)
-
-    # order(Q) is n or 2n (2Q = P pins it); n*Q = 0 decides which
-    signature = 1 if (n * Q).is_infinity() else 0
-    return {
-        "n": n,
-        "model": "supersingular" if supersingular else "ordinary",
-        "function": f,
-        "point": P,
-        "third_point": Q,
-        "third_value": third,
-        "index": e3,
-        "different_exponent": d3,
-        "tame": tame,
-        "signature": signature,
-        "field_degree": big.degree,
-        "profile": profile,
-    }
+    return {**_third_point_record(n, Q, supersingular, e3, d3),
+            "function": f,
+            "point": P,
+            "third_point": Q,
+            "third_value": third,
+            "field_degree": big.degree,
+            "profile": profile}
 
 
 def ordinary_torsion_point(t, n: int, seed: int = 0):

@@ -63,3 +63,41 @@ def test_no_module_imports_a_name_it_never_reads():
 def test_the_import_scan_sees_an_unread_import():
     tree = ast.parse("import os\nfrom a import b, c as d\nprint(b)\n")
     assert _unread_imports(tree) == ["d", "os"]
+
+
+def _unread_private(trees):
+    """The _name functions, classes and module constants the parsed modules
+    define and never read: no Name or attribute load spells them."""
+    defined, read = set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return sorted(name for name in defined - read
+                  if name.startswith("_") and not name.startswith("__"))
+
+
+def test_every_private_helper_is_read():
+    # deleting a helper's last caller leaves the helper behind
+    trees = [ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "lame2").glob("*.py"))]
+    assert _unread_private(trees) == []
+
+
+def test_the_private_scan_sees_an_unread_helper():
+    tree = ast.parse("_A = 1\n_B = 2\n__all__ = []\n"
+                     "def _f():\n    return _A\n"
+                     "def _g():\n    pass\n"
+                     "class _C:\n    def _m(self):\n        self._n()\n"
+                     "    def _n(self):\n        pass\n"
+                     "def __eq__(a, b):\n    pass\n"
+                     "print(_f)\n")
+    assert _unread_private([tree]) == ["_B", "_C", "_g", "_m"]

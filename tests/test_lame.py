@@ -10,7 +10,7 @@ import pytest
 
 from lame2 import gf2, lame
 from lame2.cli import run
-from lame2.common import FiberEscapeError, VerificationError
+from lame2.common import INFINITY, FiberEscapeError, VerificationError
 from lame2.gf2 import GF, Poly, element_degree, embed, poly_roots
 from lame2.weierstrass import (WeierstrassCurve, _add_pairs,
                                supersingular_order, torsion_basis,
@@ -30,7 +30,8 @@ from lame2.lame import (
     rho,
     third_point_datum,
 )
-from lame2.funcfield import CurveFunction, differentiate, ramification_index
+from lame2.funcfield import (CurveFunction, Series, differentiate,
+                             ramification_index, ramification_profile)
 
 
 # -- the order-24 automorphism group ----------------------------------------
@@ -766,7 +767,7 @@ def test_third_point_datum_expands_each_point_once(monkeypatch):
 def _escape_first(monkeypatch, escapes):
     # the third fiber's listing raising FiberEscapeError on its first
     # `escapes` calls; returns the list of field degrees it was called over
-    real, degrees = lame._fiber, []
+    real, degrees = lame._fiber_data, []
 
     def fiber(work, value):
         degrees.append(work.curve.ctx.degree)
@@ -774,7 +775,7 @@ def _escape_first(monkeypatch, escapes):
             raise FiberEscapeError("a fiber point left the field")
         return real(work, value)
 
-    monkeypatch.setattr(lame, "_fiber", fiber)
+    monkeypatch.setattr(lame, "_fiber_data", fiber)
     return degrees
 
 
@@ -814,6 +815,24 @@ def test_cover_profile_refutes_a_function_with_other_zeros(monkeypatch):
     with pytest.raises(VerificationError,
                        match="zero and pole fibers are not n-fold"):
         cover_profile(P, 5)
+
+
+def test_one_tame_owner_guards_every_route(monkeypatch):
+    # a derivative of one order too high breaks d = e - 1 at every odd e;
+    # the check in _local_datum must refuse it on each route that reads d
+    real = Series.deriv
+
+    def deriv(s):
+        ds = real(s)
+        return Series._of(ds.ctx, ds.val + 1, ds.coeffs)
+
+    monkeypatch.setattr(Series, "deriv", deriv)
+    curve, P, _ = torsion_basis(5, 0)
+    Y = CurveFunction(WeierstrassCurve.supersingular(2), 0, 1)
+    for route in (lambda: cover_profile(P, 5), lambda: third_point_datum(P, 5),
+                  lambda: ramification_profile(Y, [0, 1, INFINITY])):
+        with pytest.raises(VerificationError, match="tame point"):
+            route()
 
 
 def test_cover_rejects_even_or_tiny_orders():
