@@ -21,9 +21,9 @@ from math import lcm
 from types import SimpleNamespace
 
 from .arith import power_sum
-from .common import INFINITY, VerificationError
+from .common import INFINITY, FieldInputError, VerificationError
 from .gf2 import GF
-from .weierstrass import _MAX_COUNT_DEGREE, curve_invariants, torsion_basis
+from .weierstrass import _MAX_COUNT_DEGREE, _torsion_point, curve_invariants
 from .lame import (
     _CLASSIFIED_UP_TO,
     _MAX_CENSUS_DEGREE,
@@ -176,17 +176,18 @@ def cmd_ramify(args) -> tuple:
         ctx = GF(args.field)
         try:
             t = ctx.from_hex(args.ordinary)
-        except ValueError:
+        except FieldInputError as e:
             raise UsageError("--ordinary expects a hex string of at most "
-                             f"{args.field} bits, got {args.ordinary!r}")
+                             f"{args.field} bits, got {args.ordinary!r} ({e})")
         if not t:
             raise UsageError("ordinary coefficient t must be nonzero")
-        curve, P, _ = ordinary_torsion_point(t, n, seed)
+        P = ordinary_torsion_point(t, n, seed)[1]
         want_index, want_tame = 2, False
     elif args.field is not None:
         raise UsageError("--field needs --ordinary")
     else:
-        curve, P, _ = torsion_basis(n, seed)
+        # the point torsion_basis(n, seed) gives first, without its partner
+        P = _torsion_point(n, random.Random(seed))[2]
         want_index, want_tame = 3, True
     rep = cover_profile(P, n)
     indices = [e for fib in rep["profile"].values() for _p, e, _d in fib]

@@ -54,9 +54,4 @@ class ProfileFalsified(VerificationError):
 
 
 class TorsionSearchExhausted(VerificationError):
-    """The randomized torsion-basis search ran out of budget."""
-
-    def __init__(self, message, seed=None, trials=None):
-        super().__init__(message)
-        self.seed = seed
-        self.trials = trials
+    """The torsion search ran out of trials; the message gives how many."""

@@ -135,9 +135,6 @@ class Series:
     __sub__ = __add__
     __rsub__ = __add__
 
-    def __neg__(self):
-        return self
-
     def __mul__(self, other):
         """By the exact scalar 0 the product is the field zero, not a Series
         with a window, so that X + 0*Y keeps the whole window of X."""
@@ -327,7 +324,7 @@ def _norm(curve, A, B):
 class CurveFunction:
     """A rational function (A + B Y)/D on a fixed Weierstrass curve."""
 
-    __slots__ = ("curve", "A", "B", "D", "_degree")
+    __slots__ = ("curve", "A", "B", "D", "_degree", "_inverse")
 
     def __init__(self, curve: WeierstrassCurve, A, B=0, D=1):
         A = _as_poly(curve, A)
@@ -350,7 +347,7 @@ class CurveFunction:
         self.A = A
         self.B = B
         self.D = D
-        self._degree = None
+        self._degree = self._inverse = None
 
     # -- constructors --------------------------------------------------------
     @classmethod
@@ -416,9 +413,6 @@ class CurveFunction:
     __sub__ = __add__
     __rsub__ = __add__
 
-    def __neg__(self):
-        return self
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -442,21 +436,20 @@ class CurveFunction:
         return _norm(self.curve, self.A, self.B)
 
     def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverting the zero function")
-        return CurveFunction(self.curve,
-                             self.D * (self.A + self.B * self.curve.h),
-                             self.D * self.B,
-                             self.norm_numerator())
+        """1/func = D (A + Bh + BY) / norm(A + BY), built once per function."""
+        if self._inverse is None:
+            if self.is_zero():
+                raise ZeroDivisionError("inverting the zero function")
+            self._inverse = CurveFunction(
+                self.curve, self.D * (self.A + self.B * self.curve.h),
+                self.D * self.B, self.norm_numerator())
+        return self._inverse
 
     def __truediv__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
 
     # -- geometry ------------------------------------------------------------
     def degree(self) -> int:
@@ -686,25 +679,28 @@ def _local_datum(func: CurveFunction, value, place, s: Series | None = None):
 def _fiber_poly(func: CurveFunction, value) -> Poly:
     """A polynomial whose roots hold the x-coordinates of the fiber over
     value: D at INFINITY; over c = value, coerced into the context, the norm
-    (A+cD)^2 + (A+cD)Bh + B^2 f of A + cD + BY times D."""
+    (A+cD)^2 + (A+cD)Bh + B^2 f of g = A + cD + BY.  It needs no factor D:
+    a fiber point Q over a root of D has v_Q(g) = e + v_Q(D) > v_Q(D) >= 1,
+    so x(Q) is a root of the norm too."""
     if value is INFINITY:
         return func.D
     norm = _norm(func.curve, func.A + func.D * func.curve.ctx(value), func.B)
     if norm.is_zero():
         raise ValueError("function is identically the requested value")
-    return norm * func.D
+    return norm
 
 
 def fiber(func: CurveFunction, value):
     """All rational points with func = value, as [(point, e)] sorted.
 
     At an affine Q over a finite c, e <= m, the multiplicity of x(Q) in
-    _fiber_poly: A + cD + BY vanishes at Q to order at least e, and its
-    norm to order m v_Q(X - x(Q)), its order at Q plus that at the
-    conjugate point, or twice that at Q where h(x(Q)) = 0 and
-    v_Q(X - x(Q)) = 2.  So a simple root gives e = 1 unexpanded; a multiple
-    one, the origin and the poles are expanded through t^n, n = deg func,
-    and that series also gives the different exponent (_local_datum).
+    _fiber_poly, the norm of g = A + cD + BY: g vanishes at Q to order
+    e + v_Q(D) >= e, and its norm to order m v_Q(X - x(Q)), its order at Q
+    plus that at the conjugate point, or twice that at Q where h(x(Q)) = 0
+    and v_Q(X - x(Q)) = 2.  So a simple root gives e = 1 unexpanded; a
+    multiple one, the origin and the poles are expanded through t^n,
+    n = deg func, and that series gives the different exponent too
+    (_local_datum); the poles share one 1/func (CurveFunction.inverse).
 
     Raises FiberEscapeError when the multiplicities do not add up to the
     degree of the cover, i.e. part of the fiber lives in an extension field.

@@ -440,9 +440,6 @@ class FieldElement:
     def trace(self):
         return (self.bits & self.ctx.trace_mask()).bit_count() & 1
 
-    def degree(self):
-        return element_degree(self)
-
     def to_json(self):
         return {"d": self.ctx.degree, "hex": format(self.bits, "x")}
 
@@ -636,9 +633,6 @@ class Poly:
     __sub__ = __add__
     __rsub__ = __add__
 
-    def __neg__(self):
-        return self
-
     def __mul__(self, other):
         if (other := self._operand(other)) is None:
             return NotImplemented
@@ -745,10 +739,6 @@ class Poly:
         """Coefficient-wise embedding into a larger context."""
         return Poly(target, [embed(self.coeff(i), target).bits
                              for i in range(len(self.coeffs))])
-
-    def to_json(self):
-        return {"d": self.ctx.degree,
-                "coeffs": [format(c, "x") for c in self.coeffs]}
 
 
 # ---------------------------------------------------------------------------

@@ -302,7 +302,7 @@ def _classify_torsion(n: int) -> tuple:
             break
     else:
         raise TorsionSearchExhausted(f"no basis (P, g3 P) of the {n}-torsion"
-                                     " found in 64 trials", trials=64)
+                                     " found in 64 trials")
     p, q = P.xy, Q.xy
     rows = [[None, p], [None, q]]  # rows[0][a] = a P, rows[1][b] = b Q
     for row in rows:
@@ -472,7 +472,7 @@ def moduli_census(d: int) -> dict:
     classes = []
     by_degree = {}
     for c in ctx.elements():
-        big, roots = _roots_in_some_extension(c)
+        _big, roots = _roots_in_some_extension(c)
         P = _lift_to_curve(roots[0])
         value = rho(P)
         if value != embed(c, P.curve.ctx):

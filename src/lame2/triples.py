@@ -64,9 +64,6 @@ class Triple:
             return NotImplemented
         return self.parts() == other.parts()
 
-    def __lt__(self, other):
-        return self.parts() < other.parts()
-
     def __hash__(self):
         return hash(self.parts())
 

@@ -265,9 +265,6 @@ class CurvePoint:
         return CurvePoint(self.curve,
                           _add_pairs(self.curve, self.xy, other.xy))
 
-    def __sub__(self, other: "CurvePoint") -> "CurvePoint":
-        return self + (-other)
-
     def __mul__(self, k: int) -> "CurvePoint":
         if not isinstance(k, int):
             return NotImplemented
@@ -416,7 +413,7 @@ def point_of_exact_order(curve: WeierstrassCurve, group_order: int, n: int,
             cofactor //= p
         if (group_order // cofactor) % p ** e:
             raise ValueError(f"group order lacks {p}^{e}")
-        for attempt in range(_EXACT_ORDER_TRIALS):
+        for _ in range(_EXACT_ORDER_TRIALS):
             S = cofactor * curve.random_point(rng)
             # S has order p^j; walk down to exact order p^e
             chain = [S]
@@ -427,9 +424,8 @@ def point_of_exact_order(curve: WeierstrassCurve, group_order: int, n: int,
                 parts.append(chain[j - e])
                 break
         else:
-            raise TorsionSearchExhausted(
-                f"no point of order {p ** e} found in"
-                f" {_EXACT_ORDER_TRIALS} trials", trials=_EXACT_ORDER_TRIALS)
+            raise TorsionSearchExhausted(f"no point of order {p ** e} found in"
+                                         f" {_EXACT_ORDER_TRIALS} trials")
     acc = curve.infinity()
     for pt in parts:
         acc = acc + pt
@@ -456,6 +452,16 @@ def _spans_torsion(P: CurvePoint, Q: CurvePoint, n: int) -> bool:
     return True
 
 
+def _torsion_point(n: int, rng: random.Random):
+    """(curve, N, P): Y^2 + Y = X^3 over GF(2^d), d = torsion_field_degree(n),
+    its group order N and P, the first point of exact order n that
+    point_of_exact_order draws from rng, which is left where that draw ends."""
+    d = torsion_field_degree(n)
+    curve = WeierstrassCurve.supersingular(d)
+    N = supersingular_order(d)
+    return curve, N, point_of_exact_order(curve, N, n, rng)
+
+
 def torsion_basis(n: int, seed: int = 0):
     """(curve, P, Q): a certified basis of the n-torsion of Y^2 + Y = X^3.
 
@@ -464,18 +470,14 @@ def torsion_basis(n: int, seed: int = 0):
     is kept only when ``_spans_torsion`` proves it independent at every
     prime p | n, so (P, Q) really generates (Z/n)^2.
     """
-    d = torsion_field_degree(n)
-    curve = WeierstrassCurve.supersingular(d)
-    N = supersingular_order(d)
     rng = random.Random(seed)
-    P = point_of_exact_order(curve, N, n, rng)
-    for attempt in range(64):
+    curve, N, P = _torsion_point(n, rng)
+    for _ in range(64):
         Q = point_of_exact_order(curve, N, n, rng)
         if _spans_torsion(P, Q, n):
             return curve, P, Q
     raise TorsionSearchExhausted(
-        f"no basis of the {n}-torsion found in 64 trials", seed=seed,
-        trials=64)
+        f"no basis of the {n}-torsion found in 64 trials")
 
 
 def torsion_points(curve: WeierstrassCurve, P: CurvePoint, Q: CurvePoint,

@@ -100,6 +100,22 @@ def test_ordinary_hex_outside_the_field_is_usage_error(t):
     assert "at most 4 bits" in text
 
 
+@pytest.mark.parametrize("t, reason", [
+    ("-1", "negative hex '-1' is not a field element"),
+    ("-0", "negative hex '-0' is not a field element"),
+    ("zz", "'zz' is not a hex string"),
+    ("20", "hex '20' does not fit in GF(2^4)"),
+])
+def test_ordinary_refusal_names_its_reason(t, reason, capsys):
+    # the usage text, then why the field refused the string, on stderr only
+    assert main(["ramify", "--order", "5", "--ordinary", t,
+                 "--field", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("usage error: --ordinary expects a hex string of at most"
+                   f" 4 bits, got {t!r} ({reason})\n")
+
+
 @pytest.mark.parametrize("field", ["0", "-1", "21"])
 def test_ordinary_field_outside_the_enumerable_range_is_usage_error(field):
     # count_points enumerates GF(2^d) for 1 <= d <= 20 only
@@ -615,6 +631,13 @@ def test_cold_process_operation_counts():
     # reached through a chain of maximal ones
     assert _cold_counts("moduli", "--d", "4") == {
         "_add_pairs": 446, "WeierstrassCurve.__init__": 5, "_EMBED_GEN": 25}
+
+
+def test_tame_ramify_draws_one_point():
+    # the cover is f_P for one point P: no partner Q is drawn or checked
+    # for independence (116 additions when torsion_basis drew both)
+    counts = _cold_counts("ramify", "--order", "13")
+    assert counts["_add_pairs"] <= 59, counts
 
 
 def test_json_has_sorted_keys_and_schema():

@@ -101,3 +101,58 @@ def test_the_private_scan_sees_an_unread_helper():
                      "def __eq__(a, b):\n    pass\n"
                      "print(_f)\n")
     assert _unread_private([tree]) == ["_B", "_C", "_g", "_m"]
+
+
+def _own_nodes(fn):
+    """The nodes of a function's body, less those of functions inside it."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _unread_locals(tree):
+    """function.name for each name a function of the parsed module binds
+    and neither it nor a function inside it reads; _names are exempt."""
+    unread = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        bound = set()
+        for node in _own_nodes(fn):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+                bound.add(node.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                read.update(node.names)  # bound for a scope outside fn
+        unread |= {f"{fn.name}.{name}" for name in bound - read
+                   if not name.startswith("_")}
+    return sorted(unread)
+
+
+def test_every_local_is_read():
+    # a value computed and dropped is work or surface nothing reads
+    unread = {}
+    for path in sorted((ROOT / "src" / "lame2").glob("*.py")):
+        names = _unread_locals(ast.parse(path.read_text()))
+        if names:
+            unread[path.name] = names
+    assert unread == {}
+
+
+def test_the_local_scan_sees_an_unread_local():
+    tree = ast.parse("def f(a, b):\n"
+                     "    c, _d = g()\n"
+                     "    for i in range(a):\n"
+                     "        pass\n"
+                     "    def inner():\n"
+                     "        nonlocal e\n"
+                     "        e = 1\n"
+                     "        k = 2\n"
+                     "    e = 0\n"
+                     "    return [j for j in b], inner, e\n")
+    assert _unread_locals(tree) == ["f.c", "f.i", "inner.k"]

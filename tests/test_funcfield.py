@@ -7,6 +7,7 @@ and the different exponents are pinned against hand-computed valuations.
 """
 
 import importlib.util
+import json
 import random
 import sys
 from collections import Counter
@@ -994,13 +995,32 @@ def test_fiber_poly_holds_the_fiber_x_coordinates():
     f = _random_function(E, rng)
     assert _fiber_poly(f, INFINITY) == f.D
     assert _fiber_poly(f, 1) == _fiber_poly(f, E.ctx.one)
-    assert _fiber_poly(f, 0) == f.norm_numerator() * f.D
+    assert _fiber_poly(f, 0) == f.norm_numerator()
     for _ in range(12):
         P = E.random_point(rng)
         if not P.is_infinity():
             assert not _fiber_poly(f, f.evaluate(P))(P.x), P
     with pytest.raises(ValueError):
         _fiber_poly(CurveFunction.constant(E, 5), 5)
+
+
+def test_fiber_point_over_a_root_of_the_denominator():
+    # f = (tangent at Q) / (X - x(Q)) has divisor (Q) + (-2Q) - (-Q) - (O):
+    # a zero at Q, where D vanishes too, which the norm alone finds
+    rng = random.Random(29)
+    checked = 0
+    for d in (3, 5, 8):
+        E = _general_curve(GF(d), rng)
+        points = [E.point(x, y) for x in E.ctx.elements()
+                  for y in E.fiber_y(x)]
+        for Q in [Q for Q in points if not (3 * Q).is_infinity()
+                  and not (2 * Q).is_infinity()][:6]:
+            f = _line_through(Q, Q) / (coordinate_x(E) + Q.x)
+            assert not f.D(Q.x), Q
+            assert not _fiber_poly(f, 0)(Q.x), Q
+            assert dict(fiber(f, 0)) == {Q: 1, -(2 * Q): 1}, Q
+            checked += 1
+    assert checked == 18
 
 
 def test_ramification_of_two_torsion_x_map():
@@ -1097,6 +1117,48 @@ def test_local_expand_at_a_pole_has_a_negative_valuation():
                 # both inverses are known through t^(m-1) at least; == reads
                 # the shorter window
                 assert s.inverse() == g.inverse().expand(Q, m)
+
+
+def _inverse_builds(monkeypatch):
+    """A list that gains one entry per CurveFunction built inside inverse."""
+    built, inside = [], []
+    real_init, real_inverse = CurveFunction.__init__, CurveFunction.inverse
+
+    def init(self, *args, **kw):
+        if inside:
+            built.append(args)
+        real_init(self, *args, **kw)
+
+    def inverse(self):
+        inside.append(self)
+        try:
+            return real_inverse(self)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(CurveFunction, "__init__", init)
+    monkeypatch.setattr(CurveFunction, "inverse", inverse)
+    return built
+
+
+def test_one_inverse_per_function(monkeypatch):
+    # two poles above x = 1 (2 inverses when each pole built its own), and
+    # a wild pole whose different needs the wider window (2 when widening
+    # rebuilt 1/f); 1/X at (0, 0) has the different of X there
+    E = WeierstrassCurve.supersingular(4)
+    f = CurveFunction(E, 1, 0, Poly(E.ctx, [1, 0, 1]))  # 1/(X + 1)^2
+    E2 = WeierstrassCurve.ordinary(GF(3), 5)
+    R = E2.point(0, 0)
+    g = CurveFunction(E2, 1, 0, Poly.x(E2.ctx))  # 1/X
+    want = different_exponent(coordinate_x(E2), R)
+    built = _inverse_builds(monkeypatch)
+    assert [e for _Q, e in fiber(f, INFINITY)] == [2, 2]
+    assert len(built) == 1
+    built.clear()
+    assert different_exponent(g, R) == want > 1
+    assert len(built) == 1
+    assert g.inverse() is g.inverse()
+    assert len(built) == 1
 
 
 def test_profile_builds_functions_only_for_the_pole_fiber(monkeypatch):
@@ -1323,6 +1385,22 @@ def ramify_pool_covers():
             assert cli.run(argv)[0] == 0, argv
             covers[-1] = (" ".join(argv), *covers[-1])
     return covers
+
+
+def test_tame_ramify_certifies_the_first_point_of_torsion_basis():
+    # the zero fiber of f_P is P alone, so the report names its point
+    import lame2.cli as cli
+    tame = [argv for argv in _pool_ramify_argvs() if "--ordinary" not in argv]
+    assert len(tame) == 31  # 30 drawn seeds, and `ramify --order 13`
+    for argv in tame:
+        flags = dict(zip(argv[1::2], map(int, argv[2::2])))
+        n, seed = flags["--order"], flags.get("--seed", 0)
+        doc = json.loads(cli.run(argv)[1])
+        P = torsion_basis(n, seed)[1]
+        P = P.curve.lift_point(P, GF(doc["field_degree"]))
+        zero = [fib["points"] for fib in doc["profile"]
+                if fib["value"] == P.curve.ctx.zero.to_json()]
+        assert zero == [[{"point": P.to_json(), "e": n, "d": n - 1}]], argv
 
 
 def test_routes_match_their_references_on_the_pool(ramify_pool_covers):

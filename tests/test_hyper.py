@@ -12,6 +12,7 @@ from lame2.weierstrass import WeierstrassCurve
 from lame2.hyper import (
     HyperellipticCurve,
     MumfordDivisor,
+    _lower_hull,
     cantor_add,
     cantor_mul,
     class_of_point_pair,
@@ -162,6 +163,16 @@ def test_cantor_group_axioms_genus_two():
         assert cantor_add(C, A, A.conjugate()).is_identity
 
 
+def test_cantor_mul_by_a_negative_count_is_the_conjugate():
+    # -k D is the conjugate of k D, and the two add up to the identity
+    C = HyperellipticCurve(GF(3), 2)
+    D = class_of_point_pair(C, C.points()[1])
+    for k in range(1, 8):
+        pos, neg = cantor_mul(C, D, k), cantor_mul(C, D, -k)
+        assert neg == pos.conjugate(), k
+        assert cantor_add(C, pos, neg).is_identity, k
+
+
 # -- point-pair classes -----------------------------------------------------------
 
 
@@ -309,6 +320,26 @@ def test_genus_three_family_is_not_supersingular():
     assert cert["supersingular"] is False
     assert [str(s) for s in cert["slopes"]] == ["1/3", "2/3"]
     assert cert["valuations"] == [(0, 0), (3, 1), (6, 3)]
+
+
+def reference_lower_hull(points):
+    """The lower hull of points with distinct x, by brute force: the two
+    ends and every point strictly below each chord that spans it."""
+    pts = sorted(points)
+    return [p for i, p in enumerate(pts)
+            if all((b[0] - a[0]) * p[1] < (b[0] - p[0]) * a[1]
+                   + (p[0] - a[0]) * b[1]
+                   for a in pts[:i] for b in pts[i + 1:])]
+
+
+def test_lower_hull_drops_points_above_a_chord():
+    # (1, 2) lies above the chord from (0, 0) to (2, 0) and is popped
+    assert _lower_hull([(0, 0), (1, 2), (2, 0)]) == [(0, 0), (2, 0)]
+    rng = random.Random(5)
+    for _ in range(200):
+        xs = rng.sample(range(12), rng.randint(1, 8))
+        points = [(x, rng.randint(-6, 6)) for x in xs]
+        assert _lower_hull(points) == reference_lower_hull(points), points
 
 
 def test_ordinary_elliptic_is_rejected():

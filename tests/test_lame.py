@@ -82,6 +82,23 @@ def test_automorphisms_preserve_the_curve():
     assert aut_orbit(curve.infinity()) == {curve.infinity()}
 
 
+def test_orbit_of_an_odd_degree_point_is_taken_over_its_quadratic_extension():
+    # GF(2^3) holds no F_4, so the orbit lives over GF(2^6); the oracle is
+    # the 24 maps (x, y) -> (u^2 x + a, y + u^2 a^2 x + c) with u^3 = 1,
+    # a^4 = a and c^2 + c = a^3, applied to the lifted point
+    E, big = WeierstrassCurve.supersingular(3), GF(6)
+    f4 = [v for v in big.elements() if v ** 4 == v]
+    keys = [(u * u, a, c) for u in f4 if u ** 3 == 1 for a in f4
+            for c in f4 if c * c + c == a ** 3]
+    assert len(keys) == 24
+    for x in E.ctx.elements():
+        for y in E.fiber_y(x):
+            Q = E.lift_point(E.point(x, y), big)
+            want = {Q.curve.point(u2 * Q.x + a, Q.y + u2 * a * a * Q.x + c)
+                    for u2, a, c in keys}
+            assert aut_orbit(E.point(x, y)) == aut_orbit(Q) == want, Q
+
+
 def test_aut_group_rejects_ordinary_model():
     curve = WeierstrassCurve.ordinary(GF(2), GF(2)(2))
     P = curve.point(0, curve.fiber_y(curve.ctx.zero)[0])

@@ -155,6 +155,17 @@ def test_canonical_leading_one():
     assert not any(isinstance(v, float) for v in s.coords())
 
 
+def test_canonical_spends_the_sign_on_c_when_a_is_zero():
+    # over Q, (0, b, c) and (0, b, -c) are one orbit (lam = -1); every
+    # member of the orbit of (0, 1, -1) has the representative with c > 0
+    p = WeightedPoint(0, 1, -1)
+    want = WeightedPoint(0, 1, 1)
+    assert p.scale(-1) == want
+    for lam in (1, -1, 2, -2, Fraction(1, 2), Fraction(-2, 3), 3):
+        assert p.scale(lam).canonical() == want, lam
+    assert want.canonical() == want
+
+
 def test_canonical_binary_fields():
     ctx = GF(4)
     p = WeightedPoint(ctx(5), ctx(9), ctx(2)).canonical()

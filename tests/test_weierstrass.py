@@ -602,6 +602,18 @@ def test_lift_point_to_its_own_field_and_of_another_curve():
                 E.lift_point(R, target)
 
 
+def test_lift_point_of_the_origin_is_the_origin_of_the_lifted_curve():
+    # the origin has no coordinates to embed; it is the identity up there
+    E, big = WeierstrassCurve.supersingular(3), GF(6)
+    O = E.lift_point(E.infinity(), big)
+    assert O.is_infinity()
+    assert O.curve == E.base_change(big) and O.curve.ctx is big
+    for x in E.ctx.elements():
+        for y in E.fiber_y(x):
+            P = E.lift_point(E.point(x, y), big)
+            assert P + O == O + P == P
+
+
 def test_curve_is_its_coefficient_bits_plus_h_and_f():
     rng = random.Random(27)
     ctx = GF(5)
