@@ -733,12 +733,6 @@ def _fiber(func: CurveFunction, value):
     return hits
 
 
-def _fiber_data(func: CurveFunction, value):
-    """fiber(func, value) as [(point, e, d)], d read from _fiber's series."""
-    return [(Q, e, 0 if s is None else _local_datum(func, value, Q, s)[1])
-            for Q, e, s in _fiber(func, value)]
-
-
 def ramification_profile(func: CurveFunction, branch_values):
     """Certified ramification data over the claimed branch values.
 
@@ -756,7 +750,9 @@ def ramification_profile(func: CurveFunction, branch_values):
     seen_points = set()
     for value in branch_values:
         key = value if value is INFINITY else E.ctx(value)
-        out[key] = entries = _fiber_data(func, key)
+        out[key] = entries = [  # d read from _fiber's series
+            (Q, e, 0 if s is None else _local_datum(func, key, Q, s)[1])
+            for Q, e, s in _fiber(func, key)]
         seen_points.update(Q for Q, _e, _d in entries)
         total_d += sum(d for _Q, _e, d in entries)
     if total_d > 2 * n:

@@ -18,9 +18,9 @@ refuse an element of another context.
 Each context builds one raw-int kernel, ``ctx.mul``, ``ctx.sqr`` and
 ``ctx.inv`` (``_table_kernel`` for 2 <= d <= 12, else ``_field_kernel``),
 and all element and polynomial arithmetic runs on it; it reduces by one fold
-loop over the modulus taps, for any modulus.  Root finding and factor
-degrees (``_factor_degrees``) pack each row mod g into one int, 2d bits a
-coefficient (``_Modulus``).
+loop over the modulus taps, for any modulus.  Root finding and factoring
+(``_distinct_degree``, ``_orbits``) pack each row mod g into one int, 2d bits
+a coefficient (``_Modulus``).
 
 Cross-field structure:
 
@@ -211,12 +211,15 @@ def lexmin_irreducible(d):
     """Smallest integer with bit d set whose bit-polynomial is irreducible.
 
     For d >= 2 an irreducible has neither 0 nor 1 as a root: its constant
-    term is 1 and its number of terms odd, so only such m are tested.
+    term is 1 and its number of terms odd, so only such m are tested, each
+    after a gcd with x^(2^j) + x, whose factors divide j < d, for 2^j < d.
     """
     if d < 1:
         raise ValueError("degree must be positive")
+    sieve = [1 << (1 << j) | 2 for j in range(2, d.bit_length()) if 1 << j < d]
     m = 1 << d | (d > 1)  # x is the one irreducible with constant term 0
-    while not (m.bit_count() & 1 and _is_irreducible(m, d)):
+    while not (m.bit_count() & 1 and all(_pgcd(m, s) == 1 for s in sieve)
+               and _is_irreducible(m, d)):
         m += 2
     return m
 
@@ -866,6 +869,15 @@ def _split_linear(mod, rows):
     return split(mod.g, 0)
 
 
+def _linear_roots(g, rows):
+    """Roots of g, distinct and linear, from rows x^(2^j) mod g's multiple."""
+    if g.degree < 1:
+        return []
+    mod = _Modulus(g)
+    return _split_linear(mod, [mod.reduce(row) for row in rows]
+                         if g.degree > 1 else [])
+
+
 def poly_roots(f):
     """Roots of f in its own context, with multiplicities.
 
@@ -875,18 +887,11 @@ def poly_roots(f):
     """
     if f.is_zero():
         raise ValueError("the zero polynomial has every root")
-    if f.degree == 0:
-        return []
     mod = _Modulus(f)
-    rows = _frobenius_rows(mod)
-    g = f.gcd(mod.poly(rows.pop()) + Poly.x(f.ctx))
-    if g.degree <= 0:
-        return []
-    mod = _Modulus(g)
-    roots = _split_linear(mod, [mod.reduce(row) for row in rows]
-                          if g.degree > 1 else [])
+    *rows, top = _frobenius_rows(mod)
+    g = f.gcd(mod.poly(top) + Poly.x(f.ctx))
     out = []
-    for r in sorted(roots, key=lambda e: e.bits):
+    for r in sorted(_linear_roots(g, rows), key=lambda e: e.bits):
         mult = _root_multiplicity(f, r)
         if mult == 0:
             raise VerificationError("splitting produced a non-root")
@@ -894,33 +899,56 @@ def poly_roots(f):
     return out
 
 
-def _factor_degrees(f):
-    """Degrees of the distinct irreducible factors of the nonzero f, ascending.
+def _distinct_degree(f):
+    """(factors, rows) for the nonzero f: (i, g_i), i ascending, g_i the
+    product of f's distinct irreducible factors of degree i, and the packed
+    rows x^(2^j) mod f made monic, j < d, of step 1 (``_linear_roots``).
 
     Distinct-degree factorisation (von zur Gathen-Gerhard, 14.2): at step i,
-    g = gcd(f, x^(q^i) - x) is the product of the factors of degree i, and
-    dividing f by gcd(f, g) until they are coprime strips repeated factors
-    and squares too.  Once deg f <= 2i, f is irreducible or 1.
+    g_i = gcd(f, x^(q^i) - x); dividing f by gcd(f, g_i) until coprime strips
+    repeated factors and squares too, and once deg f <= 2i, f is prime or 1.
     """
     if f.is_zero():
         raise ValueError("the zero polynomial has no factorisation")
-    f, x, degrees, i = f.monic(), Poly.x(f.ctx), [], 0
+    f, x, factors, i = f.monic(), Poly.x(f.ctx), [], 0
     mod = _Modulus(f)
-    r = mod.reduce(1 << mod.w)  # x^(q^i) mod f, packed
-    while f.degree > 2 * i:
+    *rows, r = _frobenius_rows(mod)  # step 1's squarings: r = x^q mod f
+    while f.degree > 2 * i:  # r = x^(q^i) mod f in step i, packed
         i += 1
-        for _ in range(f.ctx.degree):
+        for _ in range(f.ctx.degree if i > 1 else 0):
             r = mod.square(r)
         g = f.gcd(mod.poly(r) + x)
         if g.degree > 0:
-            degrees += [i] * (g.degree // i)
+            factors.append((i, g))
             while (h := f.gcd(g)).degree > 0:
                 f = f // h
             mod = _Modulus(f)
             r = mod.reduce(r)
     if f.degree > 0:
-        degrees.append(f.degree)
-    return degrees
+        factors.append((f.degree, f))
+    return factors, rows
+
+
+def _orbits(g, i, target):
+    """The roots in target of g, a product of distinct monic irreducibles of
+    degree i over GF(q), q = 2^d, di | target.degree, as their orbits [r,
+    r^q, ..., r^(q^(i-1))]: one root is split off on the di rows x^(2^j) mod
+    g, as g | x^(q^i) - x (_trace_mod), and its orbit's polynomial divided
+    out, exactly, before the next; every remainder shares the traces."""
+    d, out = g.ctx.degree, []
+    mod = _Modulus(g.map_context(target))
+    trace, h = _traces(mod, _frobenius_rows(mod, d * i - 1)), mod.g
+    while h.degree > 0:
+        r, start = h, 0
+        while r.degree > 1:
+            a, b, start = _split_once(r, trace, start)
+            r, start = min(a, b, key=lambda p: p.degree), start + 1
+        out.append(orbit := [r.coeff(0).frobenius(d * j) for j in range(i)])
+        h, rest = divmod(h, reduce(Poly.__mul__, (
+            Poly._of(target, [x.bits, 1]) for x in orbit)))
+        if not rest.is_zero():
+            raise VerificationError("a Frobenius orbit does not divide g")
+    return out
 
 
 def _root_multiplicity(p, r):

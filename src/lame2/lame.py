@@ -32,7 +32,8 @@ from .arith import divisors, factorint, mobius
 from .common import (FiberEscapeError, INFINITY, TorsionSearchExhausted,
                      VerificationError)
 from .gf2 import GF, FieldContext, FieldElement, element_degree, embed
-from .gf2 import Poly, _factor_degrees, solve_artin_schreier
+from .gf2 import (Poly, _distinct_degree, _linear_roots, _orbits,
+                  solve_artin_schreier)
 from .weierstrass import (
     CurvePoint,
     WeierstrassCurve,
@@ -45,7 +46,7 @@ from .weierstrass import (
     point_order,
     torsion_field_degree,
 )
-from .funcfield import _fiber_data, _fiber_poly, _local_datum, miller_function
+from .funcfield import _fiber_poly, _local_datum, miller_function
 
 # desk-scale caps: the largest torsion order classified and the largest
 # degree d of the field-of-moduli census over F_(2^d); then, named apart from
@@ -437,10 +438,11 @@ def _roots_in_some_extension(c: FieldElement):
     c, the linearized x^4 + x = t (Lidl-Niederreiter, 3.4) is two
     Artin-Schreier steps: x^4 + x = (x^2 + x)^2 + (x^2 + x)."""
     cube = [0, 0, 1] * 4  # (x^4 + x)^3 = x^12 + x^9 + x^6 + x^3
-    big = GF(c.ctx.degree * min(_factor_degrees(Poly(c.ctx, [c.bits] + cube))))
+    factors, _rows = _distinct_degree(Poly(c.ctx, [c.bits] + cube))
+    big = GF(c.ctx.degree * factors[0][0])
     roots = [x for t in _cube_roots(embed(c, big))
              for s in solve_artin_schreier(t) for x in solve_artin_schreier(s)]
-    return big, sorted(roots, key=lambda x: x.bits)
+    return sorted(roots, key=lambda x: x.bits)
 
 
 def _lift_to_curve(x0: FieldElement) -> CurvePoint:
@@ -472,8 +474,7 @@ def moduli_census(d: int) -> dict:
     classes = []
     by_degree = {}
     for c in ctx.elements():
-        _big, roots = _roots_in_some_extension(c)
-        P = _lift_to_curve(roots[0])
+        P = _lift_to_curve(_roots_in_some_extension(c)[0])
         value = rho(P)
         if value != embed(c, P.curve.ctx):
             raise VerificationError("constructed point has the wrong quotient"
@@ -573,6 +574,38 @@ def third_point_datum(P: CurvePoint, n: int) -> dict:
                                *_local_datum(f, f.evaluate(Q), Q))
 
 
+def _third_fiber(f, c, work, norm, factored):
+    """The fiber f = c as [(point, e, d)] on work's curve, f over GF(2^(dm)),
+    sorted, from factored = _distinct_degree(norm) over P's field F =
+    GF(2^d): linear roots split in F on its rows, and for i > 1 one root r
+    per place is split off in GF(2^(dm)), r^(q^j), q = 2^d, completing its
+    orbit, with y^(q^j) (cover_profile).  Points over a multiple root are
+    listed where they lie, in F if they can be, with their (e, d)."""
+    E, F, (factors, rows), listed = work.curve, f.curve.ctx, factored, []
+    big, repeated = E.ctx, norm.gcd(norm.deriv())
+
+    def lift(x, y):
+        return E.point(embed(x, big), embed(y, big))
+
+    for i, g in factors:
+        func, orbits = ((f, [[r] for r in _linear_roots(g, rows)]) if i == 1
+                        else (work, _orbits(g, i, big)))
+        G, v = repeated.map_context(func.curve.ctx), embed(c, func.curve.ctx)
+        for r, *conjugates in orbits:
+            if G(r):  # a simple root: one point
+                y = (func.A(r) + v * func.D(r)) / func.B(r)
+                listed += [(lift(x, y.frobenius(F.degree * j)), 1, 0)
+                           for j, x in enumerate((r, *conjugates))]
+                continue
+            for x in (r, *conjugates):  # in F if its points are
+                h = f if x.ctx is F and f.curve.fiber_y(x) else work
+                C, x, w = h.curve, embed(x, h.curve.ctx), embed(c, h.curve.ctx)
+                for y in C.fiber_y(x):
+                    if h.evaluate(T := C.point(x, y)) == w:
+                        listed.append((lift(T.x, T.y), *_local_datum(h, w, T)))
+    return sorted(listed, key=lambda entry: entry[0].xy)
+
+
 def cover_profile(P: CurvePoint, n: int) -> dict:
     """Degree-n cover attached to an n-torsion point, with its branch data.
 
@@ -583,8 +616,16 @@ def cover_profile(P: CurvePoint, n: int) -> dict:
     -n at 0 (from the degrees of A, B and D, with no series), checked in
     P's own field, leave no other zero or pole over any extension.  As n is
     odd, both points are tame in characteristic 2, so d = n - 1 at each.
-    Only the third fiber is listed, in its splitting field, and the third
-    point is classified.
+
+    Only the third fiber, f = c = f(Q), is listed, by its places over P's
+    field F = GF(2^d) (_third_fiber), over GF(2^(dk)), k the lcm of the
+    factor degrees of its norm N over F: a simple root r of N carries one
+    point, (r, (A + cD)(r)/B(r)), with e = 1, d = 0.  For g = A + cD + BY =
+    (f - c)D, N(X) = g g', g' the conjugate, so g's orders at the points
+    over r sum to 1 (2 if v(X - r) = 2); B(r) = 0 would force (A + cD)(r)
+    = 0 and (X - r)^2 | N, and f has no affine pole, so D(r) = 0 would make
+    g vanish at both points over r, or twice at one.  Only conjugate points
+    over a multiple root may need GF(2^(2dk)).  Q is classified.
     """
     f, Q, supersingular = _normalized_cover(P, n)
     if (f.degree() != n or f._origin_valuation() != -n
@@ -592,30 +633,24 @@ def cover_profile(P: CurvePoint, n: int) -> dict:
         raise VerificationError("zero and pole fibers are not n-fold")
 
     third = f.evaluate(Q)  # neither 0 nor INFINITY: Q is neither P nor 0
-
-    # Sheets over the third value need not be rational over P's field: list
-    # them over the splitting extension of the x-line (the lcm of the factor
-    # degrees of the polynomial of their x-coordinates), one quadratic step
-    # up for the y-line.
-    k = lcm(1, *_factor_degrees(_fiber_poly(f, third)))
+    factored = _distinct_degree(norm := _fiber_poly(f, third))
+    k = lcm(1, *(i for i, _g in factored[0]))
     for m in (k, 2 * k):
-        big = GF(P.curve.ctx.degree * m)
-        work = f.base_change(big)
-        c = embed(third, big)
-        try:
-            third_fiber = _fiber_data(work, c)
+        work = f.base_change(GF(P.curve.ctx.degree * m))
+        third_fiber = _third_fiber(f, third, work, norm, factored)
+        if (total := sum(e for _T, e, _d in third_fiber)) == n:
             break
-        except FiberEscapeError:
-            if m > k:
-                raise
+    else:
+        raise FiberEscapeError(f"fiber over {third!r} accounts for {total}"
+                               f" of {n} sheets", leftover=n - total)
 
-    E = work.curve  # P and Q lifted onto it
+    E, big = work.curve, work.curve.ctx  # P and Q lifted onto it
     P_w, Q_w = (E.point(embed(T.x, big), embed(T.y, big)) for T in (P, Q))
     ramified = [entry for entry in third_fiber if entry[1] > 1]
     if len(ramified) != 1 or ramified[0][0] != Q_w:
         raise VerificationError("third fiber is not ramified exactly at Q")
     _Q, e3, d3 = ramified[0]
-    profile = {big.zero: [(P_w, n, n - 1)], c: third_fiber,
+    profile = {big.zero: [(P_w, n, n - 1)], embed(third, big): third_fiber,
                INFINITY: [(E.infinity(), n, n - 1)]}
     total = sum(d for fib in profile.values() for _pt, _e, d in fib)
     if total != 2 * n:

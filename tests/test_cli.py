@@ -586,6 +586,12 @@ for owner, name in [(weierstrass, "_add_pairs"), (gf2, "poly_roots")]:
     for module in [m for k, m in sys.modules.items() if k.startswith("lame2")]:
         if hasattr(module, name):  # one counter for every binding
             setattr(module, name, getattr(owner, name))
+split, real_gcd = gf2._split_once.__code__, gf2.Poly.gcd
+def gcd(a, b):  # a split trial is one gcd in _split_once
+    if sys._getframe(1).f_code is split:
+        calls["trial"] = calls.get("trial", 0) + 1
+    return real_gcd(a, b)
+gf2.Poly.gcd = gcd
 code, _ = cli.run(sys.argv[2:])
 print(json.dumps(dict(calls, exit=code, _EMBED_GEN=len(gf2._EMBED_GEN))))
 """
@@ -630,7 +636,8 @@ def test_cold_process_operation_counts():
     # generator images, every subfield pair of theirs, as each subfield is
     # reached through a chain of maximal ones
     assert _cold_counts("moduli", "--d", "4") == {
-        "_add_pairs": 446, "WeierstrassCurve.__init__": 5, "_EMBED_GEN": 25}
+        "_add_pairs": 446, "WeierstrassCurve.__init__": 5, "_EMBED_GEN": 25,
+        "trial": 28}
 
 
 def test_tame_ramify_draws_one_point():
@@ -638,6 +645,11 @@ def test_tame_ramify_draws_one_point():
     # for independence (116 additions when torsion_basis drew both)
     counts = _cold_counts("ramify", "--order", "13")
     assert counts["_add_pairs"] <= 59, counts
+    # the third fiber is listed by places over P's field: its linear roots
+    # split on the rows of one distinct-degree factorisation, in as many
+    # trials as poly_roots took on the same roots, and no root is sought
+    # over the splitting field (1 poly_roots call before)
+    assert "poly_roots" not in counts and counts["trial"] == 17, counts
 
 
 def test_json_has_sorted_keys_and_schema():

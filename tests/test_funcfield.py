@@ -1345,15 +1345,16 @@ def _pool_ramify_argvs():
 
 
 def _counted_cover(P, n):
-    """(cover_profile(P, n), calls): calls counts its poly_roots and
-    ramification_profile calls, spied on under both names in funcfield,
-    the one caller of poly_roots, and in lame."""
+    """(cover_profile(P, n), calls): calls counts its poly_roots,
+    _distinct_degree and ramification_profile calls, spied on under every
+    name funcfield and lame bind them to."""
     import lame2.funcfield as ff
+    import lame2.gf2 as gf2
     import lame2.lame as lame
     calls = Counter()
 
-    def spy(name):
-        real = getattr(ff, name)
+    def spy(owner, name):
+        real = getattr(owner, name)
 
         def counted(*args):
             calls[name] += 1
@@ -1361,8 +1362,9 @@ def _counted_cover(P, n):
         return counted
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("poly_roots", "ramification_profile"):
-            counted = spy(name)
+        for owner, name in ((gf2, "poly_roots"), (gf2, "_distinct_degree"),
+                            (ff, "ramification_profile")):
+            counted = spy(owner, name)
             for module in (ff, lame):
                 mp.setattr(module, name, counted, raising=False)
         return cover_profile(P, n), calls
@@ -1419,10 +1421,12 @@ def reference_cover_profile(rep):
 
 
 def test_cover_profile_matches_the_three_fiber_route(ramify_pool_covers):
-    # the zero and pole fibers come from the divisor, so each cover makes
-    # one poly_roots call, for the third fiber, and no ramification_profile
-    # call; the route that listed all three fibers is the reference, in
-    # order as well as in content
+    # the zero and pole fibers come from the divisor, and the third fiber is
+    # listed by its places over P's field from one distinct-degree
+    # factorisation, so each cover makes no poly_roots call (one, for the
+    # third fiber over the splitting field, before) and no
+    # ramification_profile call; the route that listed all three fibers is
+    # the reference, in order as well as in content
     covers = list(ramify_pool_covers)
     for n in range(3, 14, 2):
         for seed in range(6):
@@ -1430,7 +1434,7 @@ def test_cover_profile_matches_the_three_fiber_route(ramify_pool_covers):
                            *_counted_cover(torsion_basis(n, seed)[1], n)))
     assert len(covers) == 40 + 36
     for label, rep, calls in covers:
-        assert calls == {"poly_roots": 1}, label
+        assert calls == {"_distinct_degree": 1}, label
         assert list(rep["profile"].items()) \
             == list(reference_cover_profile(rep).items()), label
 
@@ -1572,7 +1576,11 @@ def test_root_finding_counts_pinned(monkeypatch):
     # _split_linear made 847 reductions and 952 scalar-product passes; and
     # building 1/f for each cover's pole certificate, before the degrees of
     # A, B and D gave v_O(f), made 9 inverses, 131 constructions and 281
-    # gcds (two per construction)
+    # gcds (two per construction); and splitting the third fiber's norm
+    # over the splitting field, after factoring it over P's field, and
+    # listing both points over each root, made 403 squares, 795
+    # reductions, 900 scalar-product passes, 263 gcds, 140 trials and 115
+    # point checks
     import lame2.gf2 as gf2
     from lame2.cli import run
     counts = dict.fromkeys(["square", "reduce", "dot", "gcd", "trial",
@@ -1598,9 +1606,9 @@ def test_root_finding_counts_pinned(monkeypatch):
     monkeypatch.setattr(gf2, "_EMBED_GEN", {})
     for argv in COVERS_SEED_1:
         assert run(argv)[0] == 0, argv
-    assert counts == {"square": 403, "reduce": 795, "dot": 900,
-                      "gcd": 263, "trial": 140, "__init__": 122,
-                      "inverse": 0, "point": 115}
+    assert counts == {"square": 290, "reduce": 571, "dot": 661,
+                      "gcd": 237, "trial": 114, "__init__": 122,
+                      "inverse": 0, "point": 87}
 
 
 def test_differentiate_product_rule():

@@ -22,8 +22,8 @@ from lame2 import (GF, FieldContext, FieldElement, FieldInputError, Poly,
                    lexmin_irreducible, poly_roots, solve_artin_schreier, trace)
 from lame2.arith import divisors
 from lame2.gf2 import (_TABLE_MAX_DEGREE, _Modulus, _bit_poly, _comb,
-                       _embed_gen, _factor_degrees, _field_kernel,
-                       _frobenius_rows, _is_irreducible, _pmod,
+                       _distinct_degree, _embed_gen, _field_kernel,
+                       _frobenius_rows, _is_irreducible, _orbits, _pmod,
                        _root_multiplicity, _split_linear, _split_once,
                        _table_kernel, _trace_mod, _traces)
 
@@ -126,8 +126,9 @@ def test_canonical_moduli_match_the_unfiltered_search():
 
 
 def test_canonical_moduli_skip_polynomials_with_a_root(monkeypatch):
-    # only odd m of odd weight reach the Rabin test; every m from 2^d made
-    # 58 tests at d = 40 and 46 at d = 48
+    # only odd m of odd weight with no factor of degree dividing j, 2^j < d,
+    # reach the Rabin test; every m from 2^d made 58 tests at d = 40 and 46
+    # at d = 48, and the odd m of odd weight 15 and 12
     calls = []
     real = gf2._is_irreducible
     monkeypatch.setattr(gf2, "_is_irreducible",
@@ -137,7 +138,7 @@ def test_canonical_moduli_skip_polynomials_with_a_root(monkeypatch):
         calls.clear()
         lexmin_irreducible(d)
         counts.append(len(calls))
-    assert counts == [15, 12]
+    assert counts == [6, 5]
 
 
 def test_one_context_per_degree():
@@ -873,6 +874,12 @@ def reference_factor_degrees(p):
     return degrees
 
 
+def degrees_of(factors):
+    """The factor degrees, ascending and repeated, of _distinct_degree's
+    products."""
+    return [i for i, g in factors for _ in range(g.degree // i)]
+
+
 @pytest.mark.parametrize("ctx", [GF(1), GF(3), GF(8), GF(13), GF(24),
                                  dense_field(5), dense_field(8)],
                          ids=lambda c: f"{c.degree}-{c.modulus:x}")
@@ -893,10 +900,85 @@ def test_factor_degrees_match_the_squarefree_reference(ctx):
             for _ in range(rng.randrange(1, 4)):
                 f = f * b
         for g in (f, f * f, f * (u := random_poly(1)) * u):
-            assert _factor_degrees(g) == reference_factor_degrees(g), g
-    assert _factor_degrees(Poly.one(ctx)) == []
+            assert degrees_of(_distinct_degree(g)[0]) \
+                == reference_factor_degrees(g), g
+    assert _distinct_degree(Poly.one(ctx))[0] == []
     with pytest.raises(ValueError):
-        _factor_degrees(Poly.zero(ctx))
+        _distinct_degree(Poly.zero(ctx))
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_distinct_degree_products(d):
+    # each g_i is squarefree, of degree divisible by i, its factors of degree
+    # i (one gcd with x^(q^i) - x, schoolbook squarings), and the products
+    # multiply to the radical; the rows are x^(2^j) mod f, j < d
+    ctx = GF(d)
+    rng = random.Random(300 + d)
+    x = Poly.x(ctx)
+    for _ in range(8):
+        f = Poly.one(ctx)
+        for _ in range(rng.randrange(1, 5)):
+            b = Poly(ctx, [rng.getrandbits(d) for _ in range(rng.randrange(
+                2, 7))] + [1])
+            f = f * b if rng.randrange(3) else f * b * b
+        factors, rows = _distinct_degree(f)
+        assert degrees_of(factors) == reference_factor_degrees(f), f
+        assert [i for i, _g in factors] == sorted({i for i, _g in factors})
+        product = Poly.one(ctx)
+        for i, g in factors:
+            assert g.degree % i == 0 and g.gcd(g.deriv()).degree == 0, f
+            assert not g.deriv().is_zero(), f
+            r = x
+            for _ in range(d * i):
+                r = r * r % g
+            assert (r + x) % g == Poly.zero(ctx), (f, i)
+            product = product * g
+        assert product == reference_radical(f).monic(), f
+        mod = _Modulus(f)
+        r = x % f.monic()
+        for row in rows:
+            assert mod.poly(row) == r, f
+            r = r * r % f.monic()
+        assert len(rows) == d
+
+
+def random_irreducibles(ctx, i, count, rng):
+    """count distinct monic irreducibles of degree i over ctx."""
+    found = set()
+    while len(found) < count:
+        p = Poly(ctx, [rng.getrandbits(ctx.degree) for _ in range(i)] + [1])
+        if reference_factor_degrees(p) == [i]:  # so p is not a square
+            found.add(p)
+    return sorted(found, key=lambda p: p.coeffs)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_orbit_roots_match_poly_roots_over_the_big_field(d):
+    # products of distinct irreducibles of degree i over GF(2^d), rooted in
+    # GF(2^(d i t)): the orbits are Frobenius-closed and together the roots
+    # poly_roots finds over that field, each once
+    ctx = GF(d)
+    rng = random.Random(400 + d)
+    for i in (2, 3, 4):
+        for t in (1, 2):
+            if d * i * t > 48:
+                continue
+            big = GF(d * i * t)
+            # GF(2) has 1, 2 and 3 irreducibles of degree 2, 3 and 4
+            count = rng.randrange(1, 4) if d > 1 else i - 1
+            g = Poly.one(ctx)
+            for p in random_irreducibles(ctx, i, count, rng):
+                g = g * p
+            orbits = _orbits(g, i, big)
+            assert len(orbits) == g.degree // i
+            for orbit in orbits:
+                assert len(orbit) == len(set(orbit)) == i
+                for a, b in zip(orbit, orbit[1:] + orbit[:1]):
+                    assert a.frobenius(d) == b
+            roots = sorted(r.bits for orbit in orbits for r in orbit)
+            assert [(r.bits, m) for r, m in poly_roots(g.map_context(big))] \
+                == [(r, 1) for r in roots], (d, i, t)
+    assert _orbits(Poly.one(ctx), 2, GF(2 * d)) == []
 
 
 @pytest.mark.parametrize("d", [1, 3, 8])

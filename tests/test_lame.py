@@ -668,7 +668,7 @@ def test_census_output_pinned(d):
 
 
 def reference_roots_in_some_extension(c):
-    # the e-loop: the first GF(2^(de)), e = 1, 2, ..., in which
+    # the e-loop: the roots in the first GF(2^(de)), e = 1, 2, ..., in which
     # (x^4+x)^3 = c has a root
     for e in range(1, 13):
         big = GF(c.ctx.degree * e)
@@ -677,15 +677,19 @@ def reference_roots_in_some_extension(c):
         g = t * t * t + Poly(big, [embed(c, big)])
         roots = [r for r, _mult in poly_roots(g)]
         if roots:
-            return big, roots
+            return roots
     raise AssertionError("no root in an extension of degree <= 12")
 
 
 @pytest.mark.parametrize("d", range(1, 7))
 def test_census_extension_step_matches_the_e_loop(d):
+    # the same roots in the same field: 0 and 1 equal their namesakes in
+    # every field, so the contexts are compared too
     for c in GF(d).elements():
-        assert lame._roots_in_some_extension(c) \
-            == reference_roots_in_some_extension(c), c
+        got = lame._roots_in_some_extension(c)
+        expected = reference_roots_in_some_extension(c)
+        assert [(r.ctx, r.bits) for r in got] \
+            == [(r.ctx, r.bits) for r in expected], c
 
 
 def test_census_split_trials_pinned(monkeypatch):
@@ -782,17 +786,17 @@ def test_third_point_datum_expands_each_point_once(monkeypatch):
         "a7c28701240fe13a86164ed483afb679b524eae8b81206c4635fba66fc0f1669"
 
 def _escape_first(monkeypatch, escapes):
-    # the third fiber's listing raising FiberEscapeError on its first
-    # `escapes` calls; returns the list of field degrees it was called over
-    real, degrees = lame._fiber_data, []
+    # the third fiber's listing by places one sheet short on its first
+    # `escapes` calls, as when a point lies outside the field; returns the
+    # list of field degrees it was called over
+    real, degrees = lame._third_fiber, []
 
-    def fiber(work, value):
+    def listing(f, c, work, *args):
         degrees.append(work.curve.ctx.degree)
-        if len(degrees) <= escapes:
-            raise FiberEscapeError("a fiber point left the field")
-        return real(work, value)
+        fiber = real(f, c, work, *args)
+        return fiber[1:] if len(degrees) <= escapes else fiber
 
-    monkeypatch.setattr(lame, "_fiber_data", fiber)
+    monkeypatch.setattr(lame, "_third_fiber", listing)
     return degrees
 
 
@@ -812,6 +816,59 @@ def test_cover_profile_lets_a_second_escape_through(monkeypatch):
     with pytest.raises(FiberEscapeError):
         cover_profile(P, 5)
     assert degrees == [8, 16]
+
+
+def reference_third_fiber(work, c):
+    """[(point, e, d)] over c by _fiber over work's own field, sorted."""
+    from lame2.funcfield import _fiber, _local_datum
+    return sorted(((Q, e, 0 if s is None else _local_datum(work, c, Q, s)[1])
+                   for Q, e, s in _fiber(work, c)), key=lambda t: t[0].xy)
+
+
+def test_third_fiber_matches_the_fiber_over_its_field():
+    # separable functions A + B Y, with no affine pole, on both models over
+    # GF(2^d): the listing by places over GF(2^(dm)), m = k and 2k, is the
+    # fiber _fiber certifies there, or sheets short exactly where _fiber
+    # escapes; B = 0 puts both points over each root of A + c, a multiple
+    # root of the norm, and they are often conjugate, outside GF(2^(dm))
+    from math import lcm
+    from lame2.funcfield import _fiber_poly
+    from lame2.gf2 import _distinct_degree
+    seen = {"orbit": 0, "y outside F over x in F": 0, "short": 0}
+    for d in (2, 3, 4):
+        rng = random.Random(700 + d)
+        for E in (WeierstrassCurve.supersingular(d),
+                  WeierstrassCurve.ordinary(d, rng.randrange(1, 2 ** d))):
+            for trial in range(12):
+                A = Poly(E.ctx, [rng.getrandbits(d) for _ in range(4)])
+                B = Poly(E.ctx, [rng.getrandbits(d) for _ in range(2)]
+                         if trial % 3 else [])
+                f = CurveFunction(E, A, B)
+                if f.degree() < 2 or differentiate(f).is_zero():
+                    continue  # constant, or inseparable: no different
+                c = E.ctx.random(rng)
+                norm = _fiber_poly(f, c)
+                factored = _distinct_degree(norm)
+                k = lcm(1, *(i for i, _g in factored[0]))
+                for m in (k, 2 * k):
+                    if d * m > 48:
+                        continue
+                    work = f.base_change(GF(d * m))
+                    got = lame._third_fiber(f, c, work, norm, factored)
+                    try:
+                        expected = reference_third_fiber(
+                            work, embed(c, work.curve.ctx))
+                    except FiberEscapeError:
+                        assert sum(e for _T, e, _d in got) < f.degree()
+                        seen["short"] += 1
+                        continue
+                    assert got == expected, (E, f, c, m)
+                    in_f = [(d % element_degree(T.x) == 0,
+                             d % element_degree(T.y) == 0)
+                            for T, _e, _d in got]
+                    seen["orbit"] += (False, False) in in_f
+                    seen["y outside F over x in F"] += (True, False) in in_f
+    assert all(seen.values()), seen
 
 
 def test_cover_profile_refutes_a_function_with_other_zeros(monkeypatch):
