@@ -739,7 +739,9 @@ class Poly:
         return acc
 
     def map_context(self, target):
-        """Coefficient-wise embedding into a larger context."""
+        """Coefficient-wise embedding into target (self if it is self.ctx)."""
+        if target is self.ctx:
+            return self
         return Poly(target, [embed(self.coeff(i), target).bits
                              for i in range(len(self.coeffs))])
 
@@ -869,29 +871,19 @@ def _split_linear(mod, rows):
     return split(mod.g, 0)
 
 
-def _linear_roots(g, rows):
-    """Roots of g, distinct and linear, from rows x^(2^j) mod g's multiple."""
-    if g.degree < 1:
-        return []
-    mod = _Modulus(g)
-    return _split_linear(mod, [mod.reduce(row) for row in rows]
-                         if g.degree > 1 else [])
-
-
 def poly_roots(f):
     """Roots of f in its own context, with multiplicities.
 
-    Returns a list of (root, multiplicity) pairs sorted by the root's bit
-    pattern.  Only roots lying in the coefficient field are returned; callers
-    needing more must lift the polynomial to a larger context first.
+    Returns (root, multiplicity) pairs sorted by the root's bits, for the
+    roots of g = gcd(f, x^q - x) in f's own context (``_orbits`` at degree
+    1); callers needing more must lift f to a larger context first.
     """
     if f.is_zero():
         raise ValueError("the zero polynomial has every root")
     mod = _Modulus(f)
-    *rows, top = _frobenius_rows(mod)
-    g = f.gcd(mod.poly(top) + Poly.x(f.ctx))
+    g = f.gcd(mod.poly(_frobenius_rows(mod)[-1]) + Poly.x(f.ctx))
     out = []
-    for r in sorted(_linear_roots(g, rows), key=lambda e: e.bits):
+    for (r,) in sorted(_orbits(g, 1, f.ctx), key=lambda o: o[0].bits):
         mult = _root_multiplicity(f, r)
         if mult == 0:
             raise VerificationError("splitting produced a non-root")
@@ -900,44 +892,47 @@ def poly_roots(f):
 
 
 def _distinct_degree(f):
-    """(factors, rows) for the nonzero f: (i, g_i), i ascending, g_i the
-    product of f's distinct irreducible factors of degree i, and the packed
-    rows x^(2^j) mod f made monic, j < d, of step 1 (``_linear_roots``).
+    """Yield (i, g_i) for the nonzero f as each step finds it, i ascending,
+    g_i the product of f's distinct irreducible factors of degree i.
 
     Distinct-degree factorisation (von zur Gathen-Gerhard, 14.2): at step i,
     g_i = gcd(f, x^(q^i) - x); dividing f by gcd(f, g_i) until coprime strips
     repeated factors and squares too, and once deg f <= 2i, f is prime or 1.
+    A caller that reads only the first pair runs no later step.
     """
     if f.is_zero():
         raise ValueError("the zero polynomial has no factorisation")
-    f, x, factors, i = f.monic(), Poly.x(f.ctx), [], 0
+    f, x, i = f.monic(), Poly.x(f.ctx), 0
     mod = _Modulus(f)
-    *rows, r = _frobenius_rows(mod)  # step 1's squarings: r = x^q mod f
-    while f.degree > 2 * i:  # r = x^(q^i) mod f in step i, packed
+    r = mod.reduce(1 << mod.w)  # r = x^(q^i) mod f after step i, packed
+    while f.degree > 2 * i:
         i += 1
-        for _ in range(f.ctx.degree if i > 1 else 0):
+        for _ in range(f.ctx.degree):
             r = mod.square(r)
         g = f.gcd(mod.poly(r) + x)
         if g.degree > 0:
-            factors.append((i, g))
+            yield i, g
             while (h := f.gcd(g)).degree > 0:
                 f = f // h
             mod = _Modulus(f)
             r = mod.reduce(r)
     if f.degree > 0:
-        factors.append((f.degree, f))
-    return factors, rows
+        yield f.degree, f
 
 
 def _orbits(g, i, target):
     """The roots in target of g, a product of distinct monic irreducibles of
     degree i over GF(q), q = 2^d, di | target.degree, as their orbits [r,
-    r^q, ..., r^(q^(i-1))]: one root is split off on the di rows x^(2^j) mod
-    g, as g | x^(q^i) - x (_trace_mod), and its orbit's polynomial divided
-    out, exactly, before the next; every remainder shares the traces."""
+    r^q, ..., r^(q^(i-1))], on the di rows x^(2^j) mod g (_trace_mod, as g |
+    x^(q^i) - x): at i = 1 one split tree (_split_linear), at i > 1 one root
+    split off and its orbit's polynomial divided out, exactly, before the
+    next, every remainder sharing the traces.  A constant g has none."""
     d, out = g.ctx.degree, []
     mod = _Modulus(g.map_context(target))
-    trace, h = _traces(mod, _frobenius_rows(mod, d * i - 1)), mod.g
+    rows = _frobenius_rows(mod, d * i - 1) if g.degree > 1 else []
+    if i == 1 and g.degree > 0:
+        return [[r] for r in _split_linear(mod, rows)]
+    trace, h = _traces(mod, rows), mod.g
     while h.degree > 0:
         r, start = h, 0
         while r.degree > 1:

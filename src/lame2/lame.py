@@ -32,8 +32,7 @@ from .arith import divisors, factorint, mobius
 from .common import (FiberEscapeError, INFINITY, TorsionSearchExhausted,
                      VerificationError)
 from .gf2 import GF, FieldContext, FieldElement, element_degree, embed
-from .gf2 import (Poly, _distinct_degree, _linear_roots, _orbits,
-                  solve_artin_schreier)
+from .gf2 import Poly, _distinct_degree, _orbits, solve_artin_schreier
 from .weierstrass import (
     CurvePoint,
     WeierstrassCurve,
@@ -434,12 +433,12 @@ def _cube_roots(c: FieldElement) -> set:
 def _roots_in_some_extension(c: FieldElement):
     """Roots of (x^4+x)^3 = c in the least extension tower step that has any,
     sorted by bits: GF(2^(de)) has a root exactly when a factor's degree over
-    GF(2^d) divides e, so e is the least factor degree.  For a cube root t of
-    c, the linearized x^4 + x = t (Lidl-Niederreiter, 3.4) is two
-    Artin-Schreier steps: x^4 + x = (x^2 + x)^2 + (x^2 + x)."""
+    GF(2^d) divides e, so e is the first degree _distinct_degree yields.  For
+    a cube root t of c, the linearized x^4 + x = t (Lidl-Niederreiter, 3.4)
+    is two Artin-Schreier steps: x^4 + x = (x^2 + x)^2 + (x^2 + x)."""
     cube = [0, 0, 1] * 4  # (x^4 + x)^3 = x^12 + x^9 + x^6 + x^3
-    factors, _rows = _distinct_degree(Poly(c.ctx, [c.bits] + cube))
-    big = GF(c.ctx.degree * factors[0][0])
+    e, _g = next(_distinct_degree(Poly(c.ctx, [c.bits] + cube)))
+    big = GF(c.ctx.degree * e)
     roots = [x for t in _cube_roots(embed(c, big))
              for s in solve_artin_schreier(t) for x in solve_artin_schreier(s)]
     return sorted(roots, key=lambda x: x.bits)
@@ -576,22 +575,21 @@ def third_point_datum(P: CurvePoint, n: int) -> dict:
 
 def _third_fiber(f, c, work, norm, factored):
     """The fiber f = c as [(point, e, d)] on work's curve, f over GF(2^(dm)),
-    sorted, from factored = _distinct_degree(norm) over P's field F =
-    GF(2^d): linear roots split in F on its rows, and for i > 1 one root r
-    per place is split off in GF(2^(dm)), r^(q^j), q = 2^d, completing its
-    orbit, with y^(q^j) (cover_profile).  Points over a multiple root are
-    listed where they lie, in F if they can be, with their (e, d)."""
-    E, F, (factors, rows), listed = work.curve, f.curve.ctx, factored, []
+    sorted, from the pairs (i, g_i) of _distinct_degree(norm) over P's
+    field F = GF(2^d), each listed by _orbits: linear roots in F, and for
+    i > 1 one root r per place in GF(2^(dm)), r^(q^j), q = 2^d, completing
+    its orbit, with y^(q^j) (cover_profile).  Points over a multiple root
+    are listed where they lie, in F if they can be, with their (e, d)."""
+    E, F, listed = work.curve, f.curve.ctx, []
     big, repeated = E.ctx, norm.gcd(norm.deriv())
 
     def lift(x, y):
         return E.point(embed(x, big), embed(y, big))
 
-    for i, g in factors:
-        func, orbits = ((f, [[r] for r in _linear_roots(g, rows)]) if i == 1
-                        else (work, _orbits(g, i, big)))
+    for i, g in factored:
+        func = f if i == 1 else work
         G, v = repeated.map_context(func.curve.ctx), embed(c, func.curve.ctx)
-        for r, *conjugates in orbits:
+        for r, *conjugates in _orbits(g, i, func.curve.ctx):
             if G(r):  # a simple root: one point
                 y = (func.A(r) + v * func.D(r)) / func.B(r)
                 listed += [(lift(x, y.frobenius(F.degree * j)), 1, 0)
@@ -633,8 +631,8 @@ def cover_profile(P: CurvePoint, n: int) -> dict:
         raise VerificationError("zero and pole fibers are not n-fold")
 
     third = f.evaluate(Q)  # neither 0 nor INFINITY: Q is neither P nor 0
-    factored = _distinct_degree(norm := _fiber_poly(f, third))
-    k = lcm(1, *(i for i, _g in factored[0]))
+    factored = list(_distinct_degree(norm := _fiber_poly(f, third)))
+    k = lcm(1, *(i for i, _g in factored))
     for m in (k, 2 * k):
         work = f.base_change(GF(P.curve.ctx.degree * m))
         third_fiber = _third_fiber(f, third, work, norm, factored)

@@ -400,13 +400,16 @@ def test_raising_one_cap_leaves_the_reports_unchanged(monkeypatch, cap):
 
 
 # SHA-256 of the canonical JSON of argvs the benchmark leaves out: the
-# census at the top of its range, which runs the most root splitting, and
-# an ordinary cover that embeds the subfield lattice of GF(2^840)
+# census at the top of its range, which runs the most root splitting, an
+# ordinary cover that embeds the subfield lattice of GF(2^840), and one
+# whose third fiber lists Frobenius orbits over large fields
 PINNED_DIGESTS = {
     "moduli --d 8":
         "57773987c1c9a557084b3902b5e54950844d7df87afe95f44a138b2b3cb77d9b",
     "ramify --order 13 --ordinary 1 --field 2":
         "ad268c0db0f960d91cd06fef883caafbf866b174587e4c641374cb9e0da031af",
+    "ramify --order 13 --ordinary 2 --field 3":
+        "6e555e0e190878661fd04cd993db2496e71ad6a6fe003e49f594c5f4e65103f4",
 }
 
 
@@ -587,7 +590,8 @@ for owner, name in [(weierstrass, "_add_pairs"), (gf2, "poly_roots")]:
         if hasattr(module, name):  # one counter for every binding
             setattr(module, name, getattr(owner, name))
 split, real_gcd = gf2._split_once.__code__, gf2.Poly.gcd
-def gcd(a, b):  # a split trial is one gcd in _split_once
+def gcd(a, b):  # every gcd, and a split trial is one gcd in _split_once
+    calls["gcd"] = calls.get("gcd", 0) + 1
     if sys._getframe(1).f_code is split:
         calls["trial"] = calls.get("trial", 0) + 1
     return real_gcd(a, b)
@@ -634,10 +638,12 @@ def test_cold_process_operation_counts():
     # the census solves (x^4+x)^3 = c without root finding, on one curve
     # per field (25 when built per call); its six embedding pairs fix 25
     # generator images, every subfield pair of theirs, as each subfield is
-    # reached through a chain of maximal ones
+    # reached through a chain of maximal ones; it reads only the least
+    # factor degree of each (x^4+x)^3 + c, so the factorisation stops at
+    # its first factor (122 gcds when it stripped every factor found)
     assert _cold_counts("moduli", "--d", "4") == {
         "_add_pairs": 446, "WeierstrassCurve.__init__": 5, "_EMBED_GEN": 25,
-        "trial": 28}
+        "trial": 28, "gcd": 88}
 
 
 def test_tame_ramify_draws_one_point():
@@ -645,10 +651,10 @@ def test_tame_ramify_draws_one_point():
     # for independence (116 additions when torsion_basis drew both)
     counts = _cold_counts("ramify", "--order", "13")
     assert counts["_add_pairs"] <= 59, counts
-    # the third fiber is listed by places over P's field: its linear roots
-    # split on the rows of one distinct-degree factorisation, in as many
-    # trials as poly_roots took on the same roots, and no root is sought
-    # over the splitting field (1 poly_roots call before)
+    # the third fiber is listed by places over P's field: the linear
+    # factors of one distinct-degree factorisation split on their own rows,
+    # in as many trials as poly_roots took on the same roots, and no root is
+    # sought over the splitting field (1 poly_roots call before)
     assert "poly_roots" not in counts and counts["trial"] == 17, counts
 
 
@@ -916,6 +922,20 @@ def test_jcheck_reports_the_failing_sample(monkeypatch, wrong):
     assert json.loads(text) == {"schema": 1, "command": "jcheck",
                                 "failed_at": ["-1/14", "-89/9", "31/16"],
                                 "passed": False}
+
+
+def test_jcheck_reports_a_representative_with_nonzero_j(monkeypatch):
+    # every representative's j goes into the one report: a nonzero j fails
+    # it with exit 1, in JSON and in CSV alike
+    monkeypatch.setattr(cli, "tate_normal_form",
+                        lambda curve, point: WeightedPoint(1, 2, 3))
+    code, text = invoke("jcheck", "--samples", "5")
+    doc = json.loads(text)
+    assert code == 1
+    assert doc["all_representative_j_zero"] is False
+    assert doc["passed"] is False and doc["lame_representatives"] == 19
+    assert invoke("jcheck", "--samples", "5", "--csv") == (
+        1, "samples,lame_representatives,passed\n5,19,0\n")
 
 
 def test_jcheck_seed_changes_nothing_substantive():

@@ -156,3 +156,50 @@ def test_the_local_scan_sees_an_unread_local():
                      "    e = 0\n"
                      "    return [j for j in b], inner, e\n")
     assert _unread_locals(tree) == ["f.c", "f.i", "inner.k"]
+
+
+def _private_functions(trees):
+    """The _name functions and methods the parsed modules define."""
+    return {node.name for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("_") and not node.name.startswith("__")}
+
+
+def _dropped_results(tree, private):
+    """Lines of the parsed module where a tuple-unpack binds a _name from a
+    direct call to one of the `private` functions: the callee computes a
+    part of its result that this caller drops."""
+    lines = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Assign)
+                and isinstance(call := node.value, ast.Call)):
+            continue
+        callee = getattr(call.func, "id", getattr(call.func, "attr", None))
+        names = [elt.value if isinstance(elt, ast.Starred) else elt
+                 for target in node.targets if isinstance(target, ast.Tuple)
+                 for elt in target.elts]
+        if callee in private and any(isinstance(name, ast.Name)
+                                     and name.id.startswith("_")
+                                     for name in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_no_private_call_computes_what_its_caller_drops():
+    # a private helper whose one caller drops part of its tuple, as
+    # `factors, _rows = _distinct_degree(...)` did, does work nothing reads
+    paths = sorted((ROOT / "src" / "lame2").glob("*.py"))
+    trees = {path.name: ast.parse(path.read_text()) for path in paths}
+    private = _private_functions(trees.values())
+    assert [f"{name}:{line}" for name, tree in trees.items()
+            for line in _dropped_results(tree, private)] == []
+
+
+def test_the_dropped_result_scan_sees_a_dropped_result():
+    tree = ast.parse("def _f():\n    return 1, 2\n"
+                     "a, _b = _f()\n"
+                     "*_c, d = obj._f()\n"
+                     "e, _g = curve.coefficients()\n"
+                     "h, _i = next(_f())\n"
+                     "j, k = _f()\n")
+    assert _dropped_results(tree, _private_functions([tree])) == [3, 4]

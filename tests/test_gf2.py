@@ -900,18 +900,18 @@ def test_factor_degrees_match_the_squarefree_reference(ctx):
             for _ in range(rng.randrange(1, 4)):
                 f = f * b
         for g in (f, f * f, f * (u := random_poly(1)) * u):
-            assert degrees_of(_distinct_degree(g)[0]) \
+            assert degrees_of(list(_distinct_degree(g))) \
                 == reference_factor_degrees(g), g
-    assert _distinct_degree(Poly.one(ctx))[0] == []
+    assert list(_distinct_degree(Poly.one(ctx))) == []
     with pytest.raises(ValueError):
-        _distinct_degree(Poly.zero(ctx))
+        next(_distinct_degree(Poly.zero(ctx)))
 
 
 @pytest.mark.parametrize("d", range(1, 9))
 def test_distinct_degree_products(d):
     # each g_i is squarefree, of degree divisible by i, its factors of degree
     # i (one gcd with x^(q^i) - x, schoolbook squarings), and the products
-    # multiply to the radical; the rows are x^(2^j) mod f, j < d
+    # multiply to the radical
     ctx = GF(d)
     rng = random.Random(300 + d)
     x = Poly.x(ctx)
@@ -921,7 +921,7 @@ def test_distinct_degree_products(d):
             b = Poly(ctx, [rng.getrandbits(d) for _ in range(rng.randrange(
                 2, 7))] + [1])
             f = f * b if rng.randrange(3) else f * b * b
-        factors, rows = _distinct_degree(f)
+        factors = list(_distinct_degree(f))
         assert degrees_of(factors) == reference_factor_degrees(f), f
         assert [i for i, _g in factors] == sorted({i for i, _g in factors})
         product = Poly.one(ctx)
@@ -934,12 +934,22 @@ def test_distinct_degree_products(d):
             assert (r + x) % g == Poly.zero(ctx), (f, i)
             product = product * g
         assert product == reference_radical(f).monic(), f
-        mod = _Modulus(f)
-        r = x % f.monic()
-        for row in rows:
-            assert mod.poly(row) == r, f
-            r = r * r % f.monic()
-        assert len(rows) == d
+
+
+def test_distinct_degree_stops_where_its_reader_does(monkeypatch):
+    # the pairs are yielded as each step finds them: reading the first,
+    # of degree 1, runs step 1's one gcd with x^q - x and none of the gcds
+    # that strip its factors out of f
+    ctx, calls = GF(4), []
+    cubic = next(p for p in (Poly(ctx, [c, 1, 0, 1]) for c in range(16))
+                 if reference_factor_degrees(p) == [3])
+    a, b = Poly(ctx, [1, 1]), Poly(ctx, [2, 1])
+    real = Poly.gcd
+    monkeypatch.setattr(Poly, "gcd",
+                        lambda g, h: calls.append(1) or real(g, h))
+    pairs = _distinct_degree(a * b * b * cubic)
+    assert next(pairs) == (1, a * b) and len(calls) == 1
+    assert list(pairs) == [(3, cubic)] and len(calls) > 1
 
 
 def random_irreducibles(ctx, i, count, rng):
@@ -959,13 +969,14 @@ def test_orbit_roots_match_poly_roots_over_the_big_field(d):
     # poly_roots finds over that field, each once
     ctx = GF(d)
     rng = random.Random(400 + d)
-    for i in (2, 3, 4):
+    # degree 1 is listed by one split tree, over GF(2^d) itself at t = 1
+    for i in (1, 2, 3, 4):
         for t in (1, 2):
             if d * i * t > 48:
                 continue
             big = GF(d * i * t)
-            # GF(2) has 1, 2 and 3 irreducibles of degree 2, 3 and 4
-            count = rng.randrange(1, 4) if d > 1 else i - 1
+            # GF(2) has 2, 1, 2 and 3 irreducibles of degree 1, 2, 3 and 4
+            count = rng.randrange(1, 4) if d > 1 else [2, 1, 2, 3][i - 1]
             g = Poly.one(ctx)
             for p in random_irreducibles(ctx, i, count, rng):
                 g = g * p
@@ -979,6 +990,7 @@ def test_orbit_roots_match_poly_roots_over_the_big_field(d):
             assert [(r.bits, m) for r, m in poly_roots(g.map_context(big))] \
                 == [(r, 1) for r in roots], (d, i, t)
     assert _orbits(Poly.one(ctx), 2, GF(2 * d)) == []
+    assert _orbits(Poly.one(ctx), 1, ctx) == []
 
 
 @pytest.mark.parametrize("d", [1, 3, 8])
@@ -1166,6 +1178,16 @@ def test_embed_gen_refuses_what_its_checks_refute(monkeypatch):
     with pytest.raises(VerificationError, match="fails its checks"):
         _embed_gen(GF(4), GF(8))
     assert (GF(4), GF(8)) not in gf2._EMBED_GEN
+
+
+def test_map_context_into_its_own_context_is_the_polynomial():
+    # the identity embedding rebuilds nothing; a larger context still takes
+    # each coefficient through embed
+    ctx, big = GF(4), GF(8)
+    p = Poly(ctx, [3, 0, 7, 1])
+    assert p.map_context(ctx) is p
+    assert p.map_context(big).coeffs \
+        == tuple(embed(ctx(c), big).bits for c in p.coeffs)
 
 
 def test_embed_rejects_non_divisor():

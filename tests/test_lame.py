@@ -848,8 +848,8 @@ def test_third_fiber_matches_the_fiber_over_its_field():
                     continue  # constant, or inseparable: no different
                 c = E.ctx.random(rng)
                 norm = _fiber_poly(f, c)
-                factored = _distinct_degree(norm)
-                k = lcm(1, *(i for i, _g in factored[0]))
+                factored = list(_distinct_degree(norm))
+                k = lcm(1, *(i for i, _g in factored))
                 for m in (k, 2 * k):
                     if d * m > 48:
                         continue
