@@ -58,6 +58,8 @@ SCHEMA = 1
 _OPEN = sys.maxsize  # the stop of a range with no upper bound
 # the orders whose Lame representatives jcheck puts in Tate normal form
 _JCHECK_ORDERS = range(3, 14, 2)
+# jcheck's CSV header, also on a failed sample, before any representative
+_JCHECK_HEADER = ["samples", "lame_representatives", "passed"]
 
 
 # the writers of the dict values json.dumps writes from their exact type alone
@@ -331,7 +333,7 @@ def cmd_jcheck(args) -> tuple:
         if disc != inv["disc"] or j_formula(p) != want:
             report = {"failed_at": [str(Fraction(n, d)) for n, d in drawn],
                       "passed": False}
-            return _emit_json(args, report), 1
+            return _output(args, report, _JCHECK_HEADER, [(matches, "", 0)])
         if disc:
             ratios.add(Fraction(disc, inv["disc"]))
         matches += 1
@@ -351,8 +353,7 @@ def cmd_jcheck(args) -> tuple:
         "all_representative_j_zero": j_zero,
         "passed": passed,
     }
-    return _output(args, report,
-                   ["samples", "lame_representatives", "passed"],
+    return _output(args, report, _JCHECK_HEADER,
                    [(matches, reps, int(passed))])
 
 

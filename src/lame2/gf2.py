@@ -513,7 +513,8 @@ def _embed_gen(src, target):
     ``_embed_gen(s, target)``.  A root r of m agrees with s -> target iff
     P_s(r) = c_s, and by induction maximal subfields vouch for all, so
     composites agree with direct embeddings.  g | x^(2^e) - x, e = deg m, so
-    e Frobenius rows split it; the root is re-checked before caching."""
+    ``_orbits`` splits it on e Frobenius rows, not deg(target); the root is
+    re-checked before caching."""
     key = (src, target)
     gbits = _EMBED_GEN.get(key)
     if gbits is None:
@@ -526,9 +527,7 @@ def _embed_gen(src, target):
             g = g.gcd(P + c)
         if g.degree < 1:
             raise VerificationError("no composition-consistent embedding root")
-        mod = _Modulus(g)
-        rows = _frobenius_rows(mod, e - 1) if g.degree > 1 else []
-        r = min(_split_linear(mod, rows), key=lambda r: r.bits)
+        r = min((o[0] for o in _orbits(g, 1, target, e)), key=lambda r: r.bits)
         if m(r) or any(P(r) != c for P, c in checks):
             raise VerificationError("embedding root fails its checks")
         gbits = _EMBED_GEN[key] = r.bits
@@ -809,10 +808,10 @@ class _Modulus:
         return self.reduce(self.fold(int(format(a, "b"), 4)))
 
 
-def _frobenius_rows(mod, k=None):
-    """[x^(2^j) mod g for j = 0..k], packed, by k (default d) squarings."""
+def _frobenius_rows(mod, k):
+    """[x^(2^j) mod g for j = 0..k], packed, by k squarings."""
     rows = [mod.reduce(1 << mod.w)]
-    for _ in range(mod.d if k is None else k):
+    for _ in range(k):
         rows.append(mod.square(rows[-1]))
     return rows
 
@@ -848,27 +847,13 @@ def _split_once(g, trace, start=0):
     factor.  A factor's roots agree on every trial up to the one that split
     it off, so its own sweep may begin after that one, at ``start``.
     Deterministic, at most d attempts; a split tree shares its traces.
+    ``_orbits`` is the one caller, at every degree.
     """
     for i in range(start, g.ctx.degree):
         h = g.gcd(trace(i) % g)
         if 0 < h.degree < g.degree:
             return h, g // h, i
     raise VerificationError("splitting failed: input is not separable split")
-
-
-def _split_linear(mod, rows):
-    """All roots of g = mod.g, a product of distinct linear factors, given
-    packed rows[j] = x^(2^j) mod g for j < d (j < e when g divides
-    x^(2^e) - x, ``_trace_mod``), unread when g is linear; each factor
-    resumes after the trial that split its parent (_split_once)."""
-    trace = _traces(mod, rows)
-
-    def split(g, start):
-        if g.degree == 1:
-            return [g.coeff(0) / g.leading()]
-        h, k, i = _split_once(g, trace, start)
-        return split(h, i + 1) + split(k, i + 1)
-    return split(mod.g, 0)
 
 
 def poly_roots(f):
@@ -881,7 +866,10 @@ def poly_roots(f):
     if f.is_zero():
         raise ValueError("the zero polynomial has every root")
     mod = _Modulus(f)
-    g = f.gcd(mod.poly(_frobenius_rows(mod)[-1]) + Poly.x(f.ctx))
+    xq = mod.reduce(1 << mod.w)  # x^q mod f after d squarings
+    for _ in range(mod.d):
+        xq = mod.square(xq)
+    g = f.gcd(mod.poly(xq) + Poly.x(f.ctx))
     out = []
     for (r,) in sorted(_orbits(g, 1, f.ctx), key=lambda o: o[0].bits):
         mult = _root_multiplicity(f, r)
@@ -920,19 +908,27 @@ def _distinct_degree(f):
         yield f.degree, f
 
 
-def _orbits(g, i, target):
+def _orbits(g, i, target, e=None):
     """The roots in target of g, a product of distinct monic irreducibles of
     degree i over GF(q), q = 2^d, di | target.degree, as their orbits [r,
-    r^q, ..., r^(q^(i-1))], on the di rows x^(2^j) mod g (_trace_mod, as g |
-    x^(q^i) - x): at i = 1 one split tree (_split_linear), at i > 1 one root
-    split off and its orbit's polynomial divided out, exactly, before the
-    next, every remainder sharing the traces.  A constant g has none."""
+    r^q, ..., r^(q^(i-1))], on the e rows x^(2^j) mod g, g | x^(2^e) - x
+    (default e = di; _trace_mod): at i = 1 one split tree, each factor
+    resuming after the trial that split its parent (_split_once), at i > 1
+    one root split off and its orbit's polynomial divided out, exactly,
+    before the next, every remainder sharing the traces.  A constant g has
+    none."""
     d, out = g.ctx.degree, []
     mod = _Modulus(g.map_context(target))
-    rows = _frobenius_rows(mod, d * i - 1) if g.degree > 1 else []
-    if i == 1 and g.degree > 0:
-        return [[r] for r in _split_linear(mod, rows)]
+    rows = _frobenius_rows(mod, (e or d * i) - 1) if g.degree > 1 else []
     trace, h = _traces(mod, rows), mod.g
+
+    def split(f, start):
+        if f.degree == 1:
+            return [[f.coeff(0) / f.leading()]]
+        a, b, j = _split_once(f, trace, start)
+        return split(a, j + 1) + split(b, j + 1)
+    if i == 1 and h.degree > 0:
+        return split(h, 0)
     while h.degree > 0:
         r, start = h, 0
         while r.degree > 1:

@@ -915,9 +915,13 @@ def test_integral_point_keeps_disc_and_j(abc):
 
 @pytest.mark.parametrize("wrong", ["discriminant_formula", "j_formula"])
 def test_jcheck_reports_the_failing_sample(monkeypatch, wrong):
+    # the first sample fails, so no representative is counted: --csv leaves
+    # that cell empty, and --json names the sample
     real = getattr(cli, wrong)
     monkeypatch.setattr(cli, wrong, lambda p: real(p) + 1)
-    code, text = invoke("jcheck", "--samples", "5", "--csv")
+    assert invoke("jcheck", "--samples", "5", "--csv") == (
+        1, "samples,lame_representatives,passed\n0,,0\n")
+    code, text = invoke("jcheck", "--samples", "5", "--json")
     assert code == 1
     assert json.loads(text) == {"schema": 1, "command": "jcheck",
                                 "failed_at": ["-1/14", "-89/9", "31/16"],

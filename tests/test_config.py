@@ -203,3 +203,44 @@ def test_the_dropped_result_scan_sees_a_dropped_result():
                      "h, _i = next(_f())\n"
                      "j, k = _f()\n")
     assert _dropped_results(tree, _private_functions([tree])) == [3, 4]
+
+
+def _readers(trees, names):
+    """{name: sorted "module:owner"} for each of `names`: the modules and
+    top-level statements (functions, classes or <module>) that spell it as
+    a name or an attribute."""
+    places = {name: set() for name in names}
+    for module, tree in trees.items():
+        for top in tree.body:
+            owner = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                name = getattr(node, "id", getattr(node, "attr", None))
+                if name in places:
+                    places[name].add(f"{module}:{owner}")
+    return {name: sorted(owners) for name, owners in places.items()}
+
+
+def test_orbits_is_the_one_root_lister():
+    # every root in src/ comes from one split tree: _embed_gen built its own
+    # rows and tree beside gf2._orbits until it read _orbits with its bound e
+    paths = sorted((ROOT / "src" / "lame2").glob("*.py"))
+    trees = {path.name: ast.parse(path.read_text()) for path in paths}
+    assert _readers(trees, ["_split_once", "_traces"]) == {
+        "_split_once": ["gf2.py:_orbits"], "_traces": ["gf2.py:_orbits"]}
+
+
+def test_the_reader_scan_sees_a_second_root_lister():
+    tree = ast.parse("def _split_once(g, trace):\n    pass\n"
+                     "def _orbits(g):\n"
+                     "    def split(f):\n"
+                     "        return _split_once(f, trace)\n"
+                     "    trace = _traces(g)\n"
+                     "def _embed_gen(g):\n"
+                     "    return min(_split_once(g, None))\n"
+                     "class _C:\n"
+                     "    def m(self):\n"
+                     "        return gf2._traces(self)\n"
+                     "lister = _traces\n")
+    assert _readers({"m.py": tree}, ["_split_once", "_traces"]) == {
+        "_split_once": ["m.py:_embed_gen", "m.py:_orbits"],
+        "_traces": ["m.py:<module>", "m.py:_C", "m.py:_orbits"]}

@@ -1582,7 +1582,9 @@ def test_root_finding_counts_pinned(monkeypatch):
     # reductions, 900 scalar-product passes, 263 gcds, 140 trials and 115
     # point checks; and splitting the linear factors on step 1's rows mod
     # the norm, reduced mod g_1, before _orbits squared d rows mod g_1
-    # itself, made 290 squares, 571 reductions and 661 scalar-product passes
+    # itself, made 290 squares, 571 reductions and 661 scalar-product passes;
+    # folding _split_linear's split tree into _orbits, which _embed_gen now
+    # calls with its bound e, changed no count
     import lame2.gf2 as gf2
     from lame2.cli import run
     counts = dict.fromkeys(["square", "reduce", "dot", "gcd", "trial",

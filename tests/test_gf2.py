@@ -24,7 +24,7 @@ from lame2.arith import divisors
 from lame2.gf2 import (_TABLE_MAX_DEGREE, _Modulus, _bit_poly, _comb,
                        _distinct_degree, _embed_gen, _field_kernel,
                        _frobenius_rows, _is_irreducible, _orbits, _pmod,
-                       _root_multiplicity, _split_linear, _split_once,
+                       _root_multiplicity, _split_once,
                        _table_kernel, _trace_mod, _traces)
 
 
@@ -698,7 +698,7 @@ def reference_conjugate_roots(f):
     """The d-row route: d Frobenius rows mod f, reduced again mod the
     smaller factor after each split, and every root checked."""
     mod = _Modulus(f)
-    rows = _frobenius_rows(mod)[:-1]
+    rows = _frobenius_rows(mod, mod.d)[:-1]
     g, start = mod.g, 0
     while g.degree > 1:
         h, k, i = _split_once(g, _traces(mod, rows), start)
@@ -730,15 +730,29 @@ def test_e_row_traces_match_d_rows(d):
     for e in [e for e in divisors(d) if e > 1][-3:]:
         f = _bit_poly(ctx, random_irreducible(rng, e))
         mod = _Modulus(f)
-        rows = _frobenius_rows(mod)[:-1]
+        rows = _frobenius_rows(mod, d)[:-1]
         assert rows[e:] == rows[:d - e]
         combs = [_comb(row) for row in rows]
         for i in range(d):
             u = 1 << (d - 1 - i)
             assert _trace_mod(mod, u, combs[:e]) \
                 == _trace_mod(mod, u, combs), (e, i)
-        assert sorted(r.bits for r in _split_linear(mod, rows[:e])) \
+        assert sorted(r.bits for r, in _orbits(f, 1, ctx, e)) \
             == reference_conjugate_roots(f), (d, e)
+
+
+@pytest.mark.parametrize("d", [6, 12, 24, 36, 48])
+def test_orbits_bound_changes_the_rows_not_the_roots(d):
+    # the modulus of each subfield GF(2^s), s | d, splits over GF(2^d) and
+    # divides x^(2^s) - x: s rows, as _embed_gen reads, list the same s
+    # roots as the default d rows
+    ctx = GF(d)
+    for s in divisors(d):
+        g = _bit_poly(ctx, GF(s).modulus)
+        roots = sorted(r.bits for r, in _orbits(g, 1, ctx, s))
+        assert roots == sorted(r.bits for r, in _orbits(g, 1, ctx)), (d, s)
+        assert len(set(roots)) == s
+        assert not any(g(ctx(r)) for r in roots), (d, s)
 
 
 def reference_trace_map_mod(u, g):
@@ -771,7 +785,7 @@ def test_packed_frobenius_rows_match_poly_squaring(ctx):
         f = Poly(ctx, [rng.getrandbits(d) for _ in range(n)]
                  + [rng.randrange(1, 1 << d)])
         mod = _Modulus(f)
-        rows = _frobenius_rows(mod)
+        rows = _frobenius_rows(mod, d)
         assert len(rows) == d + 1
         assert all(mod.poly(row) == want for row, want
                    in zip(rows, reference_frobenius_rows(f))), (n, f)
@@ -784,7 +798,7 @@ def test_table_trace_matches_squaring_loop(d):
     for n in (2, 5, 7):
         g = from_roots(ctx, rng.sample(range(1 << d), n))
         mod = _Modulus(g)
-        rows = _frobenius_rows(mod)[:-1]
+        rows = _frobenius_rows(mod, d)[:-1]
         assert len(rows) == d
         combs = [_comb(row) for row in rows]
         for i in range(d):
@@ -1001,7 +1015,7 @@ def test_split_once_rejects_unsplit_input(d):
     g = Poly(ctx, [c.bits, 1, 1])
     mod = _Modulus(g)
     with pytest.raises(VerificationError):
-        _split_once(mod.g, _traces(mod, _frobenius_rows(mod)[:-1]))
+        _split_once(mod.g, _traces(mod, _frobenius_rows(mod, d)[:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -1174,7 +1188,8 @@ def test_embed_gen_refuses_what_its_checks_refute(monkeypatch):
     with pytest.raises(VerificationError, match="no composition-consistent"):
         _embed_gen(GF(4), GF(8))
     monkeypatch.setattr(gf2, "_EMBED_GEN", {})
-    monkeypatch.setattr(gf2, "_split_linear", lambda mod, rows: [mod.ctx.zero])
+    monkeypatch.setattr(gf2, "_orbits",
+                        lambda g, i, target, e: [[target.zero]])
     with pytest.raises(VerificationError, match="fails its checks"):
         _embed_gen(GF(4), GF(8))
     assert (GF(4), GF(8)) not in gf2._EMBED_GEN
