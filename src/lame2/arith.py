@@ -1,8 +1,8 @@
-"""Integer number theory: primality, factoring, divisors, roots.
+"""Integer number theory: primality, factoring, divisors, roots, valuations.
 
 Primality is Miller-Rabin to the first thirteen prime bases below 3.3e24,
 where it is deterministic (Sorenson-Webster 2015), and Baillie-PSW above,
-which has no known counterexample.
+which has no known counterexample.  factorint and is_prime take ints only.
 """
 
 from math import gcd, isqrt, prod
@@ -22,7 +22,7 @@ _SMALL = _primes_below(1000)
 
 
 def _strong_prp(n: int, a: int) -> bool:
-    s = ((n - 1) & (1 - n)).bit_length() - 1
+    s = v2(n - 1)
     x = pow(a, (n - 1) >> s, n)
     return x == 1 or any(pow(x, 1 << r, n) == n - 1 for r in range(s))
 
@@ -45,7 +45,7 @@ def _strong_lucas_prp(n: int) -> bool:
     D = 5
     while (j := _jacobi(D, n)) == 1:
         D = -D - 2 if D > 0 else 2 - D
-    Q, s = (1 - D) // 4, ((n + 1) & -(n + 1)).bit_length() - 1
+    Q, s = (1 - D) // 4, v2(n + 1)
     U, V, Qk = 1, 1, Q % n  # U_k, V_k, Q^k at k = 1, then up the bits of d
     for bit in bin((n + 1) >> s)[3:]:
         U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
@@ -60,6 +60,8 @@ def _strong_lucas_prp(n: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
+    if type(n) is not int:  # bool is refused here too
+        raise TypeError(f"is_prime needs an int, got {n!r}")
     if n < _SMALL[-1] ** 2:
         return n > 1 and all(n % p for p in _SMALL if p * p <= n)
     if n < 3317044064679887385961981:
@@ -99,6 +101,8 @@ def _rho(n: int) -> int:
 
 def factorint(n: int) -> dict:
     """{p: e} with n = prod p^e, primes ascending, each one passing is_prime."""
+    if type(n) is not int:
+        raise TypeError(f"factorint needs an int, got {n!r}")
     if n < 1:
         raise ValueError(f"factorint needs a positive integer, got {n}")
     out = {}
@@ -178,6 +182,19 @@ def power_sum(L: list, k: int) -> int:
 def mobius(n: int) -> int:
     f = factorint(n)
     return 0 if any(e > 1 for e in f.values()) else (-1) ** len(f)
+
+
+def power_free(n: int, k: int) -> tuple:
+    """(s, r) with n = s r^k and s free of k-th powers, for n, k >= 1."""
+    f = factorint(n).items()
+    return prod(p ** (e % k) for p, e in f), prod(p ** (e // k) for p, e in f)
+
+
+def v2(n: int) -> int:
+    """The 2-adic valuation of a nonzero int."""
+    if not n:
+        raise ValueError("v2 of 0 is infinite")
+    return (n & -n).bit_length() - 1
 
 
 def integer_nthroot(n: int, k: int) -> tuple:

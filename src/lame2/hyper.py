@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import order_from_multiple, power_sum
+from .arith import order_from_multiple, power_sum, v2
 from .common import INFINITY, VerificationError
 from .gf2 import GF, FieldContext, Poly
 from .weierstrass import WeierstrassCurve, _count_points
@@ -65,7 +65,7 @@ class HyperellipticCurve:
         return (x, y + self.ctx.one)
 
     def lpoly(self) -> list:
-        return _family_lpoly(self.genus)
+        return list(_family_lpoly(self.genus))  # a copy: the cache holds L
 
     def jacobian_order(self) -> int:
         return jacobian_order(self.lpoly(), self.ctx.degree)
@@ -255,10 +255,10 @@ def _elementary(s: list) -> list:
 
 
 @lru_cache(maxsize=None)
-def _family_lpoly(genus: int) -> list:
+def _family_lpoly(genus: int) -> tuple:
     counts = [HyperellipticCurve(GF(d), genus).count_points()
               for d in range(1, genus + 1)]
-    return zeta_lpoly(genus, counts)
+    return tuple(zeta_lpoly(genus, counts))
 
 
 def jacobian_order(L: list, d: int = 1) -> int:
@@ -303,14 +303,10 @@ def is_supersingular(L: list) -> dict:
     for i in range(genus):
         if L[2 * genus - i] != (1 << (genus - i)) * L[i]:
             raise ValueError("functional equation fails")
-    pts = [(i, _v2(ci)) for i, ci in enumerate(L) if ci]
+    pts = [(i, v2(ci)) for i, ci in enumerate(L) if ci]
     hull = _lower_hull(pts)
     slopes = [Fraction(y2 - y1, x2 - x1)
               for (x1, y1), (x2, y2) in zip(hull, hull[1:])]
-    ss = all(2 * v >= i for i, v in pts) and _v2(L[2 * genus]) == genus
+    ss = all(2 * v >= i for i, v in pts) and v2(L[2 * genus]) == genus
     return {"genus": genus, "lpoly": list(L), "supersingular": ss,
             "valuations": pts, "polygon": hull, "slopes": slopes}
-
-
-def _v2(n: int) -> int:
-    return (n & -n).bit_length() - 1

@@ -22,9 +22,8 @@ Fraction.  Running both ways guards the transcription of the coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 
-from .arith import factorint
+from .arith import power_free
 from .common import INFINITY, VerificationError
 from .gf2 import FieldElement
 from .weierstrass import CurvePoint, WeierstrassCurve
@@ -71,27 +70,23 @@ class WeightedPoint:
     def canonical(self) -> "WeightedPoint":
         """The distinguished orbit representative.
 
-        The first nonzero coordinate is scaled to 1 whenever the field
-        provides the needed root; over the rationals the weight-2 and
-        weight-3 cases fall back to the squarefree (resp. cubefree,
-        positive) integer representative, with the residual sign freedom
-        spent making the later coordinate nonnegative.
+        Over GF(2^d) the first nonzero coordinate is scaled to 1 when the
+        field has the root, else c is the least of its cube coset.  Over Q,
+        with v = num/den the first nonzero coordinate, of weight w, and
+        |num| den^(w-1) = s r^w, s w-th-power-free (arith.power_free), den/r
+        scales v to +-s, and -1 then makes a, else c, positive.
         """
-        if self.a:
-            return self.scale(self.a.inverse() if self.is_binary
-                              else Fraction(1, self.a))
         if self.is_binary:
+            if self.a:
+                return self.scale(self.a.inverse())
             if self.b:
                 return self.scale((1 / self.b).sqrt())
             return WeightedPoint(self.a, self.b, _cube_coset_min(self.c))
-        if self.b:
-            s = _squarefree_part(self.b)
-            lam = _fraction_sqrt(s / self.b)
-            out = self.scale(lam)
-            if out.c < 0:
-                out = out.scale(-1)
-            return out
-        return WeightedPoint(self.a, self.b, _cubefree_part(self.c))
+        w, v = next((w, Fraction(v)) for w, v in enumerate(self.coords(), 1)
+                    if v)
+        r = power_free(abs(v.numerator) * v.denominator ** (w - 1), w)[1]
+        out = self.scale(Fraction(v.denominator, r))
+        return out.scale(-1) if (out.a or out.c) < 0 else out
 
     def __eq__(self, other):
         if not isinstance(other, WeightedPoint):
@@ -118,31 +113,6 @@ class WeightedPoint:
 
 
 # -- canonical-form helpers ----------------------------------------------------
-
-
-def _squarefree_part(fr: Fraction) -> Fraction:
-    n = fr.numerator * fr.denominator
-    s = -1 if n < 0 else 1
-    for p, e in factorint(abs(n)).items():
-        if e % 2:
-            s *= p
-    return Fraction(s)
-
-
-def _cubefree_part(fr: Fraction) -> Fraction:
-    # the sign is always absorbable into the cube scaling
-    n = abs(fr.numerator * fr.denominator * fr.denominator)
-    t = 1
-    for p, e in factorint(n).items():
-        t *= p ** (e % 3)
-    return Fraction(t)
-
-
-def _fraction_sqrt(fr: Fraction) -> Fraction:
-    rn, rd = isqrt(fr.numerator), isqrt(fr.denominator)
-    if rn * rn != fr.numerator or rd * rd != fr.denominator:
-        raise VerificationError("expected a rational square")
-    return Fraction(rn, rd)
 
 
 def _cube_character(v: FieldElement) -> FieldElement:

@@ -34,7 +34,9 @@ class Triple:
 
     def __init__(self, a: int, b: int, c: int):
         for v in (a, b, c):
-            if not isinstance(v, int) or v < 1:
+            if type(v) is not int:  # bool is refused here too
+                raise TypeError(f"parts must be ints, got {v!r}")
+            if v < 1:
                 raise ValueError("parts must be positive integers")
         self.a, self.b, self.c = _canonical_rotation(a, b, c)
 

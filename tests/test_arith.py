@@ -1,13 +1,14 @@
 """lame2.arith against independent oracles: brute force, known tables, matrices."""
 
 import random
+from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
 
 from lame2.arith import (_SMALL, _strong_lucas_prp, _strong_prp, divisors,
                          factorint, integer_nthroot, is_prime, mobius,
-                         order_from_multiple, power_sum)
+                         order_from_multiple, power_free, power_sum, v2)
 from lame2.common import VerificationError
 from lame2.gf2 import GF
 from lame2.hyper import HyperellipticCurve, jacobian_order
@@ -45,6 +46,13 @@ def test_factorint_divisors_mobius_match_brute_force():
         assert divisors(n) == divs[n], n
         want = 0 if any(e > 1 for e in f.values()) else (-1) ** len(f)
         assert mobius(n) == want, n
+        for k in (1, 2, 3):  # the largest r with r^k | n, by trial
+            r = max(d for d in divs[n] if n % d ** k == 0)
+            assert power_free(n, k) == (n // r ** k, r), (n, k)
+        t = 0  # 2-adic valuation by trial division, on n and -n
+        while n % 2 ** (t + 1) == 0:
+            t += 1
+        assert v2(n) == v2(-n) == t, n
 
 
 def test_small_primes_match_trial_division():
@@ -64,6 +72,20 @@ def test_nonpositive_inputs_rejected():
             factorint(bad)
     with pytest.raises(ValueError):
         integer_nthroot(-8, 3)
+    with pytest.raises(ValueError):
+        power_free(0, 2)
+    with pytest.raises(ValueError):
+        v2(0)
+
+
+@pytest.mark.parametrize("bad", [2.5, 9.0, True, Fraction(12), "12"])
+def test_non_int_inputs_rejected(bad):
+    # factorint(9.0) returned {3: 2}, factorint(2.5) {2.5: 1}, is_prime(2.5)
+    # True and divisors(12.0) floats; bool is refused as GF refuses it
+    for f in (factorint, is_prime, divisors, mobius,
+              lambda n: power_free(n, 2)):
+        with pytest.raises(TypeError):
+            f(bad)
 
 
 # -- the probable-prime tests, each against its own pseudoprime table --------------

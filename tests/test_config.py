@@ -244,3 +244,42 @@ def test_the_reader_scan_sees_a_second_root_lister():
     assert _readers({"m.py": tree}, ["_split_once", "_traces"]) == {
         "_split_once": ["m.py:_embed_gen", "m.py:_orbits"],
         "_traces": ["m.py:<module>", "m.py:_C", "m.py:_orbits"]}
+
+
+def _masked_bit_lengths(trees):
+    """Sorted "module:owner" for each `.bit_length()` called on an `&`
+    expression, the owner being the top-level statement holding it."""
+    places = set()
+    for module, tree in trees.items():
+        for top in tree.body:
+            owner = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "bit_length"
+                        and isinstance(node.func.value, ast.BinOp)
+                        and isinstance(node.func.value.op, ast.BitAnd)):
+                    places.add(f"{module}:{owner}")
+    return sorted(places)
+
+
+def test_v2_is_the_one_2adic_valuation():
+    # (n & -n).bit_length() - 1 was spelled three times, in hyper._v2 and in
+    # arith's two probable-prime tests, before they read arith.v2
+    paths = sorted((ROOT / "src" / "lame2").glob("*.py"))
+    trees = {path.name: ast.parse(path.read_text()) for path in paths}
+    assert _masked_bit_lengths(trees) == ["arith.py:v2"]
+
+
+def test_the_valuation_scan_sees_a_second_valuation():
+    tree = ast.parse("def v2(n):\n    return (n & -n).bit_length() - 1\n"
+                     "def _strong_prp(n):\n"
+                     "    return ((n - 1) & (1 - n)).bit_length()\n"
+                     "class _H:\n"
+                     "    def m(self, x):\n"
+                     "        return (x & -x).bit_length()\n"
+                     "s = (k & -k).bit_length()\n"
+                     "t = (x | y).bit_length() + (x & y).bit_count()\n"
+                     "u = g.bit_length() + (g >> 1 & 1)\n")
+    assert _masked_bit_lengths({"m.py": tree}) == [
+        "m.py:<module>", "m.py:_H", "m.py:_strong_prp", "m.py:v2"]

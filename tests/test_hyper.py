@@ -235,6 +235,16 @@ def test_lpoly_validates_extra_counts():
     assert zeta_lpoly(2, counts) == [1, 0, 0, 0, 4]
 
 
+def test_lpoly_hands_out_a_copy():
+    # lpoly() handed out the cached list itself, so one caller's append
+    # made every later hyper report raise "malformed L-polynomial"
+    HyperellipticCurve(GF(1), 2).lpoly().append(99)
+    C = HyperellipticCurve(GF(3), 2)
+    assert C.lpoly() == [1, 0, 0, 0, 4]
+    assert is_supersingular(C.lpoly())["supersingular"]
+    assert C.jacobian_order() == jacobian_order([1, 0, 0, 0, 4], 3)
+
+
 def test_jacobian_orders_match_direct_counts():
     # #J(F_q) for genus 1 is the elliptic group order
     from lame2.weierstrass import supersingular_order

@@ -599,6 +599,13 @@ def test_class_count_formula():
     assert lame_count_dividing(33) == (3 * 121 + 5) // 8
 
 
+def test_class_count_refuses_a_float():
+    # lame_count_dividing(9.0) returned 4.0; divisors refuses it through
+    # factorint now
+    with pytest.raises(TypeError):
+        lame_count_dividing(9.0)
+
+
 def test_class_count_matches_classification():
     # classes of order dividing n: sum the exact-order counts over divisors
     assert lame_count_dividing(9) == len(classify_torsion(3)) + len(

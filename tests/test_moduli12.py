@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -196,6 +197,70 @@ def test_json_uses_canonical_form():
     rec2 = WeightedPoint(ctx(2), ctx(1), ctx(3)).to_json()
     assert rec2["field"] == {"d": 2}
     assert rec2["a"] == {"d": 2, "hex": "1"}
+
+
+def _trial_factor(n):
+    out, p = {}, 2
+    while n > 1:
+        while n % p == 0:
+            out[p], n = out.get(p, 0) + 1, n // p
+        p += 1
+    return out
+
+
+def _squarefree_part(fr):
+    n = fr.numerator * fr.denominator
+    s = -1 if n < 0 else 1
+    for p, e in _trial_factor(abs(n)).items():
+        if e % 2:
+            s *= p
+    return Fraction(s)
+
+
+def _cubefree_part(fr):
+    # the sign is always absorbable into the cube scaling
+    n = abs(fr.numerator * fr.denominator * fr.denominator)
+    t = 1
+    for p, e in _trial_factor(n).items():
+        t *= p ** (e % 3)
+    return Fraction(t)
+
+
+def _fraction_sqrt(fr):
+    rn, rd = isqrt(fr.numerator), isqrt(fr.denominator)
+    assert rn * rn == fr.numerator and rd * rd == fr.denominator
+    return Fraction(rn, rd)
+
+
+def reference_canonical(p):
+    """The rational canonical form by its first rule, one case per weight:
+    a scaled to 1; else b to its signed squarefree part, then c made
+    nonnegative; else c to its positive cubefree part."""
+    a, b, c = p.coords()
+    if a:
+        return p.scale(Fraction(1, a))
+    if b:
+        out = p.scale(_fraction_sqrt(_squarefree_part(b) / b))
+        return out.scale(-1) if out.c < 0 else out
+    return WeightedPoint(a, b, _cubefree_part(c))
+
+
+def test_canonical_matches_the_reference_rule_on_a_grid():
+    # canonical() replaced three helpers with one power-free rule for every
+    # weight; both forms must agree value for value, and so must to_json
+    vals = sorted({Fraction(s * n, d) for s in (1, -1)
+                   for n in (1, 2, 3, 4, 8, 9, 12, 27, 54, 72)
+                   for d in (1, 2, 3, 4, 9, 16)})
+    zero = [0] + vals
+    grid = ([(0, 0, c) for c in vals] + [(0, b, c) for b in vals for c in zero]
+            + [(a, b, c) for a in vals[::9] for b in zero[::6]
+               for c in zero[::6]])
+    for t in grid:
+        p, want = WeightedPoint(*t), reference_canonical(WeightedPoint(*t))
+        assert p.canonical() == want, t
+        assert p.to_json() == {"field": "Q", **{
+            k: f"{v.numerator}/{v.denominator}"
+            for k, v in zip("abc", want.coords())}}, t
 
 
 # -- the coordinate formulas against the classical formulary --------------------

@@ -73,6 +73,13 @@ def test_rejects_bad_parts():
         Triple(1, -1, 3)
 
 
+@pytest.mark.parametrize("bad", [True, 2.0, "2"])
+def test_rejects_non_int_parts(bad):
+    # Triple(True, 1, 1) was accepted and to_json wrote "a": true
+    with pytest.raises(TypeError):
+        Triple(bad, 1, 1)
+
+
 def test_degree_nine_primitive_census():
     got = enumerate_triples(9, primitive_only=True)
     want = {(1, 1, 7), (1, 2, 6), (1, 6, 2), (1, 3, 5), (1, 5, 3),
